@@ -1,13 +1,13 @@
 /// \file bench_compare.cpp
 /// Perf-regression gate for the hot kernels.
 ///
-/// Times six kernels on Fig. 1 scenarios (seven records — the bitwise
+/// Times five kernels on Fig. 1 scenarios (six records — the bitwise
 /// reference rides with `pipeline.local_frames`), writes one
 /// machine-readable record per kernel, and (with `--against`) compares
 /// each measured wall time to a committed baseline:
 ///
-///   - `ubf.true_coords` — `detect_with_true_coordinates`, the pure
-///     Algorithm 1 kernel free of localization noise.
+///   - `ubf.true_coords` — `detect_with_true_coordinates` at one thread,
+///     the pure Algorithm 1 kernel free of localization noise.
 ///   - `pipeline.local_frames` — the noisy-coordinates localization stage
 ///     at the *default* equivalence tier (kBoundaryIdentical: blocked
 ///     SMACOF, adaptive plateau exits, fast sweep kernel), built through
@@ -24,11 +24,6 @@
 ///     `core::DetectionSession` (the frames are ε-independent and are
 ///     reused), timed end-to-end and additionally required to beat five
 ///     fresh `detect_boundaries` calls by ≥ 2x.
-///   - `pipeline.sharded` — cold `core::ShardedDetector` construction +
-///     detection on a ≥ 100k-node Fig. 1 scenario at 8 worker threads
-///     (the one multi-threaded kernel), required at runtime to produce
-///     boundary flags bit-identical to the unsharded pipeline and to beat
-///     it by ≥ 2x wall clock.
 ///   - `pipeline.churn_p99` — p99 incremental re-detect latency over a
 ///     fixed `sim::ChurnEngine` soak (seeded bursts of crash/revive/move
 ///     deltas against one noisy-coordinates session). `best_ms` is the
@@ -62,8 +57,6 @@
 /// Flags: --scale S (default 1.0)  --reps N (default 7)
 ///        --frames-scale S (default 0.35)  --frames-reps N (default 5)
 ///        --frames-error E (default 0.2)  --sweep-reps N (default 3)
-///        --sharded-nodes N (default 100000)  --sharded-reps N (default 3)
-///        --sharded-threads T (default 8)
 ///        --churn-steps N (default 60)  --churn-reps N (default 3)
 ///        --escalate-reps N (default 3)
 ///        --out PATH  --against PATH  --threshold F
@@ -79,7 +72,6 @@
 #include "bench_util.hpp"
 #include "common/buildinfo.hpp"
 #include "core/session.hpp"
-#include "core/sharded.hpp"
 #include "core/stats.hpp"
 #include "core/ubf.hpp"
 #include "localization/local_frame.hpp"
@@ -259,9 +251,6 @@ int main(int argc, char** argv) {
   const int frames_reps = int_flag(argc, argv, "--frames-reps", 5);
   const double frames_error = double_flag(argc, argv, "--frames-error", 0.2);
   const int sweep_reps = int_flag(argc, argv, "--sweep-reps", 3);
-  const int sharded_nodes = int_flag(argc, argv, "--sharded-nodes", 100000);
-  const int sharded_reps = int_flag(argc, argv, "--sharded-reps", 3);
-  const int sharded_threads = int_flag(argc, argv, "--sharded-threads", 8);
   const int churn_steps = int_flag(argc, argv, "--churn-steps", 60);
   const int churn_reps = int_flag(argc, argv, "--churn-reps", 3);
   const int escalate_reps = int_flag(argc, argv, "--escalate-reps", 3);
@@ -289,7 +278,8 @@ int main(int argc, char** argv) {
     rec.reps = reps;
     for (int rep = 0; rep < reps; ++rep) {
       const auto t0 = Clock::now();
-      const std::vector<bool> boundary = ubf.detect_with_true_coordinates();
+      const std::vector<bool> boundary = ubf.detect_with_true_coordinates(
+          nullptr, nullptr, nullptr, /*threads=*/1);
       const auto t1 = Clock::now();
       const double ms =
           std::chrono::duration<double, std::milli>(t1 - t0).count();
@@ -522,105 +512,7 @@ int main(int argc, char** argv) {
     records.push_back(rec);
   }
 
-  // Kernel 4: sharded detection at scale — the one multi-threaded kernel.
-  // A Fig. 1 scenario sized analytically to >= 100k nodes, true-coordinate
-  // detection, cold per rep (ShardedDetector construction + run; repeat
-  // runs would hit the session caches and time nothing). The unsharded
-  // pipeline runs once as the reference: the sharded boundary flags must
-  // be bit-identical (the halo-exchange equality contract, enforced here
-  // at full scale rather than test scale) and >= 2x faster at 8 threads.
-  {
-    bench::ScaledScenario sized = bench::scale_scenario_to_nodes(
-        [](double s) { return model::fig1_network(s); },
-        static_cast<std::size_t>(sharded_nodes), /*seed=*/1, 18.5);
-    Rng rng(1);
-    net::BuildDiagnostics diag;
-    const net::Network network =
-        net::build_network(*sized.scenario.shape, sized.options, rng, &diag);
-    std::printf("[%s] %zu nodes, avg degree %.1f (sharded kernel)\n",
-                sized.scenario.name.c_str(), network.num_nodes(),
-                diag.average_degree);
-
-    core::PipelineConfig cfg;
-    cfg.use_true_coordinates = true;
-    cfg.threads = static_cast<unsigned>(sharded_threads);
-    core::ShardedConfig shard_cfg;
-    shard_cfg.threads = static_cast<unsigned>(sharded_threads);
-    // One shard per worker (capped by the library's 50k memory target) so
-    // the speedup contract measures the full thread pool.
-    shard_cfg.target_nodes_per_shard = std::min<std::size_t>(
-        shard_cfg.target_nodes_per_shard,
-        std::max<std::size_t>(
-            1, network.num_nodes() /
-                   static_cast<std::size_t>(std::max(1, sharded_threads))));
-
-    KernelRecord rec;
-    rec.name = "pipeline.sharded";
-    rec.scenario_name = sized.scenario.name;
-    rec.scale = 0.0;  // sized by --sharded-nodes, not --scale
-    rec.nodes = network.num_nodes();
-    rec.avg_degree = avg_degree_of(network);
-    rec.reps = sharded_reps;
-
-    std::vector<bool> sharded_boundary;
-    for (int rep = 0; rep < sharded_reps; ++rep) {
-      const auto t0 = Clock::now();
-      core::ShardedDetector detector(network, shard_cfg);
-      core::PipelineResult result = detector.run(cfg);
-      const auto t1 = Clock::now();
-      const double ms =
-          std::chrono::duration<double, std::milli>(t1 - t0).count();
-      rec.mean_ms += ms;
-      if (rep == 0 || ms < rec.best_ms) rec.best_ms = ms;
-      rec.boundary_nodes = result.num_boundary();
-      std::printf("%s rep %d: %.2f ms (%zu shards, boundary=%zu)\n",
-                  rec.name.c_str(), rep, ms, detector.num_shards(),
-                  rec.boundary_nodes);
-      if (rep == 0) sharded_boundary = std::move(result.boundary);
-    }
-    rec.mean_ms /= sharded_reps;
-
-    const auto u0 = Clock::now();
-    const core::PipelineResult reference =
-        core::detect_boundaries(network, cfg);
-    const auto u1 = Clock::now();
-    const double unsharded_ms =
-        std::chrono::duration<double, std::milli>(u1 - u0).count();
-
-    if (reference.boundary != sharded_boundary) {
-      std::fprintf(stderr,
-                   "SHARDING DRIFT: sharded run flags %zu boundary nodes vs "
-                   "%zu unsharded — the halo exchange changed the answer\n",
-                   rec.boundary_nodes, reference.num_boundary());
-      return 1;
-    }
-    const double speedup = unsharded_ms / rec.best_ms;
-    std::printf("%s: best %.2f ms, mean %.2f ms over %d reps; unsharded "
-                "%.2f ms -> %.2fx speedup at %d threads (boundary=%zu, "
-                "bit-identical)\n",
-                rec.name.c_str(), rec.best_ms, rec.mean_ms, rec.reps,
-                unsharded_ms, speedup, sharded_threads, rec.boundary_nodes);
-    // The 2x contract is parallelism-based (unlike kernel 3's algorithmic
-    // cache-reuse contract), so it is only falsifiable on hardware that can
-    // actually run the shard pool concurrently. On smaller machines the
-    // equality gate above still holds and the speedup is reported untested.
-    if (speedup < 2.0) {
-      if (hardware_threads() >= static_cast<unsigned>(sharded_threads)) {
-        std::fprintf(stderr,
-                     "REGRESSION: sharded detection only %.2fx faster than "
-                     "the unsharded pipeline (contract: >= 2x at %d "
-                     "threads)\n",
-                     speedup, sharded_threads);
-        return 1;
-      }
-      std::printf("%s: speedup contract needs %d hardware threads (have %u) "
-                  "— reported, not gated\n",
-                  rec.name.c_str(), sharded_threads, hardware_threads());
-    }
-    records.push_back(rec);
-  }
-
-  // Kernel 5: churn soak tail latency — the incremental delta path under a
+  // Kernel 4: churn soak tail latency — the incremental delta path under a
   // fixed, seeded crash/revive/move workload. Each rep rebuilds the same
   // network + session + engine (the churn determinism contract makes the
   // event stream identical), soaks `churn_steps` steps, and reports the
@@ -666,7 +558,7 @@ int main(int argc, char** argv) {
     records.push_back(rec);
   }
 
-  // Kernel 6: the escalated pipeline — cold detection with the Escalate
+  // Kernel 5: the escalated pipeline — cold detection with the Escalate
   // stage enabled, on the kernel-2 scenario. The timing record tracks the
   // end-to-end escalated run; the two untimed reference runs feed the
   // in-run gates that hold the effort control plane to its contract
@@ -774,8 +666,7 @@ int main(int argc, char** argv) {
     w.begin_object();
     w.field("schema", "ballfit-bench-compare-v4");
     w.field("git_sha", sha);
-    // Kernels 1–3 are timed single-threaded; `pipeline.sharded` records
-    // its own thread count in the comparison log.
+    // Every kernel is timed single-threaded.
     w.field("threads", std::uint64_t{1});
     w.key("kernels").begin_array();
     for (const KernelRecord& rec : records) write_kernel(w, rec);

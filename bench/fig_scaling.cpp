@@ -1,35 +1,27 @@
 /// \file fig_scaling.cpp
-/// Scaling recipe: sharded detection on a Fig. 1 scenario sized to a node
-/// budget (docs/SCALING.md is generated from this bench's output).
+/// Scaling recipe: one detection session on a Fig. 1 scenario sized to a
+/// node budget (docs/SCALING.md is generated from this bench's output).
 ///
 /// Builds the rounded-box-with-hole scenario scaled analytically to
 /// `--nodes` at the paper's operating density, times the parallel
-/// unit-disk build, then runs `core::ShardedDetector` end-to-end on true
-/// coordinates and reports wall clock, shard layout, stitch merges and
-/// peak RSS. With `--with-unsharded 1` it also runs the monolithic
-/// pipeline on the same network, *requires* bit-identical boundary flags,
-/// and prints the speedup — the same equality contract the
-/// `pipeline.sharded` kernel gates in bench_compare, at whatever scale you
-/// ask for.
+/// unit-disk build, then runs one `core::DetectionSession` end-to-end on
+/// true coordinates at `--threads` workers and reports wall clock, the
+/// detection result and peak RSS.
 ///
-///   fig_scaling --nodes 100000 --threads 8 --with-unsharded 1
+///   fig_scaling --nodes 100000 --threads 4
 ///   fig_scaling --nodes 1000000 --threads 8
 ///
-/// Flags: --nodes N (default 100000)   --shards S (0 = auto ~50k/shard)
-///        --threads T (default 8, 0 = hardware)  --halo H (default 3)
+/// Flags: --nodes N (default 100000)   --threads T (default 8, 0 = hardware)
 ///        --seed S (default 1)         --target-degree D (default 18.5)
-///        --with-unsharded 0|1 (default 0; 1M-node runs take minutes)
 ///        --build-budget-ms B (default 0 = no budget; exit 1 when the
 ///                             adjacency build exceeds it — the CI smoke
 ///                             gate for the parallel builder)
 ///        --out PATH (default scaling_results.json)
 ///
-/// Exit status: 1 when the build budget is exceeded or the unsharded
-/// cross-check diverges; 0 otherwise.
+/// Exit status: 1 when the build budget is exceeded; 0 otherwise.
 
 #include <sys/resource.h>
 
-#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 
@@ -37,7 +29,7 @@
 #include "bench_util.hpp"
 #include "common/stopwatch.hpp"
 #include "core/pipeline.hpp"
-#include "core/sharded.hpp"
+#include "core/session.hpp"
 #include "model/zoo.hpp"
 #include "net/builder.hpp"
 
@@ -61,14 +53,10 @@ double peak_rss_mib() {
 int main(int argc, char** argv) {
   using namespace ballfit;
   const int nodes = int_flag(argc, argv, "--nodes", 100000);
-  const int shards = int_flag(argc, argv, "--shards", 0);
   const int threads = int_flag(argc, argv, "--threads", 8);
-  const int halo = int_flag(argc, argv, "--halo", 3);
   const int seed = int_flag(argc, argv, "--seed", 1);
   const double target_degree =
       double_flag(argc, argv, "--target-degree", 18.5);
-  const bool with_unsharded =
-      int_flag(argc, argv, "--with-unsharded", 0) != 0;
   const double build_budget_ms =
       double_flag(argc, argv, "--build-budget-ms", 0.0);
   const std::string out_path =
@@ -103,94 +91,39 @@ int main(int argc, char** argv) {
     return 1;
   }
 
-  core::ShardedConfig shard_cfg;
-  shard_cfg.threads = threads < 0 ? 0u : static_cast<unsigned>(threads);
-  shard_cfg.halo_hops = static_cast<unsigned>(halo);
-  if (shards > 0) {
-    shard_cfg.target_nodes_per_shard =
-        std::max<std::size_t>(1, network.num_nodes() /
-                                     static_cast<std::size_t>(shards));
-  } else {
-    // Auto: at least one shard per worker (else threads idle), at most the
-    // library's 50k-per-shard memory target.
-    shard_cfg.target_nodes_per_shard = std::min<std::size_t>(
-        shard_cfg.target_nodes_per_shard,
-        std::max<std::size_t>(1, network.num_nodes() /
-                                     std::max(1, threads)));
-  }
-
   core::PipelineConfig cfg;
   cfg.use_true_coordinates = true;  // the scalable reference configuration
+  cfg.threads = threads < 0 ? 0u : static_cast<unsigned>(threads);
 
   auto& run = report.begin_run();
 
-  Stopwatch partition_watch;
-  core::ShardedDetector detector(network, shard_cfg);
-  const double partition_ms = partition_watch.elapsed_ms();
-
   Stopwatch detect_watch;
-  const core::PipelineResult result = detector.run(cfg);
+  core::DetectionSession session(network);
+  const core::PipelineResult result = session.run(cfg);
   const double detect_ms = detect_watch.elapsed_ms();
 
-  std::size_t halo_total = 0;
-  for (std::size_t s = 0; s < detector.num_shards(); ++s) {
-    halo_total += detector.shard_info(s).halo_nodes;
-  }
   const double rss_mib = peak_rss_mib();
-  std::printf("sharded: %zu shards (halo %zu nodes total), partition %.0f "
-              "ms, detect %.0f ms, boundary %zu in %zu groups, %llu stitch "
-              "merges, rss %.0f MiB\n",
-              detector.num_shards(), halo_total, partition_ms, detect_ms,
-              result.num_boundary(), result.groups.groups.size(),
-              static_cast<unsigned long long>(detector.last_stitch_merges()),
+  std::printf("session: detect %.0f ms, boundary %zu in %zu groups, rss %.0f "
+              "MiB\n",
+              detect_ms, result.num_boundary(), result.groups.groups.size(),
               rss_mib);
 
   const core::DetectionStats stats =
       core::evaluate_detection(network, result.boundary);
   run.param("nodes", static_cast<double>(network.num_nodes()))
       .param("avg_degree", diag.average_degree)
-      .param("shards", static_cast<double>(detector.num_shards()))
       .param("threads", static_cast<double>(threads))
-      .param("halo_hops", static_cast<double>(halo))
-      .param("halo_nodes", static_cast<double>(halo_total))
       .param("build_ms", build_ms)
-      .param("partition_ms", partition_ms)
       .param("detect_ms", detect_ms)
-      .param("stitch_merges",
-             static_cast<double>(detector.last_stitch_merges()))
       .param("peak_rss_mib", rss_mib)
       .detection(stats)
       .cost("iff", result.iff_cost)
       .cost("grouping", result.grouping_cost);
 
-  double unsharded_ms = 0.0;
-  if (with_unsharded) {
-    core::PipelineConfig ref_cfg = cfg;
-    ref_cfg.threads = shard_cfg.threads;
-    Stopwatch ref_watch;
-    const core::PipelineResult ref = core::detect_boundaries(network, ref_cfg);
-    unsharded_ms = ref_watch.elapsed_ms();
-    if (ref.boundary != result.boundary) {
-      std::fprintf(stderr,
-                   "SHARDING DRIFT: sharded run flags %zu boundary nodes vs "
-                   "%zu unsharded — outputs must be bit-identical\n",
-                   result.num_boundary(), ref.num_boundary());
-      return 1;
-    }
-    std::printf("unsharded reference: %.0f ms -> %.2fx sharded speedup "
-                "(boundary flags bit-identical)\n",
-                unsharded_ms, unsharded_ms / detect_ms);
-    report.begin_run()
-        .param("nodes", static_cast<double>(network.num_nodes()))
-        .param("threads", static_cast<double>(threads))
-        .param("unsharded_ms", unsharded_ms)
-        .param("speedup", unsharded_ms / detect_ms);
-  }
-
   // The docs/SCALING.md results-table row, ready to paste.
-  std::printf("| %zu | %zu | %d | %.1f s | %.1f s | %.0f MiB |\n",
-              network.num_nodes(), detector.num_shards(), threads,
-              build_ms / 1000.0, detect_ms / 1000.0, rss_mib);
+  std::printf("| %zu | %d | %.1f s | %.1f s | %.0f MiB |\n",
+              network.num_nodes(), threads, build_ms / 1000.0,
+              detect_ms / 1000.0, rss_mib);
   report.print_last_run_summary();
   return 0;
 }

@@ -257,7 +257,8 @@ void BM_UbfKernelTrueCoords(benchmark::State& state) {
   const net::Network network = net::build_network(*scenario.shape, opt, rng);
   const core::UnitBallFitting ubf(network);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(ubf.detect_with_true_coordinates());
+    benchmark::DoNotOptimize(ubf.detect_with_true_coordinates(
+        nullptr, nullptr, nullptr, /*threads=*/1));
   }
 }
 BENCHMARK(BM_UbfKernelTrueCoords)->Unit(benchmark::kMillisecond);

@@ -74,9 +74,8 @@ struct EscalationConfig {
 };
 
 /// Accounting of one Escalate stage execution, exported as `effort.*` obs
-/// counters and through `PipelineResult::effort`; summed across shards by
-/// the sharded merge. All zeros when the stage is disabled or skipped
-/// (true-coordinates runs).
+/// counters and through `PipelineResult::effort`. All zeros when the stage
+/// is disabled or skipped (true-coordinates runs).
 struct EffortStats {
   /// Plan composition over all nodes (dead nodes plan kCheap).
   std::uint64_t planned_cheap = 0;
@@ -105,25 +104,9 @@ struct EffortStats {
   std::uint64_t adopted = 0;
   std::uint64_t kept_first_pass = 0;
   /// Σ |conf_escalated − conf_first_pass| over adopted nodes, and the
-  /// number of terms (kept as a sum + count so shard merges stay exact).
+  /// number of terms.
   double confidence_delta_sum = 0.0;
   std::uint64_t confidence_delta_count = 0;
-
-  void merge(const EffortStats& o) {
-    planned_cheap += o.planned_cheap;
-    planned_default += o.planned_default;
-    planned_full += o.planned_full;
-    escalated_nodes += o.escalated_nodes;
-    frames_rebuilt += o.frames_rebuilt;
-    nodes_retested += o.nodes_retested;
-    escalation_sweeps += o.escalation_sweeps;
-    sweeps_saved_vs_full += o.sweeps_saved_vs_full;
-    flags_changed += o.flags_changed;
-    adopted += o.adopted;
-    kept_first_pass += o.kept_first_pass;
-    confidence_delta_sum += o.confidence_delta_sum;
-    confidence_delta_count += o.confidence_delta_count;
-  }
 };
 
 struct PipelineConfig {
@@ -205,10 +188,7 @@ struct PipelineResult {
   /// otherwise they voted `UbfConfig::degenerate_is_boundary`.
   std::size_t frame_fallbacks = 0;
   /// Effort control plane accounting (all zeros unless
-  /// `PipelineConfig::escalate.enabled`). Summed across shards by
-  /// `ShardedDetector` — halo nodes are planned/retested once per shard
-  /// that sees them, so the sharded totals overcount like the other cost
-  /// telemetry.
+  /// `PipelineConfig::escalate.enabled`).
   EffortStats effort;
   /// Nodes down at the end of the run (0 without fault injection).
   std::size_t crashed_nodes = 0;

@@ -344,48 +344,10 @@ void DetectionSession::run_ubf_stages(const PipelineConfig& config,
                                       PipelineResult& result) {
   const std::size_t n = network_->num_nodes();
   const std::vector<char>* alive_mask = masked_ ? &alive_ : nullptr;
-
-  if (config.use_true_coordinates) {
-    // No Measure/Localize artifacts: the oracle reads true positions. The
-    // artifact is keyed on the full config + the alive epoch; any topology
-    // change recomputes it outright (the oracle sweep is cheap).
-    Fingerprint core;
-    core.u64(2);  // true-coordinates artifact tag
-    mix_ubf_core(core, ubf_config);
-    Fingerprint full;
-    full.u64(core.value());
-    full.boolean(ubf_config.degenerate_is_boundary);
-    full.u64(alive_epoch_);
-    if (ubf_valid_ && ubf_full_fp_ == full.value()) {
-      ++stats_.ubf.cache_hits;
-      note_stage("ubf", "cache_hits");
-    } else {
-      BALLFIT_SPAN("ubf");
-      const UnitBallFitting ubf(*network_, ubf_config);
-      // Confidence rides along only when someone is observing; it never
-      // feeds back into the flags, so the artifact key ignores it.
-      std::vector<float>* conf_out =
-          obs::enabled() ? &ubf_confidence_ : nullptr;
-      if (conf_out == nullptr) ubf_confidence_.clear();
-      ubf_candidates_ = ubf.detect_with_true_coordinates(
-          &frame_fallbacks_, alive_mask, conf_out);
-      ubf_flags_.assign(n, 0);
-      for (std::size_t i = 0; i < n; ++i) {
-        ubf_flags_[i] = ubf_candidates_[i] ? 1 : 0;
-      }
-      ubf_full_fp_ = full.value();
-      ubf_core_fp_ = 0;
-      ubf_valid_ = true;
-      ubf_partial_ok_ = false;  // partial updates are a frame-path feature
-      std::fill(ubf_dirty_.begin(), ubf_dirty_.end(), 0);
-      ++stats_.ubf.full_runs;
-      note_stage("ubf", "full_runs");
-    }
-    result.ubf_candidates = ubf_candidates_;
-    result.ubf_confidence = ubf_confidence_;
-    result.frame_fallbacks = frame_fallbacks_;
-    return;
-  }
+  // The true-coordinates path reads true positions: it has no Measure or
+  // Localize artifact, and its UBF artifact is keyed on the alive epoch
+  // instead of the frames version. Both paths share the UBF block below.
+  const bool true_coords = config.use_true_coordinates;
 
   // --- Measure: noise model + localizer (includes the per-edge
   // measurement cache). Keyed on (measurement_error, noise_seed) plus the
@@ -393,7 +355,7 @@ void DetectionSession::run_ubf_stages(const PipelineConfig& config,
   // downstream frame artifact chains off `measure_version_`, so runs at
   // different equivalence tiers (or any other localizer setting) can never
   // share cached frames.
-  {
+  if (!true_coords) {
     Fingerprint fp;
     fp.f64(config.measurement_error);
     fp.u64(config.noise_seed);
@@ -431,88 +393,106 @@ void DetectionSession::run_ubf_stages(const PipelineConfig& config,
   // --- Localize: one frame per node. Keyed on (measure artifact, scope)
   // plus the alive epoch; an epoch mismatch with a matching key re-embeds
   // the dirty neighborhoods only.
-  const bool two_hop = ubf_config.scope == UbfConfig::EmptinessScope::kTwoHop;
-  std::uint64_t frames_key = 0;
-  {
-    Fingerprint fp;
-    fp.u64(measure_version_);
-    fp.boolean(two_hop);
-    frames_key = fp.value();
-  }
-  if (frames_valid_ && frames_key_ == frames_key &&
-      frames_epoch_ == alive_epoch_) {
-    ++stats_.localize.cache_hits;
-    note_stage("localize", "cache_hits");
-  } else {
-    BALLFIT_SPAN("mds_frames");
-    const localization::FrameScope scope = two_hop
-                                               ? localization::FrameScope::kTwoHop
-                                               : localization::FrameScope::kOneHop;
-    // Same key + older epoch: the frames differ only inside the dirty
-    // neighborhoods accumulated by apply(). Each frame is a pure function
-    // of (network, model, scope, alive), so the partial rebuild is
-    // bit-identical to a full one.
-    if (frames_valid_ && frames_key_ == frames_key) {
-      stats_.last_frames_rebuilt = count_marks(frames_dirty_);
-      // A partial rebuild refreshes only the dirty frames, so its effort
-      // stats describe a fragment; fold them into the artifact's totals
-      // rather than replacing them.
-      localization::FrameBuildStats partial;
-      localization::build_all_frames(*localizer_, scope, frames_, threads,
-                                     alive_mask, &frames_dirty_, &partial);
-      loc_stats_.merge(partial);
-      ++stats_.localize.partial_runs;
-      note_stage("localize", "partial_runs");
-      if (obs::enabled()) {
-        obs::Registry::global()
-            .gauge("session.frames_rebuilt")
-            .set(static_cast<double>(stats_.last_frames_rebuilt));
-      }
-    } else {
-      frames_.clear();
-      loc_stats_ = {};
-      localization::build_all_frames(*localizer_, scope, frames_, threads,
-                                     alive_mask, nullptr, &loc_stats_);
-      ++stats_.localize.full_runs;
-      note_stage("localize", "full_runs");
+  if (!true_coords) {
+    const bool two_hop =
+        ubf_config.scope == UbfConfig::EmptinessScope::kTwoHop;
+    std::uint64_t frames_key = 0;
+    {
+      Fingerprint fp;
+      fp.u64(measure_version_);
+      fp.boolean(two_hop);
+      frames_key = fp.value();
     }
-    frames_key_ = frames_key;
-    frames_epoch_ = alive_epoch_;
-    frames_valid_ = true;
-    ++frames_version_;
-    std::fill(frames_dirty_.begin(), frames_dirty_.end(), 0);
+    if (frames_valid_ && frames_key_ == frames_key &&
+        frames_epoch_ == alive_epoch_) {
+      ++stats_.localize.cache_hits;
+      note_stage("localize", "cache_hits");
+    } else {
+      BALLFIT_SPAN("mds_frames");
+      const localization::FrameScope scope =
+          two_hop ? localization::FrameScope::kTwoHop
+                  : localization::FrameScope::kOneHop;
+      // Same key + older epoch: the frames differ only inside the dirty
+      // neighborhoods accumulated by apply(). Each frame is a pure function
+      // of (network, model, scope, alive), so the partial rebuild is
+      // bit-identical to a full one.
+      if (frames_valid_ && frames_key_ == frames_key) {
+        stats_.last_frames_rebuilt = count_marks(frames_dirty_);
+        // A partial rebuild refreshes only the dirty frames, so its effort
+        // stats describe a fragment; fold them into the artifact's totals
+        // rather than replacing them.
+        localization::FrameBuildStats partial;
+        localization::build_all_frames(*localizer_, scope, frames_, threads,
+                                       alive_mask, &frames_dirty_, &partial);
+        loc_stats_.merge(partial);
+        ++stats_.localize.partial_runs;
+        note_stage("localize", "partial_runs");
+        if (obs::enabled()) {
+          obs::Registry::global()
+              .gauge("session.frames_rebuilt")
+              .set(static_cast<double>(stats_.last_frames_rebuilt));
+        }
+      } else {
+        frames_.clear();
+        loc_stats_ = {};
+        localization::build_all_frames(*localizer_, scope, frames_, threads,
+                                       alive_mask, nullptr, &loc_stats_);
+        ++stats_.localize.full_runs;
+        note_stage("localize", "full_runs");
+      }
+      frames_key_ = frames_key;
+      frames_epoch_ = alive_epoch_;
+      frames_valid_ = true;
+      ++frames_version_;
+      std::fill(frames_dirty_.begin(), frames_dirty_.end(), 0);
+    }
   }
 
-  // Fallback count is a pure function of (frames, alive): the nodes that
+  // Nodes that vote the degenerate default instead of testing: no usable
+  // frame, or fewer than kMinBallTestMembers alive members on true
+  // coordinates.
+  const auto degenerate = [&](std::size_t i) {
+    if (!true_coords) return !frames_[i].ok;
+    std::size_t members = 1;
+    for (const net::NodeId v :
+         network_->neighbors(static_cast<net::NodeId>(i))) {
+      members += alive_[v] != 0 ? 1 : 0;
+    }
+    return members < kMinBallTestMembers;
+  };
+  // Fallback count is a pure function of (inputs, alive): the nodes that
   // would vote the degenerate default. Recounted here so cache hits report
   // the same value a fresh run would.
   frame_fallbacks_ = 0;
   for (std::size_t i = 0; i < n; ++i) {
-    if (alive_[i] != 0 && !frames_[i].ok) ++frame_fallbacks_;
+    if (alive_[i] != 0 && degenerate(i)) ++frame_fallbacks_;
   }
 
-  // --- UBF ball test + witness cross-verification.
+  // --- UBF ball test (+ witness cross-verification on the frame path).
   Fingerprint core;
-  core.u64(1);  // frame-path artifact tag
-  core.u64(frames_key_);
+  core.u64(true_coords ? 2 : 1);  // coordinate-path tag
+  if (!true_coords) core.u64(frames_key_);
   mix_ubf_core(core, ubf_config);
   // With escalation on, confidence stops being pure telemetry — the effort
   // planner reads it — so the artifact key must distinguish escalate-on
   // builds (confidence always collected, full-sized) from escalate-off
   // ones (obs-gated, possibly absent). Keyed in the *core* key so an
   // escalate-on run never partial-resumes from a confidence-less artifact.
-  core.boolean(config.escalate.enabled);
+  // The true-coordinates path never escalates.
+  const bool escalates = config.escalate.enabled && !true_coords;
+  core.boolean(escalates);
   Fingerprint full;
   full.u64(core.value());
   full.boolean(ubf_config.degenerate_is_boundary);
-  full.u64(frames_version_);
+  full.u64(true_coords ? alive_epoch_ : frames_version_);
   if (ubf_valid_ && ubf_full_fp_ == full.value()) {
     ++stats_.ubf.cache_hits;
     note_stage("ubf", "cache_hits");
   } else {
     const UnitBallFitting ubf(*network_, ubf_config);
-    const bool partial = ubf_valid_ && ubf_partial_ok_ &&
-                         ubf_core_fp_ == core.value() &&
+    const std::vector<localization::LocalFrame>* frames =
+        true_coords ? nullptr : &frames_;
+    const bool partial = ubf_valid_ && ubf_core_fp_ == core.value() &&
                          ubf_flags_.size() == n;
     // Obs-gated confidence companion — forced on when the Escalate stage
     // will read it. A partial run can only update the entries it re-tests,
@@ -522,22 +502,22 @@ void DetectionSession::run_ubf_stages(const PipelineConfig& config,
     // lives in the core key, so an escalate-on partial never resumes from
     // a confidence-less artifact.)
     std::vector<float>* conf_out = nullptr;
-    if (obs::enabled() || config.escalate.enabled) {
+    if (obs::enabled() || escalates) {
       if (ubf_confidence_.size() != n) ubf_confidence_.assign(n, 0.0f);
       conf_out = &ubf_confidence_;
     } else {
       ubf_confidence_.clear();
     }
     if (partial) {
-      // Re-test the dirty neighborhoods plus every alive node without a
-      // usable frame — the only readers of the degenerate vote, which the
-      // core key deliberately omits.
+      // Re-test the dirty neighborhoods plus every alive degenerate node —
+      // the only readers of the degenerate vote, which the core key
+      // deliberately omits.
       for (std::size_t i = 0; i < n; ++i) {
-        if (alive_[i] != 0 && !frames_[i].ok) ubf_dirty_[i] = 1;
+        if (alive_[i] != 0 && degenerate(i)) ubf_dirty_[i] = 1;
       }
       stats_.last_nodes_retested = count_marks(ubf_dirty_);
-      ubf.update_flags_on_frames(frames_, ubf_flags_, alive_mask,
-                                 &ubf_dirty_, threads, conf_out);
+      ubf.update_flags(frames, ubf_flags_, alive_mask, &ubf_dirty_, threads,
+                       conf_out);
       ++stats_.ubf.partial_runs;
       note_stage("ubf", "partial_runs");
       if (obs::enabled()) {
@@ -547,8 +527,8 @@ void DetectionSession::run_ubf_stages(const PipelineConfig& config,
       }
     } else {
       ubf_flags_.assign(n, 0);
-      ubf.update_flags_on_frames(frames_, ubf_flags_, alive_mask,
-                                 /*run_mask=*/nullptr, threads, conf_out);
+      ubf.update_flags(frames, ubf_flags_, alive_mask, /*run_mask=*/nullptr,
+                       threads, conf_out);
       ++stats_.ubf.full_runs;
       note_stage("ubf", "full_runs");
     }
@@ -559,13 +539,12 @@ void DetectionSession::run_ubf_stages(const PipelineConfig& config,
     ubf_full_fp_ = full.value();
     ubf_core_fp_ = core.value();
     ubf_valid_ = true;
-    ubf_partial_ok_ = true;
     std::fill(ubf_dirty_.begin(), ubf_dirty_.end(), 0);
   }
   result.ubf_candidates = ubf_candidates_;
   result.ubf_confidence = ubf_confidence_;
   result.frame_fallbacks = frame_fallbacks_;
-  result.localize_stats = loc_stats_;
+  if (!true_coords) result.localize_stats = loc_stats_;
 }
 
 bool DetectionSession::run_escalate_stage(const PipelineConfig& config,
@@ -687,8 +666,8 @@ bool DetectionSession::run_escalate_stage(const PipelineConfig& config,
       esc_stats_.sweeps_saved_vs_full = flat_full > spent ? flat_full - spent
                                                           : 0;
 
-      ubf.update_flags_on_frames(frames_, esc_flags_, alive_mask, &retest,
-                                 threads, &esc_confidence_, &effort);
+      ubf.update_flags(&frames_, esc_flags_, alive_mask, &retest, threads,
+                       &esc_confidence_, &effort);
 
       // Fold back with the monotonicity rule: adopt the escalated verdict
       // only when it is at least as decisive as the first pass (distance

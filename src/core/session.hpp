@@ -263,17 +263,18 @@ class DetectionSession {
   /// it never influences flags, so cache identity ignores it.
   std::vector<float> ubf_confidence_;
   std::size_t frame_fallbacks_ = 0;
-  /// Exact-hit key: core key + degenerate vote + frames_version/epoch.
+  /// Exact-hit key: core key + degenerate vote + frames_version (frame
+  /// path) or alive epoch (true coordinates).
   std::uint64_t ubf_full_fp_ = 0;
-  /// Partial-run key: everything the per-node decision reads except the
-  /// degenerate vote (only not-ok frames read it; those nodes join every
-  /// partial run) and the frame contents (covered by dirty tracking).
+  /// Partial-run key: the coordinate path plus everything the per-node
+  /// decision reads except the degenerate vote (only degenerate nodes read
+  /// it; those join every partial run) and the frame contents or positions
+  /// (covered by dirty tracking).
   std::uint64_t ubf_core_fp_ = 0;
   bool ubf_valid_ = false;
-  /// Partial runs are only sound on the noisy frame path; a true-coords
-  /// artifact is recomputed in full when the alive set changes.
-  bool ubf_partial_ok_ = false;
-  /// Nodes whose flag must be recomputed (dirty frames + one witness hop).
+  /// Nodes whose flag must be recomputed: three hops around every change,
+  /// i.e. dirty frames + one witness hop (a superset of the two-hop
+  /// positions a true-coordinates test reads).
   std::vector<char> ubf_dirty_;
 
   // --- Escalate artifact (opt-in; empty/invalid unless the last run had

@@ -26,6 +26,12 @@ double vote_confidence(std::size_t votes, std::size_t threshold) {
 UnitBallFitting::UnitBallFitting(const net::Network& network, UbfConfig config)
     : network_(&network), config_(config) {
   BALLFIT_REQUIRE(config_.epsilon >= 0.0, "epsilon must be non-negative");
+  // Non-negative noise inputs keep the stress gate open at zero
+  // uncertainty, which the true-coordinates path relies on.
+  BALLFIT_REQUIRE(config_.measurement_error_hint >= 0.0 &&
+                      config_.stress_gate_floor >= 0.0,
+                  "measurement_error_hint and stress_gate_floor must be "
+                  "non-negative");
   radius_ = config_.radius_override > 0.0
                 ? config_.radius_override
                 : (1.0 + config_.epsilon) * network.radio_range();
@@ -84,15 +90,15 @@ bool ball_is_empty(const std::vector<Vec3>& coords, const Vec3& center,
 
 /// Per-thread scratch arena, reused across every node a worker processes.
 /// Holds the sorted candidate cache, the per-slot emptiness thresholds
-/// (structure-of-arrays buffers), and the two-hop gather buffers of the
-/// oracle detector. Steady state performs no allocations; contents never
-/// influence results (everything is rebuilt per node), so detection output
-/// is independent of how nodes are distributed over threads.
+/// (structure-of-arrays buffers), and the gather buffers of the
+/// true-coordinates view. Steady state performs no allocations; contents
+/// never influence results (everything is rebuilt per node), so detection
+/// output is independent of how nodes are distributed over threads.
 struct UbfScratch {
   geom::CandidateCache cache;
   std::vector<double> lim_sq;  // per-slot threshold; < 0 disables
-  std::vector<Vec3> gather;    // oracle detector: member coordinates
-  EpochSlotMap seen;           // oracle detector: membership dedup
+  std::vector<Vec3> gather;    // true-coordinates view: member coordinates
+  EpochSlotMap seen;           // true-coordinates view: membership dedup
 };
 
 UbfScratch& local_scratch() {
@@ -368,27 +374,95 @@ bool UnitBallFitting::witness_confirms(const localization::LocalFrame& frame,
 
 namespace {
 
-/// The ball-test round shared by `detect_on_frames` (full, fallback
-/// counting) and `update_flags_on_frames` (masked / partial). Every node
+/// What one node's ball test reads: `coords[0]` is the node itself, entries
+/// below `witness_count` are its one-hop members (candidate-ball
+/// witnesses), entries beyond are emptiness-only members (two-hop view).
+/// `uncertainty` is the per-coordinate error estimate (absolute units) and
+/// `degenerate` marks a neighborhood too small to test.
+struct NodeView {
+  const std::vector<Vec3>* coords = nullptr;
+  std::size_t witness_count = 0;
+  double uncertainty = 0.0;
+  bool degenerate = false;
+};
+
+/// Frame path: the node's own local frame, uncertainty from its residual
+/// stress.
+NodeView frame_view(const localization::LocalFrame& frame, NodeId i) {
+  BALLFIT_ASSERT(!frame.ok || frame.members[0] == i);
+  return {&frame.coords, frame.one_hop_count, frame.stress_rms, !frame.ok};
+}
+
+/// True-coordinates path: the alive one-hop (and, under kTwoHop, two-hop)
+/// positions gathered into the worker's scratch arena, uncertainty 0.
+/// `seen` epoch-marks visited nodes (the allocation-free equivalent of a
+/// per-node unordered_set — see common/epoch_map.hpp) and `gather` reuses
+/// its capacity across nodes. Member order is identical to the naive
+/// gather, though emptiness is order-independent anyway.
+NodeView true_view(const net::Network& network, NodeId i,
+                   const std::vector<char>* alive, bool two_hop,
+                   UbfScratch& scratch) {
+  const auto dead = [&](NodeId v) {
+    return alive != nullptr && (*alive)[v] == 0;
+  };
+  std::vector<Vec3>& coords = scratch.gather;
+  EpochSlotMap& seen = scratch.seen;
+  seen.reset_universe(network.num_nodes());
+  seen.clear();
+  coords.clear();
+  coords.push_back(network.position(i));
+  seen.insert(i, 0);
+  for (NodeId v : network.neighbors(i)) {
+    if (dead(v)) continue;
+    coords.push_back(network.position(v));
+    seen.insert(v, 0);
+  }
+  const std::size_t witness_count = coords.size();
+  if (witness_count < kMinBallTestMembers) {
+    return {&coords, witness_count, 0.0, true};
+  }
+  if (two_hop) {
+    // Exact two-hop membership: neighbors of neighbors, minus the one-hop
+    // set and i itself, deduplicated.
+    for (NodeId j : network.neighbors(i)) {
+      if (dead(j)) continue;
+      for (NodeId u : network.neighbors(j)) {
+        if (!dead(u) && seen.insert(u, 0)) {
+          coords.push_back(network.position(u));
+        }
+      }
+    }
+  }
+  return {&coords, witness_count, 0.0, false};
+}
+
+/// The one per-node ball-test driver behind every detector entry point.
+/// Node i's view comes from `frames[i]` when frames are given, else from
+/// the true positions (`true_view`); only the frame path can
+/// cross-verify, since witnesses confirm in their own frames. Every node
 /// the `run_mask` selects is recomputed from scratch; all shortcuts are
 /// upstream (which nodes run), never inside a node's decision, so a run
 /// over any sound dirty set leaves `flags` equal to a full recompute.
-void run_ball_tests(const UnitBallFitting& ubf,
-                    const std::vector<localization::LocalFrame>& frames,
+void run_ball_tests(const UnitBallFitting& ubf, const net::Network& network,
+                    const std::vector<localization::LocalFrame>* frames,
                     std::vector<char>& flags, const std::vector<char>* alive,
                     const std::vector<char>* run_mask, unsigned workers,
                     std::atomic<std::size_t>* fallbacks,
                     std::vector<float>* confidence,
                     const std::vector<localization::EffortClass>* effort) {
   const UbfConfig& config = ubf.config();
-  const std::size_t n = frames.size();
+  const std::size_t n = network.num_nodes();
+  const bool two_hop = config.scope == UbfConfig::EmptinessScope::kTwoHop;
+  const bool cross_verify = frames != nullptr && config.cross_verify;
   const bool want_conf = confidence != nullptr;
   // Per-node candidate-ball budget: the configured pool, doubled for
   // kFull-effort (escalated) nodes. The vote-budget mask only ever grows
-  // the pool — see update_flags_on_frames — so the enumeration prefix a
-  // default run sees is unchanged. Also the vote cap past the decision
-  // threshold (bounded extra work, enough margin to separate "barely
-  // boundary" from "saturated").
+  // the pool — see update_flags — so the enumeration prefix a default run
+  // sees is unchanged. Also the vote cap past the decision threshold
+  // (bounded extra work, enough margin to separate "barely boundary" from
+  // "saturated").
+  const std::size_t default_pool =
+      std::max(config.verify_pool, config.min_empty_balls);
   const auto vote_budget = [&](std::size_t i) {
     const bool full = effort != nullptr &&
                       (*effort)[i] == localization::EffortClass::kFull;
@@ -434,8 +508,12 @@ void run_ball_tests(const UnitBallFitting& ubf,
           if (want_conf) (*confidence)[i] = 0.0f;
           return;
         }
-        const localization::LocalFrame& frame = frames[i];
-        if (!frame.ok) {
+        const NodeId self = static_cast<NodeId>(i);
+        const NodeView view =
+            frames != nullptr
+                ? frame_view((*frames)[i], self)
+                : true_view(network, self, alive, two_hop, local_scratch());
+        if (view.degenerate) {
           flags[i] = config.degenerate_is_boundary ? 1 : 0;
           // A degenerate fallback is a claim with no ball evidence: pin it
           // to the decision threshold when it votes boundary.
@@ -445,44 +523,41 @@ void run_ball_tests(const UnitBallFitting& ubf,
           }
           return;
         }
-        BALLFIT_ASSERT(frame.members[0] == static_cast<NodeId>(i));
         if (h_neighbors != nullptr) {
-          h_neighbors->observe(
-              static_cast<double>(frame.one_hop_count - 1));
+          h_neighbors->observe(static_cast<double>(view.witness_count - 1));
         }
-        if (!ubf.frame_reliable(frame.stress_rms)) {
+        if (!ubf.frame_reliable(view.uncertainty)) {
           flags[i] = 0;  // abstention, not evidence — score it as none
           set_conf(0.0);
           return;
         }
+        const std::vector<Vec3>& coords = *view.coords;
         UbfNodeDiagnostics diag;
         const std::size_t pool = vote_budget(i);
-        if (!config.cross_verify) {
-          if (want_conf || pool != std::max(config.verify_pool,
-                                            config.min_empty_balls)) {
+        if (!cross_verify) {
+          if (want_conf || pool != default_pool) {
             const std::size_t votes =
-                ubf.count_empty_balls(frame.coords, 0, frame.one_hop_count,
-                                      pool, frame.stress_rms, &diag);
+                ubf.count_empty_balls(coords, 0, view.witness_count, pool,
+                                      view.uncertainty, &diag);
             flags[i] = votes >= config.min_empty_balls ? 1 : 0;
             set_conf(vote_confidence(votes, config.min_empty_balls));
           } else {
-            flags[i] = ubf.test_node(frame.coords, 0, frame.one_hop_count,
-                                     &diag, frame.stress_rms)
+            flags[i] = ubf.test_node(coords, 0, view.witness_count, &diag,
+                                     view.uncertainty)
                            ? 1
                            : 0;
           }
         } else {
+          const std::vector<NodeId>& members = (*frames)[i].members;
           const auto balls =
-              ubf.collect_empty_balls(frame.coords, 0, frame.one_hop_count,
-                                      pool, frame.stress_rms, &diag);
+              ubf.collect_empty_balls(coords, 0, view.witness_count, pool,
+                                      view.uncertainty, &diag);
           std::size_t verified = 0;
           for (const auto& [j, k] : balls) {
-            const NodeId jn = frame.members[j];
-            const NodeId kn = frame.members[k];
-            if (ubf.witness_confirms(frames[jn], jn, static_cast<NodeId>(i),
-                                     kn) &&
-                ubf.witness_confirms(frames[kn], kn, static_cast<NodeId>(i),
-                                     jn)) {
+            const NodeId jn = members[j];
+            const NodeId kn = members[k];
+            if (ubf.witness_confirms((*frames)[jn], jn, self, kn) &&
+                ubf.witness_confirms((*frames)[kn], kn, self, jn)) {
               ++verified;
               // The verdict is sealed at the threshold; only keep
               // verifying past it when the margin is wanted.
@@ -500,6 +575,35 @@ void run_ball_tests(const UnitBallFitting& ubf,
         }
       },
       workers);
+}
+
+/// Full (unmasked) run of the driver, with fallback counting.
+std::vector<bool> detect_all(
+    const UnitBallFitting& ubf, const net::Network& network,
+    const std::vector<localization::LocalFrame>* frames,
+    const std::vector<char>* alive, unsigned threads,
+    std::size_t* frame_fallbacks, std::vector<float>* confidence) {
+  const std::size_t n = network.num_nodes();
+  BALLFIT_REQUIRE(frames == nullptr || frames->size() == n,
+                  "one frame per node required");
+  BALLFIT_REQUIRE(alive == nullptr || alive->size() == n,
+                  "alive mask must be sized num_nodes");
+  const unsigned workers = threads == 0 ? default_threads() : threads;
+  if (confidence != nullptr) confidence->assign(n, 0.0f);
+
+  // vector<bool> is not safe for concurrent writes, hence the char staging
+  // buffer.
+  std::vector<char> flags(n, 0);
+  std::atomic<std::size_t> fallbacks{0};
+  run_ball_tests(ubf, network, frames, flags, alive, /*run_mask=*/nullptr,
+                 workers, &fallbacks, confidence, /*effort=*/nullptr);
+
+  if (frame_fallbacks != nullptr) {
+    *frame_fallbacks = fallbacks.load(std::memory_order_relaxed);
+  }
+  std::vector<bool> boundary(n, false);
+  for (std::size_t i = 0; i < n; ++i) boundary[i] = flags[i] != 0;
+  return boundary;
 }
 
 }  // namespace
@@ -528,131 +632,36 @@ std::vector<bool> UnitBallFitting::detect(
 std::vector<bool> UnitBallFitting::detect_on_frames(
     const std::vector<localization::LocalFrame>& frames, unsigned threads,
     std::size_t* frame_fallbacks, std::vector<float>* confidence) const {
-  const std::size_t n = network_->num_nodes();
-  BALLFIT_REQUIRE(frames.size() == n, "one frame per node required");
-  const unsigned workers = threads == 0 ? default_threads() : threads;
-  if (confidence != nullptr) confidence->assign(n, 0.0f);
-
-  // vector<bool> is not safe for concurrent writes, hence the char staging
-  // buffer.
-  std::vector<char> flags(n, 0);
-  std::atomic<std::size_t> fallbacks{0};
-  run_ball_tests(*this, frames, flags, /*alive=*/nullptr,
-                 /*run_mask=*/nullptr, workers, &fallbacks, confidence,
-                 /*effort=*/nullptr);
-
-  if (frame_fallbacks != nullptr) {
-    *frame_fallbacks = fallbacks.load(std::memory_order_relaxed);
-  }
-  std::vector<bool> boundary(n, false);
-  for (std::size_t i = 0; i < n; ++i) boundary[i] = flags[i] != 0;
-  return boundary;
+  return detect_all(*this, *network_, &frames, /*alive=*/nullptr, threads,
+                    frame_fallbacks, confidence);
 }
 
-void UnitBallFitting::update_flags_on_frames(
-    const std::vector<localization::LocalFrame>& frames,
+std::vector<bool> UnitBallFitting::detect_with_true_coordinates(
+    std::size_t* frame_fallbacks, const std::vector<char>* alive,
+    std::vector<float>* confidence, unsigned threads) const {
+  return detect_all(*this, *network_, /*frames=*/nullptr, alive, threads,
+                    frame_fallbacks, confidence);
+}
+
+void UnitBallFitting::update_flags(
+    const std::vector<localization::LocalFrame>* frames,
     std::vector<char>& flags, const std::vector<char>* alive,
     const std::vector<char>* run_mask, unsigned threads,
     std::vector<float>* confidence,
     const std::vector<localization::EffortClass>* effort) const {
   const std::size_t n = network_->num_nodes();
-  BALLFIT_REQUIRE(frames.size() == n, "one frame per node required");
+  BALLFIT_REQUIRE(frames == nullptr || frames->size() == n,
+                  "one frame per node required");
   BALLFIT_REQUIRE(flags.size() == n, "flags must be sized num_nodes");
+  BALLFIT_REQUIRE(alive == nullptr || alive->size() == n,
+                  "alive mask must be sized num_nodes");
   BALLFIT_REQUIRE(confidence == nullptr || confidence->size() == n,
                   "confidence must be pre-sized num_nodes");
   BALLFIT_REQUIRE(effort == nullptr || effort->size() == n,
                   "effort plan must be sized num_nodes");
   const unsigned workers = threads == 0 ? default_threads() : threads;
-  run_ball_tests(*this, frames, flags, alive, run_mask, workers,
+  run_ball_tests(*this, *network_, frames, flags, alive, run_mask, workers,
                  /*fallbacks=*/nullptr, confidence, effort);
-}
-
-std::vector<bool> UnitBallFitting::detect_with_true_coordinates(
-    std::size_t* frame_fallbacks, const std::vector<char>* alive,
-    std::vector<float>* confidence) const {
-  BALLFIT_SPAN("true_coords");
-  const std::size_t n = network_->num_nodes();
-  BALLFIT_REQUIRE(alive == nullptr || alive->size() == n,
-                  "alive mask must be sized num_nodes");
-  const bool two_hop = config_.scope == UbfConfig::EmptinessScope::kTwoHop;
-  const bool want_conf = confidence != nullptr;
-  if (want_conf) confidence->assign(n, 0.0f);
-  const std::size_t conf_cap =
-      std::max(config_.verify_pool, config_.min_empty_balls);
-  obs::Histogram* h_balls = nullptr;
-  obs::Histogram* h_conf = nullptr;
-  if (obs::enabled()) {
-    h_balls = &obs::Registry::global().histogram(
-        "ubf.candidate_balls", {0, 50, 100, 200, 400, 800, 1600, 3200});
-    if (want_conf) {
-      h_conf = &obs::Registry::global().histogram(
-          "ubf.confidence", {0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9});
-    }
-  }
-  const auto set_conf = [&](NodeId i, double c) {
-    if (!want_conf) return;
-    (*confidence)[i] = static_cast<float>(c);
-    if (h_conf != nullptr) h_conf->observe(c);
-  };
-  std::vector<bool> boundary(n, false);
-  std::size_t fallbacks = 0;
-
-  // Scratch-arena membership gather: `seen` epoch-marks visited nodes (the
-  // allocation-free equivalent of a per-node unordered_set — see
-  // common/epoch_map.hpp, where this idiom now lives) and `gather` reuses
-  // its capacity across nodes. Member order is identical to the naive
-  // gather, though emptiness is order-independent anyway.
-  UbfScratch& scratch = local_scratch();
-  std::vector<Vec3>& coords = scratch.gather;
-  EpochSlotMap& seen = scratch.seen;
-  seen.reset_universe(n);
-
-  for (NodeId i = 0; i < n; ++i) {
-    if (alive != nullptr && (*alive)[i] == 0) continue;  // crashed: no claim
-    seen.clear();
-    coords.clear();
-    coords.push_back(network_->position(i));
-    seen.insert(i, 0);
-    for (NodeId v : network_->neighbors(i)) {
-      if (alive != nullptr && (*alive)[v] == 0) continue;
-      coords.push_back(network_->position(v));
-      seen.insert(v, 0);
-    }
-    const std::size_t witness_count = coords.size();
-    if (witness_count < 4) {
-      boundary[i] = config_.degenerate_is_boundary;
-      set_conf(i, config_.degenerate_is_boundary ? 0.5 : 0.0);
-      ++fallbacks;
-      continue;
-    }
-    if (two_hop) {
-      // Exact two-hop membership: neighbors of neighbors, minus the
-      // one-hop set and i itself, deduplicated.
-      for (NodeId j : network_->neighbors(i)) {
-        if (alive != nullptr && (*alive)[j] == 0) continue;
-        for (NodeId u : network_->neighbors(j)) {
-          if (alive != nullptr && (*alive)[u] == 0) continue;
-          if (seen.insert(u, 0)) coords.push_back(network_->position(u));
-        }
-      }
-    }
-    UbfNodeDiagnostics diag;
-    if (want_conf) {
-      const std::size_t votes =
-          count_empty_balls(coords, 0, witness_count, conf_cap,
-                            /*coord_uncertainty=*/0.0, &diag);
-      boundary[i] = votes >= config_.min_empty_balls;
-      set_conf(i, vote_confidence(votes, config_.min_empty_balls));
-    } else {
-      boundary[i] = test_node(coords, 0, witness_count, &diag,
-                              /*coord_uncertainty=*/0.0);
-    }
-    if (h_balls != nullptr) {
-      h_balls->observe(static_cast<double>(diag.balls_tested));
-    }
-  }
-  if (frame_fallbacks != nullptr) *frame_fallbacks = fallbacks;
-  return boundary;
 }
 
 }  // namespace ballfit::core

@@ -15,7 +15,9 @@
 /// outcome is provably determined, so `test_node`, `collect_empty_balls`,
 /// and both detectors return bit-identical results to the naive
 /// Algorithm 1 double loop (tests/ubf_oracle_test.cpp asserts this), and
-/// results are independent of the worker thread count.
+/// results are independent of the worker thread count. Both coordinate
+/// paths (local frames, true positions) run through one parallel per-node
+/// driver; only where a node's view comes from differs.
 
 #include <vector>
 
@@ -24,6 +26,10 @@
 #include "net/network.hpp"
 
 namespace ballfit::core {
+
+/// A node needs itself plus three one-hop members to place a test ball;
+/// smaller neighborhoods vote `UbfConfig::degenerate_is_boundary`.
+inline constexpr std::size_t kMinBallTestMembers = 4;
 
 struct UbfConfig {
   /// ε of Definition 4: the test radius is r = (1+ε) · radio_range.
@@ -65,7 +71,8 @@ struct UbfConfig {
   /// boundary claim from such a frame is most likely a false positive (and
   /// a single deep false positive can bridge two boundary groups). Nodes
   /// with stress_rms > gate_factor·(e/√3 + gate_floor)·R abstain. Set
-  /// gate_factor <= 0 to disable.
+  /// gate_factor <= 0 to disable. The floor must be >= 0, so a node at zero
+  /// uncertainty (true coordinates) always passes.
   double stress_gate_factor = 2.0;
   double stress_gate_floor = 0.01;
   /// Cross-verification (localized, one extra query round): each empty
@@ -168,7 +175,7 @@ class UnitBallFitting {
   /// The ball-test round of `detect` on prebuilt frames (one per node, as
   /// produced by `localization::build_all_frames` with the scope from
   /// `config()`). `detect` is exactly frame build + this call, bit for
-  /// bit; `DetectionSession` uses the split to reuse frames across runs.
+  /// bit; `DetectionSession` reuses frames across runs via `update_flags`.
   /// `confidence`, when non-null, is resized to num_nodes and filled with
   /// the per-node score described at `vote_confidence` (requests the
   /// extra vote counting; flags are unaffected).
@@ -177,13 +184,30 @@ class UnitBallFitting {
       unsigned threads = 0, std::size_t* frame_fallbacks = nullptr,
       std::vector<float>* confidence = nullptr) const;
 
-  /// Masked / partial variant of `detect_on_frames` for incremental
-  /// re-detection: recomputes `flags[i]` (1 = candidate) for every node
-  /// with `(*run_mask)[i] != 0` (all nodes when null), leaving the rest
-  /// untouched; dead nodes (`alive` given and `(*alive)[i] == 0`) always
-  /// get 0. Each node's flag is a pure function of (its frame, its one-hop
-  /// witnesses' frames, config), so running this over a dirty set that
-  /// covers every node whose inputs changed reproduces the full run
+  /// Oracle detection using true coordinates (the 0%-error reference; UBF
+  /// is invariant to the rigid-motion gauge, so this equals `detect` with a
+  /// noiseless measurement model). Each node tests the alive positions of
+  /// its one-hop (and, under kTwoHop, two-hop) neighborhood at coordinate
+  /// uncertainty 0, without cross-verification. `frame_fallbacks` counts
+  /// nodes with too few neighbors to test, as in `detect`. `alive`, when
+  /// non-null, masks crashed nodes out of every neighborhood (dead nodes
+  /// test nothing and are never counted as fallbacks). `confidence` and
+  /// `threads` work as in `detect_on_frames`.
+  std::vector<bool> detect_with_true_coordinates(
+      std::size_t* frame_fallbacks = nullptr,
+      const std::vector<char>* alive = nullptr,
+      std::vector<float>* confidence = nullptr, unsigned threads = 0) const;
+
+  /// Masked / partial ball-test round for incremental re-detection, on
+  /// either coordinate path: `frames` (one per node) selects the frame
+  /// path of `detect_on_frames`, null the true-coordinates path of
+  /// `detect_with_true_coordinates`. Recomputes `flags[i]` (1 = candidate)
+  /// for every node with `(*run_mask)[i] != 0` (all nodes when null),
+  /// leaving the rest untouched; dead nodes (`alive` given and
+  /// `(*alive)[i] == 0`) always get 0. Each node's flag is a pure function
+  /// of its inputs — its frame and its one-hop witnesses' frames, or the
+  /// alive positions within two hops — so running this over a dirty set
+  /// that covers every node whose inputs changed reproduces the full run
   /// bit-identically. Thread-count independent like `detect`.
   /// `confidence`, when non-null, must be pre-sized to num_nodes; entries
   /// are rewritten under the same mask discipline as `flags`.
@@ -197,23 +221,12 @@ class UnitBallFitting {
   /// pool and its flag can flip 0→1 but never 1→0 relative to the default
   /// budget. A null (or all-non-kFull) mask is bit-identical to the
   /// pre-plan behavior.
-  void update_flags_on_frames(
-      const std::vector<localization::LocalFrame>& frames,
+  void update_flags(
+      const std::vector<localization::LocalFrame>* frames,
       std::vector<char>& flags, const std::vector<char>* alive = nullptr,
       const std::vector<char>* run_mask = nullptr, unsigned threads = 0,
       std::vector<float>* confidence = nullptr,
       const std::vector<localization::EffortClass>* effort = nullptr) const;
-
-  /// Oracle detection using true coordinates (the 0%-error reference; UBF
-  /// is invariant to the rigid-motion gauge, so this equals `detect` with a
-  /// noiseless measurement model). `frame_fallbacks` counts nodes with too
-  /// few neighbors to test, as in `detect`. `alive`, when non-null, masks
-  /// crashed nodes out of every neighborhood (dead nodes test nothing and
-  /// are never counted as fallbacks); null is the pre-mask behavior.
-  std::vector<bool> detect_with_true_coordinates(
-      std::size_t* frame_fallbacks = nullptr,
-      const std::vector<char>* alive = nullptr,
-      std::vector<float>* confidence = nullptr) const;
 
   /// The per-node kernel: runs the unit-ball test on an explicit point set.
   /// `coords[self_index]` is the node under test; entries with index

@@ -370,13 +370,8 @@ std::vector<geom::Vec3> Localizer::refine_embedding(
 
   double best_stress = std::numeric_limits<double>::infinity();
   std::vector<geom::Vec3> best;
-  // Keyed on the owner's root-network id (identity for root networks) so a
-  // shard's frame for a shared node perturbs restarts exactly as the whole
-  // network would — see Network::external_id.
-  Rng restart_rng(
-      config_.restart_seed ^
-      (static_cast<std::uint64_t>(network_->external_id(node)) *
-       0x9e3779b97f4a7c15ULL));
+  Rng restart_rng(config_.restart_seed ^
+                  (static_cast<std::uint64_t>(node) * 0x9e3779b97f4a7c15ULL));
   // A cheap node takes one attempt: the restart machinery exists to escape
   // fold-over minima, which a confidently-classified node's frame has
   // already been judged free of.

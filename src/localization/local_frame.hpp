@@ -115,10 +115,8 @@ struct LocalizerConfig {
   /// embedding and stop early once the stress is consistent with the
   /// ranging noise level.
   int smacof_restarts = 2;
-  /// Seed for the (deterministic, per-node) restart perturbations. The
-  /// per-node stream is keyed on `Network::external_id(node)`, so an
-  /// induced subnetwork rebuilds a shared node's frame bit-identically to
-  /// its parent network.
+  /// Seed for the (deterministic, per-node) restart perturbations; the
+  /// per-node stream is keyed on the node id.
   std::uint64_t restart_seed = 0x5eedULL;
   /// Use the 3-eigenpair `eigen_top_k` path for the classical-MDS init of
   /// one-hop frames with more than `topk_mds_threshold` members, instead of

@@ -20,12 +20,8 @@ double NoisyDistanceModel::measured_distance(NodeId i, NodeId j) const {
   const double truth = network_->true_distance(i, j);
   if (error_fraction_ == 0.0) return truth;
 
-  // Keyed on the nodes' root-network ids so an induced subnetwork draws the
-  // same noise for a shared edge as its parent (identity for root networks).
-  const NodeId gi = network_->external_id(i);
-  const NodeId gj = network_->external_id(j);
-  const NodeId lo = std::min(gi, gj);
-  const NodeId hi = std::max(gi, gj);
+  const NodeId lo = std::min(i, j);
+  const NodeId hi = std::max(i, j);
   // Counter-mode hash: three splitmix64 rounds over (seed, lo, hi) give an
   // i.i.d.-quality uniform draw per unordered pair.
   std::uint64_t s = seed_;

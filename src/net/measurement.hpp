@@ -12,13 +12,8 @@
 ///     d̂_ij = max(0, d_ij + u · e · R),   u ~ Uniform(−1, 1)
 /// where `e` is the error fraction and `R` the radio range. The perturbation
 /// is symmetric (d̂_ij == d̂_ji) and deterministic given the seed: the draw is
-/// keyed on (seed, min(gi, gj), max(gi, gj)) through a counter-mode hash,
-/// where g = `Network::external_id` — the node's root-network id. For
-/// networks built directly from positions this is the node id itself; for an
-/// induced subnetwork it is the parent id, so a shard measures exactly the
-/// noise the whole network would on every shared edge (the determinism
-/// contract `core::ShardedDetector` relies on). Stable regardless of query
-/// order.
+/// keyed on (seed, min(i, j), max(i, j)) through a counter-mode hash, so it
+/// is stable regardless of query order.
 
 #include <cstddef>
 #include <cstdint>

@@ -12,6 +12,10 @@
 namespace ballfit::net {
 namespace {
 
+bool is_finite(const geom::Vec3& p) {
+  return std::isfinite(p.x) && std::isfinite(p.y) && std::isfinite(p.z);
+}
+
 /// Dense cell grid anchored at the AABB minimum, cell edge = radio range.
 /// Unlike geom::SpatialGrid this is a flat counting-sort layout (no hash
 /// map), so bucketing and the 27-cell sweep are cache-friendly and safe to
@@ -47,7 +51,11 @@ Network::Network(std::vector<geom::Vec3> positions,
     : positions_(std::move(positions)),
       truth_boundary_(std::move(ground_truth_boundary)),
       radio_range_(radio_range) {
-  BALLFIT_REQUIRE(radio_range_ > 0.0, "radio range must be positive");
+  BALLFIT_REQUIRE(std::isfinite(radio_range_) && radio_range_ > 0.0,
+                  "radio range must be finite and positive");
+  for (const geom::Vec3& p : positions_) {
+    BALLFIT_REQUIRE(is_finite(p), "node positions must be finite");
+  }
   BALLFIT_REQUIRE(truth_boundary_.size() == positions_.size(),
                   "ground truth label count must match node count");
   num_truth_ = static_cast<std::size_t>(
@@ -185,63 +193,13 @@ void Network::build_adjacency(unsigned threads) {
       threads);
 }
 
-Network::Subnetwork Network::induced_subnetwork(
-    std::span<const NodeId> nodes) const {
-  const std::size_t n = num_nodes();
-  const std::size_t m = nodes.size();
-  for (std::size_t k = 0; k < m; ++k) {
-    BALLFIT_REQUIRE(nodes[k] < n, "induced_subnetwork: node id out of range");
-    BALLFIT_REQUIRE(k == 0 || nodes[k - 1] < nodes[k],
-                    "induced_subnetwork: node ids must be sorted and unique");
-  }
-
-  Subnetwork out;
-  out.to_global.assign(nodes.begin(), nodes.end());
-  Network& sub = out.net;
-  sub.radio_range_ = radio_range_;
-  sub.positions_.reserve(m);
-  sub.truth_boundary_.reserve(m);
-  sub.external_ids_.reserve(m);
-  for (NodeId g : nodes) {
-    sub.positions_.push_back(positions_[g]);
-    sub.truth_boundary_.push_back(truth_boundary_[g]);
-    sub.external_ids_.push_back(external_id(g));
-  }
-  sub.num_truth_ = static_cast<std::size_t>(std::count(
-      sub.truth_boundary_.begin(), sub.truth_boundary_.end(), true));
-
-  // Row i of the subgraph = parent row of nodes[i] ∩ nodes, remapped to
-  // local ids. Both are sorted ascending, so the intersection walk keeps
-  // rows sorted without a separate sort pass.
-  sub.offsets_.assign(m + 1, 0);
-  const auto local_of = [&](NodeId g) -> NodeId {
-    const auto it = std::lower_bound(nodes.begin(), nodes.end(), g);
-    if (it == nodes.end() || *it != g) return kInvalidNode;
-    return static_cast<NodeId>(it - nodes.begin());
-  };
-  for (std::size_t i = 0; i < m; ++i) {
-    std::size_t d = 0;
-    for (NodeId g : neighbors(nodes[i])) {
-      if (local_of(g) != kInvalidNode) ++d;
-    }
-    sub.offsets_[i + 1] = sub.offsets_[i] + d;
-  }
-  sub.adjacency_.resize(sub.offsets_[m]);
-  for (std::size_t i = 0; i < m; ++i) {
-    NodeId* out_row = sub.adjacency_.data() + sub.offsets_[i];
-    for (NodeId g : neighbors(nodes[i])) {
-      const NodeId l = local_of(g);
-      if (l != kInvalidNode) *out_row++ = l;
-    }
-  }
-  return out;
-}
-
 void Network::apply_moves(std::span<const NodeMove> moves) {
   if (moves.empty()) return;
   const std::size_t n = positions_.size();
   for (const NodeMove& m : moves) {
     BALLFIT_REQUIRE(m.node < n, "NodeMove id out of range");
+    BALLFIT_REQUIRE(is_finite(m.new_position),
+                    "NodeMove position must be finite");
   }
   {
     std::vector<NodeId> ids;

@@ -17,14 +17,6 @@
 /// churn engine to relocate nodes between detection runs; it rebuilds
 /// adjacency only around the moved nodes and leaves every other CSR row
 /// byte-identical to a from-scratch construction.
-///
-/// Sharding support: `induced_subnetwork` extracts a vertex-induced
-/// subgraph as a standalone `Network` that remembers each node's id in the
-/// parent via `external_id`. Algorithms that derive randomness from node
-/// identity (measurement noise, SMACOF restart seeds) key on the external
-/// id, so a subnetwork reproduces the parent's per-node and per-edge draws
-/// bit-for-bit — the property `core::ShardedDetector` relies on for
-/// boundary-set equality with the unsharded path.
 
 #include <cstdint>
 #include <span>
@@ -46,8 +38,8 @@ struct NodeMove {
 class Network {
  public:
   /// Builds adjacency from positions: i ~ j iff |p_i − p_j| <= radio_range
-  /// (world units, > 0). `ground_truth_boundary[i]` marks nodes sampled on
-  /// the model surface. `build_threads` (count, default 1; 0 = hardware
+  /// (world units, finite and > 0). Every position must be finite.
+  /// `ground_truth_boundary[i]` marks nodes sampled on the model surface. `build_threads` (count, default 1; 0 = hardware
   /// concurrency) parallelizes the unit-disk sweep; the CSR produced is
   /// byte-identical for every thread count.
   Network(std::vector<geom::Vec3> positions,
@@ -87,44 +79,16 @@ class Network {
   std::size_t min_degree() const;
   std::size_t max_degree() const;
 
-  /// Stable identity of node `i` for randomness derivation: its id in the
-  /// root network this one was extracted from, or `i` itself for networks
-  /// built directly from positions. Subnetworks of subnetworks compose
-  /// (always the ROOT id).
-  NodeId external_id(NodeId i) const {
-    return external_ids_.empty() ? i : external_ids_[i];
-  }
-  /// True when this network carries a non-identity external-id map (i.e. it
-  /// was produced by `induced_subnetwork`).
-  bool has_external_ids() const { return !external_ids_.empty(); }
-
-  /// An induced subnetwork plus its local↔global id maps (defined after
-  /// the class — it holds a Network by value).
-  struct Subnetwork;
-
-  /// Extracts the vertex-induced subgraph on `nodes` (parent ids, sorted
-  /// ascending, unique, in range). Local ids preserve the parent's relative
-  /// order: `to_global` is strictly increasing, so sorted parent structures
-  /// (CSR rows, frame member lists) map to sorted local structures with the
-  /// same relative order — the order-isomorphism that keeps SMACOF math on
-  /// a subnetwork bit-identical to the parent. Positions, truth labels, and
-  /// radio range are copied; adjacency rows are the parent rows intersected
-  /// with `nodes` (no geometric rebuild, so a subnetwork of a moved network
-  /// sees the moved adjacency). External ids compose through multiple
-  /// extraction levels.
-  Subnetwork induced_subnetwork(std::span<const NodeId> nodes) const;
-
   /// Relocates the given nodes and rebuilds adjacency locally: only rows of
   /// nodes whose neighborhood can change (the moved nodes, their old
   /// neighbors, and their new neighbors) are recomputed; the result is
   /// identical to constructing a fresh Network from the updated positions.
-  /// Rejects out-of-range and duplicate node ids. Ground-truth labels are
+  /// Rejects out-of-range and duplicate node ids and non-finite positions
+  /// before changing anything. Ground-truth labels are
   /// untouched — they describe the original sampling, not current geometry.
   void apply_moves(std::span<const NodeMove> moves);
 
  private:
-  Network() = default;  // used by induced_subnetwork
-
   /// Unit-disk CSR construction; see the ctor contract. Dispatches between
   /// the dense grid sweep (counting-sort buckets over a dense cell array,
   /// parallel two-pass count/fill) and the hash-grid fallback for point
@@ -136,16 +100,9 @@ class Network {
   std::vector<bool> truth_boundary_;
   std::size_t num_truth_ = 0;
   double radio_range_ = 0.0;
-  /// Root-network ids, parallel to positions_; empty = identity map.
-  std::vector<NodeId> external_ids_;
   // CSR adjacency.
   std::vector<std::size_t> offsets_;
   std::vector<NodeId> adjacency_;
-};
-
-struct Network::Subnetwork {
-  Network net;                    ///< the vertex-induced subgraph
-  std::vector<NodeId> to_global;  ///< local id -> parent id (ascending)
 };
 
 }  // namespace ballfit::net

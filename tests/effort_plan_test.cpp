@@ -1,9 +1,8 @@
 // Effort control plane contract tests: escalation-off must be bit-identical
-// to a never-escalated run on both coordinate paths (unsharded and
-// sharded), escalation must be deterministic across thread and shard
-// counts, the fold-back must never lower a node's confidence class, the
-// Escalate fingerprint must cover every new config field, and sharded move
-// deltas must reproduce a cold rebuild bit for bit.
+// to a never-escalated run on both coordinate paths, escalation must be
+// deterministic across thread counts, the fold-back must never lower a
+// node's confidence class, and the Escalate fingerprint must cover every
+// new config field.
 
 #include <gtest/gtest.h>
 
@@ -14,7 +13,6 @@
 #include "common/assert.hpp"
 #include "common/rng.hpp"
 #include "core/session.hpp"
-#include "core/sharded.hpp"
 #include "model/sampler.hpp"
 #include "model/shapes.hpp"
 #include "model/zoo.hpp"
@@ -59,22 +57,11 @@ void expect_same_result(const PipelineResult& a, const PipelineResult& b,
   EXPECT_EQ(a.groups.groups, b.groups.groups) << what;
 }
 
-ShardedConfig cells(std::size_t x, std::size_t y, std::size_t z,
-                    unsigned halo = 3, unsigned threads = 2) {
-  ShardedConfig cfg;
-  cfg.cells_x = x;
-  cfg.cells_y = y;
-  cfg.cells_z = z;
-  cfg.halo_hops = halo;
-  cfg.threads = threads;
-  return cfg;
-}
-
 // ---------------------------------------------------------------------------
 // (1) Escalation-off bit-identity: a session that ran the Escalate stage
 // must return to the exact never-escalated output when the stage is
 // switched off — no escalated artifact may leak through the caches — on
-// both coordinate paths, unsharded and sharded.
+// both coordinate paths.
 
 TEST(EscalationOff, BitIdenticalAfterEscalatedRuns) {
   for (const bool use_fig1 : {false, true}) {
@@ -93,8 +80,6 @@ TEST(EscalationOff, BitIdenticalAfterEscalatedRuns) {
       const PipelineResult escalated = session.run(on);
       expect_same_result(session.run(off), fresh,
                          label + " off run after escalated run");
-      ShardedDetector sharded(net, cells(2, 2, 1, /*halo=*/6));
-      expect_same_result(sharded.run(off), fresh, label + " sharded off");
 
       if (true_coords) {
         // The stage is a no-op on the oracle path: identical output and
@@ -108,11 +93,10 @@ TEST(EscalationOff, BitIdenticalAfterEscalatedRuns) {
 }
 
 // ---------------------------------------------------------------------------
-// (2) Escalation determinism: thread counts and shard layouts must not
-// change a single output bit, and the sharded escalated run must equal the
-// unsharded one (the halo >= 6 exactness contract).
+// (2) Escalation determinism: thread counts must not change a single
+// output bit.
 
-TEST(EscalationDeterminism, ThreadAndShardCountInvariant) {
+TEST(EscalationDeterminism, ThreadCountInvariant) {
   const net::Network net = fig1_hole_network(23);
   PipelineConfig on = noisy_config();
   on.escalate.enabled = true;
@@ -139,19 +123,6 @@ TEST(EscalationDeterminism, ThreadAndShardCountInvariant) {
         << "threads=" << threads;
   }
 
-  const ShardedConfig layouts[] = {cells(1, 1, 1, 6), cells(2, 2, 1, 6),
-                                   cells(4, 2, 2, 6)};
-  for (const ShardedConfig& sc : layouts) {
-    ShardedDetector sharded(net, sc);
-    const PipelineResult r = sharded.run(on);
-    const std::string what = "shards=" + std::to_string(sharded.num_shards());
-    expect_same_result(r, reference, what);
-    EXPECT_EQ(r.ubf_confidence, reference.ubf_confidence) << what;
-    // The merged plan covers every (owned + halo) appearance at least once.
-    EXPECT_GE(r.effort.planned_cheap + r.effort.planned_default +
-                  r.effort.planned_full,
-              net.num_nodes());
-  }
 }
 
 // ---------------------------------------------------------------------------
@@ -226,63 +197,6 @@ TEST(EscalationFingerprint, CoversEveryNewConfigField) {
   (void)session.run(off);
   EXPECT_EQ(session.stats().ubf.full_runs, ubf_runs_before + 1)
       << "enabled bit not in the UBF key";
-}
-
-// ---------------------------------------------------------------------------
-// (5) Sharded move deltas: in-cell moves route to every covering shard and
-// reproduce both the unsharded session on the moved network and a cold
-// detector rebuild, bit for bit. Fault injection stays rejected with the
-// ROADMAP re-key caveat in the message.
-
-TEST(ShardedMoves, DeltaEquivalentToColdRebuild) {
-  net::Network net = sphere_network(37);
-  net::Network twin = sphere_network(37);  // same seed → identical build
-  const PipelineConfig cfg = noisy_config();
-
-  ShardedDetector sharded(net, cells(2, 1, 1));
-  (void)sharded.run(cfg);  // warm the shard caches
-
-  // Small y-axis moves on an x-split lattice: the owning cell and every
-  // rim membership depend only on x, so the moves are always admissible.
-  NetworkDelta delta;
-  const double step = 0.05 * net.radio_range();
-  for (NodeId v = 0; v < net.num_nodes() && delta.moved.size() < 6; v += 37) {
-    geom::Vec3 p = net.position(v);
-    p.y += step;
-    delta.moved.push_back({v, p});
-  }
-  ASSERT_FALSE(delta.moved.empty());
-
-  sharded.apply(delta);
-  const PipelineResult via_delta = sharded.run(cfg);
-
-  DetectionSession reference(twin);
-  reference.apply(delta);  // also moves `twin` itself
-  expect_same_result(via_delta, reference.run(cfg), "delta vs unsharded");
-
-  ShardedDetector cold(static_cast<const net::Network&>(twin),
-                       cells(2, 1, 1));
-  expect_same_result(via_delta, cold.run(cfg), "delta vs cold rebuild");
-
-  // Moves on a const-bound detector stay rejected.
-  ShardedDetector frozen(static_cast<const net::Network&>(net),
-                         cells(2, 1, 1));
-  EXPECT_THROW(frozen.apply(delta), InvalidArgument);
-
-  // Fault injection stays rejected, and the message names the ROADMAP
-  // channel-RNG re-key caveat so callers know the actual blocker.
-  PipelineConfig faulty = cfg;
-  faulty.faults.emplace();
-  faulty.faults->drop_probability = 0.1;
-  try {
-    (void)sharded.run(faulty);
-    FAIL() << "faulted sharded run must throw";
-  } catch (const InvalidArgument& e) {
-    EXPECT_NE(std::string(e.what()).find("ROADMAP"), std::string::npos)
-        << e.what();
-    EXPECT_NE(std::string(e.what()).find("re-key"), std::string::npos)
-        << e.what();
-  }
 }
 
 }  // namespace

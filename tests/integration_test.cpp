@@ -7,6 +7,7 @@
 
 #include <cctype>
 #include <memory>
+#include <ostream>
 #include <string>
 
 #include "common/rng.hpp"
@@ -24,6 +25,13 @@ struct Case {
   std::size_t surface_count;
   std::size_t interior_count;
 };
+
+// gtest prints a parameter into its test's listed name. Print a case by its
+// node counts (the test name already carries the scenario); the default byte
+// dump would carry heap addresses, so the name would change between builds.
+void PrintTo(const Case& c, std::ostream* os) {
+  *os << c.surface_count << '+' << c.interior_count << " nodes";
+}
 
 class ScenarioEndToEnd : public ::testing::TestWithParam<Case> {};
 

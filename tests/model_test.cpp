@@ -9,6 +9,7 @@
 #include <cmath>
 #include <memory>
 #include <numbers>
+#include <ostream>
 
 #include "common/rng.hpp"
 #include "model/csg.hpp"
@@ -17,6 +18,15 @@
 #include "model/zoo.hpp"
 
 namespace ballfit::model {
+
+// gtest prints a parameter into its test's listed name. Print a scenario by
+// its hole count (the test name already carries the scenario); the default
+// byte dump would carry heap addresses, so the name would change between
+// builds.
+void PrintTo(const Scenario& sc, std::ostream* os) {
+  *os << "inner_holes=" << sc.num_inner_holes;
+}
+
 namespace {
 
 using geom::Vec3;

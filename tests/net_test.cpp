@@ -4,9 +4,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <limits>
 
 #include "common/rng.hpp"
+#include "model/sampler.hpp"
 #include "model/shapes.hpp"
 #include "net/builder.hpp"
 #include "net/graph.hpp"
@@ -66,6 +69,14 @@ TEST(Network, RejectsBadInputs) {
   std::vector<Vec3> pos = {{0, 0, 0}};
   EXPECT_THROW(Network(pos, {true, false}, 1.0), InvalidArgument);
   EXPECT_THROW(Network(pos, {true}, 0.0), InvalidArgument);
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  EXPECT_THROW(Network(pos, {true}, inf), InvalidArgument);
+  EXPECT_THROW(Network(pos, {true}, nan), InvalidArgument);
+  for (const Vec3& bad : {Vec3{nan, 0, 0}, Vec3{0, inf, 0}, Vec3{0, 0, -inf}}) {
+    EXPECT_THROW(Network({{0, 0, 0}, bad}, {false, false}, 1.0),
+                 InvalidArgument);
+  }
 }
 
 TEST(Graph, HopDistancesOnLine) {
@@ -286,6 +297,36 @@ TEST(EdgeMeasurementCache, SymmetricAcrossDirectedCopies) {
   }
 }
 
+TEST(ParallelBuilder, ThreadCountAndGridPathInvariant) {
+  Rng rng(17);
+  const model::SphereShape shape({0, 0, 0}, 3.0);
+  std::vector<geom::Vec3> pos = model::sample_surface(shape, 150, rng);
+  {
+    auto interior = model::sample_volume(shape, 250, rng, 0.0);
+    pos.insert(pos.end(), interior.begin(), interior.end());
+  }
+  const std::vector<bool> truth(pos.size(), false);
+
+  const net::Network serial(pos, truth, 1.0, 1);
+  const net::Network parallel(pos, truth, 1.0, 8);
+  ASSERT_EQ(serial.num_nodes(), parallel.num_nodes());
+  for (NodeId v = 0; v < serial.num_nodes(); ++v) {
+    const auto a = serial.neighbors(v);
+    const auto b = parallel.neighbors(v);
+    ASSERT_TRUE(std::equal(a.begin(), a.end(), b.begin(), b.end()))
+        << "row " << v;
+  }
+
+  // Brute-force cross-check of the dense-grid sweep.
+  for (NodeId i = 0; i < serial.num_nodes(); ++i) {
+    for (NodeId j = 0; j < serial.num_nodes(); ++j) {
+      if (i == j) continue;
+      EXPECT_EQ(serial.are_neighbors(i, j), serial.true_distance(i, j) <= 1.0)
+          << i << "," << j;
+    }
+  }
+}
+
 // --- apply_moves: local adjacency rebuild ----------------------------------
 
 TEST(ApplyMoves, EquivalentToFreshConstruction) {
@@ -323,6 +364,22 @@ TEST(ApplyMoves, RejectsDuplicateAndOutOfRangeIds) {
   EXPECT_THROW(net.apply_moves(oob), InvalidArgument);
   // Neither call mutated the network.
   EXPECT_DOUBLE_EQ(net.position(1).x, 0.9);
+  EXPECT_EQ(net.degree(0), 1u);
+}
+
+TEST(ApplyMoves, RejectsNonFinitePositions) {
+  Network net = line_network(5);
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  // The valid first move must not be applied either: the batch is checked
+  // before anything changes.
+  const std::vector<NodeMove> with_nan = {{1, {0.5, 0, 0}}, {2, {nan, 0, 0}}};
+  EXPECT_THROW(net.apply_moves(with_nan), InvalidArgument);
+  const std::vector<NodeMove> with_inf = {{3, {0, 0, inf}}};
+  EXPECT_THROW(net.apply_moves(with_inf), InvalidArgument);
+  EXPECT_DOUBLE_EQ(net.position(1).x, 0.9);
+  EXPECT_DOUBLE_EQ(net.position(2).x, 1.8);
+  EXPECT_DOUBLE_EQ(net.position(3).z, 0.0);
   EXPECT_EQ(net.degree(0), 1u);
 }
 

@@ -169,6 +169,10 @@ TEST(SessionDelta, OracleModeMatchesFromScratch) {
   delta.crashed = {10, 11, 12, 80, 81, 150};
   warm.apply(delta);
   const PipelineResult incremental = warm.run(cfg);
+  // The true-coordinates path re-tests only the dirty neighborhoods.
+  EXPECT_EQ(warm.stats().ubf.partial_runs, 1u);
+  EXPECT_GT(warm.stats().last_nodes_retested, 0u);
+  EXPECT_LT(warm.stats().last_nodes_retested, net.num_nodes());
 
   DetectionSession cold(net);
   cold.apply(delta);

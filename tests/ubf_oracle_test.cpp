@@ -16,6 +16,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <unordered_set>
 #include <vector>
 
@@ -34,16 +35,28 @@ namespace {
 // Literal Algorithm 1 over true coordinates, mirroring the membership rules
 // of `detect_with_true_coordinates`: self + one-hop neighbors as witnesses,
 // plus (under kTwoHop) the deduplicated two-hop closure as emptiness-only
-// members. Deliberately free of every kernel optimization.
-std::vector<bool> naive_detect(const net::Network& network,
-                               const core::UnitBallFitting& ubf) {
+// members. Deliberately free of every kernel optimization. Votes are
+// counted up to the confidence cap max(verify_pool, min_empty_balls), in
+// enumeration order, so the run also yields the per-node confidence and
+// the degenerate-fallback count.
+struct NaiveResult {
+  std::vector<bool> flags;
+  std::vector<float> confidence;
+  std::size_t fallbacks = 0;
+};
+
+NaiveResult naive_run(const net::Network& network,
+                      const core::UnitBallFitting& ubf) {
   const core::UbfConfig& cfg = ubf.config();
   const double r = ubf.ball_radius();
   const core::UnitBallFitting::InsideLimits limits = ubf.inside_limits(0.0);
   const bool two_hop = cfg.scope == core::UbfConfig::EmptinessScope::kTwoHop;
+  const std::size_t cap = std::max(cfg.verify_pool, cfg.min_empty_balls);
 
   const std::size_t n = network.num_nodes();
-  std::vector<bool> out(n, false);
+  NaiveResult out;
+  out.flags.assign(n, false);
+  out.confidence.assign(n, 0.0f);
   for (net::NodeId i = 0; i < n; ++i) {
     std::vector<geom::Vec3> coords;
     coords.push_back(network.position(i));
@@ -54,7 +67,9 @@ std::vector<bool> naive_detect(const net::Network& network,
     }
     const std::size_t witness_count = coords.size();
     if (witness_count < 4) {
-      out[i] = cfg.degenerate_is_boundary;
+      out.flags[i] = cfg.degenerate_is_boundary;
+      out.confidence[i] = cfg.degenerate_is_boundary ? 0.5f : 0.0f;
+      ++out.fallbacks;
       continue;
     }
     if (two_hop) {
@@ -66,12 +81,11 @@ std::vector<bool> naive_detect(const net::Network& network,
     }
 
     std::size_t empty = 0;
-    bool found = false;
-    for (std::size_t j = 1; j < witness_count && !found; ++j) {
-      for (std::size_t k = j + 1; k < witness_count && !found; ++k) {
+    for (std::size_t j = 1; j < witness_count && empty < cap; ++j) {
+      for (std::size_t k = j + 1; k < witness_count && empty < cap; ++k) {
         const geom::TrisphereResult balls =
             geom::solve_trisphere(coords[0], coords[j], coords[k], r);
-        for (int c = 0; c < balls.count && !found; ++c) {
+        for (int c = 0; c < balls.count && empty < cap; ++c) {
           bool is_empty = true;
           for (std::size_t u = 0; u < coords.size(); ++u) {
             if (u == 0 || u == j || u == k) continue;
@@ -82,16 +96,20 @@ std::vector<bool> naive_detect(const net::Network& network,
               break;
             }
           }
-          if (is_empty) {
-            ++empty;
-            found = empty >= cfg.min_empty_balls;
-          }
+          if (is_empty) ++empty;
         }
       }
     }
-    out[i] = found;
+    out.flags[i] = empty >= cfg.min_empty_balls;
+    out.confidence[i] = static_cast<float>(
+        core::vote_confidence(empty, cfg.min_empty_balls));
   }
   return out;
+}
+
+std::vector<bool> naive_detect(const net::Network& network,
+                               const core::UnitBallFitting& ubf) {
+  return naive_run(network, ubf).flags;
 }
 
 net::Network build_test_network(const model::Shape& shape,
@@ -151,7 +169,7 @@ TEST(UbfOracle, BitIdenticalWithVoteThreshold) {
 }
 
 // The scratch arena is thread-local state; distribution of nodes over
-// workers must not leak into the result.
+// workers must not leak into the result, on either coordinate path.
 TEST(UbfOracle, DetectIsDeterministicAcrossThreadCounts) {
   const model::SphereShape shape({0, 0, 0}, 2.2);
   const net::Network network = build_test_network(shape, 15);
@@ -164,6 +182,25 @@ TEST(UbfOracle, DetectIsDeterministicAcrossThreadCounts) {
   const std::vector<bool> t8 = ubf.detect(localizer, 8);
   EXPECT_EQ(t1, t2);
   EXPECT_EQ(t1, t8);
+
+  // The true-coordinates driver equals literal Algorithm 1 — flags,
+  // fallbacks and confidence — at every thread count, on both scopes.
+  for (const auto scope : {core::UbfConfig::EmptinessScope::kTwoHop,
+                           core::UbfConfig::EmptinessScope::kOneHop}) {
+    core::UbfConfig cfg;
+    cfg.scope = scope;
+    const core::UnitBallFitting oracle(network, cfg);
+    const NaiveResult reference = naive_run(network, oracle);
+    for (const unsigned threads : {1u, 2u, 8u}) {
+      std::size_t fallbacks = 0;
+      std::vector<float> confidence;
+      const std::vector<bool> flags = oracle.detect_with_true_coordinates(
+          &fallbacks, /*alive=*/nullptr, &confidence, threads);
+      EXPECT_EQ(flags, reference.flags) << "threads=" << threads;
+      EXPECT_EQ(fallbacks, reference.fallbacks) << "threads=" << threads;
+      EXPECT_EQ(confidence, reference.confidence) << "threads=" << threads;
+    }
+  }
 }
 
 }  // namespace
