@@ -5,8 +5,10 @@
 /// Builds the rounded-box-with-hole scenario scaled analytically to
 /// `--nodes` at the paper's operating density, times the parallel
 /// unit-disk build, then runs one `core::DetectionSession` end-to-end on
-/// true coordinates at `--threads` workers and reports wall clock, the
-/// detection result and peak RSS.
+/// true coordinates at `--threads` workers, builds the Sec. III surfaces of
+/// the detected boundary (`mesh::build_surfaces`, serial), and reports wall
+/// clock, the detection result, the surface time with its Steps I–V split,
+/// and peak RSS.
 ///
 ///   fig_scaling --nodes 100000 --threads 4
 ///   fig_scaling --nodes 1000000 --threads 8
@@ -24,14 +26,18 @@
 
 #include <cstdio>
 #include <cstdlib>
+#include <string>
+#include <vector>
 
 #include "bench_report.hpp"
 #include "bench_util.hpp"
 #include "common/stopwatch.hpp"
 #include "core/pipeline.hpp"
 #include "core/session.hpp"
+#include "mesh/surface_builder.hpp"
 #include "model/zoo.hpp"
 #include "net/builder.hpp"
+#include "obs/trace.hpp"
 
 namespace {
 
@@ -102,11 +108,27 @@ int main(int argc, char** argv) {
   const core::PipelineResult result = session.run(cfg);
   const double detect_ms = detect_watch.elapsed_ms();
 
+  Stopwatch surface_watch;
+  const mesh::SurfaceResult surfaces =
+      mesh::build_surfaces(network, result.boundary, result.groups);
+  const double surface_ms = surface_watch.elapsed_ms();
+
   const double rss_mib = peak_rss_mib();
-  std::printf("session: detect %.0f ms, boundary %zu in %zu groups, rss %.0f "
-              "MiB\n",
+  std::printf("session: detect %.0f ms, boundary %zu in %zu groups; "
+              "surfaces %.0f ms (%zu meshes), rss %.0f MiB\n",
               detect_ms, result.num_boundary(), result.groups.groups.size(),
-              rss_mib);
+              surface_ms, surfaces.surfaces.size(), rss_mib);
+
+  // The builder opens one span per step (summed over the groups).
+  const auto spans = obs::TraceAggregator::global().snapshot();
+  const char* const kSteps[] = {"step1_landmarks", "step2_cdg", "step3_cdm",
+                                "step4_completion", "step5_flip"};
+  std::vector<double> step_ms;
+  for (const char* step : kSteps) {
+    const auto it = spans.find(step);
+    step_ms.push_back(it == spans.end() ? 0.0 : it->second.total_ms());
+    run.param(std::string(step) + "_ms", step_ms.back());
+  }
 
   const core::DetectionStats stats =
       core::evaluate_detection(network, result.boundary);
@@ -115,15 +137,19 @@ int main(int argc, char** argv) {
       .param("threads", static_cast<double>(threads))
       .param("build_ms", build_ms)
       .param("detect_ms", detect_ms)
+      .param("surface_ms", surface_ms)
       .param("peak_rss_mib", rss_mib)
       .detection(stats)
       .cost("iff", result.iff_cost)
       .cost("grouping", result.grouping_cost);
 
   // The docs/SCALING.md results-table row, ready to paste.
-  std::printf("| %zu | %d | %.1f s | %.1f s | %.0f MiB |\n",
+  // The surfaces column carries the Steps I–V split in ms.
+  std::printf("| %zu | %d | %.1f s | %.1f s | %.2f s (%.0f / %.0f / %.0f / "
+              "%.0f / %.0f ms) | %.0f MiB |\n",
               network.num_nodes(), threads, build_ms / 1000.0,
-              detect_ms / 1000.0, rss_mib);
+              detect_ms / 1000.0, surface_ms / 1000.0, step_ms[0], step_ms[1],
+              step_ms[2], step_ms[3], step_ms[4], rss_mib);
   report.print_last_run_summary();
   return 0;
 }

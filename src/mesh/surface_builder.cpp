@@ -6,36 +6,31 @@
 
 #include "common/assert.hpp"
 #include "net/graph.hpp"
+#include "obs/trace.hpp"
 #include "sim/protocols.hpp"
 
 namespace ballfit::mesh {
 
 using net::NodeId;
 
-std::vector<NodeId> greedy_landmark_oracle(const net::Network& network,
-                                           const net::NodeMask& active,
-                                           std::uint32_t k) {
-  std::vector<NodeId> landmarks;
-  std::vector<bool> covered(network.num_nodes(), false);
-  for (NodeId v = 0; v < network.num_nodes(); ++v) {
-    if (!active[v] || covered[v]) continue;
-    landmarks.push_back(v);
-    const auto dist = net::hop_distances(network, v, &active, k);
-    for (NodeId u = 0; u < network.num_nodes(); ++u) {
-      if (dist[u] != net::kUnreachable && dist[u] <= k) covered[u] = true;
-    }
-  }
-  return landmarks;
-}
-
 namespace {
 
-/// Hop length of the shortest path between two landmarks over the group
-/// subgraph; used by the edge-flip ordering. kUnreachable if disconnected.
-std::uint32_t hop_length(const net::Network& network, const net::NodeMask& mask,
-                         NodeId a, NodeId b) {
-  const auto dist = net::hop_distances(network, a, &mask);
-  return dist[b];
+/// Over-saturated edges (more than two faces) with an endpoint in the
+/// sorted vertex set `verts`, each counted once. An edge's face count only
+/// changes when an edge at one of its endpoints is added or removed, so a
+/// flip that touches only `verts` changes the mesh-wide count by exactly
+/// the change of this local count.
+std::size_t over_edges_around(const TriMesh& mesh,
+                              const std::vector<std::uint32_t>& verts) {
+  std::size_t over = 0;
+  for (std::uint32_t x : verts) {
+    for (std::uint32_t y : mesh.neighbors(x)) {
+      if (y < x && std::binary_search(verts.begin(), verts.end(), y))
+        continue;  // counted from y
+      if (mesh.edge_triangle_apexes(x, y).size() > 2) ++over;
+    }
+  }
+  return over;
 }
 
 /// Step III witness conditions on a landmark-to-landmark path: all nodes
@@ -57,21 +52,23 @@ bool cdm_witness_ok(const std::vector<NodeId>& path,
 }
 
 BoundarySurface build_one_surface(const net::Network& network,
+                                  const std::vector<NodeId>& group,
                                   const net::NodeMask& group_mask,
-                                  NodeId leader, const MeshConfig& config) {
+                                  const MeshConfig& config,
+                                  net::BoundedBfs& bfs) {
   BoundarySurface surface;
-  surface.group_leader = leader;
+  surface.group_leader = group.front();
+  const auto in_group = [&group_mask](NodeId v) { return bool(group_mask[v]); };
 
   // ---- Step I: landmark election + Voronoi association.
-  surface.landmarks =
-      config.use_message_passing
-          ? sim::khop_landmark_election(network, group_mask,
-                                        config.landmark_spacing)
-          : greedy_landmark_oracle(network, group_mask,
-                                   config.landmark_spacing);
-  const net::MultiSourceBfs assoc =
-      net::multi_source_bfs(network, surface.landmarks, &group_mask);
-  surface.voronoi_owner = assoc.owner;
+  {
+    BALLFIT_SPAN("step1_landmarks");
+    surface.landmarks = sim::khop_landmark_election(network, group_mask,
+                                                    config.landmark_spacing);
+    surface.voronoi_owner =
+        net::multi_source_bfs(network, surface.landmarks, &group_mask).owner;
+  }
+  const std::vector<NodeId>& owner = surface.voronoi_owner;
 
   std::vector<geom::Vec3> positions;
   positions.reserve(surface.landmarks.size());
@@ -80,16 +77,18 @@ BoundarySurface build_one_surface(const net::Network& network,
 
   // ---- Step II: CDG — landmarks with adjacent Voronoi cells.
   std::set<std::pair<NodeId, NodeId>> cdg;
-  for (NodeId v = 0; v < network.num_nodes(); ++v) {
-    if (!group_mask[v]) continue;
-    const NodeId ov = assoc.owner[v];
-    BALLFIT_ASSERT_MSG(ov != net::kInvalidNode,
-                       "group node with no landmark owner");
-    for (NodeId u : network.neighbors(v)) {
-      if (!group_mask[u]) continue;
-      const NodeId ou = assoc.owner[u];
-      if (ou != ov)
-        cdg.insert({std::min(ov, ou), std::max(ov, ou)});
+  {
+    BALLFIT_SPAN("step2_cdg");
+    for (NodeId v : group) {
+      const NodeId ov = owner[v];
+      BALLFIT_ASSERT_MSG(ov != net::kInvalidNode,
+                         "group node with no landmark owner");
+      for (NodeId u : network.neighbors(v)) {
+        if (!group_mask[u]) continue;
+        const NodeId ou = owner[u];
+        if (ou != ov)
+          cdg.insert({std::min(ov, ou), std::max(ov, ou)});
+      }
     }
   }
   surface.cdg_edges = cdg.size();
@@ -103,39 +102,45 @@ BoundarySurface build_one_surface(const net::Network& network,
   // path between two *connected* landmarks.
   std::vector<bool> claimed(network.num_nodes(), false);
   std::set<std::pair<NodeId, NodeId>> connected;
-  for (const auto& [a, b] : cdg) {
-    net::NodeMask cells(network.num_nodes(), false);
-    for (NodeId v = 0; v < network.num_nodes(); ++v) {
-      cells[v] =
-          group_mask[v] && (assoc.owner[v] == a || assoc.owner[v] == b);
+  {
+    BALLFIT_SPAN("step3_cdm");
+    for (const auto& [a, b] : cdg) {
+      bfs.run(network, a, net::kUnreachable,
+              [&owner, a = a, b = b](NodeId v) {
+                return owner[v] == a || owner[v] == b;
+              },
+              b);
+      const std::vector<NodeId> path = bfs.path_to(b);
+      if (path.empty()) continue;
+      if (!cdm_witness_ok(path, owner, a, b)) continue;
+      connected.insert({a, b});
+      for (NodeId v : path) claimed[v] = true;
     }
-    const std::vector<NodeId> path = net::shortest_path(network, a, b, &cells);
-    if (path.empty()) continue;
-    if (!cdm_witness_ok(path, assoc.owner, a, b)) continue;
-    connected.insert({a, b});
-    for (NodeId v : path) claimed[v] = true;
   }
   surface.cdm_edges = connected.size();
 
   // ---- Step IV: triangulation completion. Remaining CDG pairs route a
   // connection packet along the shortest boundary path; the packet is
   // dropped at any intermediate node already claimed by a connected pair.
-  for (const auto& [a, b] : cdg) {
-    if (connected.count({a, b}) != 0) continue;
-    const std::vector<NodeId> path =
-        net::shortest_path(network, a, b, &group_mask);
-    if (path.empty()) continue;
-    bool blocked = false;
-    for (std::size_t i = 1; i + 1 < path.size(); ++i) {
-      if (claimed[path[i]]) {
-        blocked = true;
-        break;
+  {
+    BALLFIT_SPAN("step4_completion");
+    for (const auto& [a, b] : cdg) {
+      if (connected.count({a, b}) != 0) continue;
+      bfs.run(network, a, net::kUnreachable, in_group, b);
+      const std::vector<NodeId> path = bfs.path_to(b);
+      if (path.empty()) continue;
+      bool blocked = false;
+      for (std::size_t i = 1; i + 1 < path.size(); ++i) {
+        if (claimed[path[i]]) {
+          blocked = true;
+          break;
+        }
       }
+      if (blocked) continue;
+      connected.insert({a, b});
+      ++surface.added_edges;
+      for (NodeId v : path) claimed[v] = true;
     }
-    if (blocked) continue;
-    connected.insert({a, b});
-    ++surface.added_edges;
-    for (NodeId v : path) claimed[v] = true;
   }
 
   for (const auto& [a, b] : connected) {
@@ -154,15 +159,25 @@ BoundarySurface build_one_surface(const net::Network& network,
   // surroundings. This keeps the paper's transformation rule while
   // guaranteeing termination (the over-edge count is monotone between
   // shelvings) and never shredding an otherwise-good mesh.
-  auto count_over_edges = [&mesh]() {
-    std::size_t over = 0;
-    for (const Edge& oe : mesh.edges()) {
-      if (mesh.edge_triangle_apexes(oe.first, oe.second).size() > 2) ++over;
+  // The group subgraph never changes here, so apex-pair hop lengths are
+  // memoised for the whole step; each is one BFS that stops at the target.
+  BALLFIT_SPAN("step5_flip");
+  std::map<std::pair<NodeId, NodeId>, std::uint32_t> hop_memo;
+  const auto hop_length = [&](NodeId a, NodeId b) {
+    const auto [it, fresh] =
+        hop_memo.try_emplace({std::min(a, b), std::max(a, b)}, 0);
+    if (fresh) {
+      bfs.run(network, a, net::kUnreachable, in_group, b);
+      it->second = bfs.dist(b);
     }
-    return over;
+    return it->second;
   };
   std::set<Edge> shelved;
-  std::size_t current_over = count_over_edges();
+  std::size_t current_over = 0;
+  for (const Edge& oe : mesh.edges()) {
+    if (mesh.edge_triangle_apexes(oe.first, oe.second).size() > 2)
+      ++current_over;
+  }
   bool changed = true;
   std::size_t guard = 16 * (mesh.num_edges() + 1);
   while (changed && current_over > 0 && guard-- > 0) {
@@ -171,6 +186,13 @@ BoundarySurface build_one_surface(const net::Network& network,
       if (shelved.count(e) != 0) continue;
       const auto apexes = mesh.edge_triangle_apexes(e.first, e.second);
       if (apexes.size() <= 2) continue;
+
+      // Every edge the flip adds or removes joins two of these vertices.
+      std::vector<std::uint32_t> touched(apexes);
+      touched.push_back(e.first);
+      touched.push_back(e.second);
+      std::sort(touched.begin(), touched.end());
+      const std::size_t local_over = over_edges_around(mesh, touched);
 
       mesh.remove_edge(e.first, e.second);
 
@@ -187,7 +209,7 @@ BoundarySurface build_one_surface(const net::Network& network,
           const NodeId nu = mesh.vertex_node(apexes[i]);
           const NodeId nv = mesh.vertex_node(apexes[j]);
           cands.push_back(
-              {apexes[i], apexes[j], hop_length(network, group_mask, nu, nv),
+              {apexes[i], apexes[j], hop_length(nu, nv),
                mesh.position(apexes[i]).distance_to(mesh.position(apexes[j]))});
         }
       std::sort(cands.begin(), cands.end(), [](const Cand& x, const Cand& y) {
@@ -229,7 +251,8 @@ BoundarySurface build_one_surface(const net::Network& network,
         }
       }
 
-      const std::size_t next_over = count_over_edges();
+      const std::size_t next_over =
+          current_over - local_over + over_edges_around(mesh, touched);
       if (next_over < current_over) {
         current_over = next_over;
         ++surface.flips;
@@ -277,17 +300,23 @@ SurfaceResult build_surfaces(const net::Network& network,
   BALLFIT_REQUIRE(boundary.size() == network.num_nodes(),
                   "boundary mask size mismatch");
   BALLFIT_REQUIRE(config.landmark_spacing >= 1, "landmark spacing >= 1");
+  for (const auto& group : groups.groups) {
+    for (NodeId v : group) {
+      BALLFIT_REQUIRE(v < network.num_nodes(), "group member out of range");
+    }
+  }
 
   SurfaceResult result;
+  net::BoundedBfs bfs;
   for (const auto& group : groups.groups) {
-    if (group.size() < config.min_group_size) continue;
+    if (group.empty() || group.size() < config.min_group_size) continue;
     net::NodeMask mask(network.num_nodes(), false);
     for (NodeId v : group) {
       BALLFIT_REQUIRE(boundary[v], "group member not a boundary node");
       mask[v] = true;
     }
     result.surfaces.push_back(
-        build_one_surface(network, mask, group.front(), config));
+        build_one_surface(network, group, mask, config, bfs));
   }
   return result;
 }

@@ -18,7 +18,10 @@
 ///        local 2-manifold property.
 ///
 /// Everything is connectivity-driven; positions are carried only for
-/// export and evaluation.
+/// export and evaluation. Steps III–V search with one reused
+/// `net::BoundedBfs` restricted to the group (or to two Voronoi cells), so
+/// a group costs what its own nodes cost, not the network's size; each
+/// step is traced as a span `step1_landmarks` … `step5_flip`.
 
 #include <cstdint>
 #include <vector>
@@ -33,9 +36,6 @@ struct MeshConfig {
   /// k: minimum hop separation between landmarks; 3–5 in the paper — the
   /// knob trading mesh fineness against cost (Sec. III step I).
   std::uint32_t landmark_spacing = 3;
-  /// Elect landmarks with the message-passing protocol (default) or an
-  /// equivalent sequential oracle (faster in parameter sweeps).
-  bool use_message_passing = true;
   /// Skip boundaries with fewer nodes than this (degenerate fragments that
   /// survived IFF cannot carry a closed surface anyway).
   std::size_t min_group_size = 4;
@@ -61,17 +61,11 @@ struct SurfaceResult {
   std::vector<BoundarySurface> surfaces;
 };
 
-/// Builds one triangular mesh per boundary group.
+/// Builds one triangular mesh per boundary group. Throws InvalidArgument
+/// when a group member is out of range or not flagged in `boundary`.
 SurfaceResult build_surfaces(const net::Network& network,
                              const std::vector<bool>& boundary,
                              const core::BoundaryGroups& groups,
                              const MeshConfig& config = {});
-
-/// Sequential oracle for landmark election: greedy k-hop dominating set by
-/// ascending node id — same guarantees (pairwise > k hops, full k-coverage)
-/// as the protocol, not necessarily the same set.
-std::vector<net::NodeId> greedy_landmark_oracle(const net::Network& network,
-                                                const net::NodeMask& active,
-                                                std::uint32_t k);
 
 }  // namespace ballfit::mesh

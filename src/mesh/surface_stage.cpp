@@ -19,7 +19,6 @@ std::uint64_t stage_key(std::uint64_t result_key, const MeshConfig& c) {
   };
   mix(result_key);
   mix(c.landmark_spacing);
-  mix(c.use_message_passing ? 1u : 0u);
   mix(c.min_group_size);
   return h;
 }

@@ -13,24 +13,35 @@ bool visible(const NodeMask* mask, NodeId v) {
 }
 }  // namespace
 
+void BoundedBfs::begin(std::size_t n) {
+  if (stamp_.size() != n) {
+    stamp_.assign(n, 0);
+    dist_.resize(n);
+    parent_.resize(n);
+    epoch_ = 0;
+  }
+  if (++epoch_ == 0) {  // counter wrapped: old stamps would read as current
+    std::fill(stamp_.begin(), stamp_.end(), 0);
+    epoch_ = 1;
+  }
+  order_.clear();
+}
+
+std::vector<NodeId> BoundedBfs::path_to(NodeId t) const {
+  std::vector<NodeId> path;
+  if (t >= stamp_.size() || !reached(t)) return path;
+  for (NodeId v = t; v != kInvalidNode; v = parent_[v]) path.push_back(v);
+  std::reverse(path.begin(), path.end());
+  return path;
+}
+
 std::vector<std::uint32_t> hop_distances(const Network& net, NodeId source,
                                          const NodeMask* mask,
                                          std::uint32_t max_hops) {
-  BALLFIT_REQUIRE(source < net.num_nodes(), "source out of range");
+  BoundedBfs bfs;
+  bfs.run(net, source, max_hops, [mask](NodeId v) { return visible(mask, v); });
   std::vector<std::uint32_t> dist(net.num_nodes(), kUnreachable);
-  if (!visible(mask, source)) return dist;
-  std::deque<NodeId> queue{source};
-  dist[source] = 0;
-  while (!queue.empty()) {
-    const NodeId u = queue.front();
-    queue.pop_front();
-    if (dist[u] >= max_hops) continue;
-    for (NodeId v : net.neighbors(u)) {
-      if (!visible(mask, v) || dist[v] != kUnreachable) continue;
-      dist[v] = dist[u] + 1;
-      queue.push_back(v);
-    }
-  }
+  for (NodeId v : bfs.visited()) dist[v] = bfs.dist(v);
   return dist;
 }
 
@@ -122,35 +133,11 @@ std::vector<NodeId> shortest_path(const Network& net, NodeId from, NodeId to,
                                   const NodeMask* mask) {
   BALLFIT_REQUIRE(from < net.num_nodes() && to < net.num_nodes(),
                   "endpoint out of range");
-  std::vector<NodeId> empty;
-  if (!visible(mask, from) || !visible(mask, to)) return empty;
-
-  std::vector<std::uint32_t> dist(net.num_nodes(), kUnreachable);
-  std::vector<NodeId> parent(net.num_nodes(), kInvalidNode);
-  std::deque<NodeId> queue{from};
-  dist[from] = 0;
-  while (!queue.empty() && dist[to] == kUnreachable) {
-    const NodeId u = queue.front();
-    queue.pop_front();
-    for (NodeId v : net.neighbors(u)) {
-      if (!visible(mask, v)) continue;
-      if (dist[v] == kUnreachable) {
-        dist[v] = dist[u] + 1;
-        parent[v] = u;
-        queue.push_back(v);
-      } else if (dist[v] == dist[u] + 1 && parent[v] != kInvalidNode &&
-                 u < parent[v]) {
-        parent[v] = u;  // deterministic smallest-parent tie-break
-      }
-    }
-  }
-  if (dist[to] == kUnreachable) return empty;
-
-  std::vector<NodeId> path;
-  for (NodeId v = to; v != kInvalidNode; v = parent[v]) path.push_back(v);
-  std::reverse(path.begin(), path.end());
-  BALLFIT_ASSERT(path.front() == from && path.back() == to);
-  return path;
+  if (!visible(mask, from) || !visible(mask, to)) return {};
+  BoundedBfs bfs;
+  bfs.run(net, from, kUnreachable,
+          [mask](NodeId v) { return visible(mask, v); }, to);
+  return bfs.path_to(to);
 }
 
 void mark_k_hop(const Network& net, const std::vector<NodeId>& seeds,

@@ -8,6 +8,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "common/assert.hpp"
 #include "net/network.hpp"
 
 namespace ballfit::net {
@@ -17,6 +18,80 @@ inline constexpr std::uint32_t kUnreachable = static_cast<std::uint32_t>(-1);
 /// A node filter: nullptr means "all nodes"; otherwise nodes with
 /// (*mask)[v] == false are invisible (cannot be traversed or reached).
 using NodeMask = std::vector<bool>;
+
+/// Reusable breadth-first search bounded in hops, for callers that run many
+/// small searches over one network (landmark election, the mesh steps, the
+/// TTL flood oracle). Distances and parents live in epoch-stamped arrays
+/// over [0, N) in the `common/epoch_map.hpp` idiom: they are zero-filled
+/// once per network size, and each `run` costs only what it visits.
+///
+/// `run` visits in FIFO order (neighbors in adjacency order), does not
+/// expand nodes at `max_hops`, and never enters a node for which
+/// `visible(v)` is false. With a `target` it stops as soon as the target
+/// has been reached, after the node that discovered it has been fully
+/// expanded. Parents follow the deterministic tie-break of `shortest_path`:
+/// among the expanded nodes one hop closer, the smallest id wins.
+class BoundedBfs {
+ public:
+  /// Searches from `source`, replacing the previous run's result. An
+  /// invisible source yields an empty result.
+  template <typename Visible>
+  void run(const Network& net, NodeId source, std::uint32_t max_hops,
+           Visible&& visible, NodeId target = kInvalidNode);
+
+  /// Nodes reached by the last run, in visiting order (source first).
+  const std::vector<NodeId>& visited() const { return order_; }
+  /// Hop distance from the source, or kUnreachable when not reached.
+  std::uint32_t dist(NodeId v) const {
+    return reached(v) ? dist_[v] : kUnreachable;
+  }
+  /// BFS parent, or kInvalidNode for the source and unreached nodes.
+  NodeId parent(NodeId v) const {
+    return reached(v) ? parent_[v] : kInvalidNode;
+  }
+  /// Source-to-`t` path along parents, inclusive; empty when unreached.
+  std::vector<NodeId> path_to(NodeId t) const;
+
+ private:
+  void begin(std::size_t n);
+  bool reached(NodeId v) const { return stamp_[v] == epoch_; }
+
+  std::vector<std::uint32_t> stamp_;
+  std::vector<std::uint32_t> dist_;
+  std::vector<NodeId> parent_;
+  std::vector<NodeId> order_;
+  std::uint32_t epoch_ = 0;
+};
+
+template <typename Visible>
+void BoundedBfs::run(const Network& net, NodeId source, std::uint32_t max_hops,
+                     Visible&& visible, NodeId target) {
+  begin(net.num_nodes());
+  BALLFIT_REQUIRE(source < net.num_nodes(), "source out of range");
+  if (!visible(source)) return;
+  stamp_[source] = epoch_;
+  dist_[source] = 0;
+  parent_[source] = kInvalidNode;
+  order_.push_back(source);
+  for (std::size_t head = 0; head < order_.size(); ++head) {
+    if (target != kInvalidNode && reached(target)) break;
+    const NodeId u = order_[head];
+    const std::uint32_t du = dist_[u];
+    if (du >= max_hops) continue;
+    for (NodeId v : net.neighbors(u)) {
+      if (!visible(v)) continue;
+      if (stamp_[v] != epoch_) {
+        stamp_[v] = epoch_;
+        dist_[v] = du + 1;
+        parent_[v] = u;
+        order_.push_back(v);
+      } else if (dist_[v] == du + 1 && parent_[v] != kInvalidNode &&
+                 u < parent_[v]) {
+        parent_[v] = u;  // deterministic smallest-parent tie-break
+      }
+    }
+  }
+}
 
 /// BFS hop distances from `source` (restricted to `mask` if given).
 /// `max_hops` is an inclusive cap in hops (default `kUnreachable` =

@@ -88,14 +88,12 @@ std::vector<std::uint32_t> ttl_flood_count_oracle(const net::Network& net,
   const std::size_t n = net.num_nodes();
   BALLFIT_REQUIRE(active.size() == n, "mask size mismatch");
   std::vector<std::uint32_t> counts(n, 0);
+  net::BoundedBfs bfs;
+  const auto visible = [&active](NodeId v) { return bool(active[v]); };
   for (NodeId v = 0; v < n; ++v) {
     if (!active[v]) continue;
-    const auto dist = net::hop_distances(net, v, &active, ttl);
-    std::uint32_t c = 0;
-    for (NodeId u = 0; u < n; ++u) {
-      if (dist[u] != net::kUnreachable && dist[u] <= ttl) ++c;
-    }
-    counts[v] = c;
+    bfs.run(net, v, ttl, visible);
+    counts[v] = static_cast<std::uint32_t>(bfs.visited().size());
   }
   return counts;
 }
@@ -166,6 +164,126 @@ struct BidMsg {
   std::uint32_t ttl;
 };
 enum class Status : std::uint8_t { kUndecided, kLandmark, kCovered };
+
+/// The election on a reliable network, computed without the engine. On a
+/// reliable synchronous network every flood is a BFS: a bid or cover
+/// packet from v reaches exactly the nodes within `reach` = min(k, rounds
+/// cap) hops over `active`, arriving first along a shortest path, and the
+/// nodes within `relay` = min(k − 1, cap) hops re-broadcast it once per
+/// copy. So each iteration is one bounded BFS per undecided node (it wins
+/// iff no smaller undecided id lies in its ball) plus one per winner
+/// (cover). Rounds, messages and the engine's obs counters are derived
+/// from the BFS depths and ball sizes and equal the engine's exactly.
+std::vector<NodeId> election_fault_free(const net::Network& net,
+                                        const net::NodeMask& active,
+                                        std::uint32_t k, RunStats* stats,
+                                        const ProtocolOptions& opts) {
+  const std::size_t n = net.num_nodes();
+  const std::size_t repeat = repeat_of(opts);
+  const std::size_t cap = opts.max_rounds > 0 ? opts.max_rounds : k + 1;
+  const auto reach = static_cast<std::uint32_t>(std::min<std::size_t>(k, cap));
+  const auto relay =
+      static_cast<std::uint32_t>(std::min<std::size_t>(k - 1, cap));
+
+  std::vector<Status> status(n, Status::kCovered);
+  std::vector<NodeId> undecided;
+  for (NodeId v = 0; v < n; ++v) {
+    if (!active[v]) continue;
+    status[v] = Status::kUndecided;
+    undecided.push_back(v);
+  }
+  const std::size_t num_active = undecided.size();
+
+  net::BoundedBfs bfs;
+  const auto visible = [&active](NodeId v) { return bool(active[v]); };
+  // One flood from the last BFS source: its transmissions (the source and
+  // every relay, `repeat` copies each) and the round of its last broadcast.
+  // The engine runs a round after each broadcast that reaches a neighbor,
+  // so a flood that reaches anyone lasts `last broadcast round + 1`.
+  struct Flood {
+    std::size_t relays = 0;
+    std::uint32_t depth = 0;
+  };
+  const auto measure = [&bfs, relay]() {
+    Flood f;
+    for (NodeId u : bfs.visited()) {
+      const std::uint32_t d = bfs.dist(u);
+      f.depth = std::max(f.depth, d);
+      if (d <= relay) ++f.relays;
+    }
+    return f;
+  };
+
+  RunStats total;
+  std::size_t engine_runs = 0;
+  std::vector<NodeId> landmarks;
+  std::vector<NodeId> winners;
+  while (!undecided.empty()) {
+    // --- Bid phase. The source ignores the echo of its own bid.
+    RunStats bid;
+    winners.clear();
+    for (NodeId v : undecided) {
+      bfs.run(net, v, reach, visible);
+      bool wins = true;
+      for (NodeId u : bfs.visited()) {
+        if (u < v && status[u] == Status::kUndecided) {
+          wins = false;
+          break;
+        }
+      }
+      const Flood f = measure();
+      bid.messages += repeat * f.relays;
+      if (f.depth > 0)
+        bid.rounds = std::max<std::size_t>(bid.rounds,
+                                           std::min(f.depth, k - 1) + 1);
+      if (wins) winners.push_back(v);
+    }
+    bid.rounds = std::min(bid.rounds, cap);
+    BALLFIT_ASSERT_MSG(!winners.empty(), "landmark election made no progress");
+    for (NodeId w : winners) status[w] = Status::kLandmark;
+
+    // --- Cover phase. The winner's cover state is not seeded, so its own
+    // cover echoes back in round 2 with TTL k − 2 and, for k >= 3, is
+    // re-broadcast once more (and delivered in round 3).
+    RunStats cover;
+    const bool echo = k >= 3 && cap >= 2;
+    for (NodeId w : winners) {
+      bfs.run(net, w, reach, visible);
+      for (NodeId u : bfs.visited()) {
+        if (status[u] == Status::kUndecided) status[u] = Status::kCovered;
+      }
+      const Flood f = measure();
+      const bool echoes = echo && f.depth > 0;
+      cover.messages += repeat * (f.relays + (echoes ? 1 : 0));
+      if (f.depth > 0) {
+        const std::uint32_t last =
+            std::max(std::min(f.depth, k - 1), echoes ? 2u : 0u);
+        cover.rounds = std::max<std::size_t>(cover.rounds, last + 1);
+      }
+    }
+    cover.rounds = std::min(cover.rounds, cap);
+
+    total += bid;
+    total += cover;
+    engine_runs += 2;
+    landmarks.insert(landmarks.end(), winners.begin(), winners.end());
+    std::erase_if(undecided,
+                  [&](NodeId v) { return status[v] != Status::kUndecided; });
+  }
+
+  if (engine_runs > 0 && obs::enabled()) {
+    obs::Registry& reg = obs::Registry::global();
+    reg.counter("sim.landmark_election.messages").add(total.messages);
+    reg.counter("sim.landmark_election.rounds").add(total.rounds);
+    reg.counter("sim.landmark_election.active_nodes")
+        .add(engine_runs * num_active);
+    reg.counter("sim.landmark_election.runs").add(engine_runs);
+  }
+  if (stats != nullptr) *stats = total;
+  std::sort(landmarks.begin(), landmarks.end());
+  return landmarks;
+}
+
 }  // namespace
 
 std::vector<NodeId> khop_landmark_election(const net::Network& net,
@@ -175,6 +293,8 @@ std::vector<NodeId> khop_landmark_election(const net::Network& net,
   const std::size_t n = net.num_nodes();
   BALLFIT_REQUIRE(active.size() == n, "mask size mismatch");
   BALLFIT_REQUIRE(k >= 1, "landmark spacing k must be >= 1");
+  if (opts.faults == nullptr)
+    return election_fault_free(net, active, k, stats, opts);
 
   const std::uint32_t repeat = repeat_of(opts);
   std::vector<Status> status(n, Status::kUndecided);

@@ -5,8 +5,9 @@
 ///
 /// These are the communication workhorses of IFF (fragment-size counting),
 /// boundary grouping (min-id leader flood), and landmark election (k-hop
-/// suppression). Each has an oracle counterpart in terms of BFS; tests
-/// assert equivalence.
+/// suppression). The two floods have oracle counterparts in terms of BFS,
+/// and the election computes its reliable-network case by BFS; tests
+/// assert equivalence with the engine.
 ///
 /// All three tolerate imperfect communication when run with a
 /// `ProtocolOptions` carrying a fault model: handlers are idempotent (a
@@ -80,6 +81,9 @@ std::vector<net::NodeId> leader_flood_oracle(const net::Network& net,
 /// active node is within k hops of some landmark. Under faults, crashed
 /// nodes are never elected and the spacing/coverage guarantees degrade to
 /// best-effort (lost cover packets can leave two landmarks closer than k).
+/// Without a fault model the election is computed by bounded BFS instead of
+/// the engine (one search per bidder and per winner and iteration), with the
+/// same landmarks, `RunStats` and `sim.landmark_election.*` counters.
 std::vector<net::NodeId> khop_landmark_election(
     const net::Network& net, const net::NodeMask& active, std::uint32_t k,
     RunStats* stats = nullptr, const ProtocolOptions& opts = {});

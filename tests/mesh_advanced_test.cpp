@@ -152,5 +152,30 @@ TEST(LandmarkSpacing, InvalidConfigRejected) {
   EXPECT_THROW(build_surfaces(net, boundary, groups, cfg), InvalidArgument);
 }
 
+TEST(SurfaceBuilder, OutOfRangeGroupMemberRejected) {
+  Rng rng(6);
+  const model::SphereShape shape({0, 0, 0}, 2.0);
+  net::BuildOptions opt;
+  opt.surface_count = 100;
+  opt.interior_count = 150;
+  const net::Network net = net::build_network(shape, opt, rng);
+  std::vector<bool> boundary(net.num_nodes(), true);
+  core::BoundaryGroups groups = core::group_boundaries(net, boundary, false);
+  ASSERT_FALSE(groups.groups.empty());
+  // A stale or foreign id, even in a group too small to be meshed, is
+  // rejected before any group is processed.
+  groups.groups.push_back({static_cast<NodeId>(net.num_nodes())});
+  EXPECT_THROW(build_surfaces(net, boundary, groups), InvalidArgument);
+  groups.groups.back() = {static_cast<NodeId>(net.num_nodes() + 1000), 0, 1,
+                          2, 3};
+  EXPECT_THROW(build_surfaces(net, boundary, groups), InvalidArgument);
+  // An empty group is no error; it just carries no surface.
+  groups.groups.back().clear();
+  MeshConfig keep_all;
+  keep_all.min_group_size = 0;
+  EXPECT_EQ(build_surfaces(net, boundary, groups, keep_all).surfaces.size(),
+            groups.groups.size() - 1);
+}
+
 }  // namespace
 }  // namespace ballfit::mesh

@@ -1,10 +1,12 @@
 // Tests for the mesh module: TriMesh bookkeeping and manifold reports on
 // hand-built meshes (tetrahedron, octahedron, non-manifold cases), the
-// landmark election oracle, and full surface construction on a sphere
-// network (closed genus-0 manifold expected).
+// landmark election's spacing and coverage, full surface construction on a
+// sphere network (closed genus-0 manifold expected), and the builder
+// against a literal copy of its previous full-network implementation.
 
 #include <gtest/gtest.h>
 
+#include <map>
 #include <memory>
 #include <set>
 #include <sstream>
@@ -17,8 +19,10 @@
 #include "mesh/surface_builder.hpp"
 #include "mesh/trimesh.hpp"
 #include "model/shapes.hpp"
+#include "model/zoo.hpp"
 #include "net/builder.hpp"
 #include "net/graph.hpp"
+#include "sim/protocols.hpp"
 
 namespace ballfit::mesh {
 namespace {
@@ -112,7 +116,7 @@ TEST(TriMesh, ThreeFaceEdgeDetected) {
   EXPECT_FALSE(rep.closed_manifold);
 }
 
-TEST(LandmarkOracle, SpacingAndCoverage) {
+TEST(LandmarkElection, SpacingAndCoverageOnSphere) {
   Rng rng(3);
   const model::SphereShape shape({0, 0, 0}, 3.0);
   net::BuildOptions opt;
@@ -121,17 +125,321 @@ TEST(LandmarkOracle, SpacingAndCoverage) {
   const net::Network net = net::build_network(shape, opt, rng);
   net::NodeMask active(net.num_nodes(), true);
   const std::uint32_t k = 3;
-  const auto landmarks = greedy_landmark_oracle(net, active, k);
+  const auto landmarks = sim::khop_landmark_election(net, active, k);
   ASSERT_FALSE(landmarks.empty());
   for (NodeId lm : landmarks) {
     const auto dist = net::hop_distances(net, lm, &active, k);
-    for (NodeId other : landmarks)
-      if (other != lm)
+    for (NodeId other : landmarks) {
+      if (other != lm) {
         EXPECT_TRUE(dist[other] == net::kUnreachable || dist[other] > k);
+      }
+    }
   }
   const auto assoc = net::multi_source_bfs(net, landmarks, &active);
   for (NodeId v = 0; v < net.num_nodes(); ++v)
     EXPECT_LE(assoc.distance[v], k);
+}
+
+// ---------------------------------------------------------------------------
+// Reference builder: a literal copy of the surface builder as it was before
+// its steps went group-local (full-network election on the engine, an
+// N-sized two-cell mask and `shortest_path` per CDG edge, an unbounded
+// `hop_distances` per apex pair, a full over-edge recount per tentative
+// flip). The optimized builder must reproduce it exactly.
+
+namespace reference {
+
+std::uint32_t hop_length(const net::Network& network, const net::NodeMask& mask,
+                         NodeId a, NodeId b) {
+  const auto dist = net::hop_distances(network, a, &mask);
+  return dist[b];
+}
+
+bool cdm_witness_ok(const std::vector<NodeId>& path,
+                    const std::vector<NodeId>& owner, NodeId a, NodeId b) {
+  bool in_b_part = false;
+  for (NodeId v : path) {
+    const NodeId o = owner[v];
+    if (o != a && o != b) return false;
+    if (o == b) {
+      in_b_part = true;
+    } else if (in_b_part) {
+      return false;
+    }
+  }
+  return true;
+}
+
+BoundarySurface build_one_surface(const net::Network& network,
+                                  const net::NodeMask& group_mask,
+                                  NodeId leader, const MeshConfig& config) {
+  BoundarySurface surface;
+  surface.group_leader = leader;
+
+  // Step I on the round engine: an inert fault model forces that path.
+  sim::FaultModel inert(sim::FaultConfig{}, network.num_nodes());
+  sim::ProtocolOptions engine;
+  engine.faults = &inert;
+  surface.landmarks = sim::khop_landmark_election(
+      network, group_mask, config.landmark_spacing, nullptr, engine);
+  const net::MultiSourceBfs assoc =
+      net::multi_source_bfs(network, surface.landmarks, &group_mask);
+  surface.voronoi_owner = assoc.owner;
+
+  std::vector<geom::Vec3> positions;
+  positions.reserve(surface.landmarks.size());
+  for (NodeId v : surface.landmarks) positions.push_back(network.position(v));
+  TriMesh mesh(surface.landmarks, std::move(positions));
+
+  std::set<std::pair<NodeId, NodeId>> cdg;
+  for (NodeId v = 0; v < network.num_nodes(); ++v) {
+    if (!group_mask[v]) continue;
+    const NodeId ov = assoc.owner[v];
+    for (NodeId u : network.neighbors(v)) {
+      if (!group_mask[u]) continue;
+      const NodeId ou = assoc.owner[u];
+      if (ou != ov)
+        cdg.insert({std::min(ov, ou), std::max(ov, ou)});
+    }
+  }
+  surface.cdg_edges = cdg.size();
+
+  std::vector<bool> claimed(network.num_nodes(), false);
+  std::set<std::pair<NodeId, NodeId>> connected;
+  for (const auto& [a, b] : cdg) {
+    net::NodeMask cells(network.num_nodes(), false);
+    for (NodeId v = 0; v < network.num_nodes(); ++v) {
+      cells[v] =
+          group_mask[v] && (assoc.owner[v] == a || assoc.owner[v] == b);
+    }
+    const std::vector<NodeId> path = net::shortest_path(network, a, b, &cells);
+    if (path.empty()) continue;
+    if (!cdm_witness_ok(path, assoc.owner, a, b)) continue;
+    connected.insert({a, b});
+    for (NodeId v : path) claimed[v] = true;
+  }
+  surface.cdm_edges = connected.size();
+
+  for (const auto& [a, b] : cdg) {
+    if (connected.count({a, b}) != 0) continue;
+    const std::vector<NodeId> path =
+        net::shortest_path(network, a, b, &group_mask);
+    if (path.empty()) continue;
+    bool blocked = false;
+    for (std::size_t i = 1; i + 1 < path.size(); ++i) {
+      if (claimed[path[i]]) {
+        blocked = true;
+        break;
+      }
+    }
+    if (blocked) continue;
+    connected.insert({a, b});
+    ++surface.added_edges;
+    for (NodeId v : path) claimed[v] = true;
+  }
+
+  for (const auto& [a, b] : connected) {
+    mesh.add_edge(mesh.index_of(a), mesh.index_of(b));
+  }
+
+  auto count_over_edges = [&mesh]() {
+    std::size_t over = 0;
+    for (const Edge& oe : mesh.edges()) {
+      if (mesh.edge_triangle_apexes(oe.first, oe.second).size() > 2) ++over;
+    }
+    return over;
+  };
+  std::set<Edge> shelved;
+  std::size_t current_over = count_over_edges();
+  bool changed = true;
+  std::size_t guard = 16 * (mesh.num_edges() + 1);
+  while (changed && current_over > 0 && guard-- > 0) {
+    changed = false;
+    for (const Edge& e : mesh.edges()) {
+      if (shelved.count(e) != 0) continue;
+      const auto apexes = mesh.edge_triangle_apexes(e.first, e.second);
+      if (apexes.size() <= 2) continue;
+
+      mesh.remove_edge(e.first, e.second);
+
+      struct Cand {
+        std::uint32_t u, v;
+        std::uint32_t hops;
+        double dist;
+      };
+      std::vector<Cand> cands;
+      for (std::size_t i = 0; i < apexes.size(); ++i)
+        for (std::size_t j = i + 1; j < apexes.size(); ++j) {
+          const NodeId nu = mesh.vertex_node(apexes[i]);
+          const NodeId nv = mesh.vertex_node(apexes[j]);
+          cands.push_back(
+              {apexes[i], apexes[j], hop_length(network, group_mask, nu, nv),
+               mesh.position(apexes[i]).distance_to(mesh.position(apexes[j]))});
+        }
+      std::sort(cands.begin(), cands.end(), [](const Cand& x, const Cand& y) {
+        if (x.hops != y.hops) return x.hops < y.hops;
+        if (x.dist != y.dist) return x.dist < y.dist;
+        return std::tie(x.u, x.v) < std::tie(y.u, y.v);
+      });
+
+      std::map<std::uint32_t, std::uint32_t> parent;
+      for (std::uint32_t apex : apexes) parent[apex] = apex;
+      auto find = [&](std::uint32_t x) {
+        while (parent[x] != x) x = parent[x] = parent[parent[x]];
+        return x;
+      };
+      std::size_t components = apexes.size();
+      for (std::size_t i = 0; i < apexes.size(); ++i)
+        for (std::size_t j = i + 1; j < apexes.size(); ++j)
+          if (mesh.has_edge(apexes[i], apexes[j])) {
+            const std::uint32_t ri = find(apexes[i]);
+            const std::uint32_t rj = find(apexes[j]);
+            if (ri != rj) {
+              parent[ri] = rj;
+              --components;
+            }
+          }
+      std::vector<Edge> added;
+      for (const Cand& c : cands) {
+        if (components <= 1) break;
+        const std::uint32_t ru = find(c.u);
+        const std::uint32_t rv = find(c.v);
+        if (ru == rv) continue;
+        parent[ru] = rv;
+        --components;
+        if (!mesh.has_edge(c.u, c.v)) {
+          mesh.add_edge(c.u, c.v);
+          added.push_back(make_edge(c.u, c.v));
+        }
+      }
+
+      const std::size_t next_over = count_over_edges();
+      if (next_over < current_over) {
+        current_over = next_over;
+        ++surface.flips;
+        shelved.clear();
+      } else {
+        for (const Edge& ae : added) mesh.remove_edge(ae.first, ae.second);
+        mesh.add_edge(e.first, e.second);
+        shelved.insert(e);
+        continue;
+      }
+      changed = true;
+      break;
+    }
+  }
+
+  for (bool removed = true; removed;) {
+    removed = false;
+    for (const Edge& e : mesh.edges()) {
+      if (mesh.edge_triangle_apexes(e.first, e.second).size() > 2) {
+        mesh.remove_edge(e.first, e.second);
+        ++surface.flips;
+        removed = true;
+        break;
+      }
+    }
+  }
+
+  surface.mesh = std::move(mesh);
+  return surface;
+}
+
+SurfaceResult build_surfaces(const net::Network& network,
+                             const std::vector<bool>& boundary,
+                             const core::BoundaryGroups& groups,
+                             const MeshConfig& config) {
+  SurfaceResult result;
+  for (const auto& group : groups.groups) {
+    if (group.size() < config.min_group_size) continue;
+    net::NodeMask mask(network.num_nodes(), false);
+    for (NodeId v : group) {
+      EXPECT_TRUE(boundary[v]);
+      mask[v] = true;
+    }
+    result.surfaces.push_back(
+        build_one_surface(network, mask, group.front(), config));
+  }
+  return result;
+}
+
+}  // namespace reference
+
+/// Field-by-field equality of two builds; accumulates the reference's flip
+/// and Step IV counts so callers can check what the scenes exercised.
+void expect_same_surfaces(const SurfaceResult& got, const SurfaceResult& want,
+                          const std::string& where, std::size_t& flips,
+                          std::size_t& added) {
+  ASSERT_EQ(got.surfaces.size(), want.surfaces.size()) << where;
+  for (std::size_t i = 0; i < want.surfaces.size(); ++i) {
+    const BoundarySurface& g = got.surfaces[i];
+    const BoundarySurface& w = want.surfaces[i];
+    const std::string at = where + " surface " + std::to_string(i);
+    EXPECT_EQ(g.group_leader, w.group_leader) << at;
+    EXPECT_EQ(g.landmarks, w.landmarks) << at;
+    EXPECT_EQ(g.voronoi_owner, w.voronoi_owner) << at;
+    EXPECT_EQ(g.cdg_edges, w.cdg_edges) << at;
+    EXPECT_EQ(g.cdm_edges, w.cdm_edges) << at;
+    EXPECT_EQ(g.added_edges, w.added_edges) << at;
+    EXPECT_EQ(g.flips, w.flips) << at;
+    EXPECT_EQ(g.mesh.vertex_nodes(), w.mesh.vertex_nodes()) << at;
+    EXPECT_EQ(g.mesh.edges(), w.mesh.edges()) << at;
+    EXPECT_EQ(g.mesh.triangles(), w.mesh.triangles()) << at;
+    flips += w.flips;
+    added += w.added_edges;
+  }
+}
+
+TEST(SurfaceBuilderEquivalence, MatchesReferenceOnPaperScenes) {
+  std::vector<model::Scenario> scenes{model::fig1_network(0.6)};
+  for (model::Scenario& sc : model::evaluation_scenarios(0.6))
+    scenes.push_back(std::move(sc));
+  std::size_t flips = 0;
+  std::size_t added = 0;
+  for (const model::Scenario& sc : scenes) {
+    Rng rng(8);
+    net::BuildOptions opt =
+        net::options_for_target_degree(*sc.shape, 18.5, 0.5, rng);
+    opt.interior_margin = 0.35 * opt.radio_range;
+    const net::Network network = net::build_network(*sc.shape, opt, rng);
+    core::PipelineConfig cfg;
+    cfg.use_true_coordinates = true;
+    const core::PipelineResult r = core::detect_boundaries(network, cfg);
+    for (std::uint32_t k : {3u, 4u}) {
+      MeshConfig mc;
+      mc.landmark_spacing = k;
+      expect_same_surfaces(
+          build_surfaces(network, r.boundary, r.groups, mc),
+          reference::build_surfaces(network, r.boundary, r.groups, mc),
+          sc.name + " k=" + std::to_string(k), flips, added);
+    }
+  }
+  // The scenes must exercise the Step V flip loop. (Step IV adds no edge on
+  // them: every CDG pair passes the Step III witness. Its search is the
+  // one `shortest_path` wraps, which the net tests hold to the old BFS.)
+  EXPECT_GT(flips, 0u);
+}
+
+TEST(SurfaceBuilderEquivalence, MatchesReferenceOnNoisyFig1) {
+  // Ranging noise fragments the boundary: many small groups, and meshes
+  // that need the flip loop and the force pass.
+  Rng rng(2);
+  const model::Scenario sc = model::fig1_network(0.6);
+  net::BuildOptions opt =
+      net::options_for_target_degree(*sc.shape, 18.8, 0.5, rng);
+  opt.interior_margin = 0.35 * opt.radio_range;
+  const net::Network network = net::build_network(*sc.shape, opt, rng);
+  core::PipelineConfig cfg;
+  cfg.measurement_error = 0.2;
+  cfg.noise_seed = 2;
+  const core::PipelineResult r = core::detect_boundaries(network, cfg);
+  std::size_t flips = 0;
+  std::size_t added = 0;
+  expect_same_surfaces(build_surfaces(network, r.boundary, r.groups),
+                       reference::build_surfaces(network, r.boundary,
+                                                 r.groups, MeshConfig{}),
+                       "noisy fig1", flips, added);
+  EXPECT_GT(flips, 0u);
 }
 
 // Full surface construction on a sphere boundary. The expected outcome is

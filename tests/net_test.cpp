@@ -6,6 +6,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <deque>
 #include <limits>
 
 #include "common/rng.hpp"
@@ -146,6 +147,110 @@ TEST(Graph, ShortestPathUnreachableEmpty) {
   NodeMask mask(6, true);
   mask[2] = false;
   EXPECT_TRUE(shortest_path(net, 0, 5, &mask).empty());
+}
+
+// Literal copies of the deque BFS that `hop_distances` and `shortest_path`
+// ran before both became wrappers over `BoundedBfs`: the references the
+// primitive must reproduce, visiting order and parent tie-break included.
+bool ref_visible(const NodeMask* mask, NodeId v) {
+  return mask == nullptr || (*mask)[v];
+}
+
+std::vector<std::uint32_t> ref_hop_distances(const Network& net, NodeId source,
+                                             const NodeMask* mask,
+                                             std::uint32_t max_hops) {
+  std::vector<std::uint32_t> dist(net.num_nodes(), kUnreachable);
+  if (!ref_visible(mask, source)) return dist;
+  std::deque<NodeId> queue{source};
+  dist[source] = 0;
+  while (!queue.empty()) {
+    const NodeId u = queue.front();
+    queue.pop_front();
+    if (dist[u] >= max_hops) continue;
+    for (NodeId v : net.neighbors(u)) {
+      if (!ref_visible(mask, v) || dist[v] != kUnreachable) continue;
+      dist[v] = dist[u] + 1;
+      queue.push_back(v);
+    }
+  }
+  return dist;
+}
+
+std::vector<NodeId> ref_shortest_path(const Network& net, NodeId from,
+                                      NodeId to, const NodeMask* mask) {
+  std::vector<NodeId> empty;
+  if (!ref_visible(mask, from) || !ref_visible(mask, to)) return empty;
+
+  std::vector<std::uint32_t> dist(net.num_nodes(), kUnreachable);
+  std::vector<NodeId> parent(net.num_nodes(), kInvalidNode);
+  std::deque<NodeId> queue{from};
+  dist[from] = 0;
+  while (!queue.empty() && dist[to] == kUnreachable) {
+    const NodeId u = queue.front();
+    queue.pop_front();
+    for (NodeId v : net.neighbors(u)) {
+      if (!ref_visible(mask, v)) continue;
+      if (dist[v] == kUnreachable) {
+        dist[v] = dist[u] + 1;
+        parent[v] = u;
+        queue.push_back(v);
+      } else if (dist[v] == dist[u] + 1 && parent[v] != kInvalidNode &&
+                 u < parent[v]) {
+        parent[v] = u;
+      }
+    }
+  }
+  if (dist[to] == kUnreachable) return empty;
+
+  std::vector<NodeId> path;
+  for (NodeId v = to; v != kInvalidNode; v = parent[v]) path.push_back(v);
+  std::reverse(path.begin(), path.end());
+  return path;
+}
+
+TEST(BoundedBfs, MatchesReferenceBfsOnRandomMasks) {
+  Rng rng(21);
+  const std::uint32_t kBounds[] = {0, 1, 2, 3, 4, 5, kUnreachable};
+  for (int trial = 0; trial < 6; ++trial) {
+    std::vector<Vec3> pos;
+    const int n = 150 + 40 * trial;
+    for (int i = 0; i < n; ++i)
+      pos.push_back({rng.uniform(0, 6), rng.uniform(0, 6), rng.uniform(0, 3)});
+    const Network net(pos, std::vector<bool>(pos.size(), false), 1.0);
+    NodeMask mask(net.num_nodes());
+    const double keep = 0.5 + 0.1 * trial;
+    for (NodeId v = 0; v < net.num_nodes(); ++v) mask[v] = rng.uniform() < keep;
+
+    BoundedBfs bfs;  // reused across every search below
+    const NodeMask* const masks[] = {nullptr, &mask};
+    for (const NodeMask* m : masks) {
+      const auto visible = [m](NodeId v) { return ref_visible(m, v); };
+      for (int q = 0; q < 25; ++q) {
+        const NodeId s = static_cast<NodeId>(rng.uniform_int(0, n - 1));
+        const NodeId t = static_cast<NodeId>(rng.uniform_int(0, n - 1));
+        for (std::uint32_t bound : kBounds) {
+          const auto want = ref_hop_distances(net, s, m, bound);
+          ASSERT_EQ(hop_distances(net, s, m, bound), want);
+          bfs.run(net, s, bound, visible);
+          std::size_t reached = 0;
+          for (NodeId v = 0; v < net.num_nodes(); ++v) {
+            ASSERT_EQ(bfs.dist(v), want[v]) << "trial " << trial << " v " << v;
+            reached += want[v] != kUnreachable;
+          }
+          ASSERT_EQ(bfs.visited().size(), reached);
+        }
+        const auto want_path = ref_shortest_path(net, s, t, m);
+        ASSERT_EQ(shortest_path(net, s, t, m), want_path);
+        if (visible(t)) {
+          bfs.run(net, s, kUnreachable, visible, t);
+          ASSERT_EQ(bfs.path_to(t), want_path);
+          if (!want_path.empty()) {
+            ASSERT_EQ(bfs.dist(t) + 1, want_path.size());
+          }
+        }
+      }
+    }
+  }
 }
 
 TEST(Builder, ProducesRequestedCountsAndLabels) {

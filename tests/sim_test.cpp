@@ -1,13 +1,18 @@
 // Tests for src/sim: the round engine semantics (locality enforcement,
 // round delivery, quiescence) and the three protocols, each checked against
-// its BFS oracle on random networks.
+// its BFS oracle on random networks; the landmark election's BFS path is
+// checked against its engine path.
 
 #include <gtest/gtest.h>
+
+#include <map>
+#include <string>
 
 #include "common/rng.hpp"
 #include "model/shapes.hpp"
 #include "net/builder.hpp"
 #include "net/graph.hpp"
+#include "obs/metrics.hpp"
 #include "sim/engine.hpp"
 #include "sim/protocols.hpp"
 
@@ -196,6 +201,71 @@ TEST(LandmarkElection, RestrictedToActiveSubgraph) {
   for (NodeId v = 4; v < 9; ++v) active[v] = true;
   const auto landmarks = khop_landmark_election(net, active, 2);
   for (NodeId lm : landmarks) EXPECT_GE(lm, 4u);
+}
+
+/// The `sim.landmark_election.*` counters one election call records.
+std::map<std::string, std::uint64_t> election_counters(
+    const net::Network& net, const NodeMask& active, std::uint32_t k,
+    const ProtocolOptions& opts, std::vector<NodeId>& landmarks,
+    RunStats& stats) {
+  obs::Registry::global().reset();
+  obs::set_enabled(true);
+  landmarks = khop_landmark_election(net, active, k, &stats, opts);
+  obs::set_enabled(false);
+  std::map<std::string, std::uint64_t> out;
+  for (const char* c : {"messages", "rounds", "active_nodes", "runs"}) {
+    const std::string name = std::string("sim.landmark_election.") + c;
+    out[name] = obs::Registry::global().snapshot().counters[name];
+  }
+  return out;
+}
+
+// The reliable-network election is computed by BFS, not by the engine; an
+// inert fault model forces the engine path. Both must agree on everything
+// a caller can observe: landmarks, rounds, messages and obs counters.
+TEST(LandmarkElection, FaultFreeMatchesEngine) {
+  const net::Network net = random_network(17, 220, 300);
+  Rng rng(5);
+  NodeMask sparse(net.num_nodes());
+  for (NodeId v = 0; v < net.num_nodes(); ++v) sparse[v] = rng.uniform() < 0.6;
+  NodeMask shell(net.num_nodes());
+  for (NodeId v = 0; v < net.num_nodes(); ++v)
+    shell[v] = net.is_ground_truth_boundary(v);
+  const NodeMask all(net.num_nodes(), true);
+  const NodeMask none(net.num_nodes(), false);
+
+  const NodeMask* const masks[] = {&all, &sparse, &shell, &none};
+  for (const NodeMask* active : masks) {
+    for (std::uint32_t k = 1; k <= 5; ++k) {
+      for (std::uint32_t repeat : {1u, 3u}) {
+        for (std::size_t max_rounds : {std::size_t{0}, std::size_t{1},
+                                       std::size_t{2}}) {
+          ProtocolOptions plain;
+          plain.repeat = repeat;
+          plain.max_rounds = max_rounds;
+          FaultModel inert(FaultConfig{}, net.num_nodes());
+          ProtocolOptions engine = plain;
+          engine.faults = &inert;
+
+          std::vector<NodeId> got, want;
+          RunStats got_stats, want_stats;
+          const auto got_obs =
+              election_counters(net, *active, k, plain, got, got_stats);
+          const auto want_obs =
+              election_counters(net, *active, k, engine, want, want_stats);
+          const std::string where = "k=" + std::to_string(k) +
+                                    " repeat=" + std::to_string(repeat) +
+                                    " max_rounds=" +
+                                    std::to_string(max_rounds);
+          ASSERT_EQ(want.empty(), active == &none) << where;
+          EXPECT_EQ(got, want) << where;
+          EXPECT_EQ(got_stats.rounds, want_stats.rounds) << where;
+          EXPECT_EQ(got_stats.messages, want_stats.messages) << where;
+          EXPECT_EQ(got_obs, want_obs) << where;
+        }
+      }
+    }
+  }
 }
 
 }  // namespace
