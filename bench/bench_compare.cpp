@@ -9,17 +9,17 @@
 ///   - `ubf.true_coords` — `detect_with_true_coordinates` at one thread,
 ///     the pure Algorithm 1 kernel free of localization noise.
 ///   - `pipeline.local_frames` — the noisy-coordinates localization stage
-///     at the *default* equivalence tier (kBoundaryIdentical: blocked
-///     SMACOF, adaptive plateau exits, fast sweep kernel), built through
-///     the scheduled `build_all_frames` path the session runs, at a
-///     reduced scale so a rep stays under ~1 s.
+///     at the *default* equivalence tier (kBoundaryIdentical: adaptive
+///     plateau exits, fast sweep kernel), built through the per-node
+///     `build_all_frames` executor the session runs, at a reduced scale
+///     so a rep stays under ~1 s.
 ///   - `pipeline.local_frames_bitwise` — the same frame build pinned to
-///     `EquivalenceTier::kBitwise` (per-node loop, every fast path off):
-///     the pre-optimization reference kernel. Two in-run gates tie the
-///     tiers together: the default tier must be ≥ 2x faster than the
-///     bitwise kernel measured in the same process, and the boundary sets
-///     of the two tiers must agree on ≥ 95% of the bitwise boundary (the
-///     tier-drift tripwire).
+///     `EquivalenceTier::kBitwise` (every rounding-changing fast path
+///     off): the reference kernel. Its reps alternate with the default
+///     tier's. Two in-run gates tie the tiers together: the default tier
+///     must be ≥ 2x faster than the bitwise kernel measured in the same
+///     process, and the boundary sets of the two tiers must agree on
+///     ≥ 95% of the bitwise boundary (the tier-drift tripwire).
 ///   - `pipeline.sweep_reuse` — a 5-point ε sweep through one
 ///     `core::DetectionSession` (the frames are ε-independent and are
 ///     reused), timed end-to-end and additionally required to beat five
@@ -299,12 +299,14 @@ int main(int argc, char** argv) {
   // Kernels 2 + 3: the noisy-coordinates localization stage — every
   // node's MDS-MAP(P) two-hop frame, built single-threaded. This is where
   // the headline pipeline (use_true_coordinates=false) spends most of its
-  // time. Kernel 2 runs the default tier (kBoundaryIdentical: blocked
-  // SMACOF + adaptive plateau exits + fast sweep kernel) through the
-  // scheduled `build_all_frames` path; kernel 3 pins kBitwise, the
-  // pre-optimization per-node reference. The boundary counts come from
-  // untimed full detection passes per tier; the two in-run gates below
-  // (tier speedup, tier drift) tie the kernels together.
+  // time. Kernel 2 runs the default tier (kBoundaryIdentical: adaptive
+  // plateau exits + fast sweep kernel) through `build_all_frames`, the
+  // per-node executor the session runs; kernel 3 pins kBitwise, the
+  // reference per-node kernel. The two kernels alternate rep by rep, so
+  // drift of the machine's speed during the run hits both alike instead
+  // of skewing their ratio. The boundary counts come from untimed full
+  // detection passes per tier; the two in-run gates below (tier speedup,
+  // tier drift) tie the kernels together.
   {
     const model::Scenario scenario = model::fig1_network(frames_scale);
     const net::Network network =
@@ -315,8 +317,10 @@ int main(int argc, char** argv) {
     ubf_config.measurement_error_hint = frames_error;
     const core::UnitBallFitting ubf(network, ubf_config);
 
-    // Kernel 2: default tier through the scheduled builder.
     const localization::Localizer localizer(network, model);
+    localization::LocalizerConfig bitwise_cfg;
+    bitwise_cfg.tier = localization::EquivalenceTier::kBitwise;
+    const localization::Localizer bitwise(network, model, bitwise_cfg);
     KernelRecord rec;
     rec.name = "pipeline.local_frames";
     rec.scenario_name = scenario.name;
@@ -325,67 +329,54 @@ int main(int argc, char** argv) {
     rec.avg_degree = avg_degree_of(network);
     rec.reps = frames_reps;
     rec.tier = "boundary_identical";
+    KernelRecord ref = rec;
+    ref.name = "pipeline.local_frames_bitwise";
+    ref.tier = "bitwise";
     for (int rep = 0; rep < frames_reps; ++rep) {
+      // Kernel 2: default tier through the frame executor.
       std::vector<localization::LocalFrame> frames;
-      const auto t0 = Clock::now();
+      auto t0 = Clock::now();
       localization::build_all_frames(
           localizer, localization::FrameScope::kTwoHop, frames,
           /*threads=*/1);
-      const auto t1 = Clock::now();
+      auto t1 = Clock::now();
       double checksum = 0.0;  // keep the frame builds observable
       for (const localization::LocalFrame& f : frames)
         checksum += f.stress_rms;
-      const double ms =
-          std::chrono::duration<double, std::milli>(t1 - t0).count();
+      double ms = std::chrono::duration<double, std::milli>(t1 - t0).count();
       rec.mean_ms += ms;
       if (rep == 0 || ms < rec.best_ms) rec.best_ms = ms;
       std::printf("%s rep %d: %.2f ms (stress checksum %.6f)\n",
                   rec.name.c_str(), rep, ms, checksum);
-    }
-    rec.mean_ms /= frames_reps;
-    const std::vector<bool> boundary = ubf.detect(localizer, /*threads=*/1);
-    for (const bool b : boundary) rec.boundary_nodes += b;
-    std::printf("%s: best %.2f ms, mean %.2f ms over %d reps (boundary=%zu)\n",
-                rec.name.c_str(), rec.best_ms, rec.mean_ms, rec.reps,
-                rec.boundary_nodes);
-    records.push_back(rec);
 
-    // Kernel 3: the bitwise reference — the pre-optimization per-node
-    // kernel, bit-identical to the historical default.
-    localization::LocalizerConfig bitwise_cfg;
-    bitwise_cfg.tier = localization::EquivalenceTier::kBitwise;
-    const localization::Localizer bitwise(network, model, bitwise_cfg);
-    KernelRecord ref;
-    ref.name = "pipeline.local_frames_bitwise";
-    ref.scenario_name = scenario.name;
-    ref.scale = frames_scale;
-    ref.nodes = network.num_nodes();
-    ref.avg_degree = avg_degree_of(network);
-    ref.reps = frames_reps;
-    ref.tier = "bitwise";
-    for (int rep = 0; rep < frames_reps; ++rep) {
-      const auto t0 = Clock::now();
-      double checksum = 0.0;
+      // Kernel 3: the bitwise reference, one per-node call at a time.
+      t0 = Clock::now();
+      checksum = 0.0;
       for (std::size_t i = 0; i < network.num_nodes(); ++i) {
         const localization::LocalFrame frame =
             bitwise.mdsmap_frame(static_cast<net::NodeId>(i));
         checksum += frame.stress_rms;
       }
-      const auto t1 = Clock::now();
-      const double ms =
-          std::chrono::duration<double, std::milli>(t1 - t0).count();
+      t1 = Clock::now();
+      ms = std::chrono::duration<double, std::milli>(t1 - t0).count();
       ref.mean_ms += ms;
       if (rep == 0 || ms < ref.best_ms) ref.best_ms = ms;
       std::printf("%s rep %d: %.2f ms (stress checksum %.6f)\n",
                   ref.name.c_str(), rep, ms, checksum);
     }
+    rec.mean_ms /= frames_reps;
     ref.mean_ms /= frames_reps;
+    const std::vector<bool> boundary = ubf.detect(localizer, /*threads=*/1);
+    for (const bool b : boundary) rec.boundary_nodes += b;
     const std::vector<bool> bitwise_boundary =
         ubf.detect(bitwise, /*threads=*/1);
     for (const bool b : bitwise_boundary) ref.boundary_nodes += b;
-    std::printf("%s: best %.2f ms, mean %.2f ms over %d reps (boundary=%zu)\n",
-                ref.name.c_str(), ref.best_ms, ref.mean_ms, ref.reps,
-                ref.boundary_nodes);
+    for (const KernelRecord* r : {&rec, &ref})
+      std::printf("%s: best %.2f ms, mean %.2f ms over %d reps "
+                  "(boundary=%zu)\n",
+                  r->name.c_str(), r->best_ms, r->mean_ms, r->reps,
+                  r->boundary_nodes);
+    records.push_back(rec);
     records.push_back(ref);
 
     // In-run gate 1 — tier speedup: the point of the optimized default

@@ -77,8 +77,8 @@ struct MdsFixture {
   std::vector<Vec3> pts;
   linalg::Matrix d, w;
 
-  explicit MdsFixture(std::size_t m, std::uint64_t seed = 8) {
-    Rng rng(seed);
+  explicit MdsFixture(std::size_t m) {
+    Rng rng(8);
     for (std::size_t i = 0; i < m; ++i)
       pts.push_back(geom::sample_in_ball(rng, {0, 0, 0}, 2.0));
     d = linalg::Matrix(m, m);
@@ -129,8 +129,8 @@ void BM_EigenTopK(benchmark::State& state) {
 BENCHMARK(BM_EigenTopK)->Arg(20)->Arg(40)->Arg(80);
 
 // One-hop frame construction end to end (measured-pair fill, completion,
-// classical MDS, SMACOF restarts) at neighborhood sizes bracketing the
-// topk_mds_threshold. The range argument is the target node degree.
+// classical MDS, SMACOF restarts) at neighborhood sizes bracketing
+// kTopkMdsThreshold. The range argument is the target node degree.
 void BM_LocalFrame(benchmark::State& state) {
   const double degree = static_cast<double>(state.range(0));
   Rng rng(10);
@@ -151,69 +151,6 @@ void BM_LocalFrame(benchmark::State& state) {
 }
 BENCHMARK(BM_LocalFrame)->Arg(20)->Arg(40)->Arg(80)
     ->Unit(benchmark::kMicrosecond);
-
-// Blocked SMACOF: one default-sized work block (batch_frames = 8) of
-// m-point problems refined through the structure-of-arrays SmacofBatch.
-// Directly comparable to 8× BM_SmacofRefine at the same m — the delta is
-// the memory-layout win of streaming frames back to back.
-void BM_BlockedSmacof(benchmark::State& state) {
-  const auto m = static_cast<std::size_t>(state.range(0));
-  constexpr std::size_t kBlock = 8;
-  std::vector<MdsFixture> fixtures;
-  std::vector<std::vector<Vec3>> inits;
-  Rng rng(12);
-  for (std::size_t f = 0; f < kBlock; ++f) {
-    fixtures.emplace_back(m, 20 + f);
-    inits.push_back(fixtures.back().pts);
-    for (Vec3& p : inits.back())
-      p += Vec3{rng.uniform(-0.2, 0.2), rng.uniform(-0.2, 0.2),
-                rng.uniform(-0.2, 0.2)};
-  }
-  linalg::SmacofConfig sc;
-  sc.max_sweeps = 30;
-  linalg::SmacofBatch batch;
-  for (auto _ : state) {
-    batch.clear();
-    for (std::size_t f = 0; f < kBlock; ++f)
-      batch.add(fixtures[f].d, fixtures[f].w, inits[f], sc);
-    batch.refine_all();
-    benchmark::DoNotOptimize(batch.take_coords(kBlock - 1));
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(kBlock));
-}
-BENCHMARK(BM_BlockedSmacof)->Arg(20)->Arg(40)->Arg(80);
-
-// The kFast warm-started whole-network frame build: BFS wave schedule,
-// Procrustes imports from solved neighbors, blocked refinement. The range
-// argument is the target node degree; the sphere radius shrinks with it so
-// the node count (and thus the frame count) stays roughly constant and the
-// benchmark isolates per-frame cost against neighborhood size.
-void BM_WarmStartFrame(benchmark::State& state) {
-  const double degree = static_cast<double>(state.range(0));
-  Rng rng(13);
-  const double radius = 3.0 * std::cbrt(20.0 / degree);
-  const model::SphereShape shape({0, 0, 0}, radius);
-  const net::BuildOptions opt =
-      net::options_for_target_degree(shape, degree, 0.5, rng);
-  const net::Network network = net::build_network(shape, opt, rng);
-  const net::NoisyDistanceModel model(network, 0.1, 7);
-  localization::LocalizerConfig cfg;
-  cfg.tier = localization::EquivalenceTier::kFast;
-  const localization::Localizer localizer(network, model, cfg);
-  std::vector<localization::LocalFrame> frames;
-  for (auto _ : state) {
-    frames.clear();
-    localization::build_all_frames(localizer,
-                                   localization::FrameScope::kTwoHop, frames,
-                                   /*threads=*/1);
-    benchmark::DoNotOptimize(frames);
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(network.num_nodes()));
-}
-BENCHMARK(BM_WarmStartFrame)->Arg(20)->Arg(40)->Arg(80)
-    ->Unit(benchmark::kMillisecond);
 
 // One full per-node localized step: MDS-MAP frame + UBF test. The paper's
 // Theorem 1 bounds the ball tests at Θ(ρ²) balls × Θ(ρ) nodes; the range

@@ -52,7 +52,9 @@ int main() {
   for (double e : {0.0, 0.2, 0.4, 0.6, 1.0}) {
     const net::NoisyDistanceModel model(net, e, 13);
     const localization::Localizer loc(net, model);
-    const localization::TwoHopFrames frames(loc);
+    std::vector<localization::LocalFrame> frames;
+    localization::build_all_frames(loc, localization::FrameScope::kTwoHop,
+                                   frames);
 
     core::UbfConfig cfg;
     cfg.measurement_error_hint = e;
@@ -61,7 +63,7 @@ int main() {
 
     std::vector<std::size_t> truth_counts, interior_counts;
     for (net::NodeId v = 0; v < net.num_nodes(); v += 3) {
-      const auto frame = frames.frame(v);
+      const localization::LocalFrame& frame = frames[v];
       if (!frame.ok) continue;
       core::UbfNodeDiagnostics diag;
       (void)ubf.test_node(frame.coords, 0, frame.one_hop_count, &diag);

@@ -1,6 +1,6 @@
 /// \file probe_frames.cpp
 /// Diagnostic: distribution of local-frame RMS error (after optimal rigid
-/// alignment to ground truth) for one-hop and stitched two-hop frames,
+/// alignment to ground truth) for one-hop and two-hop MDS-MAP(P) frames,
 /// across measurement error levels. Explains the localization floor seen
 /// in the Fig. 11 reproduction.
 
@@ -45,38 +45,33 @@ int main() {
   build.interior_count = 2200;
   const net::Network net = net::build_network(*sc.shape, build, rng);
 
-  Table table({"error", "hop1_mean", "hop1_p95", "hop1_max", "hop2_mean",
-               "hop2_p95", "hop2_max", "mdsmap_mean", "mdsmap_p95", "mdsmap_max"});
+  Table table({"error", "hop1_mean", "hop1_p95", "hop1_max", "mdsmap_mean",
+               "mdsmap_p95", "mdsmap_max"});
   for (double e : {0.0, 0.1, 0.3, 0.5}) {
     const net::NoisyDistanceModel model(net, e, 13);
     const localization::Localizer loc(net, model);
-    const localization::TwoHopFrames frames(loc);
 
-    // MDS-MAP frames through the shared scheduled builder (the session's
-    // Localize stage path: blocked/warm per the configured tier) instead
-    // of one-off per-node builds, so the probe measures the same kernel
-    // the pipeline runs and reports its effort accounting.
-    std::vector<localization::LocalFrame> mdsmap;
+    // Both frame sets through `build_all_frames`, the session's Localize
+    // stage executor, so the probe measures the kernel the pipeline runs
+    // and reports the MDS-MAP build's effort accounting.
+    std::vector<localization::LocalFrame> one_hop, mdsmap;
+    localization::build_all_frames(loc, localization::FrameScope::kOneHop,
+                                   one_hop);
     localization::FrameBuildStats effort;
     localization::build_all_frames(loc, localization::FrameScope::kTwoHop,
                                    mdsmap, /*threads=*/0, /*alive=*/nullptr,
                                    /*rebuild=*/nullptr, &effort);
 
-    std::vector<double> e1, e2, e3;
+    std::vector<double> e1, e2;
     for (net::NodeId v = 0; v < net.num_nodes(); v += 7) {
-      const auto& f1 = frames.one_hop_frame(v);
-      if (!f1.ok) continue;
-      e1.push_back(frame_error_vs_truth(net, f1, 1.5));
-      e2.push_back(frame_error_vs_truth(net, frames.frame(v, 0), 1.5));
-      e3.push_back(frame_error_vs_truth(net, mdsmap[v], 1.5));
+      if (!one_hop[v].ok) continue;
+      e1.push_back(frame_error_vs_truth(net, one_hop[v], 1.5));
+      e2.push_back(frame_error_vs_truth(net, mdsmap[v], 1.5));
     }
     std::printf(
-        "error %.0f%%: frames=%llu warm %llu/%llu cold=%llu sweeps %llu/%llu "
-        "restarts_skipped=%llu plateau=%llu stress=%llu\n",
+        "error %.0f%%: frames=%llu sweeps %llu/%llu restarts_skipped=%llu "
+        "plateau=%llu stress=%llu\n",
         e * 100.0, static_cast<unsigned long long>(effort.frames_built),
-        static_cast<unsigned long long>(effort.warm_hits),
-        static_cast<unsigned long long>(effort.warm_misses),
-        static_cast<unsigned long long>(effort.cold_builds),
         static_cast<unsigned long long>(effort.sweeps_executed),
         static_cast<unsigned long long>(effort.sweep_budget),
         static_cast<unsigned long long>(effort.restarts_skipped),
@@ -84,7 +79,6 @@ int main() {
         static_cast<unsigned long long>(effort.stress_exits));
     std::sort(e1.begin(), e1.end());
     std::sort(e2.begin(), e2.end());
-    std::sort(e3.begin(), e3.end());
     auto mean = [](const std::vector<double>& v) {
       double s = 0;
       for (double x : v) s += x;
@@ -96,8 +90,7 @@ int main() {
     table.add_row({format_percent(e, 0), format_double(mean(e1), 4),
                    format_double(p95(e1), 4), format_double(e1.back(), 4),
                    format_double(mean(e2), 4), format_double(p95(e2), 4),
-                   format_double(e2.back(), 4), format_double(mean(e3), 4),
-                   format_double(p95(e3), 4), format_double(e3.back(), 4)});
+                   format_double(e2.back(), 4)});
   }
   table.print();
   return 0;

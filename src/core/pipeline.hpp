@@ -124,10 +124,9 @@ struct PipelineConfig {
   /// Skip local MDS and hand UBF the true coordinates — the noiseless
   /// reference configuration (and a localization ablation). Default off.
   bool use_true_coordinates = false;
-  /// Localization knobs, including the equivalence tier and the
-  /// warm-start/adaptive/blocked optimization flags. Every field is part
-  /// of the Measure stage fingerprint, so cached artifacts never mix
-  /// tiers (or any other localizer setting).
+  /// Localization knobs, including the equivalence tier and the adaptive
+  /// sweep exits. Every field is part of the Measure stage fingerprint, so
+  /// cached artifacts never mix tiers (or any other localizer setting).
   localization::LocalizerConfig localizer;
   /// Run boundary grouping after IFF (default on).
   bool group = true;
@@ -177,11 +176,11 @@ struct PipelineResult {
   /// Cost of the grouping protocol.
   sim::RunStats grouping_cost;
 
-  /// Effort accounting of the run's Localize stage (warm-start hit/miss
-  /// counts, sweeps executed vs. budget, restarts skipped, plateau/stress
-  /// exits). Reflects the most recent frame build the session executed —
-  /// a cache-hit run repeats the stats of the build that produced the
-  /// cached frames. All zeros on the true-coordinates path.
+  /// Effort accounting of the run's Localize stage (sweeps executed vs.
+  /// budget, restarts skipped, plateau/stress exits). Reflects the most
+  /// recent frame build the session executed — a cache-hit run repeats
+  /// the stats of the build that produced the cached frames. All zeros on
+  /// the true-coordinates path.
   localization::FrameBuildStats localize_stats;
   /// Nodes whose local frame could not be built (degenerate/starved
   /// neighborhood). Under faults these voted non-boundary conservatively;

@@ -83,14 +83,8 @@ void mix_localizer_config(Fingerprint& fp,
   fp.u64(static_cast<std::uint64_t>(c.mdsmap_sweeps));
   fp.u64(static_cast<std::uint64_t>(c.smacof_restarts));
   fp.u64(c.restart_seed);
-  fp.boolean(c.topk_mds);
-  fp.u64(c.topk_mds_threshold);
-  fp.boolean(c.sparse_smacof);
-  fp.boolean(c.use_edge_cache);
   fp.u64(static_cast<std::uint64_t>(c.tier));
-  fp.boolean(c.warm_start);
   fp.boolean(c.adaptive_sweeps);
-  fp.boolean(c.blocked_smacof);
   fp.f64(c.adaptive_floor);
   fp.u64(static_cast<std::uint64_t>(c.plateau_sweeps));
   fp.f64(c.plateau_rel_tol);
@@ -98,10 +92,6 @@ void mix_localizer_config(Fingerprint& fp,
   fp.u64(static_cast<std::uint64_t>(c.stress_stride));
   fp.u64(static_cast<std::uint64_t>(c.mds_eigen_iters));
   fp.f64(c.mds_eigen_tol);
-  fp.f64(c.warm_accept_factor);
-  fp.u64(c.warm_min_anchors);
-  fp.f64(c.warm_min_coverage);
-  fp.u64(c.batch_frames);
 }
 
 std::size_t count_marks(const std::vector<char>& mask) {

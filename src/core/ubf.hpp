@@ -42,11 +42,12 @@ struct UbfConfig {
   /// A node strictly inside means distance < r − inside_tolerance; the
   /// slack keeps the three on-surface nodes from being miscounted.
   double inside_tolerance = 1e-9;
-  /// Extra slack (× radio range) applied to *two-hop* members only: an
-  /// imported position blocks a candidate ball only when it is inside by
-  /// more than this margin. Imported coordinates carry stitching noise;
-  /// without the margin, borderline imports leak into truly-empty outward
-  /// balls and suppress real boundary nodes. Interior candidate balls are
+  /// Extra slack (× radio range) applied to *two-hop* members only: a
+  /// two-hop position blocks a candidate ball only when it is inside by
+  /// more than this margin. Two-hop coordinates sit at the patch rim,
+  /// where they are least constrained; without the margin, borderline
+  /// two-hop members leak into truly-empty outward balls and suppress real
+  /// boundary nodes. Interior candidate balls are
   /// unaffected — their blockers sit well inside.
   double two_hop_inside_margin = 0.1;
   /// The emptiness test widens its slack by `noise_margin_factor ×
@@ -93,9 +94,10 @@ struct UbfConfig {
   /// Which nodes the emptiness check sees. A candidate ball touching node
   /// i reaches up to 2r from i, so soundness needs the positions of nodes
   /// within two hops (this is exactly the "within 2r" of Lemma 1):
-  ///   - kTwoHop (default): emptiness is tested against the stitched
-  ///     two-hop frame. One extra message round (each neighbor shares its
-  ///     one-hop frame); reproduces the paper's reported accuracy.
+  ///   - kTwoHop (default): emptiness is tested against the two-hop
+  ///     MDS-MAP(P) frame. One extra message round (each neighbor shares
+  ///     its one-hop measurements); reproduces the paper's reported
+  ///     accuracy.
   ///   - kOneHop: the literal Algorithm 1 listing — emptiness against the
   ///     one-hop view only. At realistic densities (avg degree ≈ 18) this
   ///     floods the result with interior false positives, because some

@@ -80,9 +80,8 @@ double weighted_stress(const Matrix& d, const Matrix& w,
   return s;
 }
 
-/// Exit tests shared by every refine loop (dense, sparse, batched).
-/// Keeping the decision logic in one place is what makes the batch
-/// bit-identical to the single-frame path.
+/// Exit tests shared by both refine loops (dense and sparse). Keeping the
+/// decision logic in one place is what keeps the two bit-identical.
 ///
 /// `sweep_done` answers "may the next sweep run?" from the state *between*
 /// sweeps: the budget is spent or the stress already sits at the
@@ -125,8 +124,7 @@ bool sweep_note(const SmacofConfig& config, SmacofRunInfo& info,
 
 /// One Guttman coordinate-descent sweep over a CSR frame. `x` holds the
 /// frame's points (adjacency entries index into it); `row_begin` holds
-/// m+1 offsets into `adj`/`dist`/`weight` (absolute — the batch shares
-/// one arena across frames).
+/// m+1 offsets into `adj`/`dist`/`weight`.
 void csr_guttman_sweep(geom::Vec3* x, std::size_t m,
                        const std::uint32_t* row_begin,
                        const std::uint32_t* adj, const double* dist,
@@ -177,23 +175,6 @@ void csr_guttman_sweep_fast(geom::Vec3* x, std::size_t m,
   }
 }
 
-/// Weighted stress over a CSR frame, upper-triangle entries only in the
-/// dense loop's (i asc, j asc > i) order — rounding matches the dense
-/// evaluation bit for bit.
-double csr_stress(const geom::Vec3* x, std::size_t m,
-                  const std::uint32_t* row_begin,
-                  const std::uint32_t* upper_begin, const std::uint32_t* adj,
-                  const double* dist, const double* weight) {
-  double s = 0.0;
-  for (std::size_t i = 0; i < m; ++i) {
-    const std::uint32_t end = row_begin[i + 1];
-    for (std::uint32_t e = upper_begin[i]; e < end; ++e) {
-      const double diff = x[i].distance_to(x[adj[e]]) - dist[e];
-      s += weight[e] * diff * diff;
-    }
-  }
-  return s;
-}
 }  // namespace
 
 std::vector<geom::Vec3> smacof_refine(const Matrix& distances,
@@ -348,121 +329,6 @@ std::vector<geom::Vec3> SmacofProblem::refine(
   if (final_stress != nullptr) *final_stress = info.final_stress;
   if (run_info != nullptr) *run_info = info;
   return init;
-}
-
-void SmacofBatch::clear() {
-  frames_.clear();
-  points_.clear();
-  row_begin_.clear();
-  upper_begin_.clear();
-  adj_.clear();
-  dist_.clear();
-  weight_.clear();
-}
-
-std::size_t SmacofBatch::add(const Matrix& distances, const Matrix& weights,
-                             const std::vector<geom::Vec3>& init,
-                             const SmacofConfig& config) {
-  const std::size_t m = init.size();
-  BALLFIT_REQUIRE(distances.rows() == m && distances.cols() == m,
-                  "distance matrix must match point count");
-  BALLFIT_REQUIRE(weights.rows() == m && weights.cols() == m,
-                  "weight matrix must match point count");
-  FrameState f;
-  f.point_begin = static_cast<std::uint32_t>(points_.size());
-  f.num_points = static_cast<std::uint32_t>(m);
-  f.row_begin = static_cast<std::uint32_t>(row_begin_.size());
-  f.config = config;
-  points_.insert(points_.end(), init.begin(), init.end());
-  // Same extraction as SmacofProblem::assign, appended to the shared
-  // arena; offsets stay absolute, adjacency stays frame-local.
-  for (std::size_t i = 0; i < m; ++i) {
-    row_begin_.push_back(static_cast<std::uint32_t>(adj_.size()));
-    bool saw_upper = false;
-    for (std::size_t j = 0; j < m; ++j) {
-      if (j == i) continue;
-      const double wij = weights(i, j);
-      if (wij <= 0.0) continue;
-      if (j > i && !saw_upper) {
-        upper_begin_.push_back(static_cast<std::uint32_t>(adj_.size()));
-        saw_upper = true;
-      }
-      adj_.push_back(static_cast<std::uint32_t>(j));
-      dist_.push_back(distances(i, j));
-      weight_.push_back(wij);
-    }
-    if (!saw_upper)
-      upper_begin_.push_back(static_cast<std::uint32_t>(adj_.size()));
-  }
-  row_begin_.push_back(static_cast<std::uint32_t>(adj_.size()));
-  // Pad so row_begin_ and upper_begin_ share the same m+1 stride and a
-  // frame's slices of both start at the same offset.
-  upper_begin_.push_back(static_cast<std::uint32_t>(adj_.size()));
-  frames_.push_back(f);
-  return frames_.size() - 1;
-}
-
-std::size_t SmacofBatch::num_edges(std::size_t slot) const {
-  const FrameState& f = frames_[slot];
-  std::size_t edges = 0;
-  for (std::uint32_t r = 0; r < f.num_points; ++r)
-    edges += row_begin_[f.row_begin + r + 1] - upper_begin_[f.row_begin + r];
-  return edges;
-}
-
-void SmacofBatch::refine_all() {
-  std::size_t active = 0;
-  for (FrameState& f : frames_) {
-    f.info = SmacofRunInfo{};
-    f.info.final_stress = csr_stress(
-        points_.data() + f.point_begin, f.num_points,
-        row_begin_.data() + f.row_begin, upper_begin_.data() + f.row_begin,
-        adj_.data(), dist_.data(), weight_.data());
-    f.plateau_run = 0;
-    f.active = true;
-    ++active;
-  }
-  // Every live frame advances one evaluation group (`stress_stride`
-  // sweeps, budget-truncated) per outer round, streaming through the
-  // shared arena front to back; a frame freezes the moment its own exit
-  // condition fires — the identical sweep count and arithmetic it would
-  // see running alone through SmacofProblem::refine.
-  while (active > 0) {
-    for (FrameState& f : frames_) {
-      if (!f.active) continue;
-      if (sweep_done(f.config, f.info)) {
-        f.active = false;
-        --active;
-        continue;
-      }
-      geom::Vec3* x = points_.data() + f.point_begin;
-      const int group = std::min(std::max(1, f.config.stress_stride),
-                                 f.config.max_sweeps - f.info.sweeps);
-      for (int g = 0; g < group; ++g)
-        (f.config.fast_sweep ? csr_guttman_sweep_fast : csr_guttman_sweep)(
-            x, f.num_points, row_begin_.data() + f.row_begin, adj_.data(),
-            dist_.data(), weight_.data());
-      const double next =
-          csr_stress(x, f.num_points, row_begin_.data() + f.row_begin,
-                     upper_begin_.data() + f.row_begin, adj_.data(),
-                     dist_.data(), weight_.data());
-      f.info.sweeps += group - 1;
-      if (sweep_note(f.config, f.info, f.plateau_run, next)) {
-        f.active = false;
-        --active;
-      }
-    }
-  }
-}
-
-const SmacofRunInfo& SmacofBatch::info(std::size_t slot) const {
-  return frames_[slot].info;
-}
-
-std::vector<geom::Vec3> SmacofBatch::take_coords(std::size_t slot) const {
-  const FrameState& f = frames_[slot];
-  const geom::Vec3* x = points_.data() + f.point_begin;
-  return std::vector<geom::Vec3>(x, x + f.num_points);
 }
 
 }  // namespace ballfit::linalg

@@ -78,9 +78,9 @@ struct SmacofConfig {
   /// legacy per-component divisions. Last-ulp rounding differs from the
   /// legacy kernel, so runs with different `fast_sweep` values are NOT
   /// bit-comparable; with the *same* value the sweep stays a pure
-  /// function of (init, CSR, config) — per-node, blocked, and dense
-  /// callers agree bit for bit as before. Off by default (the legacy
-  /// kernel); the dense and CSR sweeps both honor it.
+  /// function of (init, CSR, config) — sparse and dense callers agree bit
+  /// for bit. Off by default (the legacy kernel); the dense and CSR sweeps
+  /// both honor it.
   bool fast_sweep = false;
   /// Evaluate the stress every this-many Guttman sweeps (count, ≥ 1)
   /// instead of after each one. The stress pass costs a sqrt per measured
@@ -190,69 +190,6 @@ class SmacofProblem {
   /// First entry of row i with partner index > i (== row end when none);
   /// the stress sum visits only these to count each pair once, in the
   /// dense loop's (i asc, j asc > i) order.
-  std::vector<std::uint32_t> upper_begin_;
-  std::vector<std::uint32_t> adj_;
-  std::vector<double> dist_;
-  std::vector<double> weight_;
-};
-
-/// Several frames' sparse SMACOF problems packed into one structure-of-
-/// arrays batch and swept together: points, CSR adjacency, distances, and
-/// weights of all frames live in shared contiguous arrays, and the sweep
-/// loop streams across frames back to back instead of bouncing between
-/// per-frame objects.
-///
-/// Each frame keeps its own `SmacofConfig` and its own exit condition
-/// (budget, convergence, plateau, stress floor) — a frame that finishes is
-/// frozen while the rest keep sweeping. Per frame the arithmetic and its
-/// order are exactly `SmacofProblem::refine`, so every frame's result is
-/// bit-identical to refining it alone (asserted by
-/// tests/localization_equivalence_test.cpp).
-///
-/// `clear()` + `add()` reuse the internal buffers, so a thread-local batch
-/// is allocation-free in steady state.
-class SmacofBatch {
- public:
-  /// Empties the batch, keeping buffer capacity.
-  void clear();
-
-  /// Appends one frame's problem (positive-weight entries of
-  /// (distances, weights), starting coordinates, per-frame config) and
-  /// returns its slot index.
-  std::size_t add(const Matrix& distances, const Matrix& weights,
-                  const std::vector<geom::Vec3>& init,
-                  const SmacofConfig& config);
-
-  std::size_t size() const { return frames_.size(); }
-  /// Measured unordered pairs of the frame in `slot`.
-  std::size_t num_edges(std::size_t slot) const;
-
-  /// Runs every frame to its own exit condition. May be called once per
-  /// fill; `info`/`take_coords` are valid afterwards.
-  void refine_all();
-
-  /// Exit reason / effort / final stress of the frame in `slot`.
-  const SmacofRunInfo& info(std::size_t slot) const;
-  /// Copies the refined coordinates of the frame in `slot` out of the
-  /// batch arena.
-  std::vector<geom::Vec3> take_coords(std::size_t slot) const;
-
- private:
-  struct FrameState {
-    std::uint32_t point_begin = 0;  ///< into points_
-    std::uint32_t num_points = 0;
-    std::uint32_t row_begin = 0;  ///< into row_begin_ (m+1 entries)
-    SmacofConfig config;
-    SmacofRunInfo info;
-    int plateau_run = 0;
-    bool active = false;
-  };
-
-  std::vector<FrameState> frames_;
-  std::vector<geom::Vec3> points_;
-  /// Concatenated per-frame CSR; row offsets are absolute into adj_, and
-  /// adjacency entries are frame-local point indices.
-  std::vector<std::uint32_t> row_begin_;
   std::vector<std::uint32_t> upper_begin_;
   std::vector<std::uint32_t> adj_;
   std::vector<double> dist_;

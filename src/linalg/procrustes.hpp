@@ -25,7 +25,7 @@ struct ProcrustesResult {
 
   /// The transform itself: p ↦ rotation·(p − source_centroid) +
   /// target_centroid. Exposed so callers can map points that were not part
-  /// of the alignment set (frame stitching in 2-hop localization).
+  /// of the alignment set.
   std::array<std::array<double, 3>, 3> rotation{};
   geom::Vec3 source_centroid{};
   geom::Vec3 target_centroid{};

@@ -1,5 +1,5 @@
-// Tests for the two-hop localization machinery: MDS-MAP(P) patches,
-// consensus-stitched TwoHopFrames, the subspace eigensolver, and SMACOF.
+// Tests for the two-hop localization machinery: MDS-MAP(P) patches, the
+// subspace eigensolver, and SMACOF.
 
 #include <gtest/gtest.h>
 
@@ -117,31 +117,6 @@ TEST(MdsMapFrame, BetterThanOneHopAtModerateNoise) {
   // the same ballpark; per-constraint it is much better constrained. The
   // robust check: the patch error must not blow up relative to one-hop.
   EXPECT_LT(e2 / count, 2.5 * (e1 / count) + 0.05);
-}
-
-TEST(TwoHopFrames, ConsensusFrameCoversTwoHopSet) {
-  const net::Network net = random_network(6);
-  const net::NoisyDistanceModel model(net, 0.0, 1);
-  const Localizer loc(net, model);
-  const TwoHopFrames frames(loc);
-
-  const NodeId v = 11;
-  const LocalFrame stitched = frames.frame(v, 0);
-  ASSERT_TRUE(stitched.ok);
-  EXPECT_EQ(stitched.members[0], v);
-  // Every one-hop neighbor with a valid frame contributes its members;
-  // the stitched set must contain all one-hop members at least.
-  EXPECT_GE(stitched.members.size(), net.degree(v) + 1);
-  EXPECT_EQ(stitched.one_hop_count, net.degree(v) + 1);
-}
-
-TEST(TwoHopFrames, OneHopFrameAccessor) {
-  const net::Network net = random_network(7);
-  const net::NoisyDistanceModel model(net, 0.0, 1);
-  const Localizer loc(net, model);
-  const TwoHopFrames frames(loc);
-  const LocalFrame& f = frames.one_hop_frame(3);
-  EXPECT_EQ(f.members.size(), net.degree(3) + 1);
 }
 
 TEST(EigenTopK, MatchesFullDecompositionOnLargeMatrix) {

@@ -1,17 +1,23 @@
-// Equivalence suite for the optimized localization stage.
+// Equivalence suite for the localization stage.
 //
-// The structural optimizations (sparse SMACOF, scratch arenas, the edge-
-// measurement cache) promise *bit-identical* frames to the naive reference
-// path; the eigen-path switch (topk_mds) promises classification-grade
-// closeness only. These tests pin both contracts, plus the thread-count
-// invariance that the per-thread scratch arenas must not break.
+// The structural optimizations of the frame builders (sparse SMACOF,
+// scratch arenas, the edge-measurement cache, the sparse shortest-path
+// completion) promise *bit-identical* frames to the naive reference path
+// kept in this file; the one-hop top-k eigen init promises
+// classification-grade closeness only. These tests pin both contracts,
+// plus the purity contract of `build_all_frames`: a full build, per-node
+// calls, a partial rebuild, and any thread count agree bit for bit.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <limits>
 #include <vector>
 
 #include "common/rng.hpp"
 #include "core/ubf.hpp"
+#include "linalg/eigen.hpp"
 #include "linalg/mds.hpp"
 #include "localization/local_frame.hpp"
 #include "model/shapes.hpp"
@@ -43,21 +49,197 @@ net::Network fig1_network(std::uint64_t seed) {
   return net::build_network(*scenario.shape, opt, rng);
 }
 
-/// All structural optimizations on (the default), but the eigen-path
-/// switch off — this configuration must be bit-identical to the
-/// all-flags-off reference.
-LocalizerConfig structural_config() {
-  LocalizerConfig c;
-  c.topk_mds = false;
-  return c;
+// ---------------------------------------------------------------------------
+// Reference frame builders: the naive path, written out literally. O(m²)
+// pair queries against the measurement model, Floyd–Warshall (one-hop) or
+// full-row relaxation rounds (two-hop) for the completion, dense
+// `smacof_refine`, and `classical_mds` for every one-hop frame. Each
+// `Localizer` optimization must reproduce these frames bit for bit
+// (one-hop frames above `kTopkMdsThreshold` only within noise).
+
+constexpr double kMissing = std::numeric_limits<double>::infinity();
+
+/// Measured distance of every member pair that is a radio edge; `kMissing`
+/// elsewhere (0 on the diagonal). `w` marks the measured pairs.
+void reference_fill(const net::Network& net,
+                    const net::NoisyDistanceModel& model,
+                    const std::vector<NodeId>& members, linalg::Matrix& d,
+                    linalg::Matrix& w) {
+  const std::size_t m = members.size();
+  d = linalg::Matrix(m, m, kMissing);
+  w = linalg::Matrix(m, m, 0.0);
+  for (std::size_t a = 0; a < m; ++a) {
+    d(a, a) = 0.0;
+    for (std::size_t b = a + 1; b < m; ++b) {
+      if (!net.are_neighbors(members[a], members[b])) continue;
+      d(a, b) = d(b, a) = model.measured_distance(members[a], members[b]);
+      w(a, b) = w(b, a) = 1.0;
+    }
+  }
 }
 
-LocalizerConfig reference_config() {
-  LocalizerConfig c;
-  c.topk_mds = false;
-  c.sparse_smacof = false;
-  c.use_edge_cache = false;
-  return c;
+std::vector<Vec3> reference_top3(const linalg::EigenDecomposition& eig,
+                                 std::size_t m) {
+  std::vector<Vec3> x(m);
+  for (std::size_t r = 0; r < m; ++r) {
+    double c[3] = {0.0, 0.0, 0.0};
+    for (std::size_t k = 0; k < 3; ++k)
+      c[k] = eig.vectors(r, k) * std::sqrt(std::max(0.0, eig.values[k]));
+    x[r] = {c[0], c[1], c[2]};
+  }
+  return x;
+}
+
+/// SMACOF with perturbed restarts against the measured pairs, through the
+/// dense reference kernel; `sweeps` ≤ 0 returns the init unrefined.
+std::vector<Vec3> reference_refine(const net::Network& net,
+                                   const net::NoisyDistanceModel& model,
+                                   const LocalizerConfig& cfg,
+                                   const linalg::Matrix& d,
+                                   const linalg::Matrix& w,
+                                   std::vector<Vec3> init, NodeId node,
+                                   int sweeps, double& stress_rms) {
+  if (sweeps <= 0) return init;
+  const std::size_t m = init.size();
+  std::size_t pairs = 0;
+  for (std::size_t a = 0; a < m; ++a)
+    for (std::size_t b = a + 1; b < m; ++b) pairs += w(a, b) > 0.0;
+  const double e = model.error_fraction() * net.radio_range();
+  const auto floor = [&](double factor) {
+    return static_cast<double>(pairs) * ((e * e / 3.0) * factor + 1e-9);
+  };
+  linalg::SmacofConfig sc;
+  sc.max_sweeps = sweeps;
+  if (cfg.tier != EquivalenceTier::kBitwise) {
+    sc.fast_sweep = true;
+    sc.stress_stride = cfg.stress_stride;
+    if (cfg.adaptive_sweeps) {
+      if (cfg.adaptive_floor > 0.0) sc.stop_stress = floor(cfg.adaptive_floor);
+      sc.plateau_sweeps = cfg.plateau_sweeps;
+      sc.plateau_rel_tol = cfg.plateau_rel_tol;
+      sc.plateau_guard_stress = cfg.plateau_guard * floor(1.0);
+    }
+  }
+  Rng restart_rng(cfg.restart_seed ^
+                  (static_cast<std::uint64_t>(node) * 0x9e3779b97f4a7c15ULL));
+  double best_stress = std::numeric_limits<double>::infinity();
+  std::vector<Vec3> best;
+  for (int attempt = 0; attempt < std::max(1, cfg.smacof_restarts);
+       ++attempt) {
+    std::vector<Vec3> start = init;
+    if (attempt > 0) {
+      const double jitter = 0.25 * net.radio_range();
+      for (Vec3& p : start)
+        p += Vec3{restart_rng.uniform(-jitter, jitter),
+                  restart_rng.uniform(-jitter, jitter),
+                  restart_rng.uniform(-jitter, jitter)};
+    }
+    double stress = 0.0;
+    std::vector<Vec3> refined =
+        linalg::smacof_refine(d, w, std::move(start), sc, &stress);
+    if (stress < best_stress) {
+      best_stress = stress;
+      best = std::move(refined);
+    }
+    if (best_stress <= floor(1.5)) break;
+  }
+  stress_rms = pairs == 0 ? 0.0
+                          : std::sqrt(best_stress / static_cast<double>(pairs));
+  return best;
+}
+
+/// One-hop frame: Floyd–Warshall completion and a full classical MDS.
+LocalFrame reference_local_frame(const net::Network& net,
+                                 const net::NoisyDistanceModel& model,
+                                 const LocalizerConfig& cfg, NodeId i) {
+  LocalFrame frame;
+  frame.members.push_back(i);
+  for (NodeId v : net.neighbors(i)) frame.members.push_back(v);
+  const std::size_t m = frame.members.size();
+  frame.one_hop_count = m;
+  if (m < 4) {
+    frame.coords.assign(m, {});
+    return frame;
+  }
+  linalg::Matrix d, w;
+  reference_fill(net, model, frame.members, d, w);
+  for (std::size_t k = 0; k < m; ++k)
+    for (std::size_t a = 0; a < m; ++a)
+      for (std::size_t b = 0; b < m; ++b)
+        if (d(a, k) + d(k, b) < d(a, b)) d(a, b) = d(b, a) = d(a, k) + d(k, b);
+  for (std::size_t a = 0; a < m; ++a)
+    for (std::size_t b = 0; b < m; ++b)
+      if (d(a, b) == kMissing)
+        d(a, b) = cfg.missing_pair_fallback * net.radio_range();
+  linalg::MdsResult mds = linalg::classical_mds(d, 3);
+  frame.coords = reference_refine(net, model, cfg, d, w, std::move(mds.coords),
+                                  i, cfg.smacof_sweeps, frame.stress_rms);
+  frame.ok = mds.converged;
+  if (mds.gram_eigenvalues[2] > 1e-12)
+    frame.embed_residual =
+        std::fabs(mds.gram_eigenvalues[3]) / mds.gram_eigenvalues[2];
+  return frame;
+}
+
+/// Two-hop MDS-MAP(P) frame: {i} ∪ N(i) then the sorted two-hop tail,
+/// three full rounds of a→k→b relaxation over the measured edge lengths,
+/// and the top-3 eigenpairs of the centered Gram matrix at the tier's
+/// subspace budget.
+LocalFrame reference_mdsmap_frame(const net::Network& net,
+                                  const net::NoisyDistanceModel& model,
+                                  const LocalizerConfig& cfg, NodeId i) {
+  LocalFrame frame;
+  frame.members.push_back(i);
+  for (NodeId v : net.neighbors(i)) frame.members.push_back(v);
+  frame.one_hop_count = frame.members.size();
+  if (frame.one_hop_count < 4) {
+    frame.coords.assign(frame.members.size(), {});
+    return frame;
+  }
+  std::vector<NodeId> tail;
+  for (NodeId j : net.neighbors(i))
+    for (NodeId u : net.neighbors(j))
+      if (std::find(frame.members.begin(), frame.members.end(), u) ==
+              frame.members.end() &&
+          std::find(tail.begin(), tail.end(), u) == tail.end())
+        tail.push_back(u);
+  std::sort(tail.begin(), tail.end());
+  frame.members.insert(frame.members.end(), tail.begin(), tail.end());
+  const std::size_t m = frame.members.size();
+
+  linalg::Matrix d, w;
+  reference_fill(net, model, frame.members, d, w);
+  const linalg::Matrix measured = d;
+  for (int round = 0; round < 3; ++round) {
+    bool changed = false;
+    for (std::size_t a = 0; a < m; ++a)
+      for (std::size_t k = 0; k < m; ++k) {
+        if (d(a, k) == kMissing) continue;
+        for (std::size_t b = 0; b < m; ++b) {
+          if (w(k, b) <= 0.0) continue;
+          const double cand = d(a, k) + measured(k, b);
+          if (cand < d(a, b)) {
+            d(a, b) = d(b, a) = cand;
+            changed = true;
+          }
+        }
+      }
+    if (!changed) break;
+  }
+  for (std::size_t a = 0; a < m; ++a)
+    for (std::size_t b = 0; b < m; ++b)
+      if (d(a, b) == kMissing)
+        d(a, b) = cfg.missing_pair_fallback * 2.0 * net.radio_range();
+
+  const bool bitwise = cfg.tier == EquivalenceTier::kBitwise;
+  const linalg::EigenDecomposition eig = linalg::eigen_top_k(
+      linalg::double_center(d), 3, bitwise ? 60 : cfg.mds_eigen_iters,
+      bitwise ? 1e-6 : cfg.mds_eigen_tol, /*data_seed=*/!bitwise);
+  frame.coords =
+      reference_refine(net, model, cfg, d, w, reference_top3(eig, m), i,
+                       cfg.mdsmap_sweeps, frame.stress_rms);
+  frame.ok = true;
+  return frame;
 }
 
 void expect_frames_bitwise_equal(const LocalFrame& a, const LocalFrame& b) {
@@ -74,15 +256,42 @@ void expect_frames_bitwise_equal(const LocalFrame& a, const LocalFrame& b) {
 }
 
 void check_bitwise_equivalence(const net::Network& net, double error) {
-  const net::NoisyDistanceModel model(net, error, 1);
-  const Localizer optimized(net, model, structural_config());
-  const Localizer reference(net, model, reference_config());
-  for (NodeId v = 0; v < net.num_nodes(); v += 13) {
-    SCOPED_TRACE(static_cast<unsigned>(v));
-    expect_frames_bitwise_equal(optimized.local_frame(v),
-                                reference.local_frame(v));
-    expect_frames_bitwise_equal(optimized.mdsmap_frame(v),
-                                reference.mdsmap_frame(v));
+  const net::NoisyDistanceModel noisy(net, error, 1);
+  // With exact ranging the restart acceptance level is ~0, which 15 sweeps
+  // never reach: this case drives the perturbed-restart path on every
+  // frame.
+  const net::NoisyDistanceModel exact(net, 0.0, 1);
+  LocalizerConfig defaults, bitwise, short_budget;
+  bitwise.tier = EquivalenceTier::kBitwise;
+  short_budget.smacof_sweeps = short_budget.mdsmap_sweeps = 15;
+  const struct {
+    const net::NoisyDistanceModel* model;
+    const LocalizerConfig* cfg;
+  } cases[] = {
+      {&noisy, &defaults}, {&noisy, &bitwise}, {&exact, &short_budget}};
+  for (const auto& c : cases) {
+    const net::NoisyDistanceModel& model = *c.model;
+    const LocalizerConfig& cfg = *c.cfg;
+    const Localizer localizer(net, model, cfg);
+    FrameBuildStats stats;
+    std::size_t two_hop_compared = 0, one_hop_compared = 0;
+    for (NodeId v = 0; v < net.num_nodes(); v += 13) {
+      SCOPED_TRACE(static_cast<unsigned>(v));
+      const LocalFrame frame = localizer.mdsmap_frame(v, nullptr, &stats);
+      expect_frames_bitwise_equal(frame,
+                                  reference_mdsmap_frame(net, model, cfg, v));
+      two_hop_compared += frame.ok;
+      // Above the threshold the one-hop init is the top-k subspace
+      // iteration, compared within noise by TopkMdsStaysWithinNoiseOfDensePath.
+      if (net.degree(v) + 1 > kTopkMdsThreshold) continue;
+      expect_frames_bitwise_equal(localizer.local_frame(v),
+                                  reference_local_frame(net, model, cfg, v));
+      ++one_hop_compared;
+    }
+    EXPECT_GE(one_hop_compared, 10u);
+    if (c.cfg == &short_budget) {
+      EXPECT_GT(stats.sweep_budget, two_hop_compared * 15u);
+    }
   }
 }
 
@@ -92,6 +301,41 @@ TEST(LocalizationEquivalence, StructuralOptsBitIdenticalOnSphere) {
 
 TEST(LocalizationEquivalence, StructuralOptsBitIdenticalOnCubeWithHole) {
   check_bitwise_equivalence(fig1_network(12), 0.2);
+}
+
+TEST(LocalizationEquivalence, EachBuilderHonorsItsOwnSweepBudget) {
+  // A zero budget means pure classical MDS for that builder only: the
+  // two-hop builder reads `mdsmap_sweeps`, the one-hop builder
+  // `smacof_sweeps`, and neither falls back to the other's budget.
+  const net::Network net = sphere_network(31);
+  const net::NoisyDistanceModel model(net, 0.1, 4);
+  const NodeId v = 42;
+
+  LocalizerConfig no_mdsmap;
+  no_mdsmap.mdsmap_sweeps = 0;
+  const Localizer a(net, model, no_mdsmap);
+  FrameBuildStats sa;
+  const LocalFrame fa = a.mdsmap_frame(v, nullptr, &sa);
+  ASSERT_TRUE(fa.ok);
+  EXPECT_EQ(sa.sweeps_executed, 0u);
+  EXPECT_EQ(sa.sweep_budget, 0u);
+  expect_frames_bitwise_equal(fa,
+                              reference_mdsmap_frame(net, model, no_mdsmap, v));
+  FrameBuildStats sa1;
+  (void)a.local_frame(v, nullptr, &sa1);
+  EXPECT_GT(sa1.sweeps_executed, 0u);
+
+  LocalizerConfig no_smacof;
+  no_smacof.smacof_sweeps = 0;
+  const Localizer b(net, model, no_smacof);
+  FrameBuildStats sb;
+  const LocalFrame fb = b.mdsmap_frame(v, nullptr, &sb);
+  EXPECT_GT(sb.sweeps_executed, 0u);
+  expect_frames_bitwise_equal(fb,
+                              reference_mdsmap_frame(net, model, no_smacof, v));
+  FrameBuildStats sb1;
+  (void)b.local_frame(v, nullptr, &sb1);
+  EXPECT_EQ(sb1.sweeps_executed, 0u);
 }
 
 TEST(LocalizationEquivalence, DetectionInvariantAcrossThreadCounts) {
@@ -111,81 +355,61 @@ TEST(LocalizationEquivalence, DetectionInvariantAcrossThreadCounts) {
   EXPECT_EQ(t1, t8);
 }
 
-TEST(LocalizationEquivalence, BlockedBuildMatchesPerNodeAtDefaultTier) {
-  // The kBoundaryIdentical purity contract: the blocked full build (frames
-  // batched through SmacofBatch, resumed through mdsmap_frame_resume) must
-  // reproduce the one-off per-node builder bit for bit — a frame is a pure
-  // function of its neighborhood, never of the schedule it was built under.
+TEST(LocalizationEquivalence, FullBuildMatchesPerNodePartialAndThreadCount) {
+  // The purity contract of the default tier: a frame is a function of its
+  // neighborhood and the alive mask alone. A full build at 4 threads, the
+  // same build at 1 thread, one-off per-node calls, and a partial rebuild
+  // over a random dirty set under a random crash mask all agree bit for
+  // bit.
   const net::Network net = fig1_network(17);
   const net::NoisyDistanceModel model(net, 0.25, 3);
   const Localizer localizer(net, model);  // default config = default tier
   ASSERT_EQ(localizer.config().tier, EquivalenceTier::kBoundaryIdentical);
+  const std::size_t n = net.num_nodes();
 
-  std::vector<LocalFrame> blocked;
-  build_all_frames(localizer, FrameScope::kTwoHop, blocked, /*threads=*/2);
-  ASSERT_EQ(blocked.size(), net.num_nodes());
-  for (NodeId v = 0; v < net.num_nodes(); v += 5) {
-    SCOPED_TRACE(static_cast<unsigned>(v));
-    expect_frames_bitwise_equal(blocked[v], localizer.mdsmap_frame(v));
-  }
-}
+  for (const FrameScope scope : {FrameScope::kTwoHop, FrameScope::kOneHop}) {
+    SCOPED_TRACE(scope == FrameScope::kTwoHop ? "two-hop" : "one-hop");
+    std::vector<LocalFrame> t4, t1;
+    build_all_frames(localizer, scope, t4, /*threads=*/4);
+    build_all_frames(localizer, scope, t1, /*threads=*/1);
+    ASSERT_EQ(t4.size(), n);
+    for (NodeId v = 0; v < n; ++v) {
+      SCOPED_TRACE(static_cast<unsigned>(v));
+      expect_frames_bitwise_equal(t4[v], t1[v]);
+      if (v % 5 == 0)
+        expect_frames_bitwise_equal(t4[v],
+                                    scope == FrameScope::kTwoHop
+                                        ? localizer.mdsmap_frame(v)
+                                        : localizer.local_frame(v));
+    }
 
-TEST(LocalizationEquivalence, BatchRefineMatchesSingleProblemPerFrame) {
-  // Every frame in a SmacofBatch must exit exactly where the same frame
-  // refined alone through SmacofProblem would — including under the
-  // adaptive exits (plateau + stride) and the fast sweep kernel.
-  const net::Network net = sphere_network(19);
-  const net::NoisyDistanceModel model(net, 0.15, 5);
-  Rng rng(7);
-  linalg::SmacofConfig sc;
-  sc.max_sweeps = 120;
-  sc.fast_sweep = true;
-  sc.stress_stride = 2;
-  sc.plateau_sweeps = 4;
-  sc.plateau_rel_tol = 6e-4;
-
-  linalg::SmacofBatch batch;
-  std::vector<linalg::SmacofProblem> singles;
-  std::vector<std::vector<Vec3>> inits;
-  for (NodeId v = 3; v < net.num_nodes() && batch.size() < 8; v += 41) {
-    std::vector<NodeId> members{v};
-    for (NodeId u : net.neighbors(v)) members.push_back(u);
-    const std::size_t m = members.size();
-    if (m < 6) continue;
-    linalg::Matrix d(m, m, 0.0);
-    linalg::Matrix w(m, m, 0.0);
-    std::vector<Vec3> init(m);
-    for (std::size_t a = 0; a < m; ++a) {
-      init[a] = net.position(members[a]) +
-                Vec3{rng.uniform(-0.3, 0.3), rng.uniform(-0.3, 0.3),
-                     rng.uniform(-0.3, 0.3)};
-      for (std::size_t b = a + 1; b < m; ++b) {
-        if (!net.are_neighbors(members[a], members[b])) continue;
-        d(a, b) = d(b, a) = model.measured_distance(members[a], members[b]);
-        w(a, b) = w(b, a) = 1.0;
+    // Crash ~8% of the nodes. Every frame within two hops of a crash may
+    // change; the rebuild set is that dirty set plus random extra nodes.
+    Rng rng(scope == FrameScope::kTwoHop ? 5 : 6);
+    std::vector<char> alive(n, 1), rebuild(n, 0);
+    for (NodeId v = 0; v < n; ++v) {
+      if (rng.uniform() >= 0.08) continue;
+      alive[v] = 0;
+      rebuild[v] = 1;
+      for (NodeId u : net.neighbors(v)) {
+        rebuild[u] = 1;
+        for (NodeId x : net.neighbors(u)) rebuild[x] = 1;
       }
     }
-    batch.add(d, w, init, sc);
-    singles.emplace_back(d, w);
-    inits.push_back(std::move(init));
-  }
-  ASSERT_GE(batch.size(), 4u);
-  batch.refine_all();
-  for (std::size_t s = 0; s < batch.size(); ++s) {
-    SCOPED_TRACE(s);
-    linalg::SmacofRunInfo alone_info;
-    const std::vector<Vec3> alone =
-        singles[s].refine(inits[s], sc, nullptr, nullptr, &alone_info);
-    const linalg::SmacofRunInfo& batched_info = batch.info(s);
-    EXPECT_EQ(batched_info.sweeps, alone_info.sweeps);
-    EXPECT_EQ(batched_info.plateau_exit, alone_info.plateau_exit);
-    EXPECT_EQ(batched_info.final_stress, alone_info.final_stress);
-    const std::vector<Vec3> batched = batch.take_coords(s);
-    ASSERT_EQ(batched.size(), alone.size());
-    for (std::size_t k = 0; k < alone.size(); ++k) {
-      EXPECT_EQ(batched[k].x, alone[k].x);
-      EXPECT_EQ(batched[k].y, alone[k].y);
-      EXPECT_EQ(batched[k].z, alone[k].z);
+    for (NodeId v = 0; v < n; ++v)
+      if (rng.uniform() < 0.1) rebuild[v] = 1;
+    std::vector<LocalFrame> masked;
+    build_all_frames(localizer, scope, masked, /*threads=*/1, &alive);
+    std::vector<LocalFrame> partial = t4;
+    FrameBuildStats stats;
+    build_all_frames(localizer, scope, partial, /*threads=*/4, &alive,
+                     &rebuild, &stats);
+    EXPECT_EQ(stats.frames_built,
+              static_cast<std::uint64_t>(
+                  std::count(rebuild.begin(), rebuild.end(), 1)));
+    for (NodeId v = 0; v < n; ++v) {
+      SCOPED_TRACE(static_cast<unsigned>(v));
+      expect_frames_bitwise_equal(partial[v], masked[v]);
     }
   }
 }
@@ -296,26 +520,6 @@ TEST(LocalizationEquivalence, FastSweepAndStrideKeepDenseCsrIdentity) {
   }
 }
 
-TEST(LocalizationEquivalence, WarmStartBuildIsThreadCountInvariant) {
-  // kFast frames depend on the BFS wave schedule, but that schedule is
-  // deterministic: waves are a function of the network alone, and a frame
-  // only ever imports from *lower* waves, so work distribution within a
-  // wave must not leak into results.
-  const net::Network net = fig1_network(37);
-  const net::NoisyDistanceModel model(net, 0.2, 2);
-  LocalizerConfig cfg;
-  cfg.tier = EquivalenceTier::kFast;
-  const Localizer localizer(net, model, cfg);
-  std::vector<LocalFrame> t1, t4;
-  build_all_frames(localizer, FrameScope::kTwoHop, t1, /*threads=*/1);
-  build_all_frames(localizer, FrameScope::kTwoHop, t4, /*threads=*/4);
-  ASSERT_EQ(t1.size(), t4.size());
-  for (NodeId v = 0; v < net.num_nodes(); ++v) {
-    SCOPED_TRACE(static_cast<unsigned>(v));
-    expect_frames_bitwise_equal(t1[v], t4[v]);
-  }
-}
-
 TEST(LocalizationEquivalence, SparseSmacofMatchesDenseStressPerSweep) {
   // The CSR sweep must reproduce the dense sweep's stress trajectory bit
   // for bit — same arithmetic in the same order — and the shared
@@ -370,9 +574,11 @@ TEST(LocalizationEquivalence, SparseSmacofMatchesDenseStressPerSweep) {
 }
 
 TEST(LocalizationEquivalence, TopkMdsStaysWithinNoiseOfDensePath) {
-  // The eigen-path switch changes only the SMACOF *init*; after
-  // refinement both paths must land at embeddings of equivalent quality.
-  // Dense sphere so that plenty of nodes exceed the topk threshold.
+  // Above `kTopkMdsThreshold` the one-hop builder seeds its refinement
+  // from the top-k subspace iteration instead of the full classical MDS
+  // the reference runs; after refinement both must land at embeddings of
+  // equivalent quality. Dense sphere so that plenty of nodes exceed the
+  // threshold.
   Rng rng(15);
   const model::SphereShape shape({0, 0, 0}, 2.5);
   net::BuildOptions opt;
@@ -380,29 +586,25 @@ TEST(LocalizationEquivalence, TopkMdsStaysWithinNoiseOfDensePath) {
   opt.interior_count = 600;
   const net::Network net = net::build_network(shape, opt, rng);
   const net::NoisyDistanceModel model(net, 0.05, 4);
-
-  LocalizerConfig topk_on;  // defaults: topk_mds = true
-  LocalizerConfig topk_off = topk_on;
-  topk_off.topk_mds = false;
-  const Localizer with_topk(net, model, topk_on);
-  const Localizer without_topk(net, model, topk_off);
+  const LocalizerConfig cfg;
+  const Localizer localizer(net, model, cfg);
 
   int compared = 0;
-  double err_on = 0.0, err_off = 0.0;
+  double err_topk = 0.0, err_dense = 0.0;
   for (NodeId v = 0; v < net.num_nodes() && compared < 25; v += 11) {
-    if (net.degree(v) + 1 <= topk_on.topk_mds_threshold) continue;
-    const LocalFrame a = with_topk.local_frame(v);
-    const LocalFrame b = without_topk.local_frame(v);
+    if (net.degree(v) + 1 <= kTopkMdsThreshold) continue;
+    const LocalFrame a = localizer.local_frame(v);
+    const LocalFrame b = reference_local_frame(net, model, cfg, v);
     if (!a.ok || !b.ok) continue;
-    err_on += with_topk.frame_rms_error(a);
-    err_off += without_topk.frame_rms_error(b);
+    err_topk += localizer.frame_rms_error(a);
+    err_dense += localizer.frame_rms_error(b);
     // Residual stress is the self-calibrated quality signal UBF consumes;
     // both paths must sit at the same noise-consistent level.
     EXPECT_NEAR(a.stress_rms, b.stress_rms, 0.05);
     ++compared;
   }
   ASSERT_GE(compared, 10);
-  EXPECT_NEAR(err_on / compared, err_off / compared, 0.05);
+  EXPECT_NEAR(err_topk / compared, err_dense / compared, 0.05);
 }
 
 }  // namespace
