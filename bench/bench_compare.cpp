@@ -1,10 +1,10 @@
 /// \file bench_compare.cpp
 /// Perf-regression gate for the hot kernels.
 ///
-/// Times five kernels on Fig. 1 scenarios (six records — the bitwise
-/// reference rides with `pipeline.local_frames`), writes one
-/// machine-readable record per kernel, and (with `--against`) compares
-/// each measured wall time to a committed baseline:
+/// Times five kernels on Fig. 1 scenarios (seven records — the bitwise
+/// reference and the 4-thread build ride with `pipeline.local_frames`),
+/// writes one machine-readable record per kernel, and (with `--against`)
+/// compares each measured wall time to a committed baseline:
 ///
 ///   - `ubf.true_coords` — `detect_with_true_coordinates` at one thread,
 ///     the pure Algorithm 1 kernel free of localization noise.
@@ -12,7 +12,13 @@
 ///     at the *default* equivalence tier (kBoundaryIdentical: adaptive
 ///     plateau exits, fast sweep kernel), built through the per-node
 ///     `build_all_frames` executor the session runs, at a reduced scale
-///     so a rep stays under ~1 s.
+///     so a rep stays under ~1 s. The record carries the build's
+///     `completion_scans` work counter.
+///   - `pipeline.local_frames_mt` — the same default-tier build at 4
+///     threads, the one kernel that sees the `parallel_for` scheduler. Its
+///     record carries `threads` and its best rep's `util` =
+///     CPU / (wall · threads); its frames must equal the 1-thread build's
+///     bit for bit (in-run gate).
 ///   - `pipeline.local_frames_bitwise` — the same frame build pinned to
 ///     `EquivalenceTier::kBitwise` (every rounding-changing fast path
 ///     off): the reference kernel. Its reps alternate with the default
@@ -63,7 +69,9 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cinttypes>
 #include <cstdio>
+#include <ctime>
 #include <fstream>
 #include <sstream>
 #include <string>
@@ -104,7 +112,22 @@ struct KernelRecord {
   /// different tier — or none, i.e. pre-tier files — are not comparable
   /// and are skipped by the gate.
   std::string tier;
+  /// Worker threads of the timed kernel, and the CPU utilisation
+  /// CPU / (wall · threads) of its best rep; written only when
+  /// `threads` > 1.
+  unsigned threads = 1;
+  double util = 0.0;
+  /// `FrameBuildStats::completion_scans` of one build; written when > 0.
+  std::uint64_t completion_scans = 0;
 };
+
+/// CPU time of the whole process (all threads), in ms.
+double process_cpu_ms() {
+  timespec ts{};
+  clock_gettime(CLOCK_PROCESS_CPUTIME_ID, &ts);
+  return static_cast<double>(ts.tv_sec) * 1e3 +
+         static_cast<double>(ts.tv_nsec) * 1e-6;
+}
 
 /// Minimal field extraction from a baseline file. The repo has a JSON
 /// writer but no parser; the baseline schema is flat and produced by this
@@ -237,8 +260,15 @@ void write_kernel(ballfit::obs::JsonWriter& w, const KernelRecord& rec) {
       .field("reps", static_cast<std::uint64_t>(rec.reps))
       .field("best_ms", rec.best_ms)
       .field("mean_ms", rec.mean_ms)
-      .field("boundary_nodes", static_cast<std::uint64_t>(rec.boundary_nodes))
-      .end_object();
+      .field("boundary_nodes", static_cast<std::uint64_t>(rec.boundary_nodes));
+  if (rec.threads > 1) {
+    w.field("threads", static_cast<std::uint64_t>(rec.threads))
+        .field("util", rec.util);
+  }
+  if (rec.completion_scans > 0) {
+    w.field("completion_scans", rec.completion_scans);
+  }
+  w.end_object();
 }
 
 }  // namespace
@@ -302,11 +332,12 @@ int main(int argc, char** argv) {
   // time. Kernel 2 runs the default tier (kBoundaryIdentical: adaptive
   // plateau exits + fast sweep kernel) through `build_all_frames`, the
   // per-node executor the session runs; kernel 3 pins kBitwise, the
-  // reference per-node kernel. The two kernels alternate rep by rep, so
-  // drift of the machine's speed during the run hits both alike instead
-  // of skewing their ratio. The boundary counts come from untimed full
-  // detection passes per tier; the two in-run gates below (tier speedup,
-  // tier drift) tie the kernels together.
+  // reference per-node kernel. The same default-tier build also runs at
+  // 4 threads (`pipeline.local_frames_mt`). The kernels alternate rep by
+  // rep, so drift of the machine's speed during the run hits all alike
+  // instead of skewing their ratio. The boundary counts come from untimed
+  // full detection passes per tier; the in-run gates below (thread
+  // identity, tier speedup, tier drift) tie the kernels together.
   {
     const model::Scenario scenario = model::fig1_network(frames_scale);
     const net::Network network =
@@ -332,14 +363,20 @@ int main(int argc, char** argv) {
     KernelRecord ref = rec;
     ref.name = "pipeline.local_frames_bitwise";
     ref.tier = "bitwise";
+    KernelRecord mt = rec;
+    mt.name = "pipeline.local_frames_mt";
+    mt.threads = 4;
+    bool mt_identical = true;
     for (int rep = 0; rep < frames_reps; ++rep) {
       // Kernel 2: default tier through the frame executor.
       std::vector<localization::LocalFrame> frames;
+      localization::FrameBuildStats stats;
       auto t0 = Clock::now();
       localization::build_all_frames(
           localizer, localization::FrameScope::kTwoHop, frames,
-          /*threads=*/1);
+          /*threads=*/1, nullptr, nullptr, &stats);
       auto t1 = Clock::now();
+      rec.completion_scans = stats.completion_scans;
       double checksum = 0.0;  // keep the frame builds observable
       for (const localization::LocalFrame& f : frames)
         checksum += f.stress_rms;
@@ -348,6 +385,28 @@ int main(int argc, char** argv) {
       if (rep == 0 || ms < rec.best_ms) rec.best_ms = ms;
       std::printf("%s rep %d: %.2f ms (stress checksum %.6f)\n",
                   rec.name.c_str(), rep, ms, checksum);
+
+      // Kernel 2 at 4 threads: the same build, scheduled by parallel_for.
+      std::vector<localization::LocalFrame> mt_frames;
+      const double cpu0 = process_cpu_ms();
+      t0 = Clock::now();
+      localization::build_all_frames(
+          localizer, localization::FrameScope::kTwoHop, mt_frames, mt.threads);
+      t1 = Clock::now();
+      const double cpu_ms = process_cpu_ms() - cpu0;
+      ms = std::chrono::duration<double, std::milli>(t1 - t0).count();
+      mt.mean_ms += ms;
+      if (rep == 0 || ms < mt.best_ms) {
+        mt.best_ms = ms;
+        mt.util = cpu_ms / (ms * mt.threads);
+      }
+      for (std::size_t i = 0; i < frames.size(); ++i) {
+        mt_identical = mt_identical &&
+                       mt_frames[i].members == frames[i].members &&
+                       mt_frames[i].coords == frames[i].coords &&
+                       mt_frames[i].stress_rms == frames[i].stress_rms;
+      }
+      std::printf("%s rep %d: %.2f ms\n", mt.name.c_str(), rep, ms);
 
       // Kernel 3: the bitwise reference, one per-node call at a time.
       t0 = Clock::now();
@@ -366,18 +425,35 @@ int main(int argc, char** argv) {
     }
     rec.mean_ms /= frames_reps;
     ref.mean_ms /= frames_reps;
+    mt.mean_ms /= frames_reps;
     const std::vector<bool> boundary = ubf.detect(localizer, /*threads=*/1);
     for (const bool b : boundary) rec.boundary_nodes += b;
+    mt.boundary_nodes = rec.boundary_nodes;  // the frames are identical
     const std::vector<bool> bitwise_boundary =
         ubf.detect(bitwise, /*threads=*/1);
     for (const bool b : bitwise_boundary) ref.boundary_nodes += b;
-    for (const KernelRecord* r : {&rec, &ref})
+    for (const KernelRecord* r : {&rec, &ref, &mt})
       std::printf("%s: best %.2f ms, mean %.2f ms over %d reps "
                   "(boundary=%zu)\n",
                   r->name.c_str(), r->best_ms, r->mean_ms, r->reps,
                   r->boundary_nodes);
+    std::printf("%s: %.2fx over 1 thread, util %.2f; %s: %" PRIu64
+                " completion scans\n",
+                mt.name.c_str(), rec.best_ms / mt.best_ms, mt.util,
+                rec.name.c_str(), rec.completion_scans);
     records.push_back(rec);
     records.push_back(ref);
+    records.push_back(mt);
+
+    // In-run gate 0 — thread identity: a frame is a pure function of its
+    // neighborhood, so the 4-thread build must equal the 1-thread one.
+    if (!mt_identical) {
+      std::fprintf(stderr,
+                   "THREAD DRIFT: the %u-thread frame build differs from the "
+                   "1-thread build\n",
+                   mt.threads);
+      return 1;
+    }
 
     // In-run gate 1 — tier speedup: the point of the optimized default
     // tier is throughput; it must beat the bitwise kernel measured in the
@@ -657,7 +733,8 @@ int main(int argc, char** argv) {
     w.begin_object();
     w.field("schema", "ballfit-bench-compare-v4");
     w.field("git_sha", sha);
-    // Every kernel is timed single-threaded.
+    // Kernels are timed single-threaded unless their record carries its
+    // own `threads` (`pipeline.local_frames_mt`).
     w.field("threads", std::uint64_t{1});
     w.key("kernels").begin_array();
     for (const KernelRecord& rec : records) write_kernel(w, rec);

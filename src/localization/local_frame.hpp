@@ -195,6 +195,11 @@ struct FrameBuildStats {
   std::uint64_t plateau_exits = 0;
   /// Refinement runs that exited at the noise-consistent stress floor.
   std::uint64_t stress_exits = 0;
+  /// (row, column) relaxation visits of the two-hop shortest-path
+  /// completion, summed over its rounds (the one-hop build is not counted).
+  /// Deterministic: independent of thread count and of full vs. partial
+  /// builds.
+  std::uint64_t completion_scans = 0;
 
   void merge(const FrameBuildStats& o) {
     frames_built += o.frames_built;
@@ -203,6 +208,7 @@ struct FrameBuildStats {
     restarts_skipped += o.restarts_skipped;
     plateau_exits += o.plateau_exits;
     stress_exits += o.stress_exits;
+    completion_scans += o.completion_scans;
   }
 };
 
@@ -261,7 +267,7 @@ class Localizer {
   /// matrices the measured-pair system the refinement must honor.
   bool mdsmap_init(net::NodeId i, const std::vector<char>* alive,
                    LocalFrame& frame, std::vector<geom::Vec3>& init,
-                   EffortClass node_effort) const;
+                   FrameBuildStats* effort, EffortClass node_effort) const;
 
   /// SMACOF with the restart logic shared by both frame builders: refines
   /// `init` for up to `sweeps` sweeps against the measured pairs (w > 0),

@@ -3,11 +3,17 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cmath>
+#include <cstdint>
+#include <mutex>
 #include <set>
 #include <stdexcept>
+#include <string>
 #include <thread>
+#include <utility>
+#include <vector>
 
 #include "common/assert.hpp"
 #include "common/log.hpp"
@@ -198,6 +204,87 @@ TEST(Parallel, WorkerExceptionRethrownOnJoiningThread) {
     FAIL() << "expected rethrow";
   } catch (const std::runtime_error& e) {
     EXPECT_STREQ(e.what(), "always");
+  }
+}
+
+/// Runs `parallel_for(count, ..., threads)` and returns the distinct threads
+/// that ran at least one index.
+std::set<std::thread::id> worker_ids(std::size_t count, unsigned threads) {
+  std::mutex mu;
+  std::set<std::thread::id> ids;
+  parallel_for(
+      count,
+      [&](std::size_t) {
+        const std::lock_guard<std::mutex> lock(mu);
+        ids.insert(std::this_thread::get_id());
+      },
+      threads);
+  return ids;
+}
+
+TEST(Parallel, SkewedCostVisitsEveryIndexOnce) {
+  // The expensive indices cluster at the end of the range, as boundary
+  // nodes and large patches do in id order.
+  constexpr std::size_t kCount = 1000;
+  std::vector<std::atomic<int>> hits(kCount);
+  std::atomic<std::uint64_t> sink{0};
+  parallel_for(
+      kCount,
+      [&](std::size_t i) {
+        std::uint64_t x = i;
+        const int spins = i >= kCount - 40 ? 200000 : 10;
+        for (int s = 0; s < spins; ++s) x = x * 6364136223846793005ULL + 1;
+        sink.fetch_add(x, std::memory_order_relaxed);
+        hits[i]++;
+      },
+      4);
+  for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
+}
+
+TEST(Parallel, EverySpawnedWorkerRunsAnIndex) {
+  // Worker t is seeded with chunk t, so once the range is split at all,
+  // every requested thread takes part — even when the work is trivial.
+  for (const auto& [count, threads] :
+       std::vector<std::pair<std::size_t, unsigned>>{
+           {8, 4}, {64, 4}, {1000, 4}, {16, 8}, {5000, 3}}) {
+    SCOPED_TRACE(std::to_string(count) + " on " + std::to_string(threads));
+    EXPECT_EQ(worker_ids(count, threads).size(), threads);
+  }
+}
+
+TEST(Parallel, NoMoreWorkersThanChunks) {
+  for (const auto& [count, threads] :
+       std::vector<std::pair<std::size_t, unsigned>>{
+           {3, 16}, {9, 4}, {100, 8}, {100000, 4}}) {
+    SCOPED_TRACE(std::to_string(count) + " on " + std::to_string(threads));
+    const std::size_t chunk = parallel_chunk_size(count, threads);
+    EXPECT_GE(chunk, 1u);
+    EXPECT_LE(chunk, 64u);
+    const std::size_t chunks = (count + chunk - 1) / chunk;
+    const std::set<std::thread::id> ids = worker_ids(count, threads);
+    EXPECT_LE(ids.size(), std::min<std::size_t>(threads, chunks));
+    if (count < 2 * static_cast<std::size_t>(threads)) {
+      // Too small to split: runs inline on the calling thread.
+      EXPECT_EQ(ids, std::set<std::thread::id>{std::this_thread::get_id()});
+    }
+  }
+}
+
+TEST(Parallel, ThrowInLateChunkRethrownOnJoiningThread) {
+  // The throwing index sits in the last chunk, which some worker reaches
+  // only by claiming it from the shared counter.
+  constexpr std::size_t kCount = 4096;
+  ASSERT_GE((kCount - 3) / parallel_chunk_size(kCount, 4), 4u);  // unseeded
+  try {
+    parallel_for(
+        kCount,
+        [](std::size_t i) {
+          if (i == kCount - 3) throw std::runtime_error("late failure");
+        },
+        4);
+    FAIL() << "expected rethrow";
+  } catch (const std::runtime_error& e) {
+    EXPECT_STREQ(e.what(), "late failure");
   }
 }
 

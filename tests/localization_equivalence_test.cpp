@@ -360,7 +360,9 @@ TEST(LocalizationEquivalence, FullBuildMatchesPerNodePartialAndThreadCount) {
   // neighborhood and the alive mask alone. A full build at 4 threads, the
   // same build at 1 thread, one-off per-node calls, and a partial rebuild
   // over a random dirty set under a random crash mask all agree bit for
-  // bit.
+  // bit. The completion's work counter is pinned the same way: equal at
+  // 1 and 4 threads, and a partial rebuild scans exactly what per-node
+  // calls on its dirty set scan.
   const net::Network net = fig1_network(17);
   const net::NoisyDistanceModel model(net, 0.25, 3);
   const Localizer localizer(net, model);  // default config = default tier
@@ -370,9 +372,18 @@ TEST(LocalizationEquivalence, FullBuildMatchesPerNodePartialAndThreadCount) {
   for (const FrameScope scope : {FrameScope::kTwoHop, FrameScope::kOneHop}) {
     SCOPED_TRACE(scope == FrameScope::kTwoHop ? "two-hop" : "one-hop");
     std::vector<LocalFrame> t4, t1;
-    build_all_frames(localizer, scope, t4, /*threads=*/4);
-    build_all_frames(localizer, scope, t1, /*threads=*/1);
+    FrameBuildStats s4, s1;
+    build_all_frames(localizer, scope, t4, /*threads=*/4, nullptr, nullptr,
+                     &s4);
+    build_all_frames(localizer, scope, t1, /*threads=*/1, nullptr, nullptr,
+                     &s1);
     ASSERT_EQ(t4.size(), n);
+    EXPECT_EQ(s4.completion_scans, s1.completion_scans);
+    if (scope == FrameScope::kTwoHop) {
+      EXPECT_GT(s4.completion_scans, 0u);
+    } else {
+      EXPECT_EQ(s4.completion_scans, 0u);  // one-hop frames are not counted
+    }
     for (NodeId v = 0; v < n; ++v) {
       SCOPED_TRACE(static_cast<unsigned>(v));
       expect_frames_bitwise_equal(t4[v], t1[v]);
@@ -407,10 +418,14 @@ TEST(LocalizationEquivalence, FullBuildMatchesPerNodePartialAndThreadCount) {
     EXPECT_EQ(stats.frames_built,
               static_cast<std::uint64_t>(
                   std::count(rebuild.begin(), rebuild.end(), 1)));
+    FrameBuildStats per_node;
     for (NodeId v = 0; v < n; ++v) {
       SCOPED_TRACE(static_cast<unsigned>(v));
       expect_frames_bitwise_equal(partial[v], masked[v]);
+      if (scope == FrameScope::kTwoHop && rebuild[v] != 0 && alive[v] != 0)
+        localizer.mdsmap_frame(v, &alive, &per_node);
     }
+    EXPECT_EQ(stats.completion_scans, per_node.completion_scans);
   }
 }
 
