@@ -7,8 +7,8 @@
 /// unit-disk build, then runs one `core::DetectionSession` end-to-end on
 /// true coordinates at `--threads` workers, builds the Sec. III surfaces of
 /// the detected boundary (`mesh::build_surfaces`, serial), and reports wall
-/// clock, the detection result, the surface time with its Steps I–V split,
-/// and peak RSS.
+/// clock, the detection result with its UBF / IFF / grouping split, the
+/// surface time with its Steps I–V split, and peak RSS.
 ///
 ///   fig_scaling --nodes 100000 --threads 4
 ///   fig_scaling --nodes 1000000 --threads 8
@@ -119,16 +119,22 @@ int main(int argc, char** argv) {
               detect_ms, result.num_boundary(), result.groups.groups.size(),
               surface_ms, surfaces.surfaces.size(), rss_mib);
 
-  // The builder opens one span per step (summed over the groups).
+  // The session opens one span per detection stage under "pipeline", and
+  // the builder one per step (summed over the groups).
   const auto spans = obs::TraceAggregator::global().snapshot();
-  const char* const kSteps[] = {"step1_landmarks", "step2_cdg", "step3_cdm",
-                                "step4_completion", "step5_flip"};
+  const auto span_ms = [&](const std::string& prefix, const std::string& name) {
+    const auto it = spans.find(prefix + name);
+    const double ms = it == spans.end() ? 0.0 : it->second.total_ms();
+    run.param(name + "_ms", ms);
+    return ms;
+  };
+  std::vector<double> stage_ms;
+  for (const char* stage : {"ubf", "iff", "grouping"})
+    stage_ms.push_back(span_ms("pipeline/", stage));
   std::vector<double> step_ms;
-  for (const char* step : kSteps) {
-    const auto it = spans.find(step);
-    step_ms.push_back(it == spans.end() ? 0.0 : it->second.total_ms());
-    run.param(std::string(step) + "_ms", step_ms.back());
-  }
+  for (const char* step : {"step1_landmarks", "step2_cdg", "step3_cdm",
+                           "step4_completion", "step5_flip"})
+    step_ms.push_back(span_ms("", step));
 
   const core::DetectionStats stats =
       core::evaluate_detection(network, result.boundary);
@@ -143,13 +149,15 @@ int main(int argc, char** argv) {
       .cost("iff", result.iff_cost)
       .cost("grouping", result.grouping_cost);
 
-  // The docs/SCALING.md results-table row, ready to paste.
-  // The surfaces column carries the Steps I–V split in ms.
-  std::printf("| %zu | %d | %.1f s | %.1f s | %.2f s (%.0f / %.0f / %.0f / "
-              "%.0f / %.0f ms) | %.0f MiB |\n",
+  // The docs/SCALING.md results-table row, ready to paste. The detect
+  // column carries the UBF / IFF / grouping split and the surfaces column
+  // the Steps I–V split, in ms.
+  std::printf("| %zu | %d | %.1f s | %.2f s (%.0f / %.0f / %.0f ms) | %.2f s "
+              "(%.0f / %.0f / %.0f / %.0f / %.0f ms) | %.0f MiB |\n",
               network.num_nodes(), threads, build_ms / 1000.0,
-              detect_ms / 1000.0, surface_ms / 1000.0, step_ms[0], step_ms[1],
-              step_ms[2], step_ms[3], step_ms[4], rss_mib);
+              detect_ms / 1000.0, stage_ms[0], stage_ms[1], stage_ms[2],
+              surface_ms / 1000.0, step_ms[0], step_ms[1], step_ms[2],
+              step_ms[3], step_ms[4], rss_mib);
   report.print_last_run_summary();
   return 0;
 }

@@ -9,15 +9,17 @@ std::vector<bool> iff_filter(const net::Network& network,
                              const std::vector<bool>& candidates,
                              const IffConfig& config, sim::RunStats* stats,
                              const sim::ProtocolOptions& proto,
-                             std::vector<std::uint32_t>* counts_out) {
+                             std::vector<std::uint32_t>* counts_out,
+                             unsigned threads) {
   BALLFIT_REQUIRE(candidates.size() == network.num_nodes(),
                   "candidate mask size mismatch");
 
   std::vector<std::uint32_t> counts =
       config.use_message_passing
           ? sim::ttl_flood_count(network, candidates, config.ttl, stats,
-                                 proto)
-          : sim::ttl_flood_count_oracle(network, candidates, config.ttl);
+                                 proto, threads)
+          : sim::ttl_flood_count_oracle(network, candidates, config.ttl,
+                                        threads);
 
   std::vector<bool> boundary(network.num_nodes(), false);
   for (net::NodeId v = 0; v < network.num_nodes(); ++v) {

@@ -27,7 +27,9 @@ struct IffConfig {
   /// T: flooding TTL in hops.
   std::uint32_t ttl = 3;
   /// Run the real message-passing protocol (default) or the BFS oracle
-  /// (identical output, faster for large sweeps).
+  /// (identical output). On a reliable network both are the same per-node
+  /// BFS and cost the same; they differ only under a fault model, which
+  /// the oracle ignores.
   bool use_message_passing = true;
 };
 
@@ -40,11 +42,14 @@ struct IffConfig {
 /// the threshold was applied to (0 for non-candidates) — the flood margin
 /// `counts[v] - θ` is the graded fragment-size signal behind the binary
 /// verdict, consumed by the per-boundary quality scores (grouping.hpp).
+/// `threads` spreads the reliable-network count over workers (0 =
+/// hardware concurrency); the result does not depend on it.
 std::vector<bool> iff_filter(const net::Network& network,
                              const std::vector<bool>& candidates,
                              const IffConfig& config = {},
                              sim::RunStats* stats = nullptr,
                              const sim::ProtocolOptions& proto = {},
-                             std::vector<std::uint32_t>* counts_out = nullptr);
+                             std::vector<std::uint32_t>* counts_out = nullptr,
+                             unsigned threads = 0);
 
 }  // namespace ballfit::core

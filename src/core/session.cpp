@@ -730,7 +730,7 @@ bool DetectionSession::run_escalate_stage(const PipelineConfig& config,
 }
 
 void DetectionSession::run_filter_stages(const PipelineConfig& config,
-                                         bool faulted,
+                                         bool faulted, unsigned threads,
                                          const std::vector<bool>& candidates,
                                          const std::vector<float>& confidence,
                                          PipelineResult& result) {
@@ -771,7 +771,7 @@ void DetectionSession::run_filter_stages(const PipelineConfig& config,
           obs::enabled() ? &iff_counts_ : nullptr;
       if (counts_out == nullptr) iff_counts_.clear();
       boundary_ = iff_filter(*network_, candidates, config.iff,
-                             &iff_cost_, proto, counts_out);
+                             &iff_cost_, proto, counts_out, threads);
       iff_fault_stats_ = stage_faults ? stage_faults->stats()
                                       : sim::FaultStats{};
       iff_fp_ = fp.value();
@@ -895,7 +895,7 @@ PipelineResult DetectionSession::run(const PipelineConfig& config) {
   run_ubf_stages(config, ubf_config, threads, result);
   const bool escalated =
       run_escalate_stage(config, ubf_config, threads, result);
-  run_filter_stages(config, faulted,
+  run_filter_stages(config, faulted, threads,
                     escalated ? esc_candidates_ : ubf_candidates_,
                     escalated ? esc_confidence_ : ubf_confidence_, result);
 

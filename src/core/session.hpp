@@ -185,6 +185,7 @@ class DetectionSession {
   /// fingerprints the flags themselves, so escalated content re-keys the
   /// flood artifacts automatically.
   void run_filter_stages(const PipelineConfig& config, bool faulted,
+                         unsigned threads,
                          const std::vector<bool>& candidates,
                          const std::vector<float>& confidence,
                          PipelineResult& result);

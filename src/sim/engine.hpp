@@ -21,7 +21,17 @@
 /// message (loss and duplication); sends to crashed, inactive, or
 /// out-of-range targets become counted drops instead of assertion failures.
 /// Without a model the original hard contracts hold unchanged.
+///
+/// A round costs what it delivers, not N: the engine keeps a mail list —
+/// the receivers whose inbox went from empty to non-empty since the last
+/// round — and two inbox arrays that swap roles every round and keep their
+/// capacity. Each round sorts the mail list and drains those inboxes in
+/// ascending receiver id, FIFO within an inbox: the order a dense scan over
+/// every node would visit them in. That order is part of the contract,
+/// because a `FaultModel` draws loss and duplication from one sequential
+/// stream (see sim/faults.hpp).
 
+#include <algorithm>
 #include <cstddef>
 #include <string>
 #include <utility>
@@ -75,7 +85,7 @@ class RoundEngine {
                        const char* protocol = nullptr,
                        FaultModel* faults = nullptr)
       : net_(&net), active_(active), protocol_(protocol), faults_(faults),
-        pending_(net.num_nodes()) {
+        pending_(net.num_nodes()), delivering_(net.num_nodes()) {
     BALLFIT_REQUIRE(faults == nullptr || faults->num_nodes() == net.num_nodes(),
                     "RoundEngine: fault model sized for a different network");
   }
@@ -137,7 +147,7 @@ class RoundEngine {
       BALLFIT_ASSERT_MSG(is_active(from) && is_active(to),
                          "send between inactive nodes");
     }
-    pending_[to].emplace_back(from, std::move(msg));
+    enqueue(to, from, std::move(msg));
     ++stats_.messages;
   }
 
@@ -162,9 +172,9 @@ class RoundEngine {
     for (net::NodeId v : neighbors) {
       if (!is_active(v)) continue;
       if (v == last) {
-        pending_[v].emplace_back(from, std::move(msg));
+        enqueue(v, from, std::move(msg));
       } else {
-        pending_[v].emplace_back(from, msg);
+        enqueue(v, from, msg);
       }
     }
     ++stats_.messages;
@@ -184,16 +194,19 @@ class RoundEngine {
       if (!messages_in_flight()) break;
       ++stats_.rounds;
       if (faults_ != nullptr) faults_->advance_round();
-      std::vector<std::vector<std::pair<net::NodeId, M>>> delivering(
-          net_->num_nodes());
-      delivering.swap(pending_);
-      for (net::NodeId v = 0; v < net_->num_nodes(); ++v) {
-        if (delivering[v].empty()) continue;
+      // This round's mail moves to `delivering_`; the handlers' sends fill
+      // the (empty) other buffer and the mail list for the next round.
+      pending_.swap(delivering_);
+      receivers_.swap(mail_);
+      std::sort(receivers_.begin(), receivers_.end());
+      for (net::NodeId v : receivers_) {
+        auto& inbox = delivering_[v];
         if (faults_ != nullptr && faults_->is_down(v)) {
-          drop(delivering[v].size());  // receiver died with mail queued
+          drop(inbox.size());  // receiver died with mail queued
+          inbox.clear();
           continue;
         }
-        for (auto& [from, msg] : delivering[v]) {
+        for (auto& [from, msg] : inbox) {
           if (faults_ == nullptr) {
             handler(v, from, msg);
             continue;
@@ -208,16 +221,14 @@ class RoundEngine {
             handler(v, from, msg);
           }
         }
+        inbox.clear();
       }
+      receivers_.clear();
     }
     return stats_;
   }
 
-  bool messages_in_flight() const {
-    for (const auto& q : pending_)
-      if (!q.empty()) return true;
-    return false;
-  }
+  bool messages_in_flight() const { return !mail_.empty(); }
 
   const RunStats& stats() const { return stats_; }
   const net::Network& network() const { return *net_; }
@@ -230,11 +241,24 @@ class RoundEngine {
     faults_->note_dropped(n);
   }
 
+  /// Appends to `to`'s next-round inbox, listing `to` as a receiver when
+  /// the inbox was empty.
+  template <typename Msg>
+  void enqueue(net::NodeId to, net::NodeId from, Msg&& msg) {
+    auto& inbox = pending_[to];
+    if (inbox.empty()) mail_.push_back(to);
+    inbox.emplace_back(from, std::forward<Msg>(msg));
+  }
+
   const net::Network* net_;
   const net::NodeMask* active_;
   const char* protocol_;
   FaultModel* faults_;
+  /// Inboxes by receiver: next round's mail and the round being drained.
   std::vector<std::vector<std::pair<net::NodeId, M>>> pending_;
+  std::vector<std::vector<std::pair<net::NodeId, M>>> delivering_;
+  std::vector<net::NodeId> mail_;       ///< non-empty `pending_` inboxes
+  std::vector<net::NodeId> receivers_;  ///< this round's, sorted
   RunStats stats_;
 };
 

@@ -5,6 +5,7 @@
 #include <unordered_set>
 
 #include "common/assert.hpp"
+#include "common/parallel.hpp"
 
 namespace ballfit::sim {
 
@@ -34,12 +35,78 @@ bool is_down(const ProtocolOptions& opts, NodeId v) {
   return opts.faults != nullptr && opts.faults->is_down(v);
 }
 
+/// One BoundedBfs per worker thread, reused across calls: its stamp arrays
+/// are sized once per network size.
+net::BoundedBfs& local_bfs() {
+  static thread_local net::BoundedBfs bfs;
+  return bfs;
+}
+
+/// The TTL flood on a reliable network, computed without the engine. There
+/// a packet from v reaches exactly the active nodes within `reach` =
+/// min(ttl, cap) hops, first along a shortest path, and each node within
+/// `relay` = min(ttl − 1, cap) hops re-broadcasts it `repeat` times (the
+/// origin included, even when it has no active neighbor). Hop distance is
+/// symmetric, so one bounded BFS from each active node u yields both u's
+/// count (the size of its ball) and its share of the messages (the
+/// origins within `relay` hops of it). The flood from u lasts
+/// min(cap, ttl, 1 + deepest level reached) rounds, and none when u is
+/// isolated; the engine's rounds are the longest flood.
+std::vector<std::uint32_t> flood_count_bfs(const net::Network& net,
+                                           const net::NodeMask& active,
+                                           std::uint32_t ttl, std::size_t cap,
+                                           std::size_t repeat,
+                                           unsigned threads, RunStats* stats) {
+  const std::size_t n = net.num_nodes();
+  std::vector<std::uint32_t> counts(n, 0);
+  std::vector<NodeId> origins;
+  for (NodeId v = 0; v < n; ++v) {
+    if (active[v]) origins.push_back(v);
+  }
+  const auto reach =
+      static_cast<std::uint32_t>(std::min<std::size_t>(ttl, cap));
+  // One past the deepest relaying hop: 0 when nobody relays (ttl 0).
+  const std::size_t relay_end =
+      ttl == 0 ? 0 : std::min<std::size_t>(ttl - 1, cap) + 1;
+
+  std::vector<std::uint32_t> relays(origins.size(), 0);
+  std::vector<std::uint32_t> rounds(origins.size(), 0);
+  const auto visible = [&active](NodeId v) { return bool(active[v]); };
+  parallel_for(
+      origins.size(),
+      [&](std::size_t i) {
+        net::BoundedBfs& bfs = local_bfs();
+        bfs.run(net, origins[i], reach, visible);
+        const std::vector<NodeId>& ball = bfs.visited();
+        counts[origins[i]] = static_cast<std::uint32_t>(ball.size());
+        // Visiting order is by level, so the relays form a prefix.
+        std::uint32_t r = 0;
+        while (r < ball.size() && bfs.dist(ball[r]) < relay_end) ++r;
+        relays[i] = r;
+        const std::uint32_t depth = bfs.dist(ball.back());
+        if (relay_end > 0 && depth > 0)
+          rounds[i] = static_cast<std::uint32_t>(
+              std::min<std::size_t>({cap, ttl, std::size_t{depth} + 1}));
+      },
+      threads == 0 ? default_threads() : threads);
+
+  if (stats != nullptr) {
+    *stats = RunStats{};
+    for (std::size_t i = 0; i < origins.size(); ++i) {
+      stats->messages += repeat * relays[i];
+      stats->rounds = std::max<std::size_t>(stats->rounds, rounds[i]);
+    }
+  }
+  return counts;
+}
+
 }  // namespace
 
 std::vector<std::uint32_t> ttl_flood_count(const net::Network& net,
                                            const net::NodeMask& active,
                                            std::uint32_t ttl, RunStats* stats,
-                                           const ProtocolOptions& opts) {
+                                           const ProtocolOptions& opts,
+                                           unsigned threads) {
   const std::size_t n = net.num_nodes();
   BALLFIT_REQUIRE(active.size() == n, "mask size mismatch");
 
@@ -50,6 +117,24 @@ std::vector<std::uint32_t> ttl_flood_count(const net::Network& net,
   }
 
   const std::uint32_t repeat = repeat_of(opts);
+  const std::size_t cap =
+      opts.max_rounds > 0 ? opts.max_rounds : std::size_t{ttl} + 1;
+  if (opts.faults == nullptr) {
+    RunStats rs;
+    counts = flood_count_bfs(net, active, ttl, cap, repeat, threads, &rs);
+    if (stats != nullptr) *stats = rs;
+    if (obs::enabled()) {  // the counters the engine run would record
+      obs::Registry& reg = obs::Registry::global();
+      reg.counter("sim.ttl_flood.messages").add(rs.messages);
+      reg.counter("sim.ttl_flood.rounds").add(rs.rounds);
+      reg.counter("sim.ttl_flood.active_nodes")
+          .add(static_cast<std::uint64_t>(
+              std::count(active.begin(), active.end(), true)));
+      reg.counter("sim.ttl_flood.runs").add(1);
+    }
+    return counts;
+  }
+
   std::vector<std::unordered_set<NodeId>> heard(n);
   RoundEngine<FloodMsg> engine(net, &active, "ttl_flood", opts.faults);
 
@@ -71,7 +156,7 @@ std::vector<std::uint32_t> ttl_flood_count(const net::Network& net,
             engine.broadcast(self, {msg.origin, msg.ttl - 1});
         }
       },
-      /*max_rounds=*/opts.max_rounds > 0 ? opts.max_rounds : ttl + 1);
+      cap);
   if (stats != nullptr) *stats = rs;
 
   for (NodeId v = 0; v < n; ++v) {
@@ -84,18 +169,11 @@ std::vector<std::uint32_t> ttl_flood_count(const net::Network& net,
 
 std::vector<std::uint32_t> ttl_flood_count_oracle(const net::Network& net,
                                                   const net::NodeMask& active,
-                                                  std::uint32_t ttl) {
-  const std::size_t n = net.num_nodes();
-  BALLFIT_REQUIRE(active.size() == n, "mask size mismatch");
-  std::vector<std::uint32_t> counts(n, 0);
-  net::BoundedBfs bfs;
-  const auto visible = [&active](NodeId v) { return bool(active[v]); };
-  for (NodeId v = 0; v < n; ++v) {
-    if (!active[v]) continue;
-    bfs.run(net, v, ttl, visible);
-    counts[v] = static_cast<std::uint32_t>(bfs.visited().size());
-  }
-  return counts;
+                                                  std::uint32_t ttl,
+                                                  unsigned threads) {
+  BALLFIT_REQUIRE(active.size() == net.num_nodes(), "mask size mismatch");
+  return flood_count_bfs(net, active, ttl, std::size_t{ttl} + 1, 1, threads,
+                         nullptr);
 }
 
 std::vector<NodeId> leader_flood(const net::Network& net,
@@ -180,7 +258,8 @@ std::vector<NodeId> election_fault_free(const net::Network& net,
                                         const ProtocolOptions& opts) {
   const std::size_t n = net.num_nodes();
   const std::size_t repeat = repeat_of(opts);
-  const std::size_t cap = opts.max_rounds > 0 ? opts.max_rounds : k + 1;
+  const std::size_t cap =
+      opts.max_rounds > 0 ? opts.max_rounds : std::size_t{k} + 1;
   const auto reach = static_cast<std::uint32_t>(std::min<std::size_t>(k, cap));
   const auto relay =
       static_cast<std::uint32_t>(std::min<std::size_t>(k - 1, cap));
@@ -297,6 +376,8 @@ std::vector<NodeId> khop_landmark_election(const net::Network& net,
     return election_fault_free(net, active, k, stats, opts);
 
   const std::uint32_t repeat = repeat_of(opts);
+  const std::size_t cap =
+      opts.max_rounds > 0 ? opts.max_rounds : std::size_t{k} + 1;
   std::vector<Status> status(n, Status::kUndecided);
   std::size_t undecided = 0;
   for (NodeId v = 0; v < n; ++v) {
@@ -358,7 +439,7 @@ std::vector<NodeId> khop_landmark_election(const net::Network& net,
               engine.broadcast(self, {BidKind::kBid, msg.id, msg.ttl - 1});
           }
         },
-        /*max_rounds=*/opts.max_rounds > 0 ? opts.max_rounds : k + 1);
+        cap);
 
     // --- Decide phase: live local minima become landmarks. (A node that
     // crashed mid-bid may look like a local minimum; it is skipped here
@@ -405,7 +486,7 @@ std::vector<NodeId> khop_landmark_election(const net::Network& net,
               cover.broadcast(self, {BidKind::kCover, msg.id, msg.ttl - 1});
           }
         },
-        /*max_rounds=*/opts.max_rounds > 0 ? opts.max_rounds : k + 1);
+        cap);
 
     landmarks.insert(landmarks.end(), winners.begin(), winners.end());
   }

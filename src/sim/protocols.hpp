@@ -5,9 +5,15 @@
 ///
 /// These are the communication workhorses of IFF (fragment-size counting),
 /// boundary grouping (min-id leader flood), and landmark election (k-hop
-/// suppression). The two floods have oracle counterparts in terms of BFS,
-/// and the election computes its reliable-network case by BFS; tests
-/// assert equivalence with the engine.
+/// suppression). Both TTL-bounded protocols — the IFF count and the
+/// election — are computed by bounded BFS when there is no fault model:
+/// on a reliable synchronous network each of their floods reaches exactly
+/// a hop ball, so the BFS yields the same result, and `RunStats` and
+/// `sim.*` counters derived from ball sizes and depths, at a cost of the
+/// balls instead of N per round. The engine runs them only under faults,
+/// and runs the leader flood always, whose message count depends on the
+/// timing of each wave. The two floods have oracle counterparts in terms
+/// of BFS; tests assert equivalence with the engine.
 ///
 /// All three tolerate imperfect communication when run with a
 /// `ProtocolOptions` carrying a fault model: handlers are idempotent (a
@@ -48,17 +54,24 @@ struct ProtocolOptions {
 /// packets are forwarded by active nodes only. Returns, for each active
 /// node, the number of *distinct originators heard, including itself* —
 /// i.e. the size of its TTL-neighborhood within its fragment. Inactive
-/// (and crashed) nodes get 0.
+/// (and crashed) nodes get 0. Without a fault model no engine runs: one
+/// bounded BFS per active node, spread over `threads` workers (0 =
+/// hardware concurrency), gives the counts, and the same `RunStats` and
+/// `sim.ttl_flood.*` counters as the engine. With a fault model the flood
+/// runs on the engine, serially.
 std::vector<std::uint32_t> ttl_flood_count(const net::Network& net,
                                            const net::NodeMask& active,
                                            std::uint32_t ttl,
                                            RunStats* stats = nullptr,
-                                           const ProtocolOptions& opts = {});
+                                           const ProtocolOptions& opts = {},
+                                           unsigned threads = 0);
 
-/// Oracle equivalent of `ttl_flood_count` via per-node BFS.
+/// Oracle equivalent of `ttl_flood_count`: the same per-node BFS as its
+/// reliable-network path, with the natural round cap, recording nothing.
 std::vector<std::uint32_t> ttl_flood_count_oracle(const net::Network& net,
                                                   const net::NodeMask& active,
-                                                  std::uint32_t ttl);
+                                                  std::uint32_t ttl,
+                                                  unsigned threads = 0);
 
 /// Min-id leader flood over the induced subgraph: every active node ends up
 /// knowing the smallest node id in its connected fragment. This both labels

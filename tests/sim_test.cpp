@@ -1,12 +1,17 @@
 // Tests for src/sim: the round engine semantics (locality enforcement,
-// round delivery, quiescence) and the three protocols, each checked against
-// its BFS oracle on random networks; the landmark election's BFS path is
-// checked against its engine path.
+// round delivery, quiescence, delivery order against a dense-scan
+// reference engine) and the three protocols, each checked against its BFS
+// oracle on random networks; the BFS paths of the TTL flood count and the
+// landmark election are checked against their engine paths.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
 #include <string>
+#include <tuple>
+#include <unordered_map>
+#include <unordered_set>
 
 #include "common/rng.hpp"
 #include "model/shapes.hpp"
@@ -14,6 +19,7 @@
 #include "net/graph.hpp"
 #include "obs/metrics.hpp"
 #include "sim/engine.hpp"
+#include "sim/faults.hpp"
 #include "sim/protocols.hpp"
 
 namespace ballfit::sim {
@@ -263,6 +269,522 @@ TEST(LandmarkElection, FaultFreeMatchesEngine) {
           EXPECT_EQ(got_stats.messages, want_stats.messages) << where;
           EXPECT_EQ(got_obs, want_obs) << where;
         }
+      }
+    }
+  }
+}
+
+// At the largest TTL the natural round cap is 2^32; computed in 32 bits it
+// wrapped to 0 and the engine ran no round at all.
+TEST(TtlFloodCount, MaxTtlMatchesOracle) {
+  const net::Network net = line_network(6);
+  NodeMask active(6, true);
+  active[3] = false;  // two fragments: {0, 1, 2} and {4, 5}
+  const std::vector<std::uint32_t> want = {3, 3, 3, 0, 2, 2};
+  EXPECT_EQ(ttl_flood_count_oracle(net, active, net::kUnreachable), want);
+
+  FaultModel inert(FaultConfig{}, net.num_nodes());
+  ProtocolOptions engine;
+  engine.faults = &inert;
+  RunStats plain_stats, engine_stats;
+  EXPECT_EQ(ttl_flood_count(net, active, net::kUnreachable, &plain_stats),
+            want);
+  EXPECT_EQ(ttl_flood_count(net, active, net::kUnreachable, &engine_stats,
+                            engine),
+            want);
+  // Every (origin, node) pair in a fragment relays once: 9 + 4.
+  EXPECT_EQ(plain_stats.messages, 13u);
+  EXPECT_EQ(engine_stats.messages, 13u);
+  EXPECT_EQ(plain_stats.rounds, 3u);  // the last relay, 2 hops out, + 1
+  EXPECT_EQ(engine_stats.rounds, 3u);
+}
+
+// `k + 1` wrapped the same way in both election paths, which then elected
+// every node.
+TEST(LandmarkElection, MaxSpacingElectsOnePerComponent) {
+  const net::Network net = line_network(6);
+  NodeMask split(6, true);
+  split[3] = false;
+  const NodeMask all(6, true);
+  FaultModel inert(FaultConfig{}, net.num_nodes());
+  ProtocolOptions engine;
+  engine.faults = &inert;
+  for (const ProtocolOptions& opts : {ProtocolOptions{}, engine}) {
+    EXPECT_EQ(khop_landmark_election(net, all, net::kUnreachable, nullptr,
+                                     opts),
+              std::vector<NodeId>{0});
+    EXPECT_EQ(khop_landmark_election(net, split, net::kUnreachable, nullptr,
+                                     opts),
+              (std::vector<NodeId>{0, 4}));
+  }
+}
+
+/// Counts and the `sim.ttl_flood.*` counters of one flood call.
+struct FloodRun {
+  std::vector<std::uint32_t> counts;
+  RunStats stats;
+  std::map<std::string, std::uint64_t> obs;
+};
+
+FloodRun flood_run(const net::Network& net, const NodeMask& active,
+                   std::uint32_t ttl, const ProtocolOptions& opts,
+                   unsigned threads) {
+  obs::Registry::global().reset();
+  obs::set_enabled(true);
+  FloodRun run;
+  run.counts = ttl_flood_count(net, active, ttl, &run.stats, opts, threads);
+  obs::set_enabled(false);
+  const auto counters = obs::Registry::global().snapshot().counters;
+  for (const char* c : {"messages", "rounds", "active_nodes", "runs"}) {
+    const std::string name = std::string("sim.ttl_flood.") + c;
+    const auto it = counters.find(name);
+    run.obs[name] = it == counters.end() ? 0 : it->second;
+  }
+  return run;
+}
+
+/// True when some active node has no active neighbor.
+bool has_isolated_active(const net::Network& net, const NodeMask& active) {
+  for (NodeId v = 0; v < net.num_nodes(); ++v) {
+    if (!active[v]) continue;
+    const auto nbrs = net.neighbors(v);
+    if (std::none_of(nbrs.begin(), nbrs.end(),
+                     [&](NodeId u) { return bool(active[u]); }))
+      return true;
+  }
+  return false;
+}
+
+// The reliable-network TTL count is one BFS per active node, not an engine
+// run; an inert fault model forces the engine. Both must agree on counts,
+// rounds, messages and obs counters, at every thread count.
+TEST(TtlFloodCount, FaultFreeMatchesEngine) {
+  for (std::uint64_t seed : {17u, 29u}) {
+    const net::Network net = random_network(seed, 150, 200);
+    Rng rng(seed + 5);
+    NodeMask sparse(net.num_nodes()), scattered(net.num_nodes());
+    for (NodeId v = 0; v < net.num_nodes(); ++v) {
+      sparse[v] = rng.uniform() < 0.6;
+      scattered[v] = rng.uniform() < 0.08;
+    }
+    ASSERT_TRUE(has_isolated_active(net, scattered));
+    NodeMask shell(net.num_nodes());
+    for (NodeId v = 0; v < net.num_nodes(); ++v)
+      shell[v] = net.is_ground_truth_boundary(v);
+    // The shell plus a few interior nodes cut off from it and each other.
+    NodeMask shell_plus(shell);
+    std::size_t added = 0;
+    for (NodeId v = 0; v < net.num_nodes() && added < 5; ++v) {
+      if (shell_plus[v]) continue;
+      const auto nbrs = net.neighbors(v);
+      if (std::any_of(nbrs.begin(), nbrs.end(),
+                      [&](NodeId u) { return bool(shell_plus[u]); }))
+        continue;
+      shell_plus[v] = true;
+      ++added;
+    }
+    ASSERT_GT(added, 0u);
+    // Every active node isolated: floods transmit but run no round.
+    NodeMask lonely(net.num_nodes(), false);
+    for (NodeId v = 0; v < net.num_nodes(); ++v) {
+      const auto nbrs = net.neighbors(v);
+      lonely[v] = std::none_of(nbrs.begin(), nbrs.end(),
+                               [&](NodeId u) { return bool(lonely[u]); });
+    }
+    const NodeMask all(net.num_nodes(), true);
+    const NodeMask none(net.num_nodes(), false);
+
+    const NodeMask* const masks[] = {&all,        &sparse, &scattered, &shell,
+                                     &shell_plus, &lonely, &none};
+    for (std::size_t m = 0; m < std::size(masks); ++m) {
+      const NodeMask* active = masks[m];
+      for (std::uint32_t ttl = 0; ttl <= 5; ++ttl) {
+        for (std::uint32_t repeat : {1u, 3u}) {
+          for (std::size_t max_rounds :
+               {std::size_t{0}, std::size_t{1}, std::size_t{2},
+                std::size_t{ttl}}) {
+            ProtocolOptions plain;
+            plain.repeat = repeat;
+            plain.max_rounds = max_rounds;
+            FaultModel inert(FaultConfig{}, net.num_nodes());
+            ProtocolOptions engine = plain;
+            engine.faults = &inert;
+
+            const FloodRun want = flood_run(net, *active, ttl, engine, 1);
+            const std::string where =
+                "seed=" + std::to_string(seed) +
+                " mask=" + std::to_string(m) +
+                " ttl=" + std::to_string(ttl) +
+                " repeat=" + std::to_string(repeat) +
+                " max_rounds=" + std::to_string(max_rounds);
+            for (unsigned threads : {1u, 2u, 4u}) {
+              if (threads > 1 && repeat > 1) continue;  // same searches
+              const FloodRun got = flood_run(net, *active, ttl, plain, threads);
+              EXPECT_EQ(got.counts, want.counts) << where << " t=" << threads;
+              EXPECT_EQ(got.stats.rounds, want.stats.rounds) << where;
+              EXPECT_EQ(got.stats.messages, want.stats.messages) << where;
+              EXPECT_EQ(got.obs, want.obs) << where << " t=" << threads;
+            }
+            if (max_rounds == 0) {
+              EXPECT_EQ(want.counts,
+                        ttl_flood_count_oracle(net, *active, ttl))
+                  << where;
+            }
+          }
+        }
+      }
+    }
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Delivery order: the frontier engine against the engine it replaced.
+
+/// A literal copy of the engine loop before the mail list: every round it
+/// swaps the pending inboxes out into a fresh N-sized array and scans all N
+/// receivers in id order. The obs hook is left out.
+template <typename M>
+class DenseEngine {
+ public:
+  DenseEngine(const net::Network& net, const net::NodeMask* active,
+              const char* /*protocol*/, FaultModel* faults)
+      : net_(&net), active_(active), faults_(faults),
+        pending_(net.num_nodes()) {}
+
+  bool is_active(net::NodeId v) const {
+    return active_ == nullptr || (*active_)[v];
+  }
+
+  void broadcast(net::NodeId from, M msg) {
+    if (faults_ != nullptr) {
+      if (faults_->is_down(from) || !is_active(from)) {
+        drop(1);
+        return;
+      }
+    }
+    const auto neighbors = net_->neighbors(from);
+    net::NodeId last = net::kInvalidNode;
+    for (net::NodeId v : neighbors) {
+      if (is_active(v)) last = v;
+    }
+    for (net::NodeId v : neighbors) {
+      if (!is_active(v)) continue;
+      if (v == last) {
+        pending_[v].emplace_back(from, std::move(msg));
+      } else {
+        pending_[v].emplace_back(from, msg);
+      }
+    }
+    ++stats_.messages;
+  }
+
+  template <typename Handler>
+  RunStats run(Handler&& handler, std::size_t max_rounds) {
+    for (std::size_t round = 0; round < max_rounds; ++round) {
+      if (!messages_in_flight()) break;
+      ++stats_.rounds;
+      if (faults_ != nullptr) faults_->advance_round();
+      std::vector<std::vector<std::pair<net::NodeId, M>>> delivering(
+          net_->num_nodes());
+      delivering.swap(pending_);
+      for (net::NodeId v = 0; v < net_->num_nodes(); ++v) {
+        if (delivering[v].empty()) continue;
+        if (faults_ != nullptr && faults_->is_down(v)) {
+          drop(delivering[v].size());
+          continue;
+        }
+        for (auto& [from, msg] : delivering[v]) {
+          if (faults_ == nullptr) {
+            handler(v, from, msg);
+            continue;
+          }
+          if (!faults_->deliver(from, v)) {
+            ++stats_.dropped;
+            continue;
+          }
+          handler(v, from, msg);
+          if (faults_->duplicate()) {
+            ++stats_.duplicated;
+            handler(v, from, msg);
+          }
+        }
+      }
+    }
+    return stats_;
+  }
+
+  bool messages_in_flight() const {
+    for (const auto& q : pending_)
+      if (!q.empty()) return true;
+    return false;
+  }
+
+  const RunStats& stats() const { return stats_; }
+
+ private:
+  void drop(std::size_t n) {
+    stats_.dropped += n;
+    faults_->note_dropped(n);
+  }
+
+  const net::Network* net_;
+  const net::NodeMask* active_;
+  FaultModel* faults_;
+  std::vector<std::vector<std::pair<net::NodeId, M>>> pending_;
+  RunStats stats_;
+};
+
+/// Handler invocations in order: (round, self, from).
+using DeliveryLog = std::vector<std::tuple<std::size_t, NodeId, NodeId>>;
+
+struct ProtocolTrace {
+  DeliveryLog log;
+  RunStats stats;
+  FaultStats faults;
+  std::vector<NodeId> result;  // counts, leaders or landmarks
+};
+
+// The three protocols' engine paths (sim/protocols.cpp), on engine `E`.
+
+template <template <typename> class E>
+ProtocolTrace trace_ttl_flood(const net::Network& net, const NodeMask& active,
+                              std::uint32_t ttl, std::uint32_t repeat,
+                              const FaultConfig& cfg) {
+  struct Msg {
+    NodeId origin;
+    std::uint32_t ttl;
+  };
+  ProtocolTrace t;
+  FaultModel faults(cfg, net.num_nodes());
+  std::vector<std::unordered_set<NodeId>> heard(net.num_nodes());
+  {
+    E<Msg> engine(net, &active, nullptr, &faults);
+    for (NodeId v = 0; v < net.num_nodes(); ++v) {
+      if (!active[v] || faults.is_down(v)) continue;
+      heard[v].insert(v);
+      for (std::uint32_t r = 0; r < repeat; ++r)
+        engine.broadcast(v, {v, ttl - 1});
+    }
+    t.stats = engine.run(
+        [&](NodeId self, NodeId from, const Msg& msg) {
+          t.log.emplace_back(engine.stats().rounds, self, from);
+          if (heard[self].insert(msg.origin).second && msg.ttl > 0) {
+            for (std::uint32_t r = 0; r < repeat; ++r)
+              engine.broadcast(self, {msg.origin, msg.ttl - 1});
+          }
+        },
+        std::size_t{ttl} + 1);
+  }
+  for (NodeId v = 0; v < net.num_nodes(); ++v)
+    t.result.push_back(active[v] && !faults.is_down(v)
+                           ? static_cast<NodeId>(heard[v].size())
+                           : 0);
+  t.faults = faults.stats();
+  return t;
+}
+
+template <template <typename> class E>
+ProtocolTrace trace_leader_flood(const net::Network& net,
+                                 const NodeMask& active, std::uint32_t repeat,
+                                 const FaultConfig& cfg) {
+  ProtocolTrace t;
+  FaultModel faults(cfg, net.num_nodes());
+  t.result.assign(net.num_nodes(), net::kInvalidNode);
+  {
+    E<NodeId> engine(net, &active, nullptr, &faults);
+    for (NodeId v = 0; v < net.num_nodes(); ++v) {
+      if (!active[v] || faults.is_down(v)) continue;
+      t.result[v] = v;
+      for (std::uint32_t r = 0; r < repeat; ++r) engine.broadcast(v, v);
+    }
+    t.stats = engine.run(
+        [&](NodeId self, NodeId from, NodeId candidate) {
+          t.log.emplace_back(engine.stats().rounds, self, from);
+          if (candidate < t.result[self]) {
+            t.result[self] = candidate;
+            for (std::uint32_t r = 0; r < repeat; ++r)
+              engine.broadcast(self, candidate);
+          }
+        },
+        net.num_nodes() + 1);
+  }
+  for (NodeId v = 0; v < net.num_nodes(); ++v) {
+    if (faults.is_down(v)) t.result[v] = net::kInvalidNode;
+  }
+  t.faults = faults.stats();
+  return t;
+}
+
+template <template <typename> class E>
+ProtocolTrace trace_election(const net::Network& net, const NodeMask& active,
+                             std::uint32_t k, std::uint32_t repeat,
+                             const FaultConfig& cfg) {
+  struct Msg {
+    NodeId id;
+    std::uint32_t ttl;
+  };
+  enum Status : std::uint8_t { kUndecided, kLandmark, kCovered };
+  const std::size_t n = net.num_nodes();
+  ProtocolTrace t;
+  FaultModel faults(cfg, n);
+  std::vector<Status> status(n, kUndecided);
+  std::size_t undecided = 0;
+  for (NodeId v = 0; v < n; ++v) {
+    if (active[v]) ++undecided;
+    else status[v] = kCovered;
+  }
+  // One flood phase: bids (cover = false) or covers, TTL-refreshed.
+  const auto phase = [&](const std::vector<NodeId>& sources, bool cover,
+                         std::vector<NodeId>& min_bid) {
+    std::vector<std::unordered_map<NodeId, std::uint32_t>> heard(n);
+    E<Msg> engine(net, &active, nullptr, &faults);
+    for (NodeId v : sources) {
+      if (!cover) {
+        min_bid[v] = v;
+        heard[v][v] = k;
+      }
+      for (std::uint32_t r = 0; r < repeat; ++r)
+        engine.broadcast(v, {v, k - 1});
+    }
+    t.stats += engine.run(
+        [&](NodeId self, NodeId from, const Msg& msg) {
+          t.log.emplace_back(engine.stats().rounds, self, from);
+          auto [it, inserted] = heard[self].try_emplace(msg.id, msg.ttl);
+          if (!inserted) {
+            if (it->second >= msg.ttl) return;
+            it->second = msg.ttl;
+          }
+          if (cover) {
+            if (status[self] == kUndecided) {
+              status[self] = kCovered;
+              --undecided;
+            }
+          } else {
+            min_bid[self] = std::min(min_bid[self], msg.id);
+          }
+          if (msg.ttl > 0) {
+            for (std::uint32_t r = 0; r < repeat; ++r)
+              engine.broadcast(self, {msg.id, msg.ttl - 1});
+          }
+        },
+        std::size_t{k} + 1);
+  };
+  std::size_t iterations = 0;
+  while (undecided > 0) {
+    for (NodeId v = 0; v < n; ++v) {
+      if (status[v] == kUndecided && faults.is_down(v)) {
+        status[v] = kCovered;
+        --undecided;
+      }
+    }
+    if (undecided == 0 || ++iterations > n + 1) break;
+    std::vector<NodeId> bidders, winners;
+    for (NodeId v = 0; v < n; ++v) {
+      if (status[v] == kUndecided) bidders.push_back(v);
+    }
+    std::vector<NodeId> min_bid(n, net::kInvalidNode);
+    phase(bidders, false, min_bid);
+    for (NodeId v : bidders) {
+      if (min_bid[v] == v && !faults.is_down(v)) {
+        status[v] = kLandmark;
+        winners.push_back(v);
+        --undecided;
+      }
+    }
+    if (winners.empty()) continue;
+    phase(winners, true, min_bid);
+    t.result.insert(t.result.end(), winners.begin(), winners.end());
+  }
+  std::sort(t.result.begin(), t.result.end());
+  t.faults = faults.stats();
+  return t;
+}
+
+void expect_same_trace(const ProtocolTrace& got, const ProtocolTrace& want,
+                       const std::string& where) {
+  EXPECT_FALSE(want.log.empty()) << where;
+  EXPECT_TRUE(got.log == want.log) << where;
+  EXPECT_EQ(got.result, want.result) << where;
+  EXPECT_EQ(got.stats.rounds, want.stats.rounds) << where;
+  EXPECT_EQ(got.stats.messages, want.stats.messages) << where;
+  EXPECT_EQ(got.stats.dropped, want.stats.dropped) << where;
+  EXPECT_EQ(got.stats.duplicated, want.stats.duplicated) << where;
+  EXPECT_EQ(got.faults.dropped, want.faults.dropped) << where;
+  EXPECT_EQ(got.faults.duplicated, want.faults.duplicated) << where;
+  EXPECT_EQ(got.faults.crashed, want.faults.crashed) << where;
+}
+
+// A FaultModel draws loss and duplication from one sequential stream, so
+// the frontier engine must invoke handlers in exactly the dense scan's
+// order — ascending receiver, FIFO within an inbox — for every faulted run
+// to stay bit-identical.
+TEST(RoundEngine, FrontierDeliversInDenseOrder) {
+  for (std::uint64_t seed : {3u, 8u}) {
+    const net::Network net = random_network(seed, 150, 200);
+    const std::size_t n = net.num_nodes();
+    Rng rng(seed * 11 + 1);
+    NodeMask active(n);
+    for (NodeId v = 0; v < n; ++v) active[v] = rng.uniform() < 0.7;
+
+    FaultConfig lossy;
+    lossy.drop_probability = 0.2;
+    lossy.link_loss_max = 0.3;
+    lossy.seed = seed;
+    FaultConfig duplicating;
+    duplicating.duplicate_probability = 0.25;
+    duplicating.drop_probability = 0.05;
+    duplicating.seed = seed + 1;
+    FaultConfig crashing;
+    crashing.crash_fraction = 0.05;
+    crashing.crash_probability = 0.01;
+    crashing.drop_probability = 0.1;
+    for (NodeId v = 0; v < n; v += 37)
+      crashing.crash_at_round.push_back({v, 2});
+    crashing.seed = seed + 2;
+
+    const FaultConfig* const configs[] = {&lossy, &duplicating, &crashing};
+    for (std::size_t c = 0; c < std::size(configs); ++c) {
+      const FaultConfig* cfg = configs[c];
+      for (std::uint32_t repeat : {1u, 2u}) {
+        const std::string where = "seed=" + std::to_string(seed) +
+                                  " config=" + std::to_string(c) +
+                                  " repeat=" + std::to_string(repeat);
+        expect_same_trace(
+            trace_ttl_flood<RoundEngine>(net, active, 3, repeat, *cfg),
+            trace_ttl_flood<DenseEngine>(net, active, 3, repeat, *cfg),
+            "ttl_flood " + where);
+        expect_same_trace(
+            trace_leader_flood<RoundEngine>(net, active, repeat, *cfg),
+            trace_leader_flood<DenseEngine>(net, active, repeat, *cfg),
+            "leader_flood " + where);
+        expect_same_trace(
+            trace_election<RoundEngine>(net, active, 2, repeat, *cfg),
+            trace_election<DenseEngine>(net, active, 2, repeat, *cfg),
+            "landmark_election " + where);
+
+        // The traced drivers are the library's engine paths: same results
+        // under the same faults.
+        ProtocolOptions opts;
+        opts.repeat = repeat;
+        FaultModel flood_faults(*cfg, n);
+        opts.faults = &flood_faults;
+        const auto counts = ttl_flood_count(net, active, 3, nullptr, opts);
+        EXPECT_EQ(std::vector<NodeId>(counts.begin(), counts.end()),
+                  trace_ttl_flood<RoundEngine>(net, active, 3, repeat, *cfg)
+                      .result)
+            << where;
+        FaultModel leader_faults(*cfg, n);
+        opts.faults = &leader_faults;
+        EXPECT_EQ(leader_flood(net, active, nullptr, opts),
+                  trace_leader_flood<RoundEngine>(net, active, repeat, *cfg)
+                      .result)
+            << where;
+        FaultModel election_faults(*cfg, n);
+        opts.faults = &election_faults;
+        EXPECT_EQ(khop_landmark_election(net, active, 2, nullptr, opts),
+                  trace_election<RoundEngine>(net, active, 2, repeat, *cfg)
+                      .result)
+            << where;
       }
     }
   }
