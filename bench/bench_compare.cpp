@@ -1,7 +1,7 @@
 /// \file bench_compare.cpp
 /// Perf-regression gate for the hot kernels.
 ///
-/// Times five kernels on Fig. 1 scenarios (seven records — the bitwise
+/// Times four kernels on Fig. 1 scenarios (six records — the bitwise
 /// reference and the 4-thread build ride with `pipeline.local_frames`),
 /// writes one machine-readable record per kernel, and (with `--against`)
 /// compares each measured wall time to a committed baseline:
@@ -36,13 +36,6 @@
 ///     best p99 across reps; the 15% threshold gates tail latency of the
 ///     delta path end to end. Baselines predating the kernel are skipped
 ///     gracefully like any missing record.
-///   - `pipeline.escalate` — cold escalated detection (the opt-in
-///     Escalate stage) on the kernel-2 scenario. Two in-run gates hold
-///     the effort control plane to its contract: the escalated run's
-///     mistaken+missing count vs. ground truth must not exceed the flat
-///     default tier's, and its total SMACOF sweeps (first pass +
-///     escalation rebuild) must stay ≤ 70% of a flat run-to-budget
-///     (`adaptive_sweeps=false`) kFull run measured in the same process.
 ///
 ///   bench_compare --out BENCH_$(git rev-parse --short=12 HEAD).json
 ///                 --against bench/baselines/BENCH_<sha>.json
@@ -64,7 +57,6 @@
 ///        --frames-scale S (default 0.35)  --frames-reps N (default 5)
 ///        --frames-error E (default 0.2)  --sweep-reps N (default 3)
 ///        --churn-steps N (default 60)  --churn-reps N (default 3)
-///        --escalate-reps N (default 3)
 ///        --out PATH  --against PATH  --threshold F
 
 #include <algorithm>
@@ -283,7 +275,6 @@ int main(int argc, char** argv) {
   const int sweep_reps = int_flag(argc, argv, "--sweep-reps", 3);
   const int churn_steps = int_flag(argc, argv, "--churn-steps", 60);
   const int churn_reps = int_flag(argc, argv, "--churn-reps", 3);
-  const int escalate_reps = int_flag(argc, argv, "--escalate-reps", 3);
   const double threshold = double_flag(argc, argv, "--threshold", 0.15);
   const std::string sha = git_sha();
   const std::string out_path =
@@ -622,109 +613,6 @@ int main(int argc, char** argv) {
     rec.mean_ms /= churn_reps;
     std::printf("%s: best p99 %.2f ms, mean p99 %.2f ms over %d reps\n",
                 rec.name.c_str(), rec.best_ms, rec.mean_ms, rec.reps);
-    records.push_back(rec);
-  }
-
-  // Kernel 5: the escalated pipeline — cold detection with the Escalate
-  // stage enabled, on the kernel-2 scenario. The timing record tracks the
-  // end-to-end escalated run; the two untimed reference runs feed the
-  // in-run gates that hold the effort control plane to its contract
-  // (accuracy no worse than the flat default tier, total sweeps ≤ 70% of
-  // a flat run-to-budget kFull pass).
-  {
-    const model::Scenario scenario = model::fig1_network(frames_scale);
-    const net::Network network =
-        bench::build_scenario_network(scenario, /*seed=*/1, 18.8);
-
-    auto config_for = [&](bool escalate) {
-      core::PipelineConfig cfg;
-      cfg.measurement_error = frames_error;
-      cfg.noise_seed = 1;
-      cfg.threads = 1;
-      cfg.escalate.enabled = escalate;
-      return cfg;
-    };
-
-    KernelRecord rec;
-    rec.name = "pipeline.escalate";
-    rec.scenario_name = scenario.name;
-    rec.tier = "boundary_identical";
-    rec.scale = frames_scale;
-    rec.nodes = network.num_nodes();
-    rec.avg_degree = avg_degree_of(network);
-    rec.reps = escalate_reps;
-
-    core::PipelineResult escalated;
-    for (int rep = 0; rep < escalate_reps; ++rep) {
-      const auto t0 = Clock::now();
-      escalated = core::detect_boundaries(network, config_for(true));
-      const auto t1 = Clock::now();
-      const double ms =
-          std::chrono::duration<double, std::milli>(t1 - t0).count();
-      rec.mean_ms += ms;
-      if (rep == 0 || ms < rec.best_ms) rec.best_ms = ms;
-      rec.boundary_nodes = escalated.num_boundary();
-      std::printf("%s rep %d: %.2f ms (escalated=%" PRIu64 ", boundary=%zu)\n",
-                  rec.name.c_str(), rep, ms,
-                  escalated.effort.escalated_nodes, rec.boundary_nodes);
-    }
-    rec.mean_ms /= escalate_reps;
-    std::printf("%s: best %.2f ms, mean %.2f ms over %d reps (boundary=%zu)\n",
-                rec.name.c_str(), rec.best_ms, rec.mean_ms, rec.reps,
-                rec.boundary_nodes);
-
-    // References: the flat default tier (the accuracy bar) and a flat
-    // run-to-budget kFull pass (the sweep-count bar).
-    const core::PipelineResult flat =
-        core::detect_boundaries(network, config_for(false));
-    core::PipelineConfig full_cfg = config_for(false);
-    full_cfg.localizer.adaptive_sweeps = false;
-    const core::PipelineResult full =
-        core::detect_boundaries(network, full_cfg);
-
-    // In-run gate 1 — accuracy: escalation spends extra effort exactly
-    // where the decision is marginal, so it must not classify worse than
-    // the flat default tier it escalates from.
-    const core::DetectionStats esc_stats =
-        core::evaluate_detection(network, escalated.boundary);
-    const core::DetectionStats flat_stats =
-        core::evaluate_detection(network, flat.boundary);
-    const std::size_t esc_err = esc_stats.mistaken + esc_stats.missing;
-    const std::size_t flat_err = flat_stats.mistaken + flat_stats.missing;
-    std::printf("%s accuracy: mistaken+missing %zu escalated vs %zu flat "
-                "default\n",
-                rec.name.c_str(), esc_err, flat_err);
-    if (esc_err > flat_err) {
-      std::fprintf(stderr,
-                   "ESCALATION REGRESSION: escalated run misclassifies %zu "
-                   "nodes vs %zu at the flat default tier\n",
-                   esc_err, flat_err);
-      return 1;
-    }
-    // In-run gate 2 — effort: the point of planning is to buy that
-    // accuracy for a fraction of the flat kFull budget.
-    const std::uint64_t esc_sweeps = escalated.localize_stats.sweeps_executed +
-                                     escalated.effort.escalation_sweeps;
-    const std::uint64_t full_sweeps = full.localize_stats.sweeps_executed;
-    std::printf("%s sweeps: %" PRIu64 " escalated (first pass %" PRIu64
-                " + rebuild %" PRIu64 " over %" PRIu64 " frames) vs "
-                "%" PRIu64 " flat kFull (%.0f%%)\n",
-                rec.name.c_str(), esc_sweeps,
-                escalated.localize_stats.sweeps_executed,
-                escalated.effort.escalation_sweeps,
-                escalated.effort.frames_rebuilt, full_sweeps,
-                full_sweeps == 0
-                    ? 0.0
-                    : 100.0 * static_cast<double>(esc_sweeps) /
-                          static_cast<double>(full_sweeps));
-    if (esc_sweeps > (full_sweeps * 7) / 10) {
-      std::fprintf(stderr,
-                   "ESCALATION REGRESSION: escalated run spends %" PRIu64
-                   " SMACOF sweeps, over 70%% of the flat kFull budget "
-                   "(%" PRIu64 ")\n",
-                   esc_sweeps, full_sweeps);
-      return 1;
-    }
     records.push_back(rec);
   }
 

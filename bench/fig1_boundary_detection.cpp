@@ -15,10 +15,7 @@
 /// span into the obs timeline and write a Chrome Trace Event JSON —
 /// open in chrome://tracing or Perfetto), --threads <n> (default 0 =
 /// hardware concurrency; with --trace, per-node spans land on one track
-/// per worker), --escalate <0|1> (default 0: run every detection with the
-/// opt-in Escalate stage enabled at the library-default margin/relax, so
-/// the per-run obs export carries the `effort.*` counters — the CI
-/// counter tripwire consumes this).
+/// per worker).
 
 #include <cstdio>
 
@@ -40,7 +37,6 @@ int main(int argc, char** argv) {
   const auto threads =
       static_cast<unsigned>(bench::int_flag(argc, argv, "--threads", 0));
   const std::string trace_path = bench::string_flag(argc, argv, "--trace", "");
-  const bool escalate = bench::int_flag(argc, argv, "--escalate", 0) != 0;
   bench::BenchReport report(
       "fig1_boundary_detection",
       bench::string_flag(argc, argv, "--out", "bench_results.json"));
@@ -62,7 +58,6 @@ int main(int argc, char** argv) {
     cfg.measurement_error = epct / 100.0;
     cfg.noise_seed = seed;
     cfg.threads = threads;
-    cfg.escalate.enabled = escalate;
     const core::PipelineResult result = core::detect_boundaries(network, cfg);
     const core::DetectionStats s =
         core::evaluate_detection(network, result.boundary);

@@ -35,80 +35,6 @@
 
 namespace ballfit::core {
 
-/// Per-node effort class (defined by the localization layer so every
-/// effort-spending kernel can consume it without depending on core).
-using localization::EffortClass;
-
-/// The effort control plane's per-node decision vector: one `EffortClass`
-/// per node, derived from first-pass confidence and stress signals by
-/// `build_effort_plan`. Consumed by the scheduled frame build (per-node
-/// sweep/eigen/restart overrides) and the UBF vote-budget mask.
-struct EffortPlan {
-  std::vector<EffortClass> classes;
-
-  std::size_t count(EffortClass c) const {
-    std::size_t k = 0;
-    for (const EffortClass x : classes) k += x == c;
-    return k;
-  }
-};
-
-/// Opt-in Escalate stage knobs (see DetectionSession). Every field is part
-/// of the Escalate artifact fingerprint, like every other config field.
-struct EscalationConfig {
-  /// Run the Escalate stage after UBF: plan effort from the first pass,
-  /// re-run Localize/UBF at kFull effort on the marginal neighborhoods,
-  /// and fold the improved verdicts back. Off (the default) is
-  /// bit-identical to a session without the stage.
-  bool enabled = false;
-  /// A node with |confidence − 0.5| below this margin is marginal: its
-  /// empty-ball vote landed within a hair of the decision threshold, so
-  /// it escalates to kFull effort. (conf = votes/(votes+T); with T = 1
-  /// the first verified ball already lands at 0.5, so the margin measures
-  /// how far past/short of the threshold the vote went.)
-  double margin = 0.12;
-  /// A node with |confidence − 0.5| at or above `relax × margin` (and a
-  /// reliable frame) is confidently classified and drops to kCheap effort
-  /// on any future rebuild of its frame; in between stays kDefault.
-  double relax = 2.0;
-};
-
-/// Accounting of one Escalate stage execution, exported as `effort.*` obs
-/// counters and through `PipelineResult::effort`. All zeros when the stage
-/// is disabled or skipped (true-coordinates runs).
-struct EffortStats {
-  /// Plan composition over all nodes (dead nodes plan kCheap).
-  std::uint64_t planned_cheap = 0;
-  std::uint64_t planned_default = 0;
-  std::uint64_t planned_full = 0;
-  /// Alive kFull-planned nodes — the escalation seeds E.
-  std::uint64_t escalated_nodes = 0;
-  /// Frames re-embedded at kFull effort (the seed set E itself — each
-  /// marginal node's own embedding, the dominant input to its ball test).
-  std::uint64_t frames_rebuilt = 0;
-  /// Nodes whose ball test re-ran (the 1-hop reach of E — every test
-  /// that reads a rebuilt frame).
-  std::uint64_t nodes_retested = 0;
-  /// SMACOF sweeps spent by the escalation rebuild itself.
-  std::uint64_t escalation_sweeps = 0;
-  /// Estimated sweeps saved vs. a flat kFull run: alive frames × the
-  /// configured two-hop budget, minus the sweeps the first pass and the
-  /// escalation actually executed, floored at 0. An estimate (a flat
-  /// kFull run may also restart), not a measurement.
-  std::uint64_t sweeps_saved_vs_full = 0;
-  /// Retested nodes whose adopted flag differs from the first pass.
-  std::uint64_t flags_changed = 0;
-  /// Retested nodes whose escalated verdict was adopted / reverted by the
-  /// fold-back monotonicity rule (adopted + kept_first_pass =
-  /// nodes_retested over alive nodes).
-  std::uint64_t adopted = 0;
-  std::uint64_t kept_first_pass = 0;
-  /// Σ |conf_escalated − conf_first_pass| over adopted nodes, and the
-  /// number of terms.
-  double confidence_delta_sum = 0.0;
-  std::uint64_t confidence_delta_count = 0;
-};
-
 struct PipelineConfig {
   /// Phase-1 detection knobs (ball radius ε, emptiness scope, vote
   /// thresholds, cross-verification) — see UbfConfig field docs.
@@ -149,11 +75,6 @@ struct PipelineConfig {
   /// Retransmissions per newly learned fact in the floods (count, >= 1,
   /// default 1); raise to 2–3 to keep floods converging at 10–20% loss.
   std::uint32_t flood_repeat = 1;
-  /// Opt-in Escalate stage: confidence-driven re-runs of Localize/UBF at
-  /// kFull effort on marginal neighborhoods (no-op on the
-  /// true-coordinates path). Off by default — bit-identical to a build
-  /// without the stage.
-  EscalationConfig escalate;
 };
 
 struct PipelineResult {
@@ -163,11 +84,9 @@ struct PipelineResult {
   BoundaryGroups groups;             ///< boundary grouping (if requested)
 
   /// Quality telemetry (additive — never feeds back into the flags above).
-  /// Populated only when `obs::enabled()` at run time — or, for the
-  /// confidence vector, when `escalate.enabled` (the effort planner reads
-  /// it, so escalated runs always carry it); empty otherwise, so the
-  /// disabled pipeline does none of the extra vote counting. Faulted runs
-  /// produce them too (they share the cached stage kernels).
+  /// Populated only when `obs::enabled()` at run time; empty otherwise, so
+  /// the disabled pipeline does none of the extra vote counting. Faulted
+  /// runs produce them too (they share the cached stage kernels).
   std::vector<float> ubf_confidence;          ///< per node, see vote_confidence
   std::vector<BoundaryQuality> group_quality; ///< parallel to groups.groups
 
@@ -176,7 +95,7 @@ struct PipelineResult {
   /// Cost of the grouping protocol.
   sim::RunStats grouping_cost;
 
-  /// Effort accounting of the run's Localize stage (sweeps executed vs.
+  /// Work accounting of the run's Localize stage (sweeps executed vs.
   /// budget, restarts skipped, plateau/stress exits). Reflects the most
   /// recent frame build the session executed — a cache-hit run repeats
   /// the stats of the build that produced the cached frames. All zeros on
@@ -186,9 +105,6 @@ struct PipelineResult {
   /// neighborhood). Under faults these voted non-boundary conservatively;
   /// otherwise they voted `UbfConfig::degenerate_is_boundary`.
   std::size_t frame_fallbacks = 0;
-  /// Effort control plane accounting (all zeros unless
-  /// `PipelineConfig::escalate.enabled`).
-  EffortStats effort;
   /// Nodes down at the end of the run (0 without fault injection).
   std::size_t crashed_nodes = 0;
   /// Cumulative fault effects across every stage (zeros without faults).
@@ -198,20 +114,6 @@ struct PipelineResult {
   std::size_t num_candidates() const;
   std::size_t num_boundary() const;
 };
-
-/// Derives the per-node effort plan from first-pass signals: dead or
-/// frame-less nodes plan kCheap (nothing to spend effort on), nodes whose
-/// frame failed the UBF stress gate or whose confidence sits within
-/// `esc.margin` of the 0.5 decision threshold plan kFull, nodes at or
-/// beyond `relax × margin` with a reliable frame plan kCheap, everything
-/// else kDefault. `confidence` must be full-sized (the Escalate stage
-/// guarantees it by forcing confidence collection on); `alive` may be null
-/// (all alive). Pure function of its inputs.
-EffortPlan build_effort_plan(const std::vector<float>& confidence,
-                             const std::vector<localization::LocalFrame>& frames,
-                             const std::vector<char>* alive,
-                             const UnitBallFitting& ubf,
-                             const EscalationConfig& esc);
 
 /// Runs the full detection pipeline on `network`.
 PipelineResult detect_boundaries(const net::Network& network,

@@ -1,7 +1,6 @@
 #include "core/session.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <cstring>
 #include <string>
 
@@ -81,8 +80,6 @@ void mix_localizer_config(Fingerprint& fp,
   fp.f64(c.missing_pair_fallback);
   fp.u64(static_cast<std::uint64_t>(c.smacof_sweeps));
   fp.u64(static_cast<std::uint64_t>(c.mdsmap_sweeps));
-  fp.u64(static_cast<std::uint64_t>(c.smacof_restarts));
-  fp.u64(c.restart_seed);
   fp.u64(static_cast<std::uint64_t>(c.tier));
   fp.boolean(c.adaptive_sweeps);
   fp.f64(c.adaptive_floor);
@@ -408,7 +405,7 @@ void DetectionSession::run_ubf_stages(const PipelineConfig& config,
       // bit-identical to a full one.
       if (frames_valid_ && frames_key_ == frames_key) {
         stats_.last_frames_rebuilt = count_marks(frames_dirty_);
-        // A partial rebuild refreshes only the dirty frames, so its effort
+        // A partial rebuild refreshes only the dirty frames, so its build
         // stats describe a fragment; fold them into the artifact's totals
         // rather than replacing them.
         localization::FrameBuildStats partial;
@@ -463,14 +460,6 @@ void DetectionSession::run_ubf_stages(const PipelineConfig& config,
   core.u64(true_coords ? 2 : 1);  // coordinate-path tag
   if (!true_coords) core.u64(frames_key_);
   mix_ubf_core(core, ubf_config);
-  // With escalation on, confidence stops being pure telemetry — the effort
-  // planner reads it — so the artifact key must distinguish escalate-on
-  // builds (confidence always collected, full-sized) from escalate-off
-  // ones (obs-gated, possibly absent). Keyed in the *core* key so an
-  // escalate-on run never partial-resumes from a confidence-less artifact.
-  // The true-coordinates path never escalates.
-  const bool escalates = config.escalate.enabled && !true_coords;
-  core.boolean(escalates);
   Fingerprint full;
   full.u64(core.value());
   full.boolean(ubf_config.degenerate_is_boundary);
@@ -484,15 +473,12 @@ void DetectionSession::run_ubf_stages(const PipelineConfig& config,
         true_coords ? nullptr : &frames_;
     const bool partial = ubf_valid_ && ubf_core_fp_ == core.value() &&
                          ubf_flags_.size() == n;
-    // Obs-gated confidence companion — forced on when the Escalate stage
-    // will read it. A partial run can only update the entries it re-tests,
-    // so it needs a full-sized carry-over; when the previous artifact had
-    // no confidence (obs was off), start from zeros — the untested
-    // remainder reads 0 ("not scored"), never garbage. (The escalate bit
-    // lives in the core key, so an escalate-on partial never resumes from
-    // a confidence-less artifact.)
+    // Obs-gated confidence companion. A partial run can only update the
+    // entries it re-tests, so it needs a full-sized carry-over; when the
+    // previous artifact had no confidence (obs was off), start from zeros
+    // — the untested remainder reads 0 ("not scored"), never garbage.
     std::vector<float>* conf_out = nullptr;
-    if (obs::enabled() || escalates) {
+    if (obs::enabled()) {
       if (ubf_confidence_.size() != n) ubf_confidence_.assign(n, 0.0f);
       conf_out = &ubf_confidence_;
     } else {
@@ -537,202 +523,8 @@ void DetectionSession::run_ubf_stages(const PipelineConfig& config,
   if (!true_coords) result.localize_stats = loc_stats_;
 }
 
-bool DetectionSession::run_escalate_stage(const PipelineConfig& config,
-                                          const UbfConfig& ubf_config,
-                                          unsigned threads,
-                                          PipelineResult& result) {
-  if (!config.escalate.enabled || config.use_true_coordinates) {
-    esc_valid_ = false;
-    return false;
-  }
-  const std::size_t n = network_->num_nodes();
-
-  // Everything the stage reads is covered by the UBF exact-hit key: the
-  // frames via frames_version_, the confidence via the UBF knobs (and the
-  // escalate bit in the core key guarantees it was collected), the alive
-  // set via the frame rebuild. Only the escalation knobs are added.
-  Fingerprint fp;
-  fp.u64(ubf_full_fp_);
-  fp.f64(config.escalate.margin);
-  fp.f64(config.escalate.relax);
-  if (esc_valid_ && esc_fp_ == fp.value()) {
-    ++stats_.escalate.cache_hits;
-    note_stage("escalate", "cache_hits");
-  } else {
-    BALLFIT_SPAN("escalate");
-    const UnitBallFitting ubf(*network_, ubf_config);
-    const std::vector<char>* alive_mask = masked_ ? &alive_ : nullptr;
-
-    const EffortPlan plan = build_effort_plan(ubf_confidence_, frames_,
-                                              alive_mask, ubf,
-                                              config.escalate);
-    esc_stats_ = {};
-    esc_stats_.planned_cheap = plan.count(EffortClass::kCheap);
-    esc_stats_.planned_default = plan.count(EffortClass::kDefault);
-    esc_stats_.planned_full = plan.count(EffortClass::kFull);
-
-    // Stress-gated nodes, recorded against the *first-pass* frames: these
-    // abstained (confidence 0), so the fold-back below always adopts their
-    // escalated verdict — the kFull re-embed is exactly their rescue path.
-    std::vector<char> gated(n, 0);
-    for (std::size_t i = 0; i < n; ++i) {
-      if (frames_[i].ok && !ubf.frame_reliable(frames_[i].stress_rms)) {
-        gated[i] = 1;
-      }
-    }
-
-    std::vector<net::NodeId> seeds;
-    for (std::size_t i = 0; i < n; ++i) {
-      if (alive_[i] != 0 && plan.classes[i] == EffortClass::kFull) {
-        seeds.push_back(static_cast<net::NodeId>(i));
-      }
-    }
-    esc_stats_.escalated_nodes = seeds.size();
-
-    // Start from the first-pass artifact; the masked re-runs below rewrite
-    // only the retested entries. Confidence is full-sized by the
-    // escalate-on contract of run_ubf_stages.
-    esc_flags_ = ubf_flags_;
-    esc_confidence_ = ubf_confidence_;
-
-    if (!seeds.empty()) {
-      // A marginal node's own embedding is the dominant input to its ball
-      // test (the ball centers and the stress gate both read it), so the
-      // rebuild set is exactly the seed frames, re-embedded at kFull. A
-      // rebuilt frame influences the ball test of every node that reads
-      // it — the owner plus its one-hop witnesses — hence retest =
-      // rebuild reach + 1 hop, the Localize/UBF dirty-set discipline.
-      // Wider rebuild reaches were measured and rejected: on fig1@0.35 a
-      // 1-hop/2-hop pair spends 2.7x the total escalated sweeps (81% vs
-      // 32% of a flat kFull run) with no accuracy gain, because witness
-      // frames re-run at kFull land in the same basin they left.
-      std::vector<char> rebuild(n, 0);
-      std::vector<char> retest(n, 0);
-      net::mark_k_hop(*network_, seeds, 0, rebuild);
-      net::mark_k_hop(*network_, seeds, 1, retest);
-      esc_stats_.frames_rebuilt = count_marks(rebuild);
-      esc_stats_.nodes_retested = count_marks(retest);
-
-      // One effort vector serves both kernels: kFull on the whole retest
-      // reach (superset of the rebuild set), so rebuilt frames run at full
-      // budget and every retested node gets the doubled vote pool.
-      std::vector<localization::EffortClass> effort(
-          n, localization::EffortClass::kDefault);
-      for (std::size_t i = 0; i < n; ++i) {
-        if (retest[i] != 0) effort[i] = localization::EffortClass::kFull;
-      }
-
-      // The escalated frames are scratch: the cached Localize artifact must
-      // keep matching (frames_key_, frames_version_), so save the base
-      // frames and restore them after the re-test.
-      std::vector<std::pair<net::NodeId, localization::LocalFrame>> saved;
-      saved.reserve(esc_stats_.frames_rebuilt);
-      for (std::size_t i = 0; i < n; ++i) {
-        if (rebuild[i] != 0) {
-          saved.emplace_back(static_cast<net::NodeId>(i), frames_[i]);
-        }
-      }
-
-      const bool two_hop =
-          ubf_config.scope == UbfConfig::EmptinessScope::kTwoHop;
-      const localization::FrameScope scope =
-          two_hop ? localization::FrameScope::kTwoHop
-                  : localization::FrameScope::kOneHop;
-      localization::FrameBuildStats esc_build;
-      localization::build_all_frames(*localizer_, scope, frames_, threads,
-                                     alive_mask, &rebuild, &esc_build,
-                                     &effort);
-      esc_stats_.escalation_sweeps = esc_build.sweeps_executed;
-      // Savings estimate vs. a flat kFull build: every alive frame at the
-      // full configured budget, minus what the first pass and the
-      // escalation actually spent. An estimate (a flat run may restart),
-      // floored at zero.
-      const std::uint64_t per_frame_budget = static_cast<std::uint64_t>(
-          two_hop ? config.localizer.mdsmap_sweeps
-                  : config.localizer.smacof_sweeps);
-      const std::uint64_t flat_full = num_alive_ * per_frame_budget;
-      const std::uint64_t spent =
-          loc_stats_.sweeps_executed + esc_build.sweeps_executed;
-      esc_stats_.sweeps_saved_vs_full = flat_full > spent ? flat_full - spent
-                                                          : 0;
-
-      ubf.update_flags(&frames_, esc_flags_, alive_mask, &retest, threads,
-                       &esc_confidence_, &effort);
-
-      // Fold back with the monotonicity rule: adopt the escalated verdict
-      // only when it is at least as decisive as the first pass (distance
-      // from the 0.5 threshold), except stress-gated nodes, which always
-      // adopt. Reverted nodes keep their first-pass bits exactly.
-      for (std::size_t i = 0; i < n; ++i) {
-        if (retest[i] == 0 || alive_[i] == 0) continue;
-        const double base_d =
-            std::abs(static_cast<double>(ubf_confidence_[i]) - 0.5);
-        const double esc_d =
-            std::abs(static_cast<double>(esc_confidence_[i]) - 0.5);
-        if (gated[i] != 0 || esc_d >= base_d) {
-          ++esc_stats_.adopted;
-          if (esc_flags_[i] != ubf_flags_[i]) ++esc_stats_.flags_changed;
-          esc_stats_.confidence_delta_sum += std::abs(
-              static_cast<double>(esc_confidence_[i]) - ubf_confidence_[i]);
-          ++esc_stats_.confidence_delta_count;
-        } else {
-          esc_flags_[i] = ubf_flags_[i];
-          esc_confidence_[i] = ubf_confidence_[i];
-          ++esc_stats_.kept_first_pass;
-        }
-      }
-
-      for (auto& [id, frame] : saved) frames_[id] = std::move(frame);
-
-      if (obs::enabled()) {
-        obs::Histogram& h = obs::Registry::global().histogram(
-            "effort.confidence_delta",
-            {0.01, 0.02, 0.05, 0.1, 0.2, 0.3, 0.5});
-        for (std::size_t i = 0; i < n; ++i) {
-          if (retest[i] != 0 && alive_[i] != 0) {
-            h.observe(std::abs(static_cast<double>(esc_confidence_[i]) -
-                               ubf_confidence_[i]));
-          }
-        }
-      }
-    }
-
-    esc_candidates_.assign(n, false);
-    for (std::size_t i = 0; i < n; ++i) {
-      esc_candidates_[i] = esc_flags_[i] != 0;
-    }
-    esc_fp_ = fp.value();
-    esc_valid_ = true;
-    ++stats_.escalate.full_runs;
-    note_stage("escalate", "full_runs");
-  }
-
-  if (obs::enabled()) {
-    obs::Registry& reg = obs::Registry::global();
-    reg.counter("effort.planned_cheap").add(esc_stats_.planned_cheap);
-    reg.counter("effort.planned_default").add(esc_stats_.planned_default);
-    reg.counter("effort.planned_full").add(esc_stats_.planned_full);
-    reg.counter("effort.escalated_nodes").add(esc_stats_.escalated_nodes);
-    reg.counter("effort.frames_rebuilt").add(esc_stats_.frames_rebuilt);
-    reg.counter("effort.nodes_retested").add(esc_stats_.nodes_retested);
-    reg.counter("effort.escalation_sweeps").add(esc_stats_.escalation_sweeps);
-    reg.counter("effort.sweeps_saved_vs_full")
-        .add(esc_stats_.sweeps_saved_vs_full);
-    reg.counter("effort.flags_changed").add(esc_stats_.flags_changed);
-    reg.counter("effort.adopted").add(esc_stats_.adopted);
-    reg.counter("effort.kept_first_pass").add(esc_stats_.kept_first_pass);
-  }
-
-  result.ubf_candidates = esc_candidates_;
-  result.ubf_confidence = esc_confidence_;
-  result.effort = esc_stats_;
-  return true;
-}
-
 void DetectionSession::run_filter_stages(const PipelineConfig& config,
                                          bool faulted, unsigned threads,
-                                         const std::vector<bool>& candidates,
-                                         const std::vector<float>& confidence,
                                          PipelineResult& result) {
   // --- IFF: whole-network flood over the candidate set (cheap relative
   // to localization; no partial variant). Keyed on the candidate flags,
@@ -743,7 +535,7 @@ void DetectionSession::run_filter_stages(const PipelineConfig& config,
   // key regardless of what ran before it.
   {
     Fingerprint fp;
-    fp.flags(candidates);
+    fp.flags(ubf_candidates_);
     fp.u64(config.iff.theta);
     fp.u64(config.iff.ttl);
     fp.boolean(config.iff.use_message_passing);
@@ -770,7 +562,7 @@ void DetectionSession::run_filter_stages(const PipelineConfig& config,
       std::vector<std::uint32_t>* counts_out =
           obs::enabled() ? &iff_counts_ : nullptr;
       if (counts_out == nullptr) iff_counts_.clear();
-      boundary_ = iff_filter(*network_, candidates, config.iff,
+      boundary_ = iff_filter(*network_, ubf_candidates_, config.iff,
                              &iff_cost_, proto, counts_out, threads);
       iff_fault_stats_ = stage_faults ? stage_faults->stats()
                                       : sim::FaultStats{};
@@ -836,7 +628,7 @@ void DetectionSession::run_filter_stages(const PipelineConfig& config,
     // under an earlier obs-off run and cached away) drop out gracefully.
     if (obs::enabled()) {
       result.group_quality = score_boundaries(
-          groups_, config.iff.theta, confidence, iff_counts_);
+          groups_, config.iff.theta, ubf_confidence_, iff_counts_);
       obs::Registry& reg = obs::Registry::global();
       obs::Histogram& h_quality = reg.histogram(
           "group.quality", {0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9});
@@ -893,11 +685,7 @@ PipelineResult DetectionSession::run(const PipelineConfig& config) {
 
   PipelineResult result;
   run_ubf_stages(config, ubf_config, threads, result);
-  const bool escalated =
-      run_escalate_stage(config, ubf_config, threads, result);
-  run_filter_stages(config, faulted, threads,
-                    escalated ? esc_candidates_ : ubf_candidates_,
-                    escalated ? esc_confidence_ : ubf_confidence_, result);
+  run_filter_stages(config, faulted, threads, result);
 
   if (masked_) result.crashed_nodes = n - num_alive_;
   if (faulted) result.fault_stats.crashed = fault_model_->num_down();

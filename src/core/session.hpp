@@ -10,24 +10,9 @@
 ///   Measure   (NoisyDistanceModel + Localizer)   ← measurement_error, noise_seed
 ///     └─ Localize (per-node LocalFrame vector)   ← scope, alive mask
 ///          └─ UBF (per-node candidate flags)     ← every UbfConfig knob
-///               └─ Escalate (opt-in, refined flags + confidence)
-///               │                                ← escalate.margin/relax
 ///               └─ IFF (boundary flags)          ← iff.theta/ttl/use_message_passing
 ///                    └─ Group (BoundaryGroups)   ← iff.use_message_passing
 ///                         └─ Surface (opt-in, mesh::SurfaceStage)
-///
-/// The Escalate stage (PipelineConfig::escalate) is the effort control
-/// plane: it plans a per-node EffortClass from the first pass's confidence
-/// and stress signals (core::build_effort_plan), re-embeds the marginal
-/// nodes' own frames at kFull effort (the dominant input to their ball
-/// tests), re-runs the ball test on their 1-hop reach (every test that
-/// reads a rebuilt frame) with a doubled vote budget, and folds back only
-/// verdicts
-/// that are at least as decisive as the first pass (stress-gated nodes
-/// always adopt — the rebuild is exactly their rescue path). When it runs,
-/// IFF consumes its refined flags instead of the raw UBF artifact; when
-/// disabled every downstream bit is identical to a build without the
-/// stage. True-coordinates runs skip it (there is no effort to retarget).
 ///
 /// Each stage caches its last artifact keyed by a fingerprint of exactly
 /// the config fields and upstream artifacts it reads. A config sweep that
@@ -96,7 +81,8 @@ struct SessionStats {
   StageCounters measure;   ///< noise model + localizer construction
   StageCounters localize;  ///< per-node frame embedding
   StageCounters ubf;       ///< ball test + witness cross-verification
-  StageCounters escalate;  ///< opt-in kFull re-runs on marginal nodes
+  /// Always zero (the stage was retired); perfbench/src/workloads.cpp reads it.
+  StageCounters escalate;
   StageCounters iff;       ///< isolated fragment filtering
   StageCounters group;     ///< boundary grouping
   /// Frames re-embedded by the last partial Localize run (count).
@@ -172,23 +158,11 @@ class DetectionSession {
   void run_ubf_stages(const PipelineConfig& config,
                       const UbfConfig& ubf_config, unsigned threads,
                       PipelineResult& result);
-  /// The opt-in Escalate stage (see the stage-graph comment). Returns true
-  /// when it produced an artifact — the caller then feeds the escalated
-  /// flags/confidence to the filter stages instead of the UBF artifact.
-  /// Returns false (and invalidates the artifact) when disabled or on the
-  /// true-coordinates path.
-  bool run_escalate_stage(const PipelineConfig& config,
-                          const UbfConfig& ubf_config, unsigned threads,
-                          PipelineResult& result);
-  /// `candidates`/`confidence` are the effective per-node inputs — the UBF
-  /// artifact, or the Escalate artifact when that stage ran. The IFF key
-  /// fingerprints the flags themselves, so escalated content re-keys the
-  /// flood artifacts automatically.
+  /// IFF and grouping over the UBF artifact. The IFF key fingerprints the
+  /// candidate flags themselves, so new UBF content re-keys the flood
+  /// artifacts automatically.
   void run_filter_stages(const PipelineConfig& config, bool faulted,
-                         unsigned threads,
-                         const std::vector<bool>& candidates,
-                         const std::vector<float>& confidence,
-                         PipelineResult& result);
+                         unsigned threads, PipelineResult& result);
   /// Installs (or reuses) the session fault model for `config`; rebuilds on
   /// a config-fingerprint change, which resets the crash clock.
   void ensure_fault_model(const sim::FaultConfig& config);
@@ -244,7 +218,7 @@ class DetectionSession {
 
   // --- Localize artifact.
   std::vector<localization::LocalFrame> frames_;
-  /// Effort accounting of the build that produced `frames_` (cache hits
+  /// Work accounting of the build that produced `frames_` (cache hits
   /// republish it; true-coordinates runs leave it zeroed).
   localization::FrameBuildStats loc_stats_;
   std::uint64_t frames_key_ = 0;    ///< (measure_version, scope)
@@ -277,19 +251,6 @@ class DetectionSession {
   /// i.e. dirty frames + one witness hop (a superset of the two-hop
   /// positions a true-coordinates test reads).
   std::vector<char> ubf_dirty_;
-
-  // --- Escalate artifact (opt-in; empty/invalid unless the last run had
-  // `escalate.enabled` on the frame path). Keyed on the UBF exact-hit key
-  // plus the escalation knobs — everything the stage reads flows through
-  // that key (frames via frames_version_, confidence via the UBF config,
-  // alive set via the frame rebuild), so equal keys guarantee an identical
-  // artifact.
-  std::vector<char> esc_flags_;
-  std::vector<bool> esc_candidates_;  ///< published copy of esc_flags_
-  std::vector<float> esc_confidence_;
-  EffortStats esc_stats_;
-  std::uint64_t esc_fp_ = 0;
-  bool esc_valid_ = false;
 
   // --- IFF artifact.
   std::vector<bool> boundary_;

@@ -448,27 +448,17 @@ void run_ball_tests(const UnitBallFitting& ubf, const net::Network& network,
                     std::vector<char>& flags, const std::vector<char>* alive,
                     const std::vector<char>* run_mask, unsigned workers,
                     std::atomic<std::size_t>* fallbacks,
-                    std::vector<float>* confidence,
-                    const std::vector<localization::EffortClass>* effort) {
+                    std::vector<float>* confidence) {
   const UbfConfig& config = ubf.config();
   const std::size_t n = network.num_nodes();
   const bool two_hop = config.scope == UbfConfig::EmptinessScope::kTwoHop;
   const bool cross_verify = frames != nullptr && config.cross_verify;
   const bool want_conf = confidence != nullptr;
-  // Per-node candidate-ball budget: the configured pool, doubled for
-  // kFull-effort (escalated) nodes. The vote-budget mask only ever grows
-  // the pool — see update_flags — so the enumeration prefix a default run
-  // sees is unchanged. Also the vote cap past the decision threshold
-  // (bounded extra work, enough margin to separate "barely boundary" from
-  // "saturated").
-  const std::size_t default_pool =
+  // Candidate-ball budget per node, also the vote cap past the decision
+  // threshold (bounded extra work, enough margin to separate "barely
+  // boundary" from "saturated").
+  const std::size_t pool =
       std::max(config.verify_pool, config.min_empty_balls);
-  const auto vote_budget = [&](std::size_t i) {
-    const bool full = effort != nullptr &&
-                      (*effort)[i] == localization::EffortClass::kFull;
-    return std::max(full ? 2 * config.verify_pool : config.verify_pool,
-                    config.min_empty_balls);
-  };
 
   // Per-node work histograms (Theorem 1's Θ(ρ³) in the wild). Handles are
   // fetched once here so the parallel workers below never touch the
@@ -533,9 +523,8 @@ void run_ball_tests(const UnitBallFitting& ubf, const net::Network& network,
         }
         const std::vector<Vec3>& coords = *view.coords;
         UbfNodeDiagnostics diag;
-        const std::size_t pool = vote_budget(i);
         if (!cross_verify) {
-          if (want_conf || pool != default_pool) {
+          if (want_conf) {
             const std::size_t votes =
                 ubf.count_empty_balls(coords, 0, view.witness_count, pool,
                                       view.uncertainty, &diag);
@@ -596,7 +585,7 @@ std::vector<bool> detect_all(
   std::vector<char> flags(n, 0);
   std::atomic<std::size_t> fallbacks{0};
   run_ball_tests(ubf, network, frames, flags, alive, /*run_mask=*/nullptr,
-                 workers, &fallbacks, confidence, /*effort=*/nullptr);
+                 workers, &fallbacks, confidence);
 
   if (frame_fallbacks != nullptr) {
     *frame_fallbacks = fallbacks.load(std::memory_order_relaxed);
@@ -647,8 +636,7 @@ void UnitBallFitting::update_flags(
     const std::vector<localization::LocalFrame>* frames,
     std::vector<char>& flags, const std::vector<char>* alive,
     const std::vector<char>* run_mask, unsigned threads,
-    std::vector<float>* confidence,
-    const std::vector<localization::EffortClass>* effort) const {
+    std::vector<float>* confidence) const {
   const std::size_t n = network_->num_nodes();
   BALLFIT_REQUIRE(frames == nullptr || frames->size() == n,
                   "one frame per node required");
@@ -657,11 +645,9 @@ void UnitBallFitting::update_flags(
                   "alive mask must be sized num_nodes");
   BALLFIT_REQUIRE(confidence == nullptr || confidence->size() == n,
                   "confidence must be pre-sized num_nodes");
-  BALLFIT_REQUIRE(effort == nullptr || effort->size() == n,
-                  "effort plan must be sized num_nodes");
   const unsigned workers = threads == 0 ? default_threads() : threads;
   run_ball_tests(*this, *network_, frames, flags, alive, run_mask, workers,
-                 /*fallbacks=*/nullptr, confidence, effort);
+                 /*fallbacks=*/nullptr, confidence);
 }
 
 }  // namespace ballfit::core

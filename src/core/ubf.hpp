@@ -213,22 +213,11 @@ class UnitBallFitting {
   /// bit-identically. Thread-count independent like `detect`.
   /// `confidence`, when non-null, must be pre-sized to num_nodes; entries
   /// are rewritten under the same mask discipline as `flags`.
-  /// `effort`, when non-null (sized num_nodes), is the per-node vote-budget
-  /// mask of the effort control plane: a `kFull` node collects twice the
-  /// configured `verify_pool` of candidate balls (denser ball tests for
-  /// marginal nodes); `kCheap`/`kDefault` keep the configured budget —
-  /// the budget is only ever *grown*, never shrunk, because the candidate
-  /// enumeration order is fixed and an extended sweep only appends votes,
-  /// so a kFull node's verified count is monotone non-decreasing in the
-  /// pool and its flag can flip 0→1 but never 1→0 relative to the default
-  /// budget. A null (or all-non-kFull) mask is bit-identical to the
-  /// pre-plan behavior.
   void update_flags(
       const std::vector<localization::LocalFrame>* frames,
       std::vector<char>& flags, const std::vector<char>* alive = nullptr,
       const std::vector<char>* run_mask = nullptr, unsigned threads = 0,
-      std::vector<float>* confidence = nullptr,
-      const std::vector<localization::EffortClass>* effort = nullptr) const;
+      std::vector<float>* confidence = nullptr) const;
 
   /// The per-node kernel: runs the unit-ball test on an explicit point set.
   /// `coords[self_index]` is the node under test; entries with index

@@ -58,9 +58,8 @@ struct SmacofConfig {
   /// Plateau cap: exit after this many *consecutive* sweeps whose relative
   /// stress improvement stays below `plateau_rel_tol` (a much looser bar
   /// than `rel_tol`, which detects full convergence). 0 disables. Setting
-  /// this and `stop_stress` both to 0 is the run-to-budget contract the
-  /// effort control plane relies on for escalated (kFull-effort) frames:
-  /// the run exits only on the budget or on full `rel_tol` convergence.
+  /// this and `stop_stress` both to 0 is the run-to-budget contract: the
+  /// run exits only on the budget or on full `rel_tol` convergence.
   int plateau_sweeps = 0;
   /// Relative improvement (Δstress / stress) below which a sweep counts
   /// toward the plateau run. Dimensionless; meaningful only with
@@ -95,7 +94,7 @@ struct SmacofConfig {
   int stress_stride = 1;
 };
 
-/// How one refinement run exited and how much effort it spent. All exits
+/// How one refinement run exited and how many sweeps it spent. All exits
 /// happen between sweeps, so the reported final stress is always the true
 /// stress of the returned coordinates.
 struct SmacofRunInfo {

@@ -156,20 +156,50 @@ void gather_two_hop_members(const net::Network& net,
     s.slot.insert(frame.members[a], static_cast<std::uint32_t>(a));
 }
 
+/// `config`, after rejecting values no frame build can honour. Runs in the
+/// member-init list, before the per-edge measurement cache is drawn.
+LocalizerConfig validated(const LocalizerConfig& config) {
+  const auto finite_nonneg = [](double x) {
+    return std::isfinite(x) && x >= 0.0;
+  };
+  const auto finite_pos = [](double x) { return std::isfinite(x) && x > 0.0; };
+  BALLFIT_REQUIRE(config.smacof_sweeps >= 0,
+                  "LocalizerConfig::smacof_sweeps must be >= 0");
+  BALLFIT_REQUIRE(config.mdsmap_sweeps >= 0,
+                  "LocalizerConfig::mdsmap_sweeps must be >= 0");
+  BALLFIT_REQUIRE(config.plateau_sweeps >= 0,
+                  "LocalizerConfig::plateau_sweeps must be >= 0");
+  BALLFIT_REQUIRE(config.stress_stride >= 1,
+                  "LocalizerConfig::stress_stride must be >= 1");
+  BALLFIT_REQUIRE(config.mds_eigen_iters >= 1,
+                  "LocalizerConfig::mds_eigen_iters must be >= 1");
+  BALLFIT_REQUIRE(finite_nonneg(config.adaptive_floor),
+                  "LocalizerConfig::adaptive_floor must be finite and >= 0");
+  BALLFIT_REQUIRE(finite_nonneg(config.plateau_rel_tol),
+                  "LocalizerConfig::plateau_rel_tol must be finite and >= 0");
+  BALLFIT_REQUIRE(finite_nonneg(config.plateau_guard),
+                  "LocalizerConfig::plateau_guard must be finite and >= 0");
+  BALLFIT_REQUIRE(finite_pos(config.mds_eigen_tol),
+                  "LocalizerConfig::mds_eigen_tol must be finite and > 0");
+  BALLFIT_REQUIRE(finite_pos(config.missing_pair_fallback),
+                  "LocalizerConfig::missing_pair_fallback must be finite "
+                  "and > 0");
+  return config;
+}
+
 }  // namespace
 
 Localizer::Localizer(const net::Network& network,
                      const net::NoisyDistanceModel& model,
                      LocalizerConfig config)
-    : network_(&network), model_(&model), config_(config),
+    : network_(&network), model_(&model), config_(validated(config)),
       edge_cache_(model) {
   BALLFIT_REQUIRE(&model.network() == &network,
                   "measurement model must wrap the same network");
 }
 
 LocalFrame Localizer::local_frame(NodeId i, const std::vector<char>* alive,
-                                  FrameBuildStats* effort,
-                                  EffortClass node_effort) const {
+                                  FrameBuildStats* stats) const {
   BALLFIT_REQUIRE(i < network_->num_nodes(), "node id out of range");
 
   LocalFrame frame;
@@ -231,13 +261,13 @@ LocalFrame Localizer::local_frame(NodeId i, const std::vector<char>* alive,
     linalg::double_center_into(d, s.gram);
     frame.coords = refine_embedding(
         d, w, top3_coords(linalg::eigen_top_k(s.gram, 3, 60, 1e-6), m), i,
-        config_.smacof_sweeps, &frame.stress_rms, effort, node_effort);
+        config_.smacof_sweeps, &frame.stress_rms, stats);
     frame.ok = true;
   } else {
     linalg::MdsResult mds = linalg::classical_mds(d, 3);
     frame.coords = refine_embedding(d, w, std::move(mds.coords), i,
                                     config_.smacof_sweeps, &frame.stress_rms,
-                                    effort, node_effort);
+                                    stats);
     frame.ok = mds.converged;
     if (mds.gram_eigenvalues.size() >= 4 && mds.gram_eigenvalues[2] > 1e-12) {
       frame.embed_residual =
@@ -250,8 +280,7 @@ LocalFrame Localizer::local_frame(NodeId i, const std::vector<char>* alive,
 std::vector<geom::Vec3> Localizer::refine_embedding(
     const linalg::Matrix& d, const linalg::Matrix& w,
     std::vector<geom::Vec3> init, NodeId node, int sweeps,
-    double* stress_rms, FrameBuildStats* effort,
-    EffortClass node_effort) const {
+    double* stress_rms, FrameBuildStats* stats) const {
   if (sweeps <= 0) return init;
 
   // Extract the measured edges into CSR once, so each restart and each
@@ -294,29 +323,13 @@ std::vector<geom::Vec3> Localizer::refine_embedding(
           config_.plateau_guard * noise_floor_stress(e, 1.0, measured_pairs);
     }
   }
-  // Per-node effort overrides (see EffortClass). kFull disarms the
-  // adaptive exits so the run spends the whole configured budget; kCheap
-  // halves it. Both leave the kernel flags (fast_sweep, stress_stride)
-  // alone — the per-sweep arithmetic stays tier-pure either way.
-  if (node_effort == EffortClass::kFull) {
-    sc.stop_stress = 0.0;
-    sc.plateau_sweeps = 0;
-  } else if (node_effort == EffortClass::kCheap) {
-    sc.max_sweeps = std::max(1, sc.max_sweeps / 2);
-  }
 
   double best_stress = std::numeric_limits<double>::infinity();
   std::vector<geom::Vec3> best;
-  Rng restart_rng(config_.restart_seed ^
+  Rng restart_rng(kRestartSeed ^
                   (static_cast<std::uint64_t>(node) * 0x9e3779b97f4a7c15ULL));
-  // A cheap node takes one attempt: the restart machinery exists to escape
-  // fold-over minima, which a confidently-classified node's frame has
-  // already been judged free of.
-  const int max_attempts = node_effort == EffortClass::kCheap
-                               ? 1
-                               : std::max(1, config_.smacof_restarts);
   int attempts = 0;
-  for (int attempt = 0; attempt < max_attempts; ++attempt) {
+  for (int attempt = 0; attempt < kSmacofAttempts; ++attempt) {
     ++attempts;
     std::vector<geom::Vec3> start = init;
     if (attempt > 0) {
@@ -330,11 +343,11 @@ std::vector<geom::Vec3> Localizer::refine_embedding(
     double stress = 0.0;
     linalg::SmacofRunInfo run;
     auto refined = problem.refine(std::move(start), sc, &stress, nullptr, &run);
-    if (effort != nullptr) {
-      effort->sweeps_executed += static_cast<std::uint64_t>(run.sweeps);
-      effort->sweep_budget += static_cast<std::uint64_t>(sc.max_sweeps);
-      effort->plateau_exits += run.plateau_exit;
-      effort->stress_exits += run.stress_exit;
+    if (stats != nullptr) {
+      stats->sweeps_executed += static_cast<std::uint64_t>(run.sweeps);
+      stats->sweep_budget += static_cast<std::uint64_t>(sc.max_sweeps);
+      stats->plateau_exits += run.plateau_exit;
+      stats->stress_exits += run.stress_exit;
     }
     if (stress < best_stress) {
       best_stress = stress;
@@ -342,9 +355,9 @@ std::vector<geom::Vec3> Localizer::refine_embedding(
     }
     if (best_stress <= accept_stress) break;
   }
-  if (effort != nullptr && best_stress <= accept_stress)
-    effort->restarts_skipped +=
-        static_cast<std::uint64_t>(max_attempts - attempts);
+  if (stats != nullptr && best_stress <= accept_stress)
+    stats->restarts_skipped +=
+        static_cast<std::uint64_t>(kSmacofAttempts - attempts);
   if (stress_rms != nullptr) {
     *stress_rms = measured_pairs == 0
                       ? 0.0
@@ -356,8 +369,7 @@ std::vector<geom::Vec3> Localizer::refine_embedding(
 
 bool Localizer::mdsmap_init(NodeId i, const std::vector<char>* alive,
                             LocalFrame& frame, std::vector<geom::Vec3>& init,
-                            FrameBuildStats* effort,
-                            EffortClass node_effort) const {
+                            FrameBuildStats* stats) const {
   BALLFIT_REQUIRE(i < network_->num_nodes(), "node id out of range");
 
   LocScratch& s = scratch();
@@ -438,7 +450,7 @@ bool Localizer::mdsmap_init(NodeId i, const std::vector<char>* alive,
       }
       if (!changed) break;
     }
-    if (effort != nullptr) effort->completion_scans += scans;
+    if (stats != nullptr) stats->completion_scans += scans;
   }
   const double fallback =
       config_.missing_pair_fallback * 2.0 * network_->radio_range();
@@ -453,34 +465,26 @@ bool Localizer::mdsmap_init(NodeId i, const std::vector<char>* alive,
   // pay for itself (at the reference budget the subspace iteration is
   // over a third of the whole frame build).
   linalg::double_center_into(d, s.gram);
-  // A kFull node gets the kBitwise-grade init regardless of tier; a kCheap
-  // node relaxes the tolerance 10× (the refinement basin tolerates a much
-  // rougher start than even the default tolerance demands).
-  const bool full_eigen = config_.tier == EquivalenceTier::kBitwise ||
-                          node_effort == EffortClass::kFull;
-  const double eigen_tol = node_effort == EffortClass::kCheap
-                               ? config_.mds_eigen_tol * 10.0
-                               : config_.mds_eigen_tol;
+  const bool full_eigen = config_.tier == EquivalenceTier::kBitwise;
   init = top3_coords(
       linalg::eigen_top_k(s.gram, 3, full_eigen ? 60 : config_.mds_eigen_iters,
-                          full_eigen ? 1e-6 : eigen_tol,
+                          full_eigen ? 1e-6 : config_.mds_eigen_tol,
                           /*data_seed=*/!full_eigen),
       m);
   return true;
 }
 
 LocalFrame Localizer::mdsmap_frame(NodeId i, const std::vector<char>* alive,
-                                   FrameBuildStats* effort,
-                                   EffortClass node_effort) const {
+                                   FrameBuildStats* stats) const {
   LocalFrame frame;
   std::vector<geom::Vec3> init;
-  if (!mdsmap_init(i, alive, frame, init, effort, node_effort)) return frame;
+  if (!mdsmap_init(i, alive, frame, init, stats)) return frame;
   // Measured-pair stress majorization on the scratch system the init
   // stage left behind (still this thread's, untouched since).
   LocScratch& s = scratch();
   frame.coords =
       refine_embedding(s.d, s.w, std::move(init), i, config_.mdsmap_sweeps,
-                       &frame.stress_rms, effort, node_effort);
+                       &frame.stress_rms, stats);
   frame.ok = true;
   return frame;
 }
@@ -535,15 +539,12 @@ void build_all_frames(const Localizer& localizer, FrameScope scope,
                       std::vector<LocalFrame>& frames, unsigned threads,
                       const std::vector<char>* alive,
                       const std::vector<char>* rebuild,
-                      FrameBuildStats* stats,
-                      const std::vector<EffortClass>* effort) {
+                      FrameBuildStats* stats) {
   const std::size_t n = localizer.network().num_nodes();
   BALLFIT_REQUIRE(rebuild == nullptr || frames.size() == n,
                   "partial rebuild requires an existing full frame set");
   BALLFIT_REQUIRE(alive == nullptr || alive->size() == n,
                   "alive mask must be sized num_nodes");
-  BALLFIT_REQUIRE(effort == nullptr || effort->size() == n,
-                  "effort plan must be sized num_nodes");
   frames.resize(n);
   const bool two_hop = scope == FrameScope::kTwoHop;
   const std::string parent = obs::current_span_path();
@@ -560,10 +561,8 @@ void build_all_frames(const Localizer& localizer, FrameScope scope,
           frames[i] = LocalFrame{};  // crashed: no frame, not-ok
         } else {
           const auto id = static_cast<NodeId>(i);
-          const EffortClass ne =
-              effort != nullptr ? (*effort)[i] : EffortClass::kDefault;
-          frames[i] = two_hop ? localizer.mdsmap_frame(id, alive, &local, ne)
-                              : localizer.local_frame(id, alive, &local, ne);
+          frames[i] = two_hop ? localizer.mdsmap_frame(id, alive, &local)
+                              : localizer.local_frame(id, alive, &local);
         }
         agg.merge(local);
       },

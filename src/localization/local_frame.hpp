@@ -47,8 +47,8 @@ struct LocalFrame {
 
 /// Numerical-equivalence contract of the frame build (see
 /// docs/ARCHITECTURE.md, "Localization"). At both tiers every frame is a
-/// pure function of (network, measurement model, scope, alive, effort
-/// class): a full build, a partial rebuild, a direct per-node call, and
+/// pure function of (network, measurement model, scope, alive): a full
+/// build, a partial rebuild, a direct per-node call, and
 /// any thread count produce bit-identical frames.
 enum class EquivalenceTier {
   /// Every fast path that changes rounding is off (legacy Guttman kernel,
@@ -63,34 +63,25 @@ enum class EquivalenceTier {
   kBoundaryIdentical,
 };
 
-/// Per-node effort override — the localization half of the effort control
-/// plane (`core::EffortPlan`). Where the `EquivalenceTier` sets one effort
-/// level for a whole build, an `EffortClass` retunes a *single node's*
-/// frame build from the plan the session derived out of first-pass
-/// confidence and stress signals. `kDefault` reproduces the configured
-/// behavior bit for bit, so a plan of all-kDefault is indistinguishable
-/// from no plan at all.
-enum class EffortClass : std::uint8_t {
-  /// Confident node: half the sweep budget, a single SMACOF attempt (no
-  /// perturbed restarts), and a 10× looser eigen-init tolerance. The
-  /// decision was already clear — the frame only needs to stay good
-  /// enough for its neighbors' witness checks.
-  kCheap,
-  /// Exactly the configured behavior (tier knobs and all).
-  kDefault,
-  /// Marginal or stress-gated node: the full configured sweep budget with
-  /// the adaptive exits (stress floor, plateau cap) disarmed, and the
-  /// kBitwise-grade eigen init (60 iterations, 1e-6 tolerance). This is
-  /// the escalation effort level — spend everything the config allows.
-  kFull,
-};
-
 /// One-hop frames with more members than this seed their refinement from
 /// the 3-eigenpair `eigen_top_k` subspace iteration instead of a full
 /// Jacobi decomposition (O(k·m²·iters) vs O(m³·sweeps)); below it dense
 /// Jacobi is both faster and exact. The two inits land in the same
 /// refinement basin, not on bit-identical coordinates.
 inline constexpr std::size_t kTopkMdsThreshold = 24;
+
+/// SMACOF attempts per frame: the first from the classical-MDS init, then
+/// perturbed restarts while the stress exceeds the noise-consistent level.
+/// Stress majorization inherits fold-over local minima from the biased
+/// classical-MDS init (path-completed entries overestimate); a restart
+/// keeps the best-stress embedding. At e > 0 the stress is almost always
+/// acceptable after the first attempt and the restart is skipped
+/// (`FrameBuildStats::restarts_skipped`); at e = 0 the acceptance level is
+/// near zero and most frames run the second attempt.
+inline constexpr int kSmacofAttempts = 2;
+/// Seed of the deterministic restart perturbations; each node's stream is
+/// keyed on its id.
+inline constexpr std::uint64_t kRestartSeed = 0x5eedULL;
 
 struct LocalizerConfig {
   /// Pairs of neighbors farther apart than the radio range cannot measure
@@ -108,16 +99,6 @@ struct LocalizerConfig {
   /// majorization needs more rounds to propagate across a patch of ~150
   /// nodes than across a one-hop clique.
   int mdsmap_sweeps = 250;
-  /// SMACOF restarts from perturbed initializations. Stress majorization
-  /// inherits fold-over local minima from the biased classical-MDS init
-  /// (path-completed entries overestimate); restarts keep the best-stress
-  /// embedding and stop early once the stress is consistent with the
-  /// ranging noise level.
-  int smacof_restarts = 2;
-  /// Seed for the (deterministic, per-node) restart perturbations; the
-  /// per-node stream is keyed on the node id.
-  std::uint64_t restart_seed = 0x5eedULL;
-
   /// Equivalence tier of the whole frame build. kBitwise overrides the
   /// adaptive and kernel knobs below to their reference behavior.
   EquivalenceTier tier = EquivalenceTier::kBoundaryIdentical;
@@ -178,7 +159,7 @@ struct LocalizerConfig {
   }
 };
 
-/// Effort accounting of one frame build (a `build_all_frames` call or a
+/// Work accounting of one frame build (a `build_all_frames` call or a
 /// single direct frame build). Exported as `loc.*` obs counters and
 /// through `core::PipelineResult::localize_stats`.
 struct FrameBuildStats {
@@ -216,7 +197,11 @@ class Localizer {
  public:
   /// Draws every radio edge's measured distance once
   /// (`net::EdgeMeasurementCache`); all frame builds on all threads read
-  /// that cache.
+  /// that cache. Throws `InvalidArgument` on an out-of-range `config`:
+  /// negative sweep counts, `stress_stride` or `mds_eigen_iters` below 1,
+  /// a negative or non-finite `adaptive_floor`/`plateau_rel_tol`/
+  /// `plateau_guard`, or a non-positive or non-finite `mds_eigen_tol`/
+  /// `missing_pair_fallback`.
   Localizer(const net::Network& network, const net::NoisyDistanceModel& model,
             LocalizerConfig config = {});
 
@@ -226,14 +211,11 @@ class Localizer {
   /// exactly as a real crash would. A null mask is bit-identical to an
   /// all-alive one. The measurement model draws per node-id pair, so a
   /// masked frame's surviving measurements match the unmasked ones bitwise.
-  /// `effort`, here and on `mdsmap_frame`, when non-null accumulates the
-  /// build's SMACOF effort accounting (sweeps, exits, skipped restarts).
-  /// `node_effort` applies the per-node effort class (see `EffortClass`).
+  /// `stats`, here and on `mdsmap_frame`, when non-null accumulates the
+  /// build's SMACOF work accounting (sweeps, exits, skipped restarts).
   LocalFrame local_frame(net::NodeId i,
                          const std::vector<char>* alive = nullptr,
-                         FrameBuildStats* effort = nullptr,
-                         EffortClass node_effort = EffortClass::kDefault)
-      const;
+                         FrameBuildStats* stats = nullptr) const;
 
   /// Builds node i's frame over its full two-hop neighborhood, MDS-MAP(P)
   /// style (Shang & Ruml [31], the method the paper adopts): classical MDS
@@ -246,9 +228,7 @@ class Localizer {
   /// dead nodes neither join the member set nor relay two-hop membership.
   LocalFrame mdsmap_frame(net::NodeId i,
                           const std::vector<char>* alive = nullptr,
-                          FrameBuildStats* effort = nullptr,
-                          EffortClass node_effort = EffortClass::kDefault)
-      const;
+                          FrameBuildStats* stats = nullptr) const;
 
   /// RMS coordinate error of a frame against ground truth, after optimal
   /// rigid alignment (evaluation helper; not available to nodes).
@@ -267,7 +247,7 @@ class Localizer {
   /// matrices the measured-pair system the refinement must honor.
   bool mdsmap_init(net::NodeId i, const std::vector<char>* alive,
                    LocalFrame& frame, std::vector<geom::Vec3>& init,
-                   FrameBuildStats* effort, EffortClass node_effort) const;
+                   FrameBuildStats* stats) const;
 
   /// SMACOF with the restart logic shared by both frame builders: refines
   /// `init` for up to `sweeps` sweeps against the measured pairs (w > 0),
@@ -278,8 +258,7 @@ class Localizer {
                                            std::vector<geom::Vec3> init,
                                            net::NodeId node, int sweeps,
                                            double* stress_rms,
-                                           FrameBuildStats* effort,
-                                           EffortClass node_effort) const;
+                                           FrameBuildStats* stats) const;
 
   const net::Network* network_;
   const net::NoisyDistanceModel* model_;
@@ -309,9 +288,6 @@ enum class FrameScope { kOneHop, kTwoHop };
 ///   - `stats` (optional): receives the build's `FrameBuildStats`. The
 ///     same totals are always added to the `loc.*` obs counters when obs
 ///     is enabled.
-///   - `effort` (optional): per-node effort classes (sized num_nodes) from
-///     the session's `core::EffortPlan`. An all-kDefault plan is
-///     bit-identical to a null one.
 ///
 /// Emits one "frame" trace span per rebuilt node under the caller's span
 /// (the workers adopt the calling thread's span path). `threads` = 0 uses
@@ -320,7 +296,6 @@ void build_all_frames(const Localizer& localizer, FrameScope scope,
                       std::vector<LocalFrame>& frames, unsigned threads = 0,
                       const std::vector<char>* alive = nullptr,
                       const std::vector<char>* rebuild = nullptr,
-                      FrameBuildStats* stats = nullptr,
-                      const std::vector<EffortClass>* effort = nullptr);
+                      FrameBuildStats* stats = nullptr);
 
 }  // namespace ballfit::localization

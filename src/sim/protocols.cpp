@@ -135,12 +135,19 @@ std::vector<std::uint32_t> ttl_flood_count(const net::Network& net,
     return counts;
   }
 
-  std::vector<std::unordered_set<NodeId>> heard(n);
+  // Only active nodes send, receive or report, so `heard` holds one set
+  // per active node, indexed by its rank among them.
+  std::vector<std::uint32_t> rank(n, 0);
+  std::size_t num_active = 0;
+  for (NodeId v = 0; v < n; ++v) {
+    if (active[v]) rank[v] = static_cast<std::uint32_t>(num_active++);
+  }
+  std::vector<std::unordered_set<NodeId>> heard(num_active);
   RoundEngine<FloodMsg> engine(net, &active, "ttl_flood", opts.faults);
 
   for (NodeId v = 0; v < n; ++v) {
     if (!active[v] || is_down(opts, v)) continue;
-    heard[v].insert(v);
+    heard[rank[v]].insert(v);
     if (ttl > 0) {
       for (std::uint32_t r = 0; r < repeat; ++r)
         engine.broadcast(v, {v, ttl - 1});
@@ -151,7 +158,7 @@ std::vector<std::uint32_t> ttl_flood_count(const net::Network& net,
   // origin is already known falls through the insert and is not forwarded.
   const RunStats rs = engine.run(
       [&](NodeId self, NodeId /*from*/, const FloodMsg& msg) {
-        if (heard[self].insert(msg.origin).second && msg.ttl > 0) {
+        if (heard[rank[self]].insert(msg.origin).second && msg.ttl > 0) {
           for (std::uint32_t r = 0; r < repeat; ++r)
             engine.broadcast(self, {msg.origin, msg.ttl - 1});
         }
@@ -162,7 +169,7 @@ std::vector<std::uint32_t> ttl_flood_count(const net::Network& net,
   for (NodeId v = 0; v < n; ++v) {
     // Crashed nodes report nothing, whatever they heard before dying.
     if (active[v] && !is_down(opts, v))
-      counts[v] = static_cast<std::uint32_t>(heard[v].size());
+      counts[v] = static_cast<std::uint32_t>(heard[rank[v]].size());
   }
   return counts;
 }

@@ -120,12 +120,11 @@ std::vector<Vec3> reference_refine(const net::Network& net,
       sc.plateau_guard_stress = cfg.plateau_guard * floor(1.0);
     }
   }
-  Rng restart_rng(cfg.restart_seed ^
+  Rng restart_rng(kRestartSeed ^
                   (static_cast<std::uint64_t>(node) * 0x9e3779b97f4a7c15ULL));
   double best_stress = std::numeric_limits<double>::infinity();
   std::vector<Vec3> best;
-  for (int attempt = 0; attempt < std::max(1, cfg.smacof_restarts);
-       ++attempt) {
+  for (int attempt = 0; attempt < kSmacofAttempts; ++attempt) {
     std::vector<Vec3> start = init;
     if (attempt > 0) {
       const double jitter = 0.25 * net.radio_range();
