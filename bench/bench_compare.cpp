@@ -7,7 +7,12 @@
 /// compares each measured wall time to a committed baseline:
 ///
 ///   - `ubf.true_coords` — `detect_with_true_coordinates` at one thread,
-///     the pure Algorithm 1 kernel free of localization noise.
+///     the pure Algorithm 1 kernel free of localization noise. The record
+///     carries the ball test's deterministic work counters
+///     (`nodes_certified`, `trisphere_solves`, `balls_tested`,
+///     `cover_checks`) from an untimed run with collection on; an in-run
+///     gate requires the interior certificate to settle some nodes and the
+///     counters to be equal at 1 and 4 threads.
 ///   - `pipeline.local_frames` — the noisy-coordinates localization stage
 ///     at the *default* equivalence tier (kBoundaryIdentical: adaptive
 ///     plateau exits, fast sweep kernel), built through the per-node
@@ -67,6 +72,7 @@
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "bench_util.hpp"
@@ -77,6 +83,7 @@
 #include "localization/local_frame.hpp"
 #include "model/zoo.hpp"
 #include "net/measurement.hpp"
+#include "obs/export.hpp"
 #include "obs/json.hpp"
 #include "sim/churn.hpp"
 
@@ -111,7 +118,16 @@ struct KernelRecord {
   double util = 0.0;
   /// `FrameBuildStats::completion_scans` of one build; written when > 0.
   std::uint64_t completion_scans = 0;
+  /// The `ubf.*` work counters of one detection (`ubf.true_coords` only);
+  /// written when non-empty.
+  std::vector<std::pair<std::string, std::uint64_t>> ubf_counters;
 };
+
+/// The ball test's deterministic work counters (obs counter names).
+constexpr const char* kUbfCounters[] = {"ubf.nodes_certified",
+                                        "ubf.trisphere_solves",
+                                        "ubf.balls_tested",
+                                        "ubf.cover_checks"};
 
 /// CPU time of the whole process (all threads), in ms.
 double process_cpu_ms() {
@@ -260,6 +276,9 @@ void write_kernel(ballfit::obs::JsonWriter& w, const KernelRecord& rec) {
   if (rec.completion_scans > 0) {
     w.field("completion_scans", rec.completion_scans);
   }
+  for (const auto& [name, value] : rec.ubf_counters) {
+    w.field(name.substr(name.find('.') + 1), value);
+  }
   w.end_object();
 }
 
@@ -314,7 +333,47 @@ int main(int argc, char** argv) {
     rec.mean_ms /= reps;
     std::printf("%s: best %.2f ms, mean %.2f ms over %d reps\n",
                 rec.name.c_str(), rec.best_ms, rec.mean_ms, rec.reps);
+
+    // Work counters from untimed runs with collection on. They are sums of
+    // per-node work, so any thread count must reproduce them exactly.
+    const auto counters_at = [&](unsigned threads) {
+      obs::set_enabled(true);
+      obs::reset();
+      (void)ubf.detect_with_true_coordinates(nullptr, nullptr, nullptr,
+                                             threads);
+      const auto counters = obs::Registry::global().snapshot().counters;
+      obs::set_enabled(false);
+      std::vector<std::pair<std::string, std::uint64_t>> out;
+      for (const char* name : kUbfCounters) {
+        const auto it = counters.find(name);
+        out.emplace_back(name, it == counters.end() ? 0 : it->second);
+      }
+      return out;
+    };
+    rec.ubf_counters = counters_at(1);
+    const auto counters_mt = counters_at(4);
+    for (const auto& [name, value] : rec.ubf_counters) {
+      std::printf("%s: %s = %" PRIu64 "\n", rec.name.c_str(), name.c_str(),
+                  value);
+    }
     records.push_back(rec);
+
+    // In-run gate: the interior certificate settles interior nodes, and the
+    // work is the same whichever worker ran each node.
+    if (rec.ubf_counters != counters_mt) {
+      std::fprintf(stderr,
+                   "THREAD DRIFT: %s work counters differ between 1 and 4 "
+                   "threads\n",
+                   rec.name.c_str());
+      return 1;
+    }
+    if (rec.ubf_counters.front().second == 0) {  // ubf.nodes_certified
+      std::fprintf(stderr,
+                   "REGRESSION: %s certified no node (the interior "
+                   "certificate never fired)\n",
+                   rec.name.c_str());
+      return 1;
+    }
   }
 
   // Kernels 2 + 3: the noisy-coordinates localization stage — every

@@ -8,7 +8,9 @@
 /// true coordinates at `--threads` workers, builds the Sec. III surfaces of
 /// the detected boundary (`mesh::build_surfaces`, serial), and reports wall
 /// clock, the detection result with its UBF / IFF / grouping split, the
-/// surface time with its Steps I–V split, and peak RSS.
+/// surface time with its Steps I–V split, the ball test's work counters
+/// (`ubf_nodes_certified`, `ubf_trisphere_solves`, `ubf_balls_tested`,
+/// `ubf_cover_checks`), and peak RSS.
 ///
 ///   fig_scaling --nodes 100000 --threads 4
 ///   fig_scaling --nodes 1000000 --threads 8
@@ -27,6 +29,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "bench_report.hpp"
@@ -37,6 +40,7 @@
 #include "mesh/surface_builder.hpp"
 #include "model/zoo.hpp"
 #include "net/builder.hpp"
+#include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 
 namespace {
@@ -135,6 +139,21 @@ int main(int argc, char** argv) {
   for (const char* step : {"step1_landmarks", "step2_cdg", "step3_cdm",
                            "step4_completion", "step5_flip"})
     step_ms.push_back(span_ms("", step));
+
+  // The ball test's deterministic work counters: how many nodes the
+  // interior certificate settled and what the others cost.
+  const auto counters = obs::Registry::global().snapshot().counters;
+  for (const auto& [counter, param] :
+       {std::pair{"ubf.nodes_certified", "ubf_nodes_certified"},
+        std::pair{"ubf.trisphere_solves", "ubf_trisphere_solves"},
+        std::pair{"ubf.balls_tested", "ubf_balls_tested"},
+        std::pair{"ubf.cover_checks", "ubf_cover_checks"}}) {
+    const auto it = counters.find(counter);
+    const double value =
+        it == counters.end() ? 0.0 : static_cast<double>(it->second);
+    run.param(param, value);
+    std::printf("%s %.0f\n", counter, value);
+  }
 
   const core::DetectionStats stats =
       core::evaluate_detection(network, result.boundary);

@@ -1,8 +1,10 @@
 #include "core/ubf.hpp"
 
 #include <algorithm>
+#include <array>
 #include <atomic>
 #include <cmath>
+#include <cstdint>
 
 #include "common/assert.hpp"
 #include "common/epoch_map.hpp"
@@ -21,6 +23,12 @@ double vote_confidence(std::size_t votes, std::size_t threshold) {
   if (threshold == 0) return votes > 0 ? 1.0 : 0.0;
   return static_cast<double>(votes) /
          static_cast<double>(votes + threshold);
+}
+
+double certificate_margin(double radius, const Vec3& self) {
+  const double magnitude =
+      std::max({std::abs(self.x), std::abs(self.y), std::abs(self.z)});
+  return 1e-2 * radius + 1e-12 * magnitude;
 }
 
 UnitBallFitting::UnitBallFitting(const net::Network& network, UbfConfig config)
@@ -88,17 +96,126 @@ bool ball_is_empty(const std::vector<Vec3>& coords, const Vec3& center,
   return true;
 }
 
+/// One spherical cell of the interior certificate: its center direction e
+/// (unit) and its chord, an upper bound on |d − e| over every unit
+/// direction d in the cell.
+struct CoverCell {
+  Vec3 center;
+  double chord;
+};
+
+/// Levels of the cell table. Level l of the subdivision has 20·4^l cells;
+/// the certificate starts from the 80 level-1 cells (the 20 faces
+/// themselves are too coarse to be covered by one member) and splits down
+/// to the 1,280 level-3 cells. The table holds levels 1–3: 1,680 cells,
+/// 52.5 KiB.
+constexpr int kCoverRoot = 1;
+constexpr int kCoverLeaf = 3;
+
+/// Index of the first level-`level` cell in the level-major table.
+constexpr std::size_t cover_level_offset(int level) {
+  return 20 * ((std::size_t{1} << (2 * level)) -
+               (std::size_t{1} << (2 * kCoverRoot))) /
+         3;
+}
+
+struct CoverTable {
+  std::vector<CoverCell> cells;
+  double leaf_chord = 0.0;  // largest chord of a leaf cell
+};
+
+/// The certificate's cells, built once and shared read-only by every
+/// worker: the icosahedron's 20 faces on the unit sphere, each split 1:4
+/// at its normalized edge midpoints, recursively. The children of the
+/// level-l cell with in-level index c are the level-(l+1) cells 4c … 4c+3,
+/// and together they tile it. A cell's chord is its largest
+/// center-to-vertex distance: for a unit d = v/|v| with v a convex
+/// combination of the vertices, d·e >= v·e >= min over vertices of v_i·e,
+/// so no point of the cell is farther from e than some vertex. The chord
+/// is padded by 1e-9 to absorb the rounding of the computed vertices (the
+/// slivers between a parent and its computed children are ~1e-16 wide).
+const CoverTable& cover_table() {
+  static const CoverTable table = [] {
+    const double phi = (1.0 + std::sqrt(5.0)) / 2.0;
+    std::vector<Vec3> v;
+    for (const double a : {-1.0, 1.0}) {
+      for (const double b : {-phi, phi}) {
+        v.push_back(Vec3{0.0, a, b}.normalized());
+        v.push_back(Vec3{a, b, 0.0}.normalized());
+        v.push_back(Vec3{b, 0.0, a}.normalized());
+      }
+    }
+    CoverTable out;
+    out.cells.resize(cover_level_offset(kCoverLeaf + 1));
+    const auto fill = [&](const auto& self, int level, std::size_t index,
+                          const Vec3& a, const Vec3& b,
+                          const Vec3& c) -> void {
+      if (level >= kCoverRoot) {
+        const Vec3 e = (a + b + c).normalized();
+        const double chord =
+            std::max({a.distance_to(e), b.distance_to(e), c.distance_to(e)}) +
+            1e-9;
+        out.cells[cover_level_offset(level) + index] = {e, chord};
+        if (level == kCoverLeaf) {
+          out.leaf_chord = std::max(out.leaf_chord, chord);
+          return;
+        }
+      }
+      const Vec3 ab = (a + b).normalized();
+      const Vec3 bc = (b + c).normalized();
+      const Vec3 ca = (c + a).normalized();
+      self(self, level + 1, 4 * index + 0, a, ab, ca);
+      self(self, level + 1, 4 * index + 1, ab, b, bc);
+      self(self, level + 1, 4 * index + 2, ca, bc, c);
+      self(self, level + 1, 4 * index + 3, ab, bc, ca);
+    };
+    // The faces are the vertex triples at mutual edge distance: the edge
+    // of the unit icosahedron is 1.05, the next distance 1.70.
+    std::size_t face = 0;
+    const auto adjacent = [&](std::size_t i, std::size_t j) {
+      return v[i].distance_sq_to(v[j]) < 2.0;
+    };
+    for (std::size_t i = 0; i < v.size(); ++i) {
+      for (std::size_t j = i + 1; j < v.size(); ++j) {
+        for (std::size_t k = j + 1; k < v.size(); ++k) {
+          if (adjacent(i, j) && adjacent(j, k) && adjacent(i, k)) {
+            fill(fill, 0, face++, v[i], v[j], v[k]);
+          }
+        }
+      }
+    }
+    BALLFIT_ASSERT(face == 20);
+    return out;
+  }();
+  return table;
+}
+
+/// A member the certificate may use: its position relative to the node
+/// under test and its reach, the blocking radius less the margin δ.
+struct CoverMember {
+  Vec3 rel;
+  double reach;
+};
+
+/// Octant of a direction: bit 0 is x >= 0, bit 1 y >= 0, bit 2 z >= 0.
+unsigned octant_of(const Vec3& v) {
+  return (v.x >= 0.0 ? 1u : 0u) | (v.y >= 0.0 ? 2u : 0u) |
+         (v.z >= 0.0 ? 4u : 0u);
+}
+
 /// Per-thread scratch arena, reused across every node a worker processes.
 /// Holds the sorted candidate cache, the per-slot emptiness thresholds
-/// (structure-of-arrays buffers), and the gather buffers of the
-/// true-coordinates view. Steady state performs no allocations; contents
-/// never influence results (everything is rebuilt per node), so detection
-/// output is independent of how nodes are distributed over threads.
+/// (structure-of-arrays buffers), the certificate's member list, and the
+/// gather buffers of the true-coordinates view. Steady state performs no
+/// allocations; contents never influence results (everything is rebuilt
+/// per node), so detection output is independent of how nodes are
+/// distributed over threads.
 struct UbfScratch {
   geom::CandidateCache cache;
   std::vector<double> lim_sq;  // per-slot threshold; < 0 disables
-  std::vector<Vec3> gather;    // true-coordinates view: member coordinates
-  EpochSlotMap seen;           // true-coordinates view: membership dedup
+  std::array<std::vector<CoverMember>, 8> cover;  // certificate, by octant
+  std::vector<Vec3> gather;  // true-coordinates view: member coordinates
+  EpochSlotMap seen;         // true-coordinates view: membership dedup
 };
 
 UbfScratch& local_scratch() {
@@ -111,6 +228,34 @@ UbfScratch& local_scratch() {
 /// below is provably outcome-neutral, so classification stays bit-identical
 /// to the naive kernel (tests/ubf_oracle_test.cpp):
 ///
+///   - **Interior certificate** (before the cache is even built): every
+///     candidate center lies on the sphere S(self, r), up to solver
+///     rounding. When every point of that sphere is strictly inside some
+///     member's blocking ball, shrunk by a margin δ, no candidate ball can
+///     be empty, so the sweep's outcome (zero empty balls, no callback) is
+///     known and the sweep is skipped. The sphere is tiled by the cells of
+///     `cover_table`; a cell with center direction e and chord h is covered
+///     by member u when |self + r·e − u| < √lim_u − r·h − δ, and an
+///     uncovered cell is split 1:4 down to the leaf level, where it fails
+///     the certificate. Soundness: a center c at distance ρ from self, in
+///     a direction d inside a cell that u covers, has |c − u| <= |ρ − r| +
+///     r·|d − e| + |self + r·e − u| < √lim_u − (δ − |ρ − r|), so u blocks
+///     c whenever δ exceeds |ρ − r| plus the rounding of d² in the
+///     emptiness scan (a few ulps, relative). The choice of δ
+///     (`certificate_margin`) is 1e-2·r + 1e-12·(largest |coordinate| of
+///     self). `solve_trisphere` keeps ρ within ~1e-14·r of r on
+///     well-shaped triples, but near its collinearity gate (two witnesses
+///     ~1e-11·r apart) its centers drift by up to ~2.5e-4·r, so 1% of r
+///     leaves a factor of 20 over the worst drift at δ/2
+///     (tests/ubf_test.cpp checks the δ/2 bound on such triples). The
+///     second term covers the absolute rounding of a center far from the
+///     origin (~4e-16 of the coordinates). No masking is needed: the
+///     witnesses j and k of a ball sit at distance r from its center, to
+///     the same precision, while a covering member is closer than
+///     √lim − δ/2 <= r − δ/2, so it is never one of the pair's own
+///     witnesses. Which members are tried,
+///     and in what order (the last covering member first, then the cell's
+///     own octant outward), decides only how soon a cover is found.
 ///   - **Pair pruning**: a sphere of radius r through two points farther
 ///     apart than 2r does not exist (circumradius > r), so such pairs are
 ///     skipped before the Eq. 1 solve. The 1e-9 relative slack keeps the
@@ -145,6 +290,8 @@ class BallSweep {
         witness_count_(witness_count),
         radius_(radius),
         scratch_(scratch) {
+    certified_ = sphere_covered(limits);
+    if (certified_) return;
     scratch.cache.rebuild(coords, self_index);
     const std::size_t n = scratch.cache.size();
     scratch.lim_sq.resize(n);
@@ -164,6 +311,11 @@ class BallSweep {
   /// `on_empty(j, k)` for every empty candidate ball, in naive order.
   template <typename Fn>
   void run(UbfNodeDiagnostics& diag, Fn&& on_empty) {
+    diag.cover_checks += cover_checks_;
+    if (certified_) {
+      diag.certified = true;
+      return;
+    }
     const geom::CandidateCache& cache = scratch_.cache;
     std::vector<double>& lim = scratch_.lim_sq;
     const double* dist_sq = cache.dist_sq();
@@ -183,6 +335,7 @@ class BallSweep {
         if (pj.distance_sq_to(pk) > pair_prune_sq_) continue;
         const geom::TrisphereResult balls =
             geom::solve_trisphere(self_, pj, pk, radius_);
+        ++diag.trisphere_solves;
         if (balls.count == 0) continue;
         const double save_k = lim[sk];
         lim[sk] = -1.0;
@@ -205,6 +358,108 @@ class BallSweep {
 
  private:
   static constexpr std::uint32_t kNoSlot = geom::CandidateCache::kNoSlot;
+
+  /// The interior certificate (see the class comment): true when every
+  /// point of S(self, r) is covered, so no candidate ball can be empty.
+  /// Which members it tries, and in what order, only decides how soon it
+  /// finds a cover; soundness rests on the per-cell test alone.
+  bool sphere_covered(const UnitBallFitting::InsideLimits& limits) {
+    const double r = radius_;
+    const double delta = certificate_margin(r, self_);
+    const double reach_one = std::sqrt(limits.one_hop_sq) - delta;
+    const double reach_two = std::sqrt(limits.two_hop_sq) - delta;
+    const CoverTable& table = cover_table();
+
+    // |p − u| >= | |u − self| − r | for every p on the sphere, so a member
+    // whose distance to self is outside (r − a, r + a), a = reach − (the
+    // finest chord), covers no cell at any level. A non-finite member
+    // fails the test too.
+    const double finest = r * table.leaf_chord;
+    const auto band = [&](double reach, double& lo_sq, double& hi_sq) {
+      const double a = reach - finest;
+      lo_sq = r > a ? (r - a) * (r - a) : -1.0;
+      hi_sq = a > 0.0 ? (r + a) * (r + a) : -1.0;
+    };
+    double lo_one, hi_one, lo_two, hi_two;
+    band(reach_one, lo_one, hi_one);
+    band(reach_two, lo_two, hi_two);
+    std::array<std::vector<CoverMember>, 8>& octants = scratch_.cover;
+    for (std::vector<CoverMember>& o : octants) o.clear();
+    Vec3 mass;
+    for (std::size_t u = 0; u < coords_.size(); ++u) {
+      if (u == self_index_) continue;
+      const bool one = u < witness_count_;
+      const Vec3 rel = coords_[u] - self_;
+      const double d2 = rel.norm_sq();
+      if (d2 > (one ? lo_one : lo_two) && d2 < (one ? hi_one : hi_two)) {
+        octants[octant_of(rel)].push_back({rel, one ? reach_one : reach_two});
+        mass += rel;
+      }
+    }
+
+    // Depth-first from the roots, so the stack holds at most the roots plus
+    // three siblings per level below.
+    struct Pending {
+      int level;
+      std::uint32_t index;  // within its level
+    };
+    constexpr std::uint32_t kRoots = 20u << (2 * kCoverRoot);
+    std::array<Pending, kRoots + 3 * (kCoverLeaf - kCoverRoot)> stack;
+    std::size_t top = 0;
+    // An uncovered region, if any, most likely faces away from the
+    // members' mass: those roots go on the stack last, so they pop first.
+    const unsigned away = octant_of(-mass);
+    for (const bool first : {false, true}) {
+      for (std::uint32_t c = kRoots; c-- > 0;) {
+        const CoverCell& root = table.cells[cover_level_offset(kCoverRoot) + c];
+        if ((octant_of(root.center) == away) == first) {
+          stack[top++] = {kCoverRoot, c};
+        }
+      }
+    }
+    const CoverMember* memo = nullptr;
+    std::size_t checks = 0;
+    while (top > 0) {
+      const Pending cell = stack[--top];
+      const CoverCell& c =
+          table.cells[cover_level_offset(cell.level) + cell.index];
+      const Vec3 p = c.center * r;
+      const double spread = r * c.chord;
+      const auto covers = [&](const CoverMember& m) {
+        ++checks;
+        const double t = m.reach - spread;
+        return t > 0.0 && p.distance_sq_to(m.rel) < t * t;
+      };
+      if (memo != nullptr && covers(*memo)) continue;
+      // Octants nearest the cell first. A member 90° or more away from
+      // the cell's center is at least r from the cell's center point, and
+      // every reach is below r, so the opposite octant is skipped.
+      const unsigned home = octant_of(c.center);
+      const CoverMember* found = nullptr;
+      for (const unsigned flip : {0u, 1u, 2u, 4u, 3u, 5u, 6u}) {
+        for (const CoverMember& m : octants[home ^ flip]) {
+          if (covers(m)) {
+            found = &m;
+            break;
+          }
+        }
+        if (found != nullptr) break;
+      }
+      if (found != nullptr) {
+        memo = found;
+        continue;
+      }
+      if (cell.level == kCoverLeaf) {
+        cover_checks_ = checks;
+        return false;
+      }
+      for (std::uint32_t child = 4; child-- > 0;) {
+        stack[top++] = {cell.level + 1, 4 * cell.index + child};
+      }
+    }
+    cover_checks_ = checks;
+    return true;
+  }
 
   bool ball_empty(const Vec3& center, UbfNodeDiagnostics& diag) {
     const geom::CandidateCache& cache = scratch_.cache;
@@ -252,6 +507,8 @@ class BallSweep {
   double pair_prune_sq_ = 0.0;
   double cutoff_slack_ = 0.0;
   std::uint32_t last_blocker_ = kNoSlot;
+  bool certified_ = false;
+  std::size_t cover_checks_ = 0;
 };
 
 }  // namespace
@@ -460,15 +717,24 @@ void run_ball_tests(const UnitBallFitting& ubf, const net::Network& network,
   const std::size_t pool =
       std::max(config.verify_pool, config.min_empty_balls);
 
-  // Per-node work histograms (Theorem 1's Θ(ρ³) in the wild). Handles are
+  // Per-node work histograms (Theorem 1's Θ(ρ³) in the wild) and the
+  // deterministic work counters summed over the tested nodes. Handles are
   // fetched once here so the parallel workers below never touch the
   // registry map; null when collection is disabled.
   obs::Histogram* h_neighbors = nullptr;
   obs::Histogram* h_balls = nullptr;
   obs::Histogram* h_empty = nullptr;
   obs::Histogram* h_conf = nullptr;
+  obs::Counter* c_certified = nullptr;
+  obs::Counter* c_solves = nullptr;
+  obs::Counter* c_balls = nullptr;
+  obs::Counter* c_cover = nullptr;
   if (obs::enabled()) {
     obs::Registry& reg = obs::Registry::global();
+    c_certified = &reg.counter("ubf.nodes_certified");
+    c_solves = &reg.counter("ubf.trisphere_solves");
+    c_balls = &reg.counter("ubf.balls_tested");
+    c_cover = &reg.counter("ubf.cover_checks");
     h_neighbors = &reg.histogram("ubf.node_neighbors",
                                  {4, 8, 12, 16, 20, 24, 28, 32, 40, 48, 64});
     h_balls = &reg.histogram("ubf.candidate_balls",
@@ -558,6 +824,12 @@ void run_ball_tests(const UnitBallFitting& ubf, const net::Network& network,
         }
         if (h_balls != nullptr) {
           h_balls->observe(static_cast<double>(diag.balls_tested));
+        }
+        if (c_certified != nullptr) {
+          if (diag.certified) c_certified->add();
+          c_solves->add(diag.trisphere_solves);
+          c_balls->add(diag.balls_tested);
+          c_cover->add(diag.cover_checks);
         }
         if (h_empty != nullptr) {
           h_empty->observe(static_cast<double>(diag.empty_balls));

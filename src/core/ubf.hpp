@@ -9,15 +9,17 @@
 /// two of its neighbors (Eq. 1 / `solve_trisphere`), checking emptiness
 /// against the one-hop neighborhood — Θ(ρ²) balls × Θ(ρ) nodes each.
 ///
-/// The kernel implementation is optimized (sorted candidate cache, pair
-/// pruning, blocker memoization, per-thread scratch arena — see ubf.cpp)
-/// but **classification-exact**: every optimization only skips work whose
-/// outcome is provably determined, so `test_node`, `collect_empty_balls`,
-/// and both detectors return bit-identical results to the naive
-/// Algorithm 1 double loop (tests/ubf_oracle_test.cpp asserts this), and
-/// results are independent of the worker thread count. Both coordinate
-/// paths (local frames, true positions) run through one parallel per-node
-/// driver; only where a node's view comes from differs.
+/// The kernel implementation is optimized (an interior certificate that
+/// skips the pair sweep when no empty ball can exist, sorted candidate
+/// cache, pair pruning, blocker memoization, per-thread scratch arena —
+/// see ubf.cpp) but **classification-exact**: every optimization only
+/// skips work whose outcome is provably determined, so `test_node`,
+/// `collect_empty_balls`, `count_empty_balls` and both detectors return
+/// bit-identical results to the naive Algorithm 1 double loop
+/// (tests/ubf_oracle_test.cpp asserts this), and results are independent
+/// of the worker thread count. Both coordinate paths (local frames, true
+/// positions) run through one parallel per-node driver; only where a
+/// node's view comes from differs.
 
 #include <vector>
 
@@ -134,6 +136,13 @@ struct UbfConfig {
 /// already determined.
 double vote_confidence(std::size_t votes, std::size_t threshold);
 
+/// The margin δ of the interior certificate (ubf.cpp) for a node at `self`
+/// and ball radius `radius`: 1e-2·radius + 1e-12·(largest |coordinate| of
+/// self). The certificate is sound while every center `solve_trisphere`
+/// emits for a triple (self, j, k) lies within δ/2 of the radius-`radius`
+/// spheres around all three points; tests/ubf_test.cpp checks that bound.
+double certificate_margin(double radius, const geom::Vec3& self);
+
 /// Per-node work counters (Theorem 1's Θ(ρ³) in the wild).
 struct UbfNodeDiagnostics {
   /// Candidate balls whose emptiness was evaluated (count, default 0).
@@ -149,6 +158,16 @@ struct UbfNodeDiagnostics {
   std::size_t empty_balls = 0;
   /// True when the vote threshold (`UbfConfig::min_empty_balls`) was met.
   bool found_empty_ball = false;
+  /// True when the interior certificate proved that no candidate ball can
+  /// be empty, so the pair sweep never ran (balls_tested, nodes_checked and
+  /// trisphere_solves are then 0). See ubf.cpp.
+  bool certified = false;
+  /// Eq. 1 solves the pair sweep performed (count); pairs dropped by the
+  /// 2r prune never reach the solver.
+  std::size_t trisphere_solves = 0;
+  /// Member-against-cell distance checks the interior certificate
+  /// performed, whether or not it succeeded (count).
+  std::size_t cover_checks = 0;
 };
 
 class UnitBallFitting {

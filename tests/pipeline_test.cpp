@@ -92,7 +92,9 @@ TEST(Pipeline, IffRemovesOnlyCandidates) {
   cfg.measurement_error = 0.5;
   const PipelineResult r = detect_boundaries(net, cfg);
   for (NodeId v = 0; v < net.num_nodes(); ++v) {
-    if (r.boundary[v]) EXPECT_TRUE(r.ubf_candidates[v]);
+    if (r.boundary[v]) {
+      EXPECT_TRUE(r.ubf_candidates[v]);
+    }
   }
   EXPECT_LE(r.num_boundary(), r.num_candidates());
 }

@@ -215,7 +215,9 @@ TEST(VoteThreshold, HigherVotesNeverFindMore) {
   for (std::size_t i = 0; i < f1.size(); ++i) {
     n1 += f1[i];
     n4 += f4[i];
-    if (f4[i]) EXPECT_TRUE(f1[i]);  // votes only ever remove nodes
+    if (f4[i]) {
+      EXPECT_TRUE(f1[i]);  // votes only ever remove nodes
+    }
   }
   EXPECT_LE(n4, n1);
 }

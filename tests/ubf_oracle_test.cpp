@@ -1,27 +1,39 @@
 // Oracle tests for the optimized UBF kernel (src/core/ubf.cpp).
 //
-// The kernel's contract is *classification-exact*: pair pruning,
-// nearest-first scans with a distance cutoff, blocker memoization, and the
-// per-thread scratch arena may only skip work whose outcome is provably
-// determined. These tests pin that contract two ways:
+// The kernel's contract is *classification-exact*: the interior
+// certificate, pair pruning, nearest-first scans with a distance cutoff,
+// blocker memoization, and the per-thread scratch arena may only skip work
+// whose outcome is provably determined. These tests pin that contract:
 //
 //   1. Bit-identity against a literal Algorithm 1 reference — a naive
 //      double loop over witness pairs with a full-membership emptiness
 //      scan, built from the same public primitives (`solve_trisphere`,
 //      `ball_radius`, `inside_limits`) so both sides compare the exact
-//      same floating-point values. Run on three seeded networks (sphere,
-//      cube-with-hole, torus) under both emptiness scopes.
-//   2. Thread-count determinism — the scratch arena is per-thread state,
+//      same floating-point values. Flags, confidence and fallbacks are
+//      compared on seeded networks (sphere, a translated sphere,
+//      cube-with-hole, torus, three random boxes) under both emptiness
+//      scopes.
+//   2. The interior certificate against naive enumeration of every pair:
+//      on seeded random member clouds (dense, sparse, half-space,
+//      coplanar, duplicated, translated, with noise margins) and on every
+//      node of noisy local frames, a certified node has no empty ball, and
+//      the kernel's counts equal the naive ones.
+//   3. Thread-count determinism — the scratch arena is per-thread state,
 //      so `detect` must return the same vector for 1, 2, and 8 workers.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
+#include <cmath>
+#include <limits>
 #include <unordered_set>
+#include <utility>
 #include <vector>
 
 #include "common/rng.hpp"
 #include "core/ubf.hpp"
+#include "geom/sampling.hpp"
 #include "geom/trisphere.hpp"
 #include "localization/local_frame.hpp"
 #include "model/shapes.hpp"
@@ -32,6 +44,67 @@
 namespace ballfit {
 namespace {
 
+// Literal Algorithm 1 on one explicit member set: `coords[0]` is the node,
+// entries below `witness_count` its one-hop witnesses, the rest
+// emptiness-only members. The ball at `center` spawned by witnesses j, k is
+// empty when no other member is strictly inside.
+bool naive_ball_empty(const std::vector<geom::Vec3>& coords,
+                      std::size_t witness_count, const geom::Vec3& center,
+                      std::size_t j, std::size_t k,
+                      core::UnitBallFitting::InsideLimits limits) {
+  for (std::size_t u = 1; u < coords.size(); ++u) {
+    if (u == j || u == k) continue;
+    const double limit_sq =
+        u < witness_count ? limits.one_hop_sq : limits.two_hop_sq;
+    if (coords[u].distance_sq_to(center) < limit_sq) return false;
+  }
+  return true;
+}
+
+// Every unordered witness pair spawns up to two candidate balls. Empty
+// balls are counted, in enumeration order, until `cap`.
+std::size_t naive_empty_balls(const std::vector<geom::Vec3>& coords,
+                              std::size_t witness_count, double r,
+                              core::UnitBallFitting::InsideLimits limits,
+                              std::size_t cap) {
+  std::size_t empty = 0;
+  for (std::size_t j = 1; j < witness_count && empty < cap; ++j) {
+    for (std::size_t k = j + 1; k < witness_count && empty < cap; ++k) {
+      const geom::TrisphereResult balls =
+          geom::solve_trisphere(coords[0], coords[j], coords[k], r);
+      for (int c = 0; c < balls.count && empty < cap; ++c) {
+        if (naive_ball_empty(coords, witness_count, balls.centers[c], j, k,
+                             limits)) {
+          ++empty;
+        }
+      }
+    }
+  }
+  return empty;
+}
+
+// The witness pairs with at least one empty ball, in enumeration order, up
+// to `cap` pairs: what `collect_empty_balls` must return.
+std::vector<std::pair<std::size_t, std::size_t>> naive_empty_pairs(
+    const std::vector<geom::Vec3>& coords, std::size_t witness_count,
+    double r, core::UnitBallFitting::InsideLimits limits, std::size_t cap) {
+  std::vector<std::pair<std::size_t, std::size_t>> out;
+  for (std::size_t j = 1; j < witness_count && out.size() < cap; ++j) {
+    for (std::size_t k = j + 1; k < witness_count && out.size() < cap; ++k) {
+      const geom::TrisphereResult balls =
+          geom::solve_trisphere(coords[0], coords[j], coords[k], r);
+      for (int c = 0; c < balls.count; ++c) {
+        if (naive_ball_empty(coords, witness_count, balls.centers[c], j, k,
+                             limits)) {
+          out.push_back({j, k});
+          break;
+        }
+      }
+    }
+  }
+  return out;
+}
+
 // Literal Algorithm 1 over true coordinates, mirroring the membership rules
 // of `detect_with_true_coordinates`: self + one-hop neighbors as witnesses,
 // plus (under kTwoHop) the deduplicated two-hop closure as emptiness-only
@@ -39,17 +112,20 @@ namespace {
 // counted up to the confidence cap max(verify_pool, min_empty_balls), in
 // enumeration order, so the run also yields the per-node confidence and
 // the degenerate-fallback count.
+//
+// Alongside, each node's member set goes through the kernel's
+// `count_empty_balls`: a node the interior certificate settles must have no
+// empty ball at all, and `certified` counts such nodes.
 struct NaiveResult {
   std::vector<bool> flags;
   std::vector<float> confidence;
   std::size_t fallbacks = 0;
+  std::size_t certified = 0;
 };
 
 NaiveResult naive_run(const net::Network& network,
                       const core::UnitBallFitting& ubf) {
   const core::UbfConfig& cfg = ubf.config();
-  const double r = ubf.ball_radius();
-  const core::UnitBallFitting::InsideLimits limits = ubf.inside_limits(0.0);
   const bool two_hop = cfg.scope == core::UbfConfig::EmptinessScope::kTwoHop;
   const std::size_t cap = std::max(cfg.verify_pool, cfg.min_empty_balls);
 
@@ -79,26 +155,18 @@ NaiveResult naive_run(const net::Network& network,
         }
       }
     }
-
-    std::size_t empty = 0;
-    for (std::size_t j = 1; j < witness_count && empty < cap; ++j) {
-      for (std::size_t k = j + 1; k < witness_count && empty < cap; ++k) {
-        const geom::TrisphereResult balls =
-            geom::solve_trisphere(coords[0], coords[j], coords[k], r);
-        for (int c = 0; c < balls.count && empty < cap; ++c) {
-          bool is_empty = true;
-          for (std::size_t u = 0; u < coords.size(); ++u) {
-            if (u == 0 || u == j || u == k) continue;
-            const double limit_sq =
-                u < witness_count ? limits.one_hop_sq : limits.two_hop_sq;
-            if (coords[u].distance_sq_to(balls.centers[c]) < limit_sq) {
-              is_empty = false;
-              break;
-            }
-          }
-          if (is_empty) ++empty;
-        }
-      }
+    const std::size_t empty =
+        naive_empty_balls(coords, witness_count, ubf.ball_radius(),
+                          ubf.inside_limits(0.0), cap);
+    core::UbfNodeDiagnostics diag;
+    (void)ubf.count_empty_balls(coords, 0, witness_count, cap, 0.0, &diag);
+    if (diag.certified) {
+      ++out.certified;
+      EXPECT_EQ(naive_empty_balls(coords, witness_count, ubf.ball_radius(),
+                                  ubf.inside_limits(0.0),
+                                  std::numeric_limits<std::size_t>::max()),
+                0u)
+          << "certified node " << i << " has an empty ball";
     }
     out.flags[i] = empty >= cfg.min_empty_balls;
     out.confidence[i] = static_cast<float>(
@@ -121,20 +189,36 @@ net::Network build_test_network(const model::Shape& shape,
   return net::build_network(shape, options, rng);
 }
 
+// Flags, confidence and fallbacks of the true-coordinates driver equal
+// literal Algorithm 1 under both scopes, and under the default two-hop
+// scope the interior certificate settles some nodes (so the comparison
+// covers it).
 void expect_bit_identical(const net::Network& network) {
   for (const auto scope : {core::UbfConfig::EmptinessScope::kTwoHop,
                            core::UbfConfig::EmptinessScope::kOneHop}) {
+    const char* scope_name =
+        scope == core::UbfConfig::EmptinessScope::kTwoHop ? "two-hop"
+                                                          : "one-hop";
     core::UbfConfig cfg;
     cfg.scope = scope;
     const core::UnitBallFitting ubf(network, cfg);
-    const std::vector<bool> optimized = ubf.detect_with_true_coordinates();
-    const std::vector<bool> reference = naive_detect(network, ubf);
-    ASSERT_EQ(optimized.size(), reference.size());
+    std::size_t fallbacks = 0;
+    std::vector<float> confidence;
+    const std::vector<bool> optimized =
+        ubf.detect_with_true_coordinates(&fallbacks, nullptr, &confidence);
+    const NaiveResult reference = naive_run(network, ubf);
+    ASSERT_EQ(optimized.size(), reference.flags.size());
+    ASSERT_EQ(confidence.size(), reference.confidence.size());
     for (std::size_t i = 0; i < optimized.size(); ++i) {
-      ASSERT_EQ(optimized[i], reference[i])
-          << "node " << i << " diverges under scope "
-          << (scope == core::UbfConfig::EmptinessScope::kTwoHop ? "two-hop"
-                                                                : "one-hop");
+      ASSERT_EQ(optimized[i], reference.flags[i])
+          << "node " << i << " diverges under scope " << scope_name;
+      ASSERT_EQ(confidence[i], reference.confidence[i])
+          << "node " << i << " confidence diverges under scope "
+          << scope_name;
+    }
+    EXPECT_EQ(fallbacks, reference.fallbacks) << scope_name;
+    if (scope == core::UbfConfig::EmptinessScope::kTwoHop) {
+      EXPECT_GT(reference.certified, 0u);
     }
   }
 }
@@ -142,6 +226,39 @@ void expect_bit_identical(const net::Network& network) {
 TEST(UbfOracle, BitIdenticalOnSphere) {
   const model::SphereShape shape({0, 0, 0}, 2.6);
   expect_bit_identical(build_test_network(shape, 11));
+}
+
+// The same sphere far from the origin: every coordinate near 1e4, where
+// the certificate's margin must also absorb absolute rounding.
+TEST(UbfOracle, BitIdenticalOnTranslatedSphere) {
+  const model::SphereShape shape({0, 0, 0}, 2.6);
+  const net::Network base = build_test_network(shape, 11);
+  std::vector<geom::Vec3> moved;
+  std::vector<bool> truth;
+  for (net::NodeId i = 0; i < base.num_nodes(); ++i) {
+    moved.push_back(base.position(i) + geom::Vec3{1e4, -1e4, 1e4});
+    truth.push_back(base.is_ground_truth_boundary(i));
+  }
+  expect_bit_identical(
+      net::Network(std::move(moved), std::move(truth), base.radio_range()));
+}
+
+// Uniformly random nodes in a box (average degree about 15): no surface
+// sampling, so boundary and interior nodes have no designed structure.
+TEST(UbfOracle, BitIdenticalOnRandomBoxes) {
+  for (const std::uint64_t seed : {21u, 22u, 23u}) {
+    SCOPED_TRACE(seed);
+    Rng rng(seed);
+    std::vector<geom::Vec3> positions;
+    for (int i = 0; i < 450; ++i) {
+      const double x = rng.uniform(0.0, 5.0);
+      const double y = rng.uniform(0.0, 5.0);
+      positions.push_back({x, y, rng.uniform(0.0, 5.0)});
+    }
+    const std::size_t n = positions.size();
+    expect_bit_identical(
+        net::Network(std::move(positions), std::vector<bool>(n, false), 1.0));
+  }
 }
 
 TEST(UbfOracle, BitIdenticalOnCubeWithHole) {
@@ -166,6 +283,193 @@ TEST(UbfOracle, BitIdenticalWithVoteThreshold) {
   const std::vector<bool> optimized = ubf.detect_with_true_coordinates();
   const std::vector<bool> reference = naive_detect(network, ubf);
   EXPECT_EQ(optimized, reference);
+}
+
+// What a certificate claims, checked directly: every point of S(self, r)
+// (sampled) lies strictly inside some member's blocking ball by at least
+// δ/2. Returns the first uncovered sample's index, or `samples` when all
+// are covered.
+int first_uncovered_sample(const std::vector<geom::Vec3>& coords,
+                           std::size_t witness_count, double r,
+                           core::UnitBallFitting::InsideLimits limits,
+                           Rng& rng, int samples) {
+  const double slack = core::certificate_margin(r, coords[0]) / 2.0;
+  const double reach_one = std::sqrt(limits.one_hop_sq) - slack;
+  const double reach_two = std::sqrt(limits.two_hop_sq) - slack;
+  for (int s = 0; s < samples; ++s) {
+    const geom::Vec3 p = coords[0] + geom::sample_on_unit_sphere(rng) * r;
+    bool covered = false;
+    for (std::size_t u = 1; u < coords.size() && !covered; ++u) {
+      const double reach = u < witness_count ? reach_one : reach_two;
+      covered = reach > 0.0 && coords[u].distance_to(p) < reach;
+    }
+    if (!covered) return s;
+  }
+  return samples;
+}
+
+// One node's member set for the certificate property test: coords[0] is the
+// node, then `witness_count − 1` one-hop members within distance 1 (the
+// radio range), then two-hop members between 1 and 2.
+struct Cloud {
+  std::vector<geom::Vec3> coords;
+  std::size_t witness_count = 0;
+};
+
+enum class CloudKind {
+  kDense,       // interior-like: the certificate should often fire
+  kSparse,      // few members
+  kHalfSpace,   // members only below the node: a surface node
+  kCoplanar,    // everything in one plane, the solver's collinear cases
+  kDuplicates,  // exact copies and copies 1e-11..1e-9 apart
+  kTranslated,  // a dense cloud moved to coordinates near 1e4
+};
+
+Cloud random_cloud(Rng& rng, CloudKind kind) {
+  const bool sparse = kind == CloudKind::kSparse;
+  const auto one_hop = static_cast<int>(
+      sparse ? rng.uniform_int(3, 8) : rng.uniform_int(12, 30));
+  const auto two_hop = static_cast<int>(
+      sparse ? rng.uniform_int(0, 15) : rng.uniform_int(4, 7) * one_hop);
+  Cloud cloud;
+  cloud.coords.push_back({0, 0, 0});
+  const auto place = [&](double lo, double hi) {
+    geom::Vec3 p;
+    do {
+      p = geom::sample_in_ball(rng, {0, 0, 0}, hi);
+    } while (p.norm() < lo);
+    if (kind == CloudKind::kHalfSpace && p.z > 0.0) p.z = -p.z;
+    if (kind == CloudKind::kCoplanar) p.z = 0.0;
+    return p;
+  };
+  for (int m = 0; m < one_hop; ++m) cloud.coords.push_back(place(0.0, 1.0));
+  cloud.witness_count = cloud.coords.size();
+  for (int m = 0; m < two_hop; ++m) cloud.coords.push_back(place(1.0, 2.0));
+  if (kind == CloudKind::kDuplicates) {
+    // Duplicates among the witnesses: exact copies and near copies whose
+    // triples sit at the solver's collinearity gate.
+    std::vector<geom::Vec3> extra;
+    for (std::size_t m = 1; m < cloud.witness_count; m += 3) {
+      extra.push_back(cloud.coords[m]);
+      const double gap = std::pow(10.0, rng.uniform(-11.0, -9.0));
+      extra.push_back(cloud.coords[m] +
+                      geom::sample_on_unit_sphere(rng) * gap);
+    }
+    cloud.coords.insert(
+        cloud.coords.begin() + static_cast<std::ptrdiff_t>(cloud.witness_count),
+        extra.begin(), extra.end());
+    cloud.witness_count += extra.size();
+  }
+  if (kind == CloudKind::kTranslated) {
+    for (geom::Vec3& p : cloud.coords) p += geom::Vec3{1e4, -1e4, 1e4};
+  }
+  return cloud;
+}
+
+// The certificate's soundness, on seeded random member clouds: whenever it
+// settles a node, naive enumeration of every one-hop pair finds no empty
+// ball, under zero and noisy inside-limits, and sampled points of the
+// sphere are covered as claimed. The kernel's count and collected pairs
+// also equal the naive ones on every cloud.
+TEST(UbfOracle, CertifiedCloudsHaveNoEmptyBall) {
+  const net::Network unit_range({{0, 0, 0}}, {false}, 1.0);
+  core::UbfConfig cfg;
+  cfg.measurement_error_hint = 0.1;
+  const core::UnitBallFitting ubf(unit_range, cfg);
+  const double r = ubf.ball_radius();
+  constexpr std::size_t kAll = std::numeric_limits<std::size_t>::max();
+  Rng rng(2024);
+  std::size_t certified[6] = {};
+  for (int trial = 0; trial < 600; ++trial) {
+    const auto kind = static_cast<CloudKind>(trial % 6);
+    const Cloud cloud = random_cloud(rng, kind);
+    // Zero uncertainty (true coordinates), frame-like residuals, and a
+    // negative value (the `measurement_error_hint` fallback).
+    const double uncertainty =
+        std::array<double, 4>{0.0, 0.01, 0.05, -1.0}[trial / 6 % 4];
+    const core::UnitBallFitting::InsideLimits limits =
+        ubf.inside_limits(uncertainty);
+    const std::size_t naive =
+        naive_empty_balls(cloud.coords, cloud.witness_count, r, limits, kAll);
+
+    core::UbfNodeDiagnostics diag;
+    const std::size_t counted = ubf.count_empty_balls(
+        cloud.coords, 0, cloud.witness_count, kAll, uncertainty, &diag);
+    SCOPED_TRACE(::testing::Message() << "trial " << trial << " kind "
+                                      << static_cast<int>(kind));
+    EXPECT_EQ(counted, naive);
+    if (diag.certified) {
+      ++certified[static_cast<int>(kind)];
+      EXPECT_EQ(naive, 0u);
+      EXPECT_EQ(diag.balls_tested, 0u);
+      EXPECT_EQ(diag.trisphere_solves, 0u);
+      EXPECT_EQ(first_uncovered_sample(cloud.coords, cloud.witness_count, r,
+                                       limits, rng, 1000),
+                1000);
+    }
+    EXPECT_EQ(ubf.collect_empty_balls(cloud.coords, 0, cloud.witness_count,
+                                      6, uncertainty),
+              naive_empty_pairs(cloud.coords, cloud.witness_count, r, limits,
+                                6));
+  }
+  // The certificate must actually fire on interior-like clouds, wherever
+  // they sit, and never on surface-like or planar ones.
+  EXPECT_GT(certified[static_cast<int>(CloudKind::kDense)], 20u);
+  EXPECT_GT(certified[static_cast<int>(CloudKind::kDuplicates)], 20u);
+  EXPECT_GT(certified[static_cast<int>(CloudKind::kTranslated)], 20u);
+  EXPECT_EQ(certified[static_cast<int>(CloudKind::kHalfSpace)], 0u);
+  EXPECT_EQ(certified[static_cast<int>(CloudKind::kCoplanar)], 0u);
+}
+
+// The frame path, node by node: on noisy two-hop frames from
+// `build_all_frames`, each node's kernel count and collected pairs equal
+// naive enumeration in its own frame at its own residual, and a certified
+// node has no empty ball and a covered sphere.
+TEST(UbfOracle, FramePathMatchesNaivePerNode) {
+  const model::SphereShape shape({0, 0, 0}, 2.2);
+  const net::Network network = build_test_network(shape, 16);
+  const net::NoisyDistanceModel model(network, 0.1, 9);
+  const localization::Localizer localizer(network, model);
+  std::vector<localization::LocalFrame> frames;
+  localization::build_all_frames(localizer,
+                                 localization::FrameScope::kTwoHop, frames);
+  core::UbfConfig cfg;
+  cfg.measurement_error_hint = 0.1;
+  const core::UnitBallFitting ubf(network, cfg);
+  const double r = ubf.ball_radius();
+  constexpr std::size_t kAll = std::numeric_limits<std::size_t>::max();
+  Rng rng(31);
+  std::size_t tested = 0;
+  std::size_t certified = 0;
+  for (net::NodeId i = 0; i < network.num_nodes(); ++i) {
+    const localization::LocalFrame& frame = frames[i];
+    if (!frame.ok) continue;
+    ++tested;
+    const core::UnitBallFitting::InsideLimits limits =
+        ubf.inside_limits(frame.stress_rms);
+    const std::size_t naive = naive_empty_balls(
+        frame.coords, frame.one_hop_count, r, limits, kAll);
+    core::UbfNodeDiagnostics diag;
+    EXPECT_EQ(ubf.count_empty_balls(frame.coords, 0, frame.one_hop_count,
+                                    kAll, frame.stress_rms, &diag),
+              naive)
+        << "node " << i;
+    if (diag.certified) {
+      ++certified;
+      EXPECT_EQ(naive, 0u) << "certified node " << i;
+      EXPECT_EQ(first_uncovered_sample(frame.coords, frame.one_hop_count, r,
+                                       limits, rng, 200),
+                200)
+          << "certified node " << i;
+    }
+    EXPECT_EQ(ubf.collect_empty_balls(frame.coords, 0, frame.one_hop_count,
+                                      cfg.verify_pool, frame.stress_rms),
+              naive_empty_pairs(frame.coords, frame.one_hop_count, r, limits,
+                                cfg.verify_pool))
+        << "node " << i;
+  }
+  EXPECT_GT(tested, 0u);
+  EXPECT_GT(certified, 0u);
 }
 
 // The scratch arena is thread-local state; distribution of nodes over

@@ -10,6 +10,7 @@
 #include "common/rng.hpp"
 #include "core/ubf.hpp"
 #include "geom/sampling.hpp"
+#include "geom/trisphere.hpp"
 #include "model/csg.hpp"
 #include "model/shapes.hpp"
 #include "net/builder.hpp"
@@ -32,8 +33,10 @@ net::Network grid_cube(int per_side, double spacing = 0.5) {
         pos.push_back({x * spacing + rng.uniform(-0.02, 0.02),
                        y * spacing + rng.uniform(-0.02, 0.02),
                        z * spacing + rng.uniform(-0.02, 0.02)});
-  return net::Network(std::move(pos), std::vector<bool>(pos.size(), false),
-                      1.0);
+  // The label count is taken before `pos` is moved from: the order in
+  // which call arguments are evaluated is unspecified.
+  const std::size_t n = pos.size();
+  return net::Network(std::move(pos), std::vector<bool>(n, false), 1.0);
 }
 
 TEST(UbfKernel, CornerNodeOfCubeIsBoundary) {
@@ -100,6 +103,71 @@ TEST(UbfKernel, DiagnosticsCountWork) {
   (void)ubf.test_node(coords, 0, &diag);
   EXPECT_GT(diag.balls_tested, 0u);
   EXPECT_TRUE(diag.found_empty_ball);
+}
+
+TEST(UbfKernel, DiagnosticsCountCertificate) {
+  const net::Network net = grid_cube(7);
+  const UnitBallFitting ubf(net);
+  // Deep inside the grid the interior certificate settles the node: no
+  // pair is solved and no ball tested, only cover checks.
+  const NodeId center = 3 * 49 + 3 * 7 + 3;
+  std::vector<Vec3> coords{net.position(center)};
+  for (NodeId v : net.neighbors(center)) coords.push_back(net.position(v));
+  UbfNodeDiagnostics interior;
+  EXPECT_FALSE(ubf.test_node(coords, 0, &interior));
+  EXPECT_TRUE(interior.certified);
+  EXPECT_GT(interior.cover_checks, 0u);
+  EXPECT_EQ(interior.trisphere_solves, 0u);
+  EXPECT_EQ(interior.balls_tested, 0u);
+  // At a corner the certificate fails and the sweep runs.
+  std::vector<Vec3> corner{net.position(0)};
+  for (NodeId v : net.neighbors(0)) corner.push_back(net.position(v));
+  UbfNodeDiagnostics boundary;
+  EXPECT_TRUE(ubf.test_node(corner, 0, &boundary));
+  EXPECT_FALSE(boundary.certified);
+  EXPECT_GT(boundary.cover_checks, 0u);
+  EXPECT_GT(boundary.trisphere_solves, 0u);
+  EXPECT_GT(boundary.balls_tested, 0u);
+}
+
+// The interior certificate is sound only while every center the Eq. 1
+// solver emits for (a, b, d) lies within δ/2 of the radius-r spheres
+// around all three points (δ = certificate_margin; see ubf.cpp). Checked
+// on random triples, near-collinear triples and near-duplicate witnesses
+// down to the solver's collinearity gate, near the origin and near 1e4.
+TEST(UbfKernel, TrisphereCentersStayWithinHalfTheCertificateMargin) {
+  Rng rng(77);
+  const double r = 1.0 + 1e-6;
+  std::size_t emitted = 0;
+  for (int trial = 0; trial < 60000; ++trial) {
+    const Vec3 offset = trial % 2 == 0 ? Vec3{} : Vec3{1e4, -1e4, 1e4};
+    const Vec3 a = offset;
+    const Vec3 b = a + geom::sample_in_ball(rng, {0, 0, 0}, 2.0 * r);
+    const double gap = std::pow(10.0, rng.uniform(-12.0, -1.0));
+    Vec3 d;
+    switch (trial / 2 % 3) {
+      case 0:  // generic
+        d = a + geom::sample_in_ball(rng, {0, 0, 0}, 2.0 * r);
+        break;
+      case 1:  // near-collinear: on the line through a and b, nudged
+        d = a + (b - a) * rng.uniform(-1.0, 2.0) +
+            geom::sample_on_unit_sphere(rng) * gap;
+        break;
+      default:  // near-duplicate witnesses b and d
+        d = b + geom::sample_on_unit_sphere(rng) * gap;
+        break;
+    }
+    const geom::TrisphereResult balls = geom::solve_trisphere(a, b, d, r);
+    const double half_margin = certificate_margin(r, a) / 2.0;
+    for (int c = 0; c < balls.count; ++c) {
+      ++emitted;
+      for (const Vec3& p : {a, b, d}) {
+        EXPECT_LE(std::abs(balls.centers[c].distance_to(p) - r), half_margin)
+            << "trial " << trial << " gap " << gap;
+      }
+    }
+  }
+  EXPECT_GT(emitted, 30000u);
 }
 
 TEST(UbfDetect, SphereSurfaceNodesDetected) {
