@@ -55,7 +55,6 @@ int main() {
         for (std::size_t votes : {1u, 2u, 4u}) {
           core::UbfConfig ucfg;
           ucfg.noise_margin_factor = factor;
-          ucfg.noise_margin_cap = 0.3;
           ucfg.min_empty_balls = votes;
           const core::UnitBallFitting ubf(net, ucfg);
 

@@ -70,13 +70,12 @@ int main() {
     }
     std::printf(
         "error %.0f%%: frames=%llu sweeps %llu/%llu restarts_skipped=%llu "
-        "plateau=%llu stress=%llu\n",
+        "plateau=%llu\n",
         e * 100.0, static_cast<unsigned long long>(effort.frames_built),
         static_cast<unsigned long long>(effort.sweeps_executed),
         static_cast<unsigned long long>(effort.sweep_budget),
         static_cast<unsigned long long>(effort.restarts_skipped),
-        static_cast<unsigned long long>(effort.plateau_exits),
-        static_cast<unsigned long long>(effort.stress_exits));
+        static_cast<unsigned long long>(effort.plateau_exits));
     std::sort(e1.begin(), e1.end());
     std::sort(e2.begin(), e2.end());
     auto mean = [](const std::vector<double>& v) {

@@ -17,7 +17,7 @@ std::vector<bool> centralized_ball_detect(const net::Network& network,
   const double r = config.radius_override > 0.0
                        ? config.radius_override
                        : (1.0 + config.epsilon) * network.radio_range();
-  const double inside_limit = r - config.inside_tolerance;
+  const double inside_limit = r - core::kInsideTolerance;
   const double inside_limit_sq = inside_limit * inside_limit;
 
   const geom::SpatialGrid grid(network.positions(), r);

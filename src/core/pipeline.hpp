@@ -37,7 +37,7 @@ namespace ballfit::core {
 
 struct PipelineConfig {
   /// Phase-1 detection knobs (ball radius ε, emptiness scope, vote
-  /// thresholds, cross-verification) — see UbfConfig field docs.
+  /// threshold, noise margin) — see UbfConfig field docs.
   UbfConfig ubf;
   /// Phase-2 fragment-filtering knobs (θ = 20, T = 3 by default).
   IffConfig iff;
@@ -50,9 +50,8 @@ struct PipelineConfig {
   /// Skip local MDS and hand UBF the true coordinates — the noiseless
   /// reference configuration (and a localization ablation). Default off.
   bool use_true_coordinates = false;
-  /// Localization knobs, including the equivalence tier and the adaptive
-  /// sweep exits. Every field is part of the Measure stage fingerprint, so
-  /// cached artifacts never mix tiers (or any other localizer setting).
+  /// Localization equivalence tier. It is part of the Measure stage
+  /// fingerprint, so cached artifacts never mix tiers.
   localization::LocalizerConfig localizer;
   /// Run boundary grouping after IFF (default on).
   bool group = true;
@@ -96,7 +95,7 @@ struct PipelineResult {
   sim::RunStats grouping_cost;
 
   /// Work accounting of the run's Localize stage (sweeps executed vs.
-  /// budget, restarts skipped, plateau/stress exits). Reflects the most
+  /// budget, restarts skipped, plateau exits). Reflects the most
   /// recent frame build the session executed — a cache-hit run repeats
   /// the stats of the build that produced the cached frames. All zeros on
   /// the true-coordinates path.

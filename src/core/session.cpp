@@ -58,37 +58,18 @@ class Fingerprint {
 void mix_ubf_core(Fingerprint& fp, const UbfConfig& c) {
   fp.f64(c.epsilon);
   fp.f64(c.radius_override);
-  fp.f64(c.inside_tolerance);
-  fp.f64(c.two_hop_inside_margin);
   fp.f64(c.measurement_error_hint);
   fp.f64(c.noise_margin_factor);
-  fp.f64(c.noise_margin_cap);
   fp.u64(c.min_empty_balls);
-  fp.f64(c.stress_gate_factor);
-  fp.f64(c.stress_gate_floor);
-  fp.boolean(c.cross_verify);
-  fp.u64(c.verify_pool);
   fp.u64(c.scope == UbfConfig::EmptinessScope::kTwoHop ? 1u : 0u);
 }
 
 /// Every LocalizerConfig field. The whole config keys the Measure artifact
 /// (the localizer object embeds it), so cached frames can never mix
-/// equivalence tiers or optimization settings.
+/// equivalence tiers.
 void mix_localizer_config(Fingerprint& fp,
                           const localization::LocalizerConfig& c) {
-  fp.boolean(c.complete_missing_pairs);
-  fp.f64(c.missing_pair_fallback);
-  fp.u64(static_cast<std::uint64_t>(c.smacof_sweeps));
-  fp.u64(static_cast<std::uint64_t>(c.mdsmap_sweeps));
   fp.u64(static_cast<std::uint64_t>(c.tier));
-  fp.boolean(c.adaptive_sweeps);
-  fp.f64(c.adaptive_floor);
-  fp.u64(static_cast<std::uint64_t>(c.plateau_sweeps));
-  fp.f64(c.plateau_rel_tol);
-  fp.f64(c.plateau_guard);
-  fp.u64(static_cast<std::uint64_t>(c.stress_stride));
-  fp.u64(static_cast<std::uint64_t>(c.mds_eigen_iters));
-  fp.f64(c.mds_eigen_tol);
 }
 
 std::size_t count_marks(const std::vector<char>& mask) {
@@ -340,8 +321,7 @@ void DetectionSession::run_ubf_stages(const PipelineConfig& config,
   // measurement cache). Keyed on (measurement_error, noise_seed) plus the
   // full localizer config — the localizer object embeds it, and every
   // downstream frame artifact chains off `measure_version_`, so runs at
-  // different equivalence tiers (or any other localizer setting) can never
-  // share cached frames.
+  // different equivalence tiers can never share cached frames.
   if (!true_coords) {
     Fingerprint fp;
     fp.f64(config.measurement_error);

@@ -33,13 +33,20 @@ double certificate_margin(double radius, const Vec3& self) {
 
 UnitBallFitting::UnitBallFitting(const net::Network& network, UbfConfig config)
     : network_(&network), config_(config) {
-  BALLFIT_REQUIRE(config_.epsilon >= 0.0, "epsilon must be non-negative");
-  // Non-negative noise inputs keep the stress gate open at zero
-  // uncertainty, which the true-coordinates path relies on.
-  BALLFIT_REQUIRE(config_.measurement_error_hint >= 0.0 &&
-                      config_.stress_gate_floor >= 0.0,
-                  "measurement_error_hint and stress_gate_floor must be "
-                  "non-negative");
+  BALLFIT_REQUIRE(std::isfinite(config_.epsilon) && config_.epsilon >= 0.0,
+                  "epsilon must be finite and non-negative");
+  BALLFIT_REQUIRE(std::isfinite(config_.radius_override),
+                  "radius_override must be finite");
+  // A non-negative hint keeps the stress gate open at zero uncertainty,
+  // which the true-coordinates path relies on.
+  BALLFIT_REQUIRE(std::isfinite(config_.measurement_error_hint) &&
+                      config_.measurement_error_hint >= 0.0,
+                  "measurement_error_hint must be finite and non-negative");
+  // A negative factor would widen the strict-inside limit past r, and a
+  // non-finite one would apply the cap even at zero uncertainty.
+  BALLFIT_REQUIRE(std::isfinite(config_.noise_margin_factor) &&
+                      config_.noise_margin_factor >= 0.0,
+                  "noise_margin_factor must be finite and non-negative");
   radius_ = config_.radius_override > 0.0
                 ? config_.radius_override
                 : (1.0 + config_.epsilon) * network.radio_range();
@@ -49,12 +56,10 @@ UnitBallFitting::UnitBallFitting(const net::Network& network, UbfConfig config)
 }
 
 bool UnitBallFitting::frame_reliable(double stress_rms) const {
-  if (config_.stress_gate_factor <= 0.0) return true;
   const double noise_floor =
-      config_.measurement_error_hint / std::sqrt(3.0) +
-      config_.stress_gate_floor;
-  return stress_rms <= config_.stress_gate_factor * noise_floor *
-                           network_->radio_range();
+      config_.measurement_error_hint / std::sqrt(3.0) + kStressGateFloor;
+  return stress_rms <=
+         kStressGateFactor * noise_floor * network_->radio_range();
 }
 
 UnitBallFitting::InsideLimits UnitBallFitting::inside_limits(
@@ -68,13 +73,12 @@ UnitBallFitting::InsideLimits UnitBallFitting::inside_limits(
           : config_.measurement_error_hint * network_->radio_range() /
                 std::sqrt(3.0);
   const double noise_margin =
-      std::min(config_.noise_margin_cap * network_->radio_range(),
+      std::min(kNoiseMarginCap * network_->radio_range(),
                config_.noise_margin_factor * sigma);
   const double one_hop =
-      std::max(0.0, radius_ - config_.inside_tolerance - noise_margin);
+      std::max(0.0, radius_ - kInsideTolerance - noise_margin);
   const double two_hop =
-      std::max(0.0, one_hop - config_.two_hop_inside_margin *
-                                  network_->radio_range());
+      std::max(0.0, one_hop - kTwoHopInsideMargin * network_->radio_range());
   return {one_hop * one_hop, two_hop * two_hop};
 }
 
@@ -695,11 +699,12 @@ NodeView true_view(const net::Network& network, NodeId i,
 
 /// The one per-node ball-test driver behind every detector entry point.
 /// Node i's view comes from `frames[i]` when frames are given, else from
-/// the true positions (`true_view`); only the frame path can
-/// cross-verify, since witnesses confirm in their own frames. Every node
-/// the `run_mask` selects is recomputed from scratch; all shortcuts are
-/// upstream (which nodes run), never inside a node's decision, so a run
-/// over any sound dirty set leaves `flags` equal to a full recompute.
+/// the true positions (`true_view`); the frame path cross-verifies, since
+/// witnesses confirm in their own frames, and the true-coordinates path
+/// counts votes. Every node the `run_mask` selects is recomputed from
+/// scratch; all shortcuts are upstream (which nodes run), never inside a
+/// node's decision, so a run over any sound dirty set leaves `flags` equal
+/// to a full recompute.
 void run_ball_tests(const UnitBallFitting& ubf, const net::Network& network,
                     const std::vector<localization::LocalFrame>* frames,
                     std::vector<char>& flags, const std::vector<char>* alive,
@@ -709,13 +714,12 @@ void run_ball_tests(const UnitBallFitting& ubf, const net::Network& network,
   const UbfConfig& config = ubf.config();
   const std::size_t n = network.num_nodes();
   const bool two_hop = config.scope == UbfConfig::EmptinessScope::kTwoHop;
-  const bool cross_verify = frames != nullptr && config.cross_verify;
+  const bool cross_verify = frames != nullptr;
   const bool want_conf = confidence != nullptr;
   // Candidate-ball budget per node, also the vote cap past the decision
   // threshold (bounded extra work, enough margin to separate "barely
   // boundary" from "saturated").
-  const std::size_t pool =
-      std::max(config.verify_pool, config.min_empty_balls);
+  const std::size_t pool = std::max(kVerifyPool, config.min_empty_balls);
 
   // Per-node work histograms (Theorem 1's Θ(ρ³) in the wild) and the
   // deterministic work counters summed over the tested nodes. Handles are

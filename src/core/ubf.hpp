@@ -33,6 +33,36 @@ namespace ballfit::core {
 /// smaller neighborhoods vote `UbfConfig::degenerate_is_boundary`.
 inline constexpr std::size_t kMinBallTestMembers = 4;
 
+/// A node strictly inside a candidate ball means distance
+/// < r − kInsideTolerance (absolute units); the slack keeps the three
+/// on-surface nodes from being miscounted.
+inline constexpr double kInsideTolerance = 1e-9;
+/// Extra slack (× radio range) applied to *two-hop* members only: a
+/// two-hop position blocks a candidate ball only when it is inside by
+/// more than this margin. Two-hop coordinates sit at the patch rim, where
+/// they are least constrained; without the margin, borderline two-hop
+/// members leak into truly-empty outward balls and suppress real boundary
+/// nodes. Interior candidate balls are unaffected — their blockers sit
+/// well inside.
+inline constexpr double kTwoHopInsideMargin = 0.1;
+/// Upper bound (× radio range) on the noise-derived emptiness slack
+/// (`UbfConfig::noise_margin_factor` × coordinate uncertainty).
+inline constexpr double kNoiseMarginCap = 0.3;
+/// Frame-reliability gate: a node whose embedding kept a residual stress
+/// far above the ranging-noise floor knows its local frame is folded; a
+/// boundary claim from such a frame is most likely a false positive (and
+/// a single deep false positive can bridge two boundary groups). Nodes
+/// with stress_rms > kStressGateFactor·(e/√3 + kStressGateFloor)·R
+/// abstain, e being `UbfConfig::measurement_error_hint`. The floor is
+/// positive, so a node at zero uncertainty (true coordinates) always
+/// passes.
+inline constexpr double kStressGateFactor = 2.0;
+inline constexpr double kStressGateFloor = 0.01;
+/// Empty balls a node collects as cross-verification candidates on the
+/// frame path (at least `min_empty_balls`); also the vote cap of the
+/// confidence score (see `vote_confidence`).
+inline constexpr std::size_t kVerifyPool = 6;
+
 struct UbfConfig {
   /// ε of Definition 4: the test radius is r = (1+ε) · radio_range.
   /// Larger values restrict detection to larger holes (Sec. II-A3, last
@@ -41,53 +71,23 @@ struct UbfConfig {
   /// When > 0, overrides the ball radius outright (in absolute units);
   /// used by the hole-size-selectivity ablation.
   double radius_override = 0.0;
-  /// A node strictly inside means distance < r − inside_tolerance; the
-  /// slack keeps the three on-surface nodes from being miscounted.
-  double inside_tolerance = 1e-9;
-  /// Extra slack (× radio range) applied to *two-hop* members only: a
-  /// two-hop position blocks a candidate ball only when it is inside by
-  /// more than this margin. Two-hop coordinates sit at the patch rim,
-  /// where they are least constrained; without the margin, borderline
-  /// two-hop members leak into truly-empty outward balls and suppress real
-  /// boundary nodes. Interior candidate balls are
-  /// unaffected — their blockers sit well inside.
-  double two_hop_inside_margin = 0.1;
   /// The emptiness test widens its slack by `noise_margin_factor ×
-  /// coordinate-uncertainty` so that coordinate jitter of the expected
-  /// magnitude cannot spuriously block a truly empty ball. The uncertainty
-  /// is self-calibrated per node from the embedding's residual stress
-  /// (LocalFrame::stress_rms); `measurement_error_hint` (fraction of the
-  /// radio range) is the fallback when a caller tests raw coordinates.
+  /// coordinate-uncertainty` (capped at `kNoiseMarginCap`) so that
+  /// coordinate jitter of the expected magnitude cannot spuriously block a
+  /// truly empty ball. The uncertainty is self-calibrated per node from
+  /// the embedding's residual stress (LocalFrame::stress_rms);
+  /// `measurement_error_hint` (fraction of the radio range) is the
+  /// fallback when a caller tests raw coordinates, and sets the
+  /// frame-reliability gate (`kStressGateFactor`).
   double measurement_error_hint = 0.0;
   double noise_margin_factor = 3.0;
-  /// Upper bound (× radio range) on the noise-derived slack.
-  double noise_margin_cap = 0.3;
   /// Minimum number of empty candidate balls required to declare boundary.
   /// A real boundary node sees many empty balls (every outward-leaning
   /// witness pair yields one); a coordinate-noise fluke sees one or two.
   /// 1 reproduces the literal algorithm; higher values trade missing for
-  /// mistaken under noise. With cross-verification on (the default) one
-  /// verified ball suffices — the witnesses already suppress flukes.
+  /// mistaken under noise. On the frame path one verified ball suffices —
+  /// the cross-verifying witnesses already suppress flukes.
   std::size_t min_empty_balls = 1;
-  /// Frame-reliability gate: a node whose embedding kept a residual stress
-  /// far above the ranging-noise floor knows its local frame is folded; a
-  /// boundary claim from such a frame is most likely a false positive (and
-  /// a single deep false positive can bridge two boundary groups). Nodes
-  /// with stress_rms > gate_factor·(e/√3 + gate_floor)·R abstain. Set
-  /// gate_factor <= 0 to disable. The floor must be >= 0, so a node at zero
-  /// uncertainty (true coordinates) always passes.
-  double stress_gate_factor = 2.0;
-  double stress_gate_floor = 0.01;
-  /// Cross-verification (localized, one extra query round): each empty
-  /// ball node i finds is defined by two witnesses j, k; both re-run the
-  /// emptiness check for the same ball in their own frames and veto it if
-  /// they see a member inside. A fold-over localization artifact in i's
-  /// frame must be mirrored in both witnesses' independent frames to
-  /// survive, which removes nearly all deep interior false positives —
-  /// the ones that bridge boundary groups. Costs one message round.
-  bool cross_verify = true;
-  /// How many empty balls a node collects as verification candidates.
-  std::size_t verify_pool = 6;
   /// Nodes whose neighborhood is too small to embed (< 4 members) cannot
   /// run the test; with this flag (default) they declare themselves
   /// boundary — a degenerate neighborhood is itself boundary evidence.
@@ -114,19 +114,19 @@ struct UbfConfig {
 /// boundaries"). The binary flag thresholds the empty-ball vote count at
 /// `min_empty_balls` (= T); the confidence keeps the margin:
 ///
-///   conf = votes / (votes + T),  votes counted up to max(verify_pool, T)
+///   conf = votes / (votes + T),  votes counted up to max(kVerifyPool, T)
 ///
 /// so conf >= 0.5 exactly when the flag is set, conf = 0 means no empty
 /// ball at all, and saturation approaches (but never reaches) 1. Nodes
 /// that never run the test score by provenance: crashed or stress-gated
 /// nodes 0, degenerate-neighborhood fallbacks exactly 0.5 when they vote
-/// boundary (a claim with no ball evidence) and 0 otherwise. On the vote
-/// counting paths (no cross-verification, or true coordinates) the score
-/// is monotone non-increasing in T for a fixed network
-/// (tests/ubf_test.cpp::MonotoneInMinEmptyBalls); under cross-verification
-/// the collected candidate pool grows with T, so a rejected candidate can
-/// be displaced by a verifying one and the margin may wobble within the
-/// same side of the threshold.
+/// boundary (a claim with no ball evidence) and 0 otherwise. On the
+/// true-coordinates path, which counts votes without cross-verification,
+/// the score is monotone non-increasing in T for a fixed network
+/// (tests/ubf_test.cpp::MonotoneInMinEmptyBalls); on the cross-verified
+/// frame path the collected candidate pool grows with T, so a rejected
+/// candidate can be displaced by a verifying one and the margin may wobble
+/// within the same side of the threshold.
 ///
 /// Computing the margin means counting votes *past* the decision
 /// threshold, work the classification itself never needs — so confidence
@@ -172,19 +172,30 @@ struct UbfNodeDiagnostics {
 
 class UnitBallFitting {
  public:
+  /// Throws `InvalidArgument` unless `epsilon`, `radius_override`,
+  /// `measurement_error_hint` and `noise_margin_factor` are finite, all but
+  /// the override are non-negative, and the ball radius is at least the
+  /// radio range.
   explicit UnitBallFitting(const net::Network& network, UbfConfig config = {});
 
   /// The effective test radius r.
   double ball_radius() const { return radius_; }
 
   /// True when a frame with residual `stress_rms` passes the reliability
-  /// gate for the configured error hint (see UbfConfig::stress_gate_*).
+  /// gate for the configured error hint (see `kStressGateFactor`).
   bool frame_reliable(double stress_rms) const;
 
   /// Localized detection: each node embeds its neighborhood with
   /// `localizer` (two-hop MDS-MAP patches by default, one-hop frames when
-  /// the scope is kOneHop), runs the test in its own local frame, and —
-  /// with cross_verify — has its witnesses confirm each empty ball.
+  /// the scope is kOneHop), runs the test in its own local frame, and has
+  /// its witnesses confirm each empty ball (cross-verification, one extra
+  /// query round): the two witnesses j, k that define a ball re-run the
+  /// emptiness check for it in their own frames and veto it if they see a
+  /// member inside. A fold-over localization artifact in i's frame must be
+  /// mirrored in both witnesses' independent frames to survive, which
+  /// removes nearly all deep interior false positives — the ones that
+  /// bridge boundary groups. Up to `kVerifyPool` candidate balls are
+  /// collected per node.
   /// `threads` parallelizes the per-node work (0 = hardware concurrency).
   /// `frame_fallbacks`, when non-null, receives the number of nodes whose
   /// neighborhood was too small/degenerate to embed — the nodes that voted

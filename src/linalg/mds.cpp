@@ -80,21 +80,10 @@ double weighted_stress(const Matrix& d, const Matrix& w,
   return s;
 }
 
-/// Exit tests shared by both refine loops (dense and sparse). Keeping the
-/// decision logic in one place is what keeps the two bit-identical.
+/// Exit test shared by both refine loops (dense and sparse), which run
+/// while `sweeps < max_sweeps`. Keeping the decision logic in one place is
+/// what keeps the two bit-identical.
 ///
-/// `sweep_done` answers "may the next sweep run?" from the state *between*
-/// sweeps: the budget is spent or the stress already sits at the
-/// `stop_stress` floor (which also catches an init that starts below it).
-bool sweep_done(const SmacofConfig& config, SmacofRunInfo& info) {
-  if (info.sweeps >= config.max_sweeps) return true;
-  if (config.stop_stress > 0.0 && info.final_stress <= config.stop_stress) {
-    info.stress_exit = true;
-    return true;
-  }
-  return false;
-}
-
 /// Records one executed sweep's resulting stress; true → stop refining.
 /// The convergence test is the historical one (improvement below
 /// `rel_tol`); the plateau cap fires on `plateau_sweeps` consecutive
@@ -197,7 +186,7 @@ std::vector<geom::Vec3> smacof_refine(const Matrix& distances,
     stress_trace->clear();
     stress_trace->push_back(info.final_stress);
   }
-  while (!sweep_done(config, info)) {
+  while (info.sweeps < config.max_sweeps) {
     // `stress_stride` sweeps per evaluation, the last group truncated to
     // the budget (sweep_note counts the evaluated sweep).
     const int group = std::min(std::max(1, config.stress_stride),
@@ -311,7 +300,7 @@ std::vector<geom::Vec3> SmacofProblem::refine(
     stress_trace->clear();
     stress_trace->push_back(info.final_stress);
   }
-  while (!sweep_done(config, info)) {
+  while (info.sweeps < config.max_sweeps) {
     // The same coordinate-descent Guttman transform as `smacof_refine`,
     // visiting only the measured partners of each point (CSR row, ascending
     // — the dense loop's order over its positive-weight entries).

@@ -48,28 +48,22 @@ struct SmacofConfig {
   int max_sweeps = 60;
   /// Stop when the relative stress improvement per sweep drops below this.
   double rel_tol = 1e-10;
-  /// Absolute stress floor (weighted-stress units, i.e. squared length ×
-  /// weight summed over measured pairs): refinement exits before the next
-  /// sweep once the stress is at or below this value. The localization
-  /// layer sets it to the noise-consistent `accept_stress`, at which point
-  /// further sweeps only polish ranging noise. 0 disables (the historical
-  /// run-to-budget behavior).
-  double stop_stress = 0.0;
   /// Plateau cap: exit after this many *consecutive* sweeps whose relative
   /// stress improvement stays below `plateau_rel_tol` (a much looser bar
-  /// than `rel_tol`, which detects full convergence). 0 disables. Setting
-  /// this and `stop_stress` both to 0 is the run-to-budget contract: the
-  /// run exits only on the budget or on full `rel_tol` convergence.
+  /// than `rel_tol`, which detects full convergence). 0 disables: the
+  /// run-to-budget contract, where the run exits only on the budget or on
+  /// full `rel_tol` convergence.
   int plateau_sweeps = 0;
   /// Relative improvement (Δstress / stress) below which a sweep counts
   /// toward the plateau run. Dimensionless; meaningful only with
   /// `plateau_sweeps` > 0.
   double plateau_rel_tol = 0.0;
-  /// Plateau guard (absolute stress, same units as `stop_stress`): sweeps
-  /// count toward the plateau run only while the stress is at or below
-  /// this value. A refinement stalled far above the floor is a fold-over
-  /// still unfolding, not a converged fit — it must keep sweeping toward
-  /// the budget. 0 disables the guard (every slow sweep counts).
+  /// Plateau guard (absolute stress: squared length × weight summed over
+  /// measured pairs): sweeps count toward the plateau run only while the
+  /// stress is at or below this value. A refinement stalled far above the
+  /// floor is a fold-over still unfolding, not a converged fit — it must
+  /// keep sweeping toward the budget. 0 disables the guard (every slow
+  /// sweep counts).
   double plateau_guard_stress = 0.0;
   /// Use the division-light Guttman kernel: one divide per edge
   /// (dist/len, folding the direction normalization into the target
@@ -99,7 +93,6 @@ struct SmacofConfig {
 /// stress of the returned coordinates.
 struct SmacofRunInfo {
   int sweeps = 0;             ///< Guttman sweeps actually executed.
-  bool stress_exit = false;   ///< Stopped at the `stop_stress` floor.
   bool plateau_exit = false;  ///< Stopped by the plateau cap.
   double final_stress = 0.0;  ///< Weighted stress at exit.
 };

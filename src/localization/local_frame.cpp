@@ -82,15 +82,11 @@ void fill_measured_pairs(const net::Network& net,
   }
 }
 
-/// Adaptive stress floor of a measured-pair set: at the true configuration
-/// the expected residual per pair is Var[d̂−d] = (e·R)²/3 for the
-/// Uniform(−e·R, e·R) ranging noise, so `floor_factor` = 1 stops at the
-/// noise-consistent level. SMACOF overfits part of the noise (it spends
-/// ~3m coordinate DOF on ~deg·m/2 residuals), so matching the legacy
-/// full-budget refinement requires a factor below 1 — see
-/// `LocalizerConfig::adaptive_floor`. The 1e-9·pairs term keeps the floor
-/// positive (and the stress exit reachable) at e = 0, where refinement
-/// runs to numerical exactness.
+/// Noise-consistent stress of a measured-pair set, scaled by
+/// `floor_factor`: at the true configuration the expected residual per
+/// pair is Var[d̂−d] = (e·R)²/3 for the Uniform(−e·R, e·R) ranging noise.
+/// The 1e-9·pairs term keeps the level positive at e = 0, where
+/// refinement runs to numerical exactness.
 double noise_floor_stress(double error_abs, double floor_factor,
                           std::size_t pairs) {
   const double per_pair = (error_abs * error_abs / 3.0) * floor_factor + 1e-9;
@@ -156,43 +152,12 @@ void gather_two_hop_members(const net::Network& net,
     s.slot.insert(frame.members[a], static_cast<std::uint32_t>(a));
 }
 
-/// `config`, after rejecting values no frame build can honour. Runs in the
-/// member-init list, before the per-edge measurement cache is drawn.
-LocalizerConfig validated(const LocalizerConfig& config) {
-  const auto finite_nonneg = [](double x) {
-    return std::isfinite(x) && x >= 0.0;
-  };
-  const auto finite_pos = [](double x) { return std::isfinite(x) && x > 0.0; };
-  BALLFIT_REQUIRE(config.smacof_sweeps >= 0,
-                  "LocalizerConfig::smacof_sweeps must be >= 0");
-  BALLFIT_REQUIRE(config.mdsmap_sweeps >= 0,
-                  "LocalizerConfig::mdsmap_sweeps must be >= 0");
-  BALLFIT_REQUIRE(config.plateau_sweeps >= 0,
-                  "LocalizerConfig::plateau_sweeps must be >= 0");
-  BALLFIT_REQUIRE(config.stress_stride >= 1,
-                  "LocalizerConfig::stress_stride must be >= 1");
-  BALLFIT_REQUIRE(config.mds_eigen_iters >= 1,
-                  "LocalizerConfig::mds_eigen_iters must be >= 1");
-  BALLFIT_REQUIRE(finite_nonneg(config.adaptive_floor),
-                  "LocalizerConfig::adaptive_floor must be finite and >= 0");
-  BALLFIT_REQUIRE(finite_nonneg(config.plateau_rel_tol),
-                  "LocalizerConfig::plateau_rel_tol must be finite and >= 0");
-  BALLFIT_REQUIRE(finite_nonneg(config.plateau_guard),
-                  "LocalizerConfig::plateau_guard must be finite and >= 0");
-  BALLFIT_REQUIRE(finite_pos(config.mds_eigen_tol),
-                  "LocalizerConfig::mds_eigen_tol must be finite and > 0");
-  BALLFIT_REQUIRE(finite_pos(config.missing_pair_fallback),
-                  "LocalizerConfig::missing_pair_fallback must be finite "
-                  "and > 0");
-  return config;
-}
-
 }  // namespace
 
 Localizer::Localizer(const net::Network& network,
                      const net::NoisyDistanceModel& model,
                      LocalizerConfig config)
-    : network_(&network), model_(&model), config_(validated(config)),
+    : network_(&network), model_(&model), config_(config),
       edge_cache_(model) {
   BALLFIT_REQUIRE(&model.network() == &network,
                   "measurement model must wrap the same network");
@@ -236,19 +201,16 @@ LocalFrame Localizer::local_frame(NodeId i, const std::vector<char>* alive,
 
   // Shortest-path completion of unmeasured pairs within the neighborhood
   // (all pairs are joined through i at worst, so no entry stays infinite).
-  if (config_.complete_missing_pairs) {
-    for (std::size_t k = 0; k < m; ++k)
-      for (std::size_t a = 0; a < m; ++a) {
-        const double dak = d(a, k);
-        if (dak == kMissing) continue;
-        for (std::size_t b = 0; b < m; ++b) {
-          const double cand = dak + d(k, b);
-          if (cand < d(a, b)) d(a, b) = d(b, a) = cand;
-        }
+  for (std::size_t k = 0; k < m; ++k)
+    for (std::size_t a = 0; a < m; ++a) {
+      const double dak = d(a, k);
+      if (dak == kMissing) continue;
+      for (std::size_t b = 0; b < m; ++b) {
+        const double cand = dak + d(k, b);
+        if (cand < d(a, b)) d(a, b) = d(b, a) = cand;
       }
-  }
-  const double fallback =
-      config_.missing_pair_fallback * network_->radio_range();
+    }
+  const double fallback = kMissingPairFallback * network_->radio_range();
   for (std::size_t a = 0; a < m; ++a)
     for (std::size_t b = 0; b < m; ++b)
       if (d(a, b) == kMissing) d(a, b) = fallback;
@@ -256,23 +218,16 @@ LocalFrame Localizer::local_frame(NodeId i, const std::vector<char>* alive,
   if (m > kTopkMdsThreshold) {
     // Only the top-3 eigenpairs feed the embedding; for larger
     // neighborhoods subspace iteration beats the full Jacobi by ~m/3².
-    // embed_residual needs λ₄, which this path does not compute; it stays
-    // 0 (nothing downstream consumes it).
     linalg::double_center_into(d, s.gram);
     frame.coords = refine_embedding(
         d, w, top3_coords(linalg::eigen_top_k(s.gram, 3, 60, 1e-6), m), i,
-        config_.smacof_sweeps, &frame.stress_rms, stats);
+        kSmacofSweeps, &frame.stress_rms, stats);
     frame.ok = true;
   } else {
     linalg::MdsResult mds = linalg::classical_mds(d, 3);
     frame.coords = refine_embedding(d, w, std::move(mds.coords), i,
-                                    config_.smacof_sweeps, &frame.stress_rms,
-                                    stats);
+                                    kSmacofSweeps, &frame.stress_rms, stats);
     frame.ok = mds.converged;
-    if (mds.gram_eigenvalues.size() >= 4 && mds.gram_eigenvalues[2] > 1e-12) {
-      frame.embed_residual =
-          std::fabs(mds.gram_eigenvalues[3]) / mds.gram_eigenvalues[2];
-    }
   }
   return frame;
 }
@@ -281,8 +236,6 @@ std::vector<geom::Vec3> Localizer::refine_embedding(
     const linalg::Matrix& d, const linalg::Matrix& w,
     std::vector<geom::Vec3> init, NodeId node, int sweeps,
     double* stress_rms, FrameBuildStats* stats) const {
-  if (sweeps <= 0) return init;
-
   // Extract the measured edges into CSR once, so each restart and each
   // sweep costs O(edges) instead of a dense m² matrix scan. The problem
   // lives in the thread-local arena; it is consumed before this thread
@@ -304,24 +257,17 @@ std::vector<geom::Vec3> Localizer::refine_embedding(
   // worth retrying from a perturbed init.
   linalg::SmacofConfig sc;
   sc.max_sweeps = sweeps;
-  // The default tier runs the division-light Guttman kernel and strided
-  // stress evaluation, plus the adaptive exits when those are enabled. The
-  // plateau guard is expressed in noise-floor units (not `stop_stress`
-  // units) so plateau exits stay armed when the stress floor is disabled —
-  // `adaptive_floor` ≤ 0 leaves `stop_stress` at 0 and the run exits only
-  // on plateau or budget.
+  // The default tier runs the division-light Guttman kernel, strided
+  // stress evaluation and the plateau exit; kBitwise runs every sweep of
+  // the budget through the legacy kernel unless `rel_tol` convergence
+  // stops it first.
   if (config_.tier != EquivalenceTier::kBitwise) {
     sc.fast_sweep = true;
-    sc.stress_stride = config_.stress_stride;
-    if (config_.adaptive_active()) {
-      if (config_.adaptive_floor > 0.0)
-        sc.stop_stress =
-            noise_floor_stress(e, config_.adaptive_floor, measured_pairs);
-      sc.plateau_sweeps = config_.plateau_sweeps;
-      sc.plateau_rel_tol = config_.plateau_rel_tol;
-      sc.plateau_guard_stress =
-          config_.plateau_guard * noise_floor_stress(e, 1.0, measured_pairs);
-    }
+    sc.stress_stride = kStressStride;
+    sc.plateau_sweeps = kPlateauSweeps;
+    sc.plateau_rel_tol = kPlateauRelTol;
+    sc.plateau_guard_stress =
+        kPlateauGuard * noise_floor_stress(e, 1.0, measured_pairs);
   }
 
   double best_stress = std::numeric_limits<double>::infinity();
@@ -347,7 +293,6 @@ std::vector<geom::Vec3> Localizer::refine_embedding(
       stats->sweeps_executed += static_cast<std::uint64_t>(run.sweeps);
       stats->sweep_budget += static_cast<std::uint64_t>(sc.max_sweeps);
       stats->plateau_exits += run.plateau_exit;
-      stats->stress_exits += run.stress_exit;
     }
     if (stress < best_stress) {
       best_stress = stress;
@@ -395,80 +340,77 @@ bool Localizer::mdsmap_init(NodeId i, const std::vector<char>* alive,
   // of ~150 nodes. The CSR rows hold pre-completion copies of d: the
   // relaxation must keep extending over the original measured edge
   // lengths even as d(a,b) entries drop below them.
-  if (config_.complete_missing_pairs) {
-    s.comp_begin.resize(m + 1);
-    s.comp_adj.clear();
-    s.comp_dist.clear();
+  s.comp_begin.resize(m + 1);
+  s.comp_adj.clear();
+  s.comp_dist.clear();
+  for (std::size_t a = 0; a < m; ++a) {
+    s.comp_begin[a] = static_cast<std::uint32_t>(s.comp_adj.size());
+    for (std::size_t b = 0; b < m; ++b)
+      if (w(a, b) > 0.0) {
+        s.comp_adj.push_back(static_cast<std::uint32_t>(b));
+        s.comp_dist.push_back(d(a, b));
+      }
+  }
+  s.comp_begin[m] = static_cast<std::uint32_t>(s.comp_adj.size());
+  // A truncated relaxation: at most three in-place Gauss–Seidel rounds,
+  // stopping early only on a round that lowers nothing. The cap binds —
+  // on four fig1 networks (~1,190 nodes each, e = 0.2) 4744 of 4748
+  // patches run all three rounds and the third still lowers ~183k
+  // entries — so the loop may stop short of true shortest paths, and
+  // the exact entries it leaves (hence its visit order and round cap)
+  // are part of the kBitwise contract.
+  //
+  // Semi-naive visits: from the second round on, row a relaxes through
+  // column k only if d(a,k) was lowered since row a last did. A skipped
+  // visit would recompute the same candidates d(a,k) + len(k,b) (the
+  // edge lengths are the static CSR copies), each of which already
+  // failed against — or was written into — a d(a,b) that can only have
+  // decreased since. So the skip writes exactly what a full rescan
+  // writes, in the same order, and the `changed` exit fires on the same
+  // round.
+  s.comp_fresh.assign(m * m, 1);
+  std::uint64_t scans = 0;
+  for (int round = 0; round < 3; ++round) {
+    bool changed = false;
     for (std::size_t a = 0; a < m; ++a) {
-      s.comp_begin[a] = static_cast<std::uint32_t>(s.comp_adj.size());
-      for (std::size_t b = 0; b < m; ++b)
-        if (w(a, b) > 0.0) {
-          s.comp_adj.push_back(static_cast<std::uint32_t>(b));
-          s.comp_dist.push_back(d(a, b));
-        }
-    }
-    s.comp_begin[m] = static_cast<std::uint32_t>(s.comp_adj.size());
-    // A truncated relaxation: at most three in-place Gauss–Seidel rounds,
-    // stopping early only on a round that lowers nothing. The cap binds —
-    // on four fig1 networks (~1,190 nodes each, e = 0.2) 4744 of 4748
-    // patches run all three rounds and the third still lowers ~183k
-    // entries — so the loop may stop short of true shortest paths, and
-    // the exact entries it leaves (hence its visit order and round cap)
-    // are part of the kBitwise contract.
-    //
-    // Semi-naive visits: from the second round on, row a relaxes through
-    // column k only if d(a,k) was lowered since row a last did. A skipped
-    // visit would recompute the same candidates d(a,k) + len(k,b) (the
-    // edge lengths are the static CSR copies), each of which already
-    // failed against — or was written into — a d(a,b) that can only have
-    // decreased since. So the skip writes exactly what a full rescan
-    // writes, in the same order, and the `changed` exit fires on the same
-    // round.
-    s.comp_fresh.assign(m * m, 1);
-    std::uint64_t scans = 0;
-    for (int round = 0; round < 3; ++round) {
-      bool changed = false;
-      for (std::size_t a = 0; a < m; ++a) {
-        unsigned char* fresh = s.comp_fresh.data() + a * m;
-        for (std::size_t k = 0; k < m; ++k) {
-          if (fresh[k] == 0) continue;
-          fresh[k] = 0;
-          ++scans;
-          const double dak = d(a, k);
-          if (dak == kMissing) continue;
-          const std::uint32_t end = s.comp_begin[k + 1];
-          for (std::uint32_t e = s.comp_begin[k]; e < end; ++e) {
-            const std::size_t b = s.comp_adj[e];
-            const double cand = dak + s.comp_dist[e];
-            if (cand < d(a, b)) {
-              d(a, b) = d(b, a) = cand;
-              fresh[b] = s.comp_fresh[b * m + a] = 1;
-              changed = true;
-            }
+      unsigned char* fresh = s.comp_fresh.data() + a * m;
+      for (std::size_t k = 0; k < m; ++k) {
+        if (fresh[k] == 0) continue;
+        fresh[k] = 0;
+        ++scans;
+        const double dak = d(a, k);
+        if (dak == kMissing) continue;
+        const std::uint32_t end = s.comp_begin[k + 1];
+        for (std::uint32_t e = s.comp_begin[k]; e < end; ++e) {
+          const std::size_t b = s.comp_adj[e];
+          const double cand = dak + s.comp_dist[e];
+          if (cand < d(a, b)) {
+            d(a, b) = d(b, a) = cand;
+            fresh[b] = s.comp_fresh[b * m + a] = 1;
+            changed = true;
           }
         }
       }
-      if (!changed) break;
     }
-    if (stats != nullptr) stats->completion_scans += scans;
+    if (!changed) break;
   }
-  const double fallback =
-      config_.missing_pair_fallback * 2.0 * network_->radio_range();
+  if (stats != nullptr) stats->completion_scans += scans;
+  const double fallback = kMissingPairFallback * 2.0 * network_->radio_range();
   for (std::size_t a = 0; a < m; ++a)
     for (std::size_t b = 0; b < m; ++b)
       if (d(a, b) == kMissing) d(a, b) = fallback;
 
   // Classical MDS init from the top-3 eigenpairs of the centered Gram
   // matrix. kBitwise keeps the reference subspace budget; the default
-  // tier stops at `mds_eigen_iters`/`mds_eigen_tol` — the measured-pair
+  // tier stops at `kMdsEigenIters`/`kMdsEigenTol` — the measured-pair
   // refinement reshapes the init long before full eigen convergence would
   // pay for itself (at the reference budget the subspace iteration is
   // over a third of the whole frame build).
   linalg::double_center_into(d, s.gram);
   const bool full_eigen = config_.tier == EquivalenceTier::kBitwise;
   init = top3_coords(
-      linalg::eigen_top_k(s.gram, 3, full_eigen ? 60 : config_.mds_eigen_iters,
-                          full_eigen ? 1e-6 : config_.mds_eigen_tol,
+      linalg::eigen_top_k(s.gram, 3, full_eigen ? 60 : kMdsEigenIters,
+                          full_eigen ? 1e-6 : kMdsEigenTol,
                           /*data_seed=*/!full_eigen),
       m);
   return true;
@@ -483,7 +425,7 @@ LocalFrame Localizer::mdsmap_frame(NodeId i, const std::vector<char>* alive,
   // stage left behind (still this thread's, untouched since).
   LocScratch& s = scratch();
   frame.coords =
-      refine_embedding(s.d, s.w, std::move(init), i, config_.mdsmap_sweeps,
+      refine_embedding(s.d, s.w, std::move(init), i, kMdsmapSweeps,
                        &frame.stress_rms, stats);
   frame.ok = true;
   return frame;
@@ -506,7 +448,6 @@ struct AtomicFrameStats {
   std::atomic<std::uint64_t> sweep_budget{0};
   std::atomic<std::uint64_t> restarts_skipped{0};
   std::atomic<std::uint64_t> plateau_exits{0};
-  std::atomic<std::uint64_t> stress_exits{0};
   std::atomic<std::uint64_t> completion_scans{0};
 
   void merge(const FrameBuildStats& s) {
@@ -516,7 +457,6 @@ struct AtomicFrameStats {
     restarts_skipped.fetch_add(s.restarts_skipped,
                                std::memory_order_relaxed);
     plateau_exits.fetch_add(s.plateau_exits, std::memory_order_relaxed);
-    stress_exits.fetch_add(s.stress_exits, std::memory_order_relaxed);
     completion_scans.fetch_add(s.completion_scans, std::memory_order_relaxed);
   }
 
@@ -527,7 +467,6 @@ struct AtomicFrameStats {
     s.sweep_budget = sweep_budget.load(std::memory_order_relaxed);
     s.restarts_skipped = restarts_skipped.load(std::memory_order_relaxed);
     s.plateau_exits = plateau_exits.load(std::memory_order_relaxed);
-    s.stress_exits = stress_exits.load(std::memory_order_relaxed);
     s.completion_scans = completion_scans.load(std::memory_order_relaxed);
     return s;
   }
@@ -576,7 +515,6 @@ void build_all_frames(const Localizer& localizer, FrameScope scope,
     reg.counter("loc.sweep_budget").add(totals.sweep_budget);
     reg.counter("loc.restarts_skipped").add(totals.restarts_skipped);
     reg.counter("loc.plateau_exits").add(totals.plateau_exits);
-    reg.counter("loc.stress_exits").add(totals.stress_exits);
     reg.counter("loc.completion_scans").add(totals.completion_scans);
   }
 }

@@ -37,29 +37,26 @@ struct LocalFrame {
   /// RMS residual per measured pair after refinement,
   /// √(stress / #measured pairs) — a self-calibrated estimate of the local
   /// coordinate uncertainty (≈ the ranging noise std when refinement
-  /// succeeds). UBF widens its emptiness slack proportionally. 0 when the
-  /// refinement is disabled (a zero sweep budget).
+  /// succeeds). UBF widens its emptiness slack proportionally.
   double stress_rms = 0.0;
-  /// Ratio |λ₄|/λ₃ of the centered Gram matrix — a cheap measure of how
-  /// non-Euclidean the (noisy) distances were. ~0 for clean input.
-  double embed_residual = 0.0;
 };
 
 /// Numerical-equivalence contract of the frame build (see
-/// docs/ARCHITECTURE.md, "Localization"). At both tiers every frame is a
+/// docs/ARCHITECTURE.md, `src/localization`). At both tiers every frame is a
 /// pure function of (network, measurement model, scope, alive): a full
 /// build, a partial rebuild, a direct per-node call, and
 /// any thread count produce bit-identical frames.
 enum class EquivalenceTier {
   /// Every fast path that changes rounding is off (legacy Guttman kernel,
-  /// stress evaluated every sweep, no adaptive exits, full-precision eigen
+  /// stress evaluated every sweep, no plateau exit, full-precision eigen
   /// init); the drift anchor `bench_compare` times the default against.
   kBitwise,
-  /// Adaptive effort capping, the division-light sweep kernel, strided
-  /// stress evaluation, and the looser eigen-init tolerance. Coordinates
-  /// differ from kBitwise in rounding and exit points; the drift against
-  /// kBitwise is watched by the bench_compare boundary tripwire. This is
-  /// the default tier.
+  /// The plateau exit (`kPlateauSweeps`, `kPlateauRelTol`,
+  /// `kPlateauGuard`), the division-light sweep kernel, strided stress
+  /// evaluation (`kStressStride`), and the looser eigen-init budget
+  /// (`kMdsEigenIters`, `kMdsEigenTol`). Coordinates differ from kBitwise
+  /// in rounding and exit points; the drift against kBitwise is watched by
+  /// the bench_compare boundary tripwire. This is the default tier.
   kBoundaryIdentical,
 };
 
@@ -83,80 +80,52 @@ inline constexpr int kSmacofAttempts = 2;
 /// keyed on its id.
 inline constexpr std::uint64_t kRestartSeed = 0x5eedULL;
 
-struct LocalizerConfig {
-  /// Pairs of neighbors farther apart than the radio range cannot measure
-  /// each other; their matrix entry is completed by the shortest measured
-  /// path within the neighborhood.
-  bool complete_missing_pairs = true;
-  /// Fallback entry (× radio range) when even path completion fails; only
-  /// reachable in adversarial topologies.
-  double missing_pair_fallback = 2.0;
-  /// SMACOF refinement sweeps of one-hop frames (`local_frame`), honoring
-  /// only the actually-measured pairs (0 disables — pure classical MDS).
-  int smacof_sweeps = 60;
-  /// Sweeps of the (larger) two-hop MDS-MAP patches (`mdsmap_frame`;
-  /// 0 disables — pure classical MDS). Coordinate-descent stress
-  /// majorization needs more rounds to propagate across a patch of ~150
-  /// nodes than across a one-hop clique.
-  int mdsmap_sweeps = 250;
-  /// Equivalence tier of the whole frame build. kBitwise overrides the
-  /// adaptive and kernel knobs below to their reference behavior.
-  EquivalenceTier tier = EquivalenceTier::kBoundaryIdentical;
-  /// Adaptive effort: exit SMACOF sweeps at the noise-consistent stress
-  /// floor or on a stress plateau instead of running the fixed
-  /// `smacof_sweeps`/`mdsmap_sweeps` budget, and skip restarts once the
-  /// stress is acceptable.
-  bool adaptive_sweeps = true;
-  /// Stress floor for the adaptive early exit, as a multiple of the
-  /// noise-consistent per-pair residual (e·R)²/3 (dimensionless). 1.0
-  /// stops at the expected residual of the *true* configuration. Off (0)
-  /// by default: the legacy full-budget refinement overfits far below the
-  /// noise floor at every e, so any fixed factor leaves `stress_rms`
-  /// elevated and the UBF slack model overcalls the boundary (measured:
-  /// mistaken-rate 0.23→0.38 on fig1 at e = 0.2 with a 0.45 floor). The
-  /// plateau exit below captures most of the savings at a converged
-  /// landing level; set a positive factor only when boundary drift is
-  /// acceptable. Only read when `adaptive_sweeps` is active.
-  double adaptive_floor = 0.0;
-  /// Consecutive stress evaluations (count — one evaluation per
-  /// `stress_stride` sweeps) with relative improvement below
-  /// `plateau_rel_tol` before the plateau exit fires. Only read when
-  /// `adaptive_sweeps` is active.
-  int plateau_sweeps = 4;
-  /// Relative stress improvement (dimensionless, Δstress/stress across
-  /// one evaluation interval of `stress_stride` sweeps) under which an
-  /// evaluation counts toward the plateau.
-  double plateau_rel_tol = 6e-4;
-  /// Guttman sweeps per stress evaluation (count, ≥ 1) at the default
-  /// tier; kBitwise always evaluates every sweep. The stress pass is
-  /// about a third of the sweep loop and only drives exit checks, so 2
-  /// halves that overhead at twice-coarser exit granularity. The default
-  /// plateau knobs are calibrated for stride 2 (4 evaluations × 2 sweeps
-  /// ≈ the 8-sweep tail a stride-1 run would watch).
-  int stress_stride = 2;
-  /// Plateau guard, as a multiple of the e-noise floor
-  /// (pairs × (e·R)²/3, dimensionless multiplier): sweeps count toward
-  /// the plateau only once the stress is within `plateau_guard` × that
-  /// floor. A refinement stalled far above it is a fold-over still
-  /// unfolding and keeps its full budget — in particular at zero
-  /// measurement error, where the floor is (near) zero and slow-but-real
-  /// convergence must never be truncated.
-  double plateau_guard = 4.0;
-  /// Subspace-iteration budget (iteration cap / relative Rayleigh-quotient
-  /// tolerance) for the classical-MDS init of two-hop patches at the
-  /// default tier. The init only seeds the measured-pair SMACOF
-  /// refinement, so the reference tolerance (1e-6, kept by kBitwise
-  /// together with the 60-iteration cap) polishes eigenvectors far beyond
-  /// what the refinement basin needs; 1e-4 exits the subspace iteration
-  /// several times earlier at measured-identical detection quality. Hard
-  /// iteration caps below ~30 do visibly degrade the init (fold-overs the
-  /// refinement cannot undo) — lower the tolerance, not the cap.
-  int mds_eigen_iters = 60;
-  double mds_eigen_tol = 1e-4;
+// Completion, refinement and eigen-init settings of the frame build. The
+// default-tier-only ones are named at `EquivalenceTier::kBoundaryIdentical`;
+// kBitwise runs the reference behavior in their place.
 
-  bool adaptive_active() const {
-    return adaptive_sweeps && tier != EquivalenceTier::kBitwise;
-  }
+/// Fallback entry (× radio range; the two-hop builder doubles it) when
+/// shortest-path completion leaves a member pair unreached; only reachable
+/// in adversarial topologies.
+inline constexpr double kMissingPairFallback = 2.0;
+/// SMACOF sweeps per attempt of one-hop frames (`local_frame`).
+inline constexpr int kSmacofSweeps = 60;
+/// SMACOF sweeps per attempt of the (larger) two-hop MDS-MAP patches
+/// (`mdsmap_frame`): coordinate-descent stress majorization needs more
+/// rounds to propagate across a patch of ~150 nodes than across a one-hop
+/// clique.
+inline constexpr int kMdsmapSweeps = 250;
+/// Default tier: Guttman sweeps per stress evaluation. The stress pass is
+/// about a third of the sweep loop and only drives exit checks, so 2
+/// halves that overhead at twice-coarser exit granularity; kBitwise
+/// evaluates every sweep.
+inline constexpr int kStressStride = 2;
+/// Default tier plateau exit: refinement stops after `kPlateauSweeps`
+/// consecutive stress evaluations (4 × `kStressStride` ≈ the 8-sweep tail
+/// a stride-1 run would watch) whose relative improvement is below
+/// `kPlateauRelTol`.
+inline constexpr int kPlateauSweeps = 4;
+inline constexpr double kPlateauRelTol = 6e-4;
+/// Plateau guard, as a multiple of the e-noise floor pairs × (e·R)²/3:
+/// evaluations count toward the plateau only once the stress is within
+/// this multiple of that floor. A refinement stalled far above it is a
+/// fold-over still unfolding and keeps its full budget — in particular at
+/// zero measurement error, where the floor is (near) zero and slow-but-real
+/// convergence must never be truncated.
+inline constexpr double kPlateauGuard = 4.0;
+/// Default tier subspace-iteration budget (iteration cap / relative
+/// Rayleigh-quotient tolerance) for the classical-MDS init of two-hop
+/// patches. The init only seeds the measured-pair SMACOF refinement, so
+/// the reference tolerance (1e-6, kept by kBitwise together with the
+/// same 60-iteration cap) polishes eigenvectors far beyond what the
+/// refinement basin needs. Hard iteration caps below ~30 do visibly
+/// degrade the init (fold-overs the refinement cannot undo).
+inline constexpr int kMdsEigenIters = 60;
+inline constexpr double kMdsEigenTol = 1e-4;
+
+struct LocalizerConfig {
+  /// Equivalence tier of the whole frame build.
+  EquivalenceTier tier = EquivalenceTier::kBoundaryIdentical;
 };
 
 /// Work accounting of one frame build (a `build_all_frames` call or a
@@ -174,8 +143,6 @@ struct FrameBuildStats {
   std::uint64_t restarts_skipped = 0;
   /// Refinement runs that exited on the stress plateau cap.
   std::uint64_t plateau_exits = 0;
-  /// Refinement runs that exited at the noise-consistent stress floor.
-  std::uint64_t stress_exits = 0;
   /// (row, column) relaxation visits of the two-hop shortest-path
   /// completion, summed over its rounds (the one-hop build is not counted).
   /// Deterministic: independent of thread count and of full vs. partial
@@ -188,7 +155,6 @@ struct FrameBuildStats {
     sweep_budget += o.sweep_budget;
     restarts_skipped += o.restarts_skipped;
     plateau_exits += o.plateau_exits;
-    stress_exits += o.stress_exits;
     completion_scans += o.completion_scans;
   }
 };
@@ -197,11 +163,7 @@ class Localizer {
  public:
   /// Draws every radio edge's measured distance once
   /// (`net::EdgeMeasurementCache`); all frame builds on all threads read
-  /// that cache. Throws `InvalidArgument` on an out-of-range `config`:
-  /// negative sweep counts, `stress_stride` or `mds_eigen_iters` below 1,
-  /// a negative or non-finite `adaptive_floor`/`plateau_rel_tol`/
-  /// `plateau_guard`, or a non-positive or non-finite `mds_eigen_tol`/
-  /// `missing_pair_fallback`.
+  /// that cache.
   Localizer(const net::Network& network, const net::NoisyDistanceModel& model,
             LocalizerConfig config = {});
 
@@ -252,7 +214,7 @@ class Localizer {
   /// SMACOF with the restart logic shared by both frame builders: refines
   /// `init` for up to `sweeps` sweeps against the measured pairs (w > 0),
   /// restarting from perturbed initializations while the stress exceeds
-  /// the noise-consistent level. `sweeps` ≤ 0 returns `init` unrefined.
+  /// the noise-consistent level.
   std::vector<geom::Vec3> refine_embedding(const linalg::Matrix& d,
                                            const linalg::Matrix& w,
                                            std::vector<geom::Vec3> init,

@@ -1,6 +1,7 @@
 #include "net/measurement.hpp"
 
 #include <algorithm>
+#include <cmath>
 
 #include "common/assert.hpp"
 #include "common/rng.hpp"
@@ -11,8 +12,8 @@ NoisyDistanceModel::NoisyDistanceModel(const Network& network,
                                        double error_fraction,
                                        std::uint64_t seed)
     : network_(&network), error_fraction_(error_fraction), seed_(seed) {
-  BALLFIT_REQUIRE(error_fraction >= 0.0,
-                  "error fraction must be non-negative");
+  BALLFIT_REQUIRE(std::isfinite(error_fraction) && error_fraction >= 0.0,
+                  "error fraction must be finite and non-negative");
 }
 
 double NoisyDistanceModel::measured_distance(NodeId i, NodeId j) const {

@@ -26,6 +26,7 @@ namespace ballfit::net {
 class NoisyDistanceModel {
  public:
   /// `error_fraction` in [0, 1]: maximum error as a fraction of the range.
+  /// Throws `InvalidArgument` when it is negative or not finite.
   NoisyDistanceModel(const Network& network, double error_fraction,
                      std::uint64_t seed);
 

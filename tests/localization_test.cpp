@@ -4,7 +4,6 @@
 
 #include <gtest/gtest.h>
 
-#include <limits>
 
 #include "common/rng.hpp"
 #include "localization/local_frame.hpp"
@@ -123,47 +122,6 @@ TEST(LocalFrame, MismatchedNetworkRejected) {
   const net::Network b = random_network(6);
   const net::NoisyDistanceModel model(a, 0.0, 1);
   EXPECT_THROW(Localizer(b, model), InvalidArgument);
-}
-
-TEST(LocalFrame, InvalidConfigRejected) {
-  std::vector<Vec3> pos = {{0, 0, 0}, {0.5, 0, 0}, {0, 0.5, 0}, {0, 0, 0.5}};
-  const net::Network net(pos, std::vector<bool>(4, false), 1.0);
-  const net::NoisyDistanceModel model(net, 0.0, 1);
-  const double inf = std::numeric_limits<double>::infinity();
-  const double nan = std::numeric_limits<double>::quiet_NaN();
-  const auto rejects = [&](auto mutate) {
-    LocalizerConfig cfg;
-    mutate(cfg);
-    try {
-      const Localizer loc(net, model, cfg);
-    } catch (const InvalidArgument&) {
-      return true;
-    }
-    return false;
-  };
-
-  // The edge of every range is accepted: zero budgets disable a stage.
-  LocalizerConfig edge;
-  edge.smacof_sweeps = edge.mdsmap_sweeps = edge.plateau_sweeps = 0;
-  edge.stress_stride = edge.mds_eigen_iters = 1;
-  edge.adaptive_floor = edge.plateau_rel_tol = edge.plateau_guard = 0.0;
-  EXPECT_NO_THROW(Localizer(net, model, edge));
-
-  EXPECT_TRUE(rejects([](LocalizerConfig& c) { c.smacof_sweeps = -1; }));
-  EXPECT_TRUE(rejects([](LocalizerConfig& c) { c.mdsmap_sweeps = -1; }));
-  EXPECT_TRUE(rejects([](LocalizerConfig& c) { c.plateau_sweeps = -1; }));
-  EXPECT_TRUE(rejects([](LocalizerConfig& c) { c.stress_stride = 0; }));
-  EXPECT_TRUE(rejects([](LocalizerConfig& c) { c.mds_eigen_iters = 0; }));
-  for (const double bad : {-1e-3, inf, nan}) {
-    EXPECT_TRUE(rejects([&](LocalizerConfig& c) { c.adaptive_floor = bad; }));
-    EXPECT_TRUE(rejects([&](LocalizerConfig& c) { c.plateau_rel_tol = bad; }));
-    EXPECT_TRUE(rejects([&](LocalizerConfig& c) { c.plateau_guard = bad; }));
-  }
-  for (const double bad : {0.0, -1.0, inf, nan}) {
-    EXPECT_TRUE(rejects([&](LocalizerConfig& c) { c.mds_eigen_tol = bad; }));
-    EXPECT_TRUE(
-        rejects([&](LocalizerConfig& c) { c.missing_pair_fallback = bad; }));
-  }
 }
 
 class ErrorSweep : public ::testing::TestWithParam<double> {};

@@ -303,6 +303,17 @@ TEST(Measurement, ZeroErrorIsExact) {
   EXPECT_DOUBLE_EQ(model.measured_distance(0, 1), 0.9);
 }
 
+TEST(Measurement, RejectsNegativeOrNonFiniteError) {
+  const Network net = line_network(4);
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  for (const double bad : {-0.1, -inf, inf, nan}) {
+    EXPECT_THROW(NoisyDistanceModel(net, bad, 1), InvalidArgument) << bad;
+  }
+  EXPECT_NO_THROW(NoisyDistanceModel(net, 0.0, 1));
+  EXPECT_NO_THROW(NoisyDistanceModel(net, 1.0, 1));
+}
+
 TEST(Measurement, SymmetricAndDeterministic) {
   const Network net = line_network(10);
   const NoisyDistanceModel model(net, 0.5, 42);

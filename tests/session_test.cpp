@@ -203,28 +203,19 @@ TEST(SessionFingerprint, EveryConfigFieldInvalidates) {
   add("ubf.epsilon", [](PipelineConfig& c) { c.ubf.epsilon = 0.15; });
   add("ubf.radius_override",
       [](PipelineConfig& c) { c.ubf.radius_override = 1.2; });
-  add("ubf.inside_tolerance",
-      [](PipelineConfig& c) { c.ubf.inside_tolerance = 1e-3; });
-  add("ubf.two_hop_inside_margin",
-      [](PipelineConfig& c) { c.ubf.two_hop_inside_margin = 0.0; });
   add("ubf.measurement_error_hint",
       [](PipelineConfig& c) { c.ubf.measurement_error_hint = 0.5; });
   add("ubf.noise_margin_factor",
       [](PipelineConfig& c) { c.ubf.noise_margin_factor = 0.0; });
-  add("ubf.noise_margin_cap",
-      [](PipelineConfig& c) { c.ubf.noise_margin_cap = 0.05; });
   add("ubf.min_empty_balls",
       [](PipelineConfig& c) { c.ubf.min_empty_balls = 4; });
-  add("ubf.stress_gate_factor",
-      [](PipelineConfig& c) { c.ubf.stress_gate_factor = 0.5; });
-  add("ubf.stress_gate_floor",
-      [](PipelineConfig& c) { c.ubf.stress_gate_floor = 0.2; });
-  add("ubf.cross_verify", [](PipelineConfig& c) { c.ubf.cross_verify = false; });
-  add("ubf.verify_pool", [](PipelineConfig& c) { c.ubf.verify_pool = 1; });
   add("ubf.degenerate_is_boundary",
       [](PipelineConfig& c) { c.ubf.degenerate_is_boundary = false; });
   add("ubf.scope", [](PipelineConfig& c) {
     c.ubf.scope = UbfConfig::EmptinessScope::kOneHop;
+  });
+  add("localizer.tier", [](PipelineConfig& c) {
+    c.localizer.tier = localization::EquivalenceTier::kBitwise;
   });
   add("iff.theta", [](PipelineConfig& c) { c.iff.theta = 3; });
   add("iff.ttl", [](PipelineConfig& c) { c.iff.ttl = 5; });

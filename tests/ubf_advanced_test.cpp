@@ -89,14 +89,6 @@ TEST(FrameReliability, GateScalesWithErrorHint) {
   EXPECT_TRUE(ubf_noisy.frame_reliable(0.2));
 }
 
-TEST(FrameReliability, GateDisabled) {
-  const net::Network net = sphere_network(4);
-  UbfConfig cfg;
-  cfg.stress_gate_factor = 0.0;
-  const UnitBallFitting ubf(net, cfg);
-  EXPECT_TRUE(ubf.frame_reliable(1e9));
-}
-
 TEST(WitnessConfirms, MissingMembersGiveBenefitOfDoubt) {
   const net::Network net = sphere_network(5);
   const UnitBallFitting ubf(net);
@@ -157,24 +149,6 @@ TEST(WitnessConfirms, ConfirmsOutwardEmptyBall) {
   frame.stress_rms = 0.0;
   // The ball above the z=0 plane through the triple is empty.
   EXPECT_TRUE(ubf.witness_confirms(frame, 0, 1, 2));
-}
-
-TEST(CrossVerify, ReducesMistakenAtNoError) {
-  const net::Network net = sphere_network(10, 600, 700);
-  const net::NoisyDistanceModel model(net, 0.0, 3);
-  const localization::Localizer loc(net, model);
-
-  UbfConfig with;
-  with.cross_verify = true;
-  UbfConfig without;
-  without.cross_verify = false;
-  const auto flags_with = UnitBallFitting(net, with).detect(loc);
-  const auto flags_without = UnitBallFitting(net, without).detect(loc);
-
-  const DetectionStats s_with = evaluate_detection(net, flags_with);
-  const DetectionStats s_without = evaluate_detection(net, flags_without);
-  EXPECT_LE(s_with.mistaken, s_without.mistaken);
-  EXPECT_GT(s_with.correct_rate(), 0.9);
 }
 
 TEST(NoiseMargin, WidensWithUncertainty) {

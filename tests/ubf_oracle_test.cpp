@@ -109,7 +109,7 @@ std::vector<std::pair<std::size_t, std::size_t>> naive_empty_pairs(
 // of `detect_with_true_coordinates`: self + one-hop neighbors as witnesses,
 // plus (under kTwoHop) the deduplicated two-hop closure as emptiness-only
 // members. Deliberately free of every kernel optimization. Votes are
-// counted up to the confidence cap max(verify_pool, min_empty_balls), in
+// counted up to the confidence cap max(kVerifyPool, min_empty_balls), in
 // enumeration order, so the run also yields the per-node confidence and
 // the degenerate-fallback count.
 //
@@ -127,7 +127,7 @@ NaiveResult naive_run(const net::Network& network,
                       const core::UnitBallFitting& ubf) {
   const core::UbfConfig& cfg = ubf.config();
   const bool two_hop = cfg.scope == core::UbfConfig::EmptinessScope::kTwoHop;
-  const std::size_t cap = std::max(cfg.verify_pool, cfg.min_empty_balls);
+  const std::size_t cap = std::max(core::kVerifyPool, cfg.min_empty_balls);
 
   const std::size_t n = network.num_nodes();
   NaiveResult out;
@@ -463,9 +463,9 @@ TEST(UbfOracle, FramePathMatchesNaivePerNode) {
           << "certified node " << i;
     }
     EXPECT_EQ(ubf.collect_empty_balls(frame.coords, 0, frame.one_hop_count,
-                                      cfg.verify_pool, frame.stress_rms),
+                                      core::kVerifyPool, frame.stress_rms),
               naive_empty_pairs(frame.coords, frame.one_hop_count, r, limits,
-                                cfg.verify_pool))
+                                core::kVerifyPool))
         << "node " << i;
   }
   EXPECT_GT(tested, 0u);

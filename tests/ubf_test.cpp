@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 #include <numbers>
 
 #include "common/rng.hpp"
@@ -288,9 +289,38 @@ TEST(UbfDetect, LocalizedMatchesOracleAtZeroError) {
 
 TEST(UbfConfigChecks, BadRadiusRejected) {
   const net::Network net = grid_cube(3);
-  UbfConfig cfg;
-  cfg.radius_override = 0.5;  // below radio range
-  EXPECT_THROW(UnitBallFitting(net, cfg), InvalidArgument);
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const auto rejects = [&](auto mutate) {
+    UbfConfig cfg;
+    mutate(cfg);
+    try {
+      const UnitBallFitting ubf(net, cfg);
+    } catch (const InvalidArgument&) {
+      return true;
+    }
+    return false;
+  };
+  // Below the radio range.
+  EXPECT_TRUE(rejects([](UbfConfig& c) { c.radius_override = 0.5; }));
+  EXPECT_TRUE(rejects([](UbfConfig& c) { c.epsilon = -0.1; }));
+  // Non-finite radii would reach the certificate and the emptiness scan.
+  for (const double bad : {inf, -inf, nan}) {
+    EXPECT_TRUE(rejects([&](UbfConfig& c) { c.epsilon = bad; }));
+    EXPECT_TRUE(rejects([&](UbfConfig& c) { c.radius_override = bad; }));
+  }
+  for (const double bad : {-0.1, inf, nan}) {
+    EXPECT_TRUE(
+        rejects([&](UbfConfig& c) { c.measurement_error_hint = bad; }));
+    EXPECT_TRUE(rejects([&](UbfConfig& c) { c.noise_margin_factor = bad; }));
+  }
+  // The edges of the valid ranges are accepted; a non-positive override
+  // means "no override".
+  EXPECT_FALSE(rejects([](UbfConfig& c) { c.epsilon = 0.0; }));
+  EXPECT_FALSE(rejects([](UbfConfig& c) { c.radius_override = 1.0; }));
+  EXPECT_FALSE(rejects([](UbfConfig& c) { c.radius_override = -1.0; }));
+  EXPECT_FALSE(rejects([](UbfConfig& c) { c.measurement_error_hint = 0.0; }));
+  EXPECT_FALSE(rejects([](UbfConfig& c) { c.noise_margin_factor = 0.0; }));
 }
 
 // --- Boundary confidence (vote_confidence and the scored detectors) --------
