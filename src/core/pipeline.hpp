@@ -62,14 +62,14 @@ struct PipelineConfig {
   /// Fault injection for the communication stages (default nullopt =
   /// reliable network, the paper's assumption). The crash mechanisms fold
   /// into the session alive-mask before the stages run; the
-  /// loss/duplication channel is applied by a per-stage fault model whose
-  /// seed derives deterministically from `seed`, so each flood artifact is
-  /// a pure function of (inputs, channel config) — cacheable, and
-  /// reproducible from the config alone. Scheduled (`crash_at_round`) and
-  /// per-round crashes fire when `DetectionSession::advance_faults` moves
-  /// the crash clock between runs, not during a run's own floods. With an
-  /// all-zero config installed the outputs are bit-identical to the
-  /// reliable run.
+  /// loss/duplication channel is a stateless `sim::FaultModel`, so each
+  /// flood artifact is a pure function of (inputs, channel config) —
+  /// cacheable, and reproducible from the config alone. Scheduled
+  /// (`crash_at_round`) and per-round crashes fire when
+  /// `DetectionSession::advance_faults` moves the fault clock between runs,
+  /// not during a run's own floods. With an all-zero config installed the
+  /// outputs are bit-identical to the reliable run. An invalid config
+  /// throws `InvalidArgument` before the run starts.
   std::optional<sim::FaultConfig> faults;
   /// Retransmissions per newly learned fact in the floods (count, >= 1,
   /// default 1); raise to 2–3 to keep floods converging at 10–20% loss.
@@ -104,9 +104,11 @@ struct PipelineResult {
   /// neighborhood). Under faults these voted non-boundary conservatively;
   /// otherwise they voted `UbfConfig::degenerate_is_boundary`.
   std::size_t frame_fallbacks = 0;
-  /// Nodes down at the end of the run (0 without fault injection).
+  /// Nodes down during the run, by user delta or crash schedule (0 when
+  /// every node is alive).
   std::size_t crashed_nodes = 0;
-  /// Cumulative fault effects across every stage (zeros without faults).
+  /// Fault effects summed over the flood stages, plus the schedule's
+  /// casualties (zeros without faults).
   sim::FaultStats fault_stats;
 
   /// Convenience: number of nodes flagged after each phase.

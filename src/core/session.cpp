@@ -84,27 +84,6 @@ void note_stage(const char* stage, const char* kind) {
       .add(1);
 }
 
-// Per-stage RNG stream tags: each flood stage gets its own fresh
-// channel-only fault model, so every protocol artifact is a pure function
-// of (inputs, knobs, channel fingerprint) — never of how many stages ran
-// before it. The tags keep the two streams decorrelated under one seed.
-constexpr std::uint64_t kIffStreamTag = 0x1ff00d5ull;
-constexpr std::uint64_t kGroupStreamTag = 0x6e0097ull;
-
-/// The loss/duplication channel of `config`, with every crash mechanism
-/// stripped (crashes act through the session alive-mask instead) and the
-/// seed re-keyed for one stage's stream.
-sim::FaultConfig channel_config(const sim::FaultConfig& config,
-                                std::uint64_t stage_tag) {
-  sim::FaultConfig channel;
-  channel.drop_probability = config.drop_probability;
-  channel.link_loss_max = config.link_loss_max;
-  channel.duplicate_probability = config.duplicate_probability;
-  std::uint64_t s = config.seed ^ stage_tag;
-  channel.seed = splitmix64(s);
-  return channel;
-}
-
 /// Requires a duplicate-free id list (the delta validation contract).
 void require_unique(std::vector<net::NodeId> ids, const char* what) {
   std::sort(ids.begin(), ids.end());
@@ -234,43 +213,22 @@ void DetectionSession::apply_alive_diff(
   }
 }
 
-void DetectionSession::ensure_fault_model(const sim::FaultConfig& config) {
-  Fingerprint fp;
-  fp.f64(config.drop_probability);
-  fp.f64(config.link_loss_max);
-  fp.f64(config.duplicate_probability);
-  fp.f64(config.crash_fraction);
-  fp.f64(config.crash_probability);
-  // Schedule identity is order-stable: the model applies every entry whose
-  // round arrives regardless of list order, so permuted/duplicated entries
-  // describe the same fault stream and must fingerprint identically.
-  auto schedule = config.crash_at_round;
+void DetectionSession::install_faults(const sim::FaultConfig& config) {
+  // Schedule order and repeats do not change a death round, so a permuted
+  // or duplicated schedule is the installed config and keeps the clock.
+  sim::FaultConfig normalized = config;
+  auto& schedule = normalized.crash_at_round;
   std::sort(schedule.begin(), schedule.end());
   schedule.erase(std::unique(schedule.begin(), schedule.end()),
                  schedule.end());
-  fp.u64(schedule.size());
-  for (const auto& [v, r] : schedule) {
-    fp.u64(v);
-    fp.u64(r);
-  }
-  fp.u64(config.seed);
-  fp.u64(network_->num_nodes());
-  if (fault_model_.has_value() && fault_cfg_fp_ == fp.value()) return;
-
-  // New fault stream: fresh model (crash clock restarts at round 0).
-  fault_model_.emplace(config, network_->num_nodes());
-  fault_cfg_fp_ = fp.value();
-  Fingerprint channel;
-  channel.u64(config.seed);
-  channel.f64(config.drop_probability);
-  channel.f64(config.link_loss_max);
-  channel.f64(config.duplicate_probability);
-  fault_channel_fp_ = channel.value();
+  if (fault_config_ == normalized) return;
+  fault_config_ = std::move(normalized);
+  fault_clock_ = 0;
 }
 
-void DetectionSession::release_fault_model() {
-  if (!fault_model_.has_value()) return;
-  // Fault casualties do not outlive their model: a reliable run sees the
+void DetectionSession::release_faults() {
+  if (!fault_config_.has_value()) return;
+  // Fault casualties do not outlive their config: a reliable run sees the
   // network the user deltas alone describe.
   std::vector<net::NodeId> revived;
   for (net::NodeId v = 0; v < fault_dead_.size(); ++v) {
@@ -279,16 +237,16 @@ void DetectionSession::release_fault_model() {
       fault_dead_[v] = 0;
     }
   }
-  fault_model_.reset();
-  fault_cfg_fp_ = 0;
-  fault_channel_fp_ = 0;
+  fault_config_.reset();
+  fault_clock_ = 0;
   apply_alive_diff({}, revived);
 }
 
 NetworkDelta DetectionSession::sync_fault_state() {
-  NetworkDelta delta = delta_from_fault_state(*this, *fault_model_);
-  // The model only speaks for its own casualties: a node the user crashed
-  // is "up" as far as the model knows, but must stay down here.
+  NetworkDelta delta =
+      delta_from_fault_state(*this, *fault_config_, fault_clock_);
+  // The schedule only speaks for its own casualties: a node the user
+  // crashed is "up" as far as the schedule knows, but must stay down here.
   std::erase_if(delta.revived, [&](net::NodeId v) {
     return fault_dead_[v] == 0;
   });
@@ -299,10 +257,10 @@ NetworkDelta DetectionSession::sync_fault_state() {
 }
 
 NetworkDelta DetectionSession::advance_faults(std::size_t rounds) {
-  BALLFIT_REQUIRE(fault_model_.has_value(),
-                  "advance_faults: no fault model installed — run with an "
+  BALLFIT_REQUIRE(fault_config_.has_value(),
+                  "advance_faults: no fault config installed — run with an "
                   "active fault config first (a reliable run uninstalls it)");
-  for (std::size_t i = 0; i < rounds; ++i) fault_model_->advance_round();
+  fault_clock_ += rounds;
   return sync_fault_state();
 }
 
@@ -509,10 +467,25 @@ void DetectionSession::run_filter_stages(const PipelineConfig& config,
   // --- IFF: whole-network flood over the candidate set (cheap relative
   // to localization; no partial variant). Keyed on the candidate flags,
   // the IFF knobs, the adjacency version (a move changes flood paths even
-  // when the flags do not), and — under faults — the channel fingerprint
-  // plus the retransmission count. A faulted execution runs under a fresh
-  // stage-local fault model, so the artifact is a pure function of that
-  // key regardless of what ran before it.
+  // when the flags do not), and — under faults — the channel fields plus
+  // the retransmission count. The channel is stateless, so the artifact is
+  // a pure function of that key regardless of what ran before it.
+  std::optional<sim::FaultModel> channel;
+  sim::ProtocolOptions proto{};
+  if (faulted) {
+    channel.emplace(*config.faults);
+    proto.faults = &*channel;
+    proto.repeat = config.flood_repeat;
+  }
+  const auto mix_channel = [&](Fingerprint& fp) {
+    fp.boolean(faulted);
+    if (!faulted) return;
+    fp.u64(config.faults->seed);
+    fp.f64(config.faults->drop_probability);
+    fp.f64(config.faults->link_loss_max);
+    fp.f64(config.faults->duplicate_probability);
+    fp.u64(config.flood_repeat);
+  };
   {
     Fingerprint fp;
     fp.flags(ubf_candidates_);
@@ -520,32 +493,18 @@ void DetectionSession::run_filter_stages(const PipelineConfig& config,
     fp.u64(config.iff.ttl);
     fp.boolean(config.iff.use_message_passing);
     fp.u64(topology_version_);
-    fp.boolean(faulted);
-    if (faulted) {
-      fp.u64(fault_channel_fp_);
-      fp.u64(config.flood_repeat);
-    }
+    mix_channel(fp);
     if (iff_valid_ && iff_fp_ == fp.value()) {
       ++stats_.iff.cache_hits;
       note_stage("iff", "cache_hits");
     } else {
       BALLFIT_SPAN("iff");
-      sim::ProtocolOptions proto{};
-      std::optional<sim::FaultModel> stage_faults;
-      if (faulted) {
-        stage_faults.emplace(channel_config(*config.faults, kIffStreamTag),
-                             network_->num_nodes());
-        proto.faults = &*stage_faults;
-        proto.repeat = config.flood_repeat;
-      }
       iff_cost_ = {};
       std::vector<std::uint32_t>* counts_out =
           obs::enabled() ? &iff_counts_ : nullptr;
       if (counts_out == nullptr) iff_counts_.clear();
       boundary_ = iff_filter(*network_, ubf_candidates_, config.iff,
                              &iff_cost_, proto, counts_out, threads);
-      iff_fault_stats_ = stage_faults ? stage_faults->stats()
-                                      : sim::FaultStats{};
       iff_fp_ = fp.value();
       iff_valid_ = true;
       ++stats_.iff.full_runs;
@@ -554,8 +513,8 @@ void DetectionSession::run_filter_stages(const PipelineConfig& config,
     result.boundary = boundary_;
     result.iff_cost = iff_cost_;
     if (faulted) {
-      result.fault_stats.dropped += iff_fault_stats_.dropped;
-      result.fault_stats.duplicated += iff_fault_stats_.duplicated;
+      result.fault_stats.dropped += iff_cost_.dropped;
+      result.fault_stats.duplicated += iff_cost_.duplicated;
     }
   }
 
@@ -566,30 +525,16 @@ void DetectionSession::run_filter_stages(const PipelineConfig& config,
     fp.flags(boundary_);
     fp.boolean(config.iff.use_message_passing);
     fp.u64(topology_version_);
-    fp.boolean(faulted);
-    if (faulted) {
-      fp.u64(fault_channel_fp_);
-      fp.u64(config.flood_repeat);
-    }
+    mix_channel(fp);
     if (group_valid_ && group_fp_ == fp.value()) {
       ++stats_.group.cache_hits;
       note_stage("group", "cache_hits");
     } else {
       BALLFIT_SPAN("grouping");
-      sim::ProtocolOptions proto{};
-      std::optional<sim::FaultModel> stage_faults;
-      if (faulted) {
-        stage_faults.emplace(channel_config(*config.faults, kGroupStreamTag),
-                             network_->num_nodes());
-        proto.faults = &*stage_faults;
-        proto.repeat = config.flood_repeat;
-      }
       group_cost_ = {};
       groups_ = group_boundaries(*network_, boundary_,
                                  config.iff.use_message_passing,
                                  &group_cost_, proto);
-      group_fault_stats_ = stage_faults ? stage_faults->stats()
-                                        : sim::FaultStats{};
       group_fp_ = fp.value();
       group_valid_ = true;
       ++stats_.group.full_runs;
@@ -598,8 +543,8 @@ void DetectionSession::run_filter_stages(const PipelineConfig& config,
     result.groups = groups_;
     result.grouping_cost = group_cost_;
     if (faulted) {
-      result.fault_stats.dropped += group_fault_stats_.dropped;
-      result.fault_stats.duplicated += group_fault_stats_.duplicated;
+      result.fault_stats.dropped += group_cost_.dropped;
+      result.fault_stats.duplicated += group_cost_.duplicated;
     }
 
     // Per-boundary quality: cheap pure-function scoring over the cached
@@ -638,17 +583,18 @@ PipelineResult DetectionSession::run(const PipelineConfig& config) {
   const unsigned threads =
       config.threads == 0 ? default_threads() : config.threads;
 
-  // Fold the fault model's crash state into the alive mask before any
-  // stage runs: crashes act through the same masked kernels as user
-  // deltas, so faults and `apply` history compose in one engine. An inert
-  // (all-zero) config is the reliable path — the hook alone must not
-  // change any output bit.
+  // Fold the crash schedule into the alive mask before any stage runs:
+  // crashes act through the same masked kernels as user deltas, so faults
+  // and `apply` history compose in one engine. An inert (all-zero) config
+  // is the reliable path — the hook alone must not change any output bit.
+  // A bad config is rejected before any session state changes.
+  if (config.faults.has_value()) sim::validate(*config.faults, n);
   const bool faulted = config.faults.has_value() && config.faults->any();
   if (faulted) {
-    ensure_fault_model(*config.faults);
+    install_faults(*config.faults);
     sync_fault_state();
   } else {
-    release_fault_model();
+    release_faults();
   }
 
   // Nodes know their ranging error specification; the UBF emptiness slack
@@ -668,7 +614,7 @@ PipelineResult DetectionSession::run(const PipelineConfig& config) {
   run_filter_stages(config, faulted, threads, result);
 
   if (masked_) result.crashed_nodes = n - num_alive_;
-  if (faulted) result.fault_stats.crashed = fault_model_->num_down();
+  if (faulted) result.fault_stats.crashed = count_marks(fault_dead_);
 
   if (obs::enabled()) {
     obs::Registry& reg = obs::Registry::global();
@@ -689,13 +635,13 @@ PipelineResult DetectionSession::run(const PipelineConfig& config) {
 }
 
 NetworkDelta delta_from_fault_state(const DetectionSession& session,
-                                    const sim::FaultModel& faults) {
+                                    const sim::FaultConfig& faults,
+                                    std::size_t round) {
   const std::size_t n = session.network().num_nodes();
-  BALLFIT_REQUIRE(faults.num_nodes() == n,
-                  "fault model and session must cover the same network");
+  const std::vector<std::size_t> death = sim::death_rounds(faults, n);
   NetworkDelta delta;
   for (net::NodeId v = 0; v < n; ++v) {
-    const bool down = faults.is_down(v);
+    const bool down = death[v] <= round;
     if (down && session.is_alive(v)) {
       delta.crashed.push_back(v);
     } else if (!down && !session.is_alive(v)) {

@@ -35,12 +35,13 @@
 /// session to have been constructed with a mutable network.
 ///
 /// Fault injection (`PipelineConfig::faults`) flows through the same
-/// cached stage graph. The fault model's crash state is folded into the
-/// session alive-mask (via `delta_from_fault_state`), so fault crashes and
-/// user deltas compose; the loss/duplication channel is applied by a fresh
-/// per-stage fault model whose seed is a pure function of the config, so
-/// the IFF/grouping artifacts stay cacheable — keyed on a deterministic
-/// fault-stream fingerprint (seed + probabilities), not on RNG call order.
+/// cached stage graph. The session keeps the fault config and a fault
+/// clock; the config's crash schedule (`sim::death_rounds`) at that clock
+/// is folded into the alive mask (via `delta_from_fault_state`), so fault
+/// crashes and user deltas compose. The loss/duplication channel is a
+/// stateless `sim::FaultModel` whose every draw is a pure function of the
+/// config, so the IFF/grouping artifacts stay cacheable — keyed on the
+/// channel fields, not on what ran before them.
 
 #include <cstdint>
 #include <optional>
@@ -99,14 +100,14 @@ struct SessionStats {
 ///
 /// Fault injection (`PipelineConfig::faults`) runs through the same cached
 /// stage graph as reliable runs. A run with an active fault config
-/// installs a session fault model (rebuilt whenever the config changes —
-/// identified by a fingerprint over seed + probabilities + sorted crash
-/// schedule) and folds its crash state into the alive mask before the
-/// stages execute; fault casualties are attributed, so they compose with
-/// user-applied deltas: a user revive of a fault casualty sticks until the
-/// fault clock (`advance_faults`) or a re-synced model kills it again, and
-/// a reliable run revives every remaining fault casualty — results stay
-/// pure functions of (network, deltas, config).
+/// installs it (a changed config — schedule order and repeats aside —
+/// restarts the fault clock at 0) and folds the nodes its crash schedule
+/// holds down at the clock into the alive mask before the stages execute;
+/// fault casualties are attributed, so they compose with user-applied
+/// deltas: a user revive of a fault casualty sticks until the next faulted
+/// run or `advance_faults` re-syncs the schedule, and a reliable run
+/// revives every remaining fault casualty — results stay pure functions of
+/// (network, deltas, config, clock).
 class DetectionSession {
  public:
   /// Observe-only binding: `apply` deltas may crash/revive but not move
@@ -134,15 +135,17 @@ class DetectionSession {
   /// alive node, or moves on a const-bound session.
   void apply(const NetworkDelta& delta);
 
-  /// Advances the installed fault model's crash clock by `rounds` rounds
-  /// (scheduled crashes fire, per-round crash probabilities roll) and
-  /// folds the new casualties into the alive mask. Returns the delta that
-  /// was folded in. Requires a fault model (i.e. a preceding `run` with an
-  /// active fault config); note a reliable run uninstalls the model.
+  /// Advances the fault clock by `rounds` rounds and folds the nodes whose
+  /// death round has now passed into the alive mask. Returns the delta that
+  /// was folded in; `advance_faults(a)` then `advance_faults(b)` leaves the
+  /// session as `advance_faults(a + b)` does. Requires an installed fault
+  /// config (i.e. a preceding `run` with an active one); note a reliable
+  /// run uninstalls it.
   NetworkDelta advance_faults(std::size_t rounds = 1);
 
-  /// True when a fault model is currently installed (last run was faulted).
-  bool has_fault_model() const { return fault_model_.has_value(); }
+  /// True when a fault config is currently installed (last run was
+  /// faulted).
+  bool has_fault_model() const { return fault_config_.has_value(); }
 
   bool is_alive(net::NodeId v) const { return alive_[v] != 0; }
   std::size_t num_alive() const { return num_alive_; }
@@ -163,13 +166,13 @@ class DetectionSession {
   /// artifacts automatically.
   void run_filter_stages(const PipelineConfig& config, bool faulted,
                          unsigned threads, PipelineResult& result);
-  /// Installs (or reuses) the session fault model for `config`; rebuilds on
-  /// a config-fingerprint change, which resets the crash clock.
-  void ensure_fault_model(const sim::FaultConfig& config);
-  /// Uninstalls the fault model and revives its remaining casualties.
-  void release_fault_model();
-  /// Folds the model's current crash state into the alive mask (fault
-  /// casualties only — user-crashed nodes are never revived by the model).
+  /// Installs `config` (validated); a config that differs from the
+  /// installed one restarts the fault clock.
+  void install_faults(const sim::FaultConfig& config);
+  /// Uninstalls the fault config and revives its remaining casualties.
+  void release_faults();
+  /// Folds the crash schedule at the fault clock into the alive mask
+  /// (fault casualties only — user-crashed nodes are never revived by it).
   NetworkDelta sync_fault_state();
   /// Updates the alive mask + dirty sets for an already-validated diff.
   void apply_alive_diff(const std::vector<net::NodeId>& crashed,
@@ -189,16 +192,13 @@ class DetectionSession {
   std::uint64_t topology_version_ = 0;
   bool masked_ = false;  ///< any node currently dead
 
-  // --- Session fault model (installed by faulted runs).
-  std::optional<sim::FaultModel> fault_model_;
-  /// Identity of the installed model: fingerprint over the full config
-  /// (seed, probabilities, sorted+deduplicated crash schedule, node count).
-  std::uint64_t fault_cfg_fp_ = 0;
-  /// Fault-stream fingerprint of the loss/duplication channel (seed +
-  /// channel probabilities); mixed into the IFF/Group stage keys.
-  std::uint64_t fault_channel_fp_ = 0;
-  /// Attribution: nodes dead because the fault model killed them (vs a
-  /// user delta). Only these are revived when the model state recedes.
+  // --- Fault state (installed by faulted runs).
+  /// The installed config, its crash schedule sorted and deduplicated.
+  std::optional<sim::FaultConfig> fault_config_;
+  /// Rounds `advance_faults` has moved since the config was installed.
+  std::size_t fault_clock_ = 0;
+  /// Attribution: nodes dead because the crash schedule killed them (vs a
+  /// user delta). Only these are revived when the schedule recedes.
   std::vector<char> fault_dead_;
 
   // --- Measure artifact. `localizer_` holds a pointer to `model_`; both
@@ -257,18 +257,15 @@ class DetectionSession {
   /// Obs-gated per-node flood counts (iff_filter's counts_out); same
   /// lifecycle as ubf_confidence_ — telemetry, never a cache key.
   std::vector<std::uint32_t> iff_counts_;
+  /// Cost of the flood, channel drops and duplicates included; cached
+  /// with the artifact so a cache hit reports what a fresh run would.
   sim::RunStats iff_cost_;
-  /// Channel effects of the stage's fault model (zeros on reliable runs);
-  /// cached with the artifact so a cache hit reports what a fresh run
-  /// would.
-  sim::FaultStats iff_fault_stats_;
   std::uint64_t iff_fp_ = 0;
   bool iff_valid_ = false;
 
   // --- Group artifact.
   BoundaryGroups groups_;
   sim::RunStats group_cost_;
-  sim::FaultStats group_fault_stats_;
   std::uint64_t group_fp_ = 0;
   bool group_valid_ = false;
 
@@ -276,11 +273,12 @@ class DetectionSession {
   SessionStats stats_;
 };
 
-/// Diffs a fault model's current crash state against the session's alive
-/// set: nodes down but still alive in the session become `crashed`, nodes
-/// back up become `revived`. Bridges the sim fault schedule into the
-/// incremental re-detection path; `DetectionSession` uses it internally to
-/// fold fault crashes into the alive mask on every faulted run.
+/// Diffs the crash schedule of `faults` at fault clock `round` against
+/// the session's alive set: nodes down but still alive in the session
+/// become `crashed`, nodes back up become `revived`. Bridges the sim fault
+/// schedule into the incremental re-detection path; `DetectionSession`
+/// uses it internally to fold fault crashes into the alive mask on every
+/// faulted run. Throws `InvalidArgument` on an invalid config.
 ///
 /// Output contract: both lists are sorted ascending, duplicate-free, and
 /// never intersect (one ascending scan per node decides at most one
@@ -288,6 +286,7 @@ class DetectionSession {
 /// and diffing again yields an empty delta, because the diff is exactly
 /// the symmetric difference of the two states.
 NetworkDelta delta_from_fault_state(const DetectionSession& session,
-                                    const sim::FaultModel& faults);
+                                    const sim::FaultConfig& faults,
+                                    std::size_t round);
 
 }  // namespace ballfit::core

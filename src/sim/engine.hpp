@@ -16,23 +16,26 @@
 /// counts map directly to its TTL arguments.
 ///
 /// Reliability is an *option*, not an assumption: installing a `FaultModel`
-/// (see sim/faults.hpp) turns the engine into a lossy network. The model is
-/// consulted at the start of every round (crash clock) and per delivered
-/// message (loss and duplication); sends to crashed, inactive, or
-/// out-of-range targets become counted drops instead of assertion failures.
-/// Without a model the original hard contracts hold unchanged.
+/// (see sim/faults.hpp) makes the channel lossy. Each queued transmission
+/// is then lost, delivered, or delivered twice, as a stateless function of
+/// the transmission itself (protocol, round, link and the identity its
+/// message names — see `Transmission`). The engine's hard contracts hold
+/// either way, and crashes never reach it: a crashed node is an inactive
+/// one, folded into the `active` mask by the caller.
 ///
 /// A round costs what it delivers, not N: the engine keeps a mail list —
 /// the receivers whose inbox went from empty to non-empty since the last
 /// round — and two inbox arrays that swap roles every round and keep their
 /// capacity. Each round sorts the mail list and drains those inboxes in
 /// ascending receiver id, FIFO within an inbox: the order a dense scan over
-/// every node would visit them in. That order is part of the contract,
-/// because a `FaultModel` draws loss and duplication from one sequential
-/// stream (see sim/faults.hpp).
+/// every node would visit them in. The leader flood's message count
+/// depends on that order (a node that hears a smaller id first forwards
+/// less); the fault channel does not.
 
 #include <algorithm>
+#include <concepts>
 #include <cstddef>
+#include <cstdint>
 #include <string>
 #include <utility>
 #include <vector>
@@ -45,7 +48,8 @@
 
 namespace ballfit::sim {
 
-/// Cumulative cost counters for a protocol run.
+/// Cumulative cost counters for a protocol run — the only record of what
+/// the fault channel did to it.
 struct RunStats {
   std::size_t rounds = 0;      ///< synchronous rounds executed
   std::size_t messages = 0;    ///< radio transmissions
@@ -63,6 +67,15 @@ struct RunStats {
   }
 };
 
+/// A message that can cross a faulted channel names its transmission: the
+/// payload plus the copy index, plus whatever else tells two transmissions
+/// from one sender in one round apart (the landmark election adds its
+/// iteration). The channel draws each delivery's fate from that identity.
+template <typename M>
+concept Transmission = requires(const M& m) {
+  { m.transmission() } -> std::convertible_to<std::uint64_t>;
+};
+
 template <typename M>
 class RoundEngine {
  public:
@@ -74,20 +87,28 @@ class RoundEngine {
   /// `protocol`, when non-null, names the protocol for observability: on
   /// destruction the engine's cumulative cost flows into the global metrics
   /// registry as `sim.<protocol>.{messages,rounds,active_nodes,runs}`
-  /// counters — plus `{dropped,duplicated,crashed_nodes}` when a fault
-  /// model is installed (no-op while collection is disabled).
-  ///
-  /// `faults`, when non-null, injects message loss, duplication, and node
-  /// crashes (see sim/faults.hpp). The model outlives the engine and may be
-  /// shared across engines; its round clock keeps advancing.
+  /// counters — plus `{dropped,duplicated}` when a fault model is
+  /// installed (no-op while collection is disabled). The name also keys
+  /// the fault channel's draws.
   explicit RoundEngine(const net::Network& net,
                        const net::NodeMask* active = nullptr,
-                       const char* protocol = nullptr,
-                       FaultModel* faults = nullptr)
-      : net_(&net), active_(active), protocol_(protocol), faults_(faults),
-        pending_(net.num_nodes()), delivering_(net.num_nodes()) {
-    BALLFIT_REQUIRE(faults == nullptr || faults->num_nodes() == net.num_nodes(),
-                    "RoundEngine: fault model sized for a different network");
+                       const char* protocol = nullptr)
+      : net_(&net), active_(active), protocol_(protocol),
+        pending_(net.num_nodes()), delivering_(net.num_nodes()) {}
+
+  /// As above, with the lossy channel `faults` (nullptr = reliable). The
+  /// model outlives the engine; it is const, so any number of engines may
+  /// share it.
+  RoundEngine(const net::Network& net, const net::NodeMask* active,
+              const char* protocol, const FaultModel* faults)
+    requires Transmission<M>
+      : RoundEngine(net, active, protocol) {
+    faults_ = faults;
+    // FNV-1a of the protocol name: the channel's per-protocol stream.
+    for (const char* c = protocol; c != nullptr && *c != '\0'; ++c) {
+      protocol_key_ ^= static_cast<unsigned char>(*c);
+      protocol_key_ *= 0x100000001b3ull;
+    }
   }
 
   ~RoundEngine() {
@@ -101,7 +122,6 @@ class RoundEngine {
     if (faults_ != nullptr) {
       reg.counter(prefix + ".dropped").add(stats_.dropped);
       reg.counter(prefix + ".duplicated").add(stats_.duplicated);
-      reg.counter(prefix + ".crashed_nodes").add(faults_->num_down());
     }
   }
 
@@ -120,33 +140,14 @@ class RoundEngine {
     return active_ == nullptr || (*active_)[v];
   }
 
-  /// True when `v` can currently participate: active and not crashed.
-  bool is_alive(net::NodeId v) const {
-    return is_active(v) && (faults_ == nullptr || !faults_->is_down(v));
-  }
-
   /// Queues a unicast for delivery next round. `to` must be a one-hop
-  /// neighbor of `from` and both endpoints must be active — violations
-  /// throw without a fault model, and become counted drops with one (a
-  /// dead or out-of-range receiver is a radio reality, not a bug).
+  /// neighbor of `from` (throws otherwise) and both endpoints must be
+  /// active.
   void send(net::NodeId from, net::NodeId to, M msg) {
-    if (faults_ != nullptr) {
-      if (faults_->is_down(from)) {  // dead sender: nothing transmits
-        drop(1);
-        return;
-      }
-      if (!net_->are_neighbors(from, to) || !is_active(from) ||
-          !is_active(to) || faults_->is_down(to)) {
-        ++stats_.messages;  // the radio transmits into the void
-        drop(1);
-        return;
-      }
-    } else {
-      BALLFIT_REQUIRE(net_->are_neighbors(from, to),
-                      "RoundEngine: send target is not a one-hop neighbor");
-      BALLFIT_ASSERT_MSG(is_active(from) && is_active(to),
-                         "send between inactive nodes");
-    }
+    BALLFIT_REQUIRE(net_->are_neighbors(from, to),
+                    "RoundEngine: send target is not a one-hop neighbor");
+    BALLFIT_ASSERT_MSG(is_active(from) && is_active(to),
+                       "send between inactive nodes");
     enqueue(to, from, std::move(msg));
     ++stats_.messages;
   }
@@ -156,14 +157,7 @@ class RoundEngine {
   /// message by value: all but the last recipient copy it, the last one
   /// receives it by move.
   void broadcast(net::NodeId from, M msg) {
-    if (faults_ != nullptr) {
-      if (faults_->is_down(from) || !is_active(from)) {
-        drop(1);  // dead or deactivated sender: the broadcast never airs
-        return;
-      }
-    } else {
-      BALLFIT_ASSERT_MSG(is_active(from), "broadcast from inactive node");
-    }
+    BALLFIT_ASSERT_MSG(is_active(from), "broadcast from inactive node");
     const auto neighbors = net_->neighbors(from);
     net::NodeId last = net::kInvalidNode;
     for (net::NodeId v : neighbors) {
@@ -183,17 +177,15 @@ class RoundEngine {
   /// Runs synchronous rounds until quiescence (no messages in flight) or
   /// `max_rounds`. `handler(self, from, msg)` is invoked once per delivered
   /// message and may call send()/broadcast() — those land next round.
-  /// With a fault model, each round first advances the crash clock, then
-  /// each queued message is dropped wholesale (crashed receiver), lost to
-  /// the loss roll, or delivered — possibly twice (duplication re-invokes
-  /// the handler with the same message object; handlers must be
-  /// idempotent). Returns the collected statistics.
+  /// With a fault model each queued message is lost or delivered, possibly
+  /// twice (duplication re-invokes the handler with the same message
+  /// object; handlers must be idempotent). Returns the collected
+  /// statistics.
   template <typename Handler>
   RunStats run(Handler&& handler, std::size_t max_rounds) {
     for (std::size_t round = 0; round < max_rounds; ++round) {
       if (!messages_in_flight()) break;
       ++stats_.rounds;
-      if (faults_ != nullptr) faults_->advance_round();
       // This round's mail moves to `delivering_`; the handlers' sends fill
       // the (empty) other buffer and the mail list for the next round.
       pending_.swap(delivering_);
@@ -201,22 +193,11 @@ class RoundEngine {
       std::sort(receivers_.begin(), receivers_.end());
       for (net::NodeId v : receivers_) {
         auto& inbox = delivering_[v];
-        if (faults_ != nullptr && faults_->is_down(v)) {
-          drop(inbox.size());  // receiver died with mail queued
-          inbox.clear();
-          continue;
-        }
         for (auto& [from, msg] : inbox) {
-          if (faults_ == nullptr) {
-            handler(v, from, msg);
-            continue;
-          }
-          if (!faults_->deliver(from, v)) {
-            ++stats_.dropped;  // model counted its side already
-            continue;
-          }
-          handler(v, from, msg);
-          if (faults_->duplicate()) {
+          const unsigned copies = deliveries(from, v, msg);
+          if (copies == 0) ++stats_.dropped;
+          if (copies > 0) handler(v, from, msg);
+          if (copies > 1) {
             ++stats_.duplicated;
             handler(v, from, msg);
           }
@@ -232,13 +213,16 @@ class RoundEngine {
 
   const RunStats& stats() const { return stats_; }
   const net::Network& network() const { return *net_; }
-  const FaultModel* faults() const { return faults_; }
 
  private:
-  /// Counts a structural drop in both the engine's and the model's books.
-  void drop(std::size_t n) {
-    stats_.dropped += n;
-    faults_->note_dropped(n);
+  /// How many times the channel delivers `msg` over from→to this round.
+  unsigned deliveries(net::NodeId from, net::NodeId to, const M& msg) const {
+    if constexpr (Transmission<M>) {
+      if (faults_ != nullptr)
+        return faults_->deliveries(protocol_key_, stats_.rounds, from, to,
+                                   msg.transmission());
+    }
+    return 1;
   }
 
   /// Appends to `to`'s next-round inbox, listing `to` as a receiver when
@@ -253,7 +237,8 @@ class RoundEngine {
   const net::Network* net_;
   const net::NodeMask* active_;
   const char* protocol_;
-  FaultModel* faults_;
+  const FaultModel* faults_ = nullptr;
+  std::uint64_t protocol_key_ = 0xcbf29ce484222325ull;  // FNV offset basis
   /// Inboxes by receiver: next round's mail and the round being drained.
   std::vector<std::vector<std::pair<net::NodeId, M>>> pending_;
   std::vector<std::vector<std::pair<net::NodeId, M>>> delivering_;

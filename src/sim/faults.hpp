@@ -1,44 +1,37 @@
 #pragma once
 
 /// \file faults.hpp
-/// Deterministic fault injection for the round engine.
+/// Deterministic fault injection: a stateless lossy channel for the round
+/// engine, and a crash schedule for the detection session's alive mask.
 ///
 /// The paper's protocols assume the LOCAL model with reliable local
-/// broadcast; real 3D sensor deployments lose packets and nodes. A
-/// `FaultModel` makes that gap testable: it sits between `RoundEngine`'s
-/// queues and the per-node handlers and decides, message by message and
-/// round by round, what actually survives. Four mechanisms, all seeded
-/// through `common/rng.hpp` so a run is reproducible from its config alone:
+/// broadcast; real 3D sensor deployments lose packets and nodes. Two pieces
+/// make that gap testable, both pure functions of a `FaultConfig`:
 ///
-///   - **Per-message loss**: every delivery independently fails with
-///     `drop_probability`.
-///   - **Per-link asymmetric loss**: each *directed* link (u→v) carries an
-///     additional loss probability drawn once (statelessly, by hashing the
-///     link under the seed) from [0, link_loss_max]. u→v and v→u draw
-///     independently, so links can be asymmetric — the common radio
-///     pathology.
-///   - **Duplication**: a delivered message is re-delivered with
-///     `duplicate_probability` (handlers must be idempotent).
-///   - **Crashes**: a `crash_fraction` of nodes is down from the start,
-///     `crash_at_round` schedules individual deaths at a global round
-///     index, and `crash_probability` kills each live node per round.
-///     Crashes are permanent (no recovery); a crashed node neither sends,
-///     receives, nor forwards, and every message addressed to it becomes a
-///     counted drop.
-///
-/// A model instance can be shared across several engines (protocol-level
-/// callers thread one model through consecutive floods, so the crash clock
-/// and the loss/duplication streams advance monotonically across them).
-/// The detection pipeline instead splits the config: crash mechanisms live
-/// in a session-held model whose clock `DetectionSession::advance_faults`
-/// drives explicitly, while each flood stage runs under a fresh
-/// channel-only model (crash fields zeroed, stage-tagged seed) so its
-/// output is a pure function of the config — the property that makes
-/// faulted stage artifacts cacheable. All methods are single-threaded,
-/// like the engine itself.
+///   - **The channel** (`FaultModel`): per-message loss
+///     (`drop_probability`), per-directed-link asymmetric loss (each link
+///     u→v carries a fixed extra loss rate in [0, link_loss_max]; u→v and
+///     v→u draw independently, the common radio pathology) and duplication
+///     (`duplicate_probability`; handlers must be idempotent). Each
+///     transmission's fate is a splitmix64 hash of (seed, protocol,
+///     engine-local round, from, to, transmission identity), where the
+///     protocol names the identity: the payload plus the copy index (plus
+///     the iteration in the landmark election). So two different messages
+///     on one link in one round draw independently, and no decision depends
+///     on what else ran before it or on the order an engine drains its
+///     queues.
+///   - **Crashes** (`death_rounds`): `crash_fraction` (down from the
+///     start), `crash_at_round` (scheduled deaths) and `crash_probability`
+///     (each live node dies per round) collapse into one death round per
+///     node, a pure function of (seed, node). `DetectionSession` folds the
+///     nodes whose death round has passed into its alive mask on `run` and
+///     on `advance_faults`, which moves its fault clock. Crashes are
+///     permanent and act only through that mask: a crashed node is simply
+///     inactive in every flood.
 
 #include <cstddef>
 #include <cstdint>
+#include <limits>
 #include <utility>
 #include <vector>
 
@@ -64,9 +57,9 @@ struct FaultConfig {
   /// Per-node, per-round crash probability for nodes still alive, in
   /// [0, 1] (default 0).
   double crash_probability = 0.0;
-  /// Scheduled crashes: (node, global round) — the node is down from the
-  /// start of that round on. Round indices are global across every engine
-  /// sharing the model (the model's round clock never resets).
+  /// Scheduled crashes: (node, round) — the node is down from that round
+  /// of the session's fault clock on. Order and repeats do not matter: a
+  /// node dies at the earliest round listed for it.
   std::vector<std::pair<net::NodeId, std::size_t>> crash_at_round;
   /// Seed for every stochastic decision above.
   std::uint64_t seed = 1;
@@ -78,81 +71,74 @@ struct FaultConfig {
            duplicate_probability > 0.0 || crash_fraction > 0.0 ||
            crash_probability > 0.0 || !crash_at_round.empty();
   }
+
+  bool operator==(const FaultConfig&) const = default;
 };
 
-/// Cumulative fault effects over the model's lifetime (all engines that
-/// shared it).
+/// Throws `InvalidArgument` unless every probability of `config` lies in
+/// [0, 1] (NaN included) and every `crash_at_round` id is below
+/// `num_nodes`.
+void validate(const FaultConfig& config, std::size_t num_nodes);
+
+/// Death round of a node that never crashes.
+inline constexpr std::size_t kNeverDies =
+    std::numeric_limits<std::size_t>::max();
+
+/// The crash schedule of `config` over `num_nodes` nodes: node v is down
+/// at fault clock t iff `death_rounds(...)[v] <= t` (0 = down from the
+/// start, `kNeverDies` = never). Node v's entry is the earliest of its
+/// `crash_fraction` draw (round 0), its `crash_at_round` entries, and a
+/// geometric draw with per-round probability `crash_probability`
+/// (rounds >= 1). Each draw is a hash of (seed, v), so the schedule is the
+/// same whatever the clock or call order. Validates `config` first.
+std::vector<std::size_t> death_rounds(const FaultConfig& config,
+                                      std::size_t num_nodes);
+
+/// A faulted pipeline run's effects: what the flood stages' channels did
+/// (summed from their `RunStats`) and how many nodes the crash schedule
+/// holds down.
 struct FaultStats {
   std::size_t dropped = 0;     ///< deliveries that never happened
   std::size_t duplicated = 0;  ///< extra deliveries injected
-  std::size_t crashed = 0;     ///< nodes currently down
+  std::size_t crashed = 0;     ///< fault-schedule casualties down now
 };
 
-/// Determinism contract: a FaultModel is a pure function of its
-/// (config, num_nodes) constructor arguments and the *sequence* of method
-/// calls made on it. Two runs that construct equal models and invoke
-/// `advance_round` / `deliver` / `duplicate` in the same order make
-/// identical decisions — there is no hidden entropy (wall clock, address
-/// hashing, global state). The flip side: callers must themselves iterate
-/// deterministically (the RoundEngine drains its queues in node order),
-/// because reordering `deliver` calls consumes the RNG stream differently.
-/// Exception: `link_loss` is stateless (hashed from seed + link), so its
-/// value never depends on call order. All methods are single-threaded,
-/// like the engine itself.
+/// The lossy channel: a const, stateless function from one transmission
+/// to its number of deliveries. It holds only the channel's three
+/// probabilities and the seed — no generator, clock, counters or per-node
+/// state — so one model can serve any number of engines, in any order, on
+/// any thread, and every engine sees the same fates. The crash fields of
+/// the config it is built from play no part here (see `death_rounds`).
 class FaultModel {
  public:
-  FaultModel(FaultConfig config, std::size_t num_nodes);
+  /// Throws `InvalidArgument` unless the channel probabilities lie in
+  /// [0, 1].
+  explicit FaultModel(const FaultConfig& config);
 
-  const FaultConfig& config() const { return config_; }
-  std::size_t num_nodes() const { return down_.size(); }
-
-  /// Advances the global round clock: applies scheduled crashes for the new
-  /// round, then rolls per-round crash failures. Called by the engine at
-  /// the start of every round it executes.
-  void advance_round();
-
-  /// Rounds advanced so far (global across engines sharing the model).
-  std::size_t round() const { return round_; }
-
-  bool is_down(net::NodeId v) const { return down_[v] != 0; }
-
-  /// Number of nodes currently down.
-  std::size_t num_down() const { return stats_.crashed; }
-
-  /// Ids of all currently-down nodes, ascending. Feeds
-  /// `core::delta_from_fault_state`, which turns the crash schedule into a
-  /// `NetworkDelta` for incremental re-detection.
-  std::vector<net::NodeId> down_nodes() const {
-    std::vector<net::NodeId> out;
-    for (net::NodeId v = 0; v < down_.size(); ++v) {
-      if (down_[v] != 0) out.push_back(v);
-    }
-    return out;
-  }
-
-  /// Rolls the loss process for one delivery over the directed link
-  /// from→to. Returns false (and counts a drop) when the message is lost.
-  bool deliver(net::NodeId from, net::NodeId to);
-
-  /// Rolls the duplication process for a successful delivery. Returns true
-  /// (and counts) when the message must be delivered a second time.
-  bool duplicate();
-
-  /// Records `n` deliveries suppressed for structural reasons (crashed or
-  /// unreachable receiver, dead sender) rather than by the loss roll.
-  void note_dropped(std::size_t n = 1) { stats_.dropped += n; }
+  /// How many times one transmission over from→to is delivered: 0 (lost),
+  /// 1, or 2 (duplicated). `protocol` names the engine run, `round` is the
+  /// engine-local round being delivered and `transmission` the identity the
+  /// protocol gave the message.
+  unsigned deliveries(std::uint64_t protocol, std::size_t round,
+                      net::NodeId from, net::NodeId to,
+                      std::uint64_t transmission) const;
 
   /// The fixed extra loss probability of the directed link from→to.
   double link_loss(net::NodeId from, net::NodeId to) const;
 
-  const FaultStats& stats() const { return stats_; }
-
  private:
-  FaultConfig config_;
-  Rng rng_;
-  std::vector<char> down_;  // vector<bool> avoided: hot per-message reads
-  FaultStats stats_;
-  std::size_t round_ = 0;
+  double drop_probability_;
+  double link_loss_max_;
+  double duplicate_probability_;
+  std::uint64_t seed_;
 };
+
+/// Folds `word` into the running hash `h` (one splitmix64 step). Protocols
+/// build transmission identities with it; the channel and the crash
+/// schedule draw from it.
+constexpr std::uint64_t mix_hash(std::uint64_t h, std::uint64_t word) {
+  std::uint64_t state = h ^ word;
+  return splitmix64(state);
+}
 
 }  // namespace ballfit::sim

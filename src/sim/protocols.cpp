@@ -16,6 +16,21 @@ namespace {
 struct FloodMsg {
   NodeId origin;
   std::uint32_t ttl;
+  std::uint32_t copy;  ///< retransmission index, in [0, repeat)
+
+  std::uint64_t transmission() const {
+    return mix_hash(std::uint64_t{origin} << 32 | ttl, copy);
+  }
+};
+
+/// One copy of a leader-flood candidate.
+struct Candidate {
+  NodeId id;
+  std::uint32_t copy;
+
+  std::uint64_t transmission() const {
+    return std::uint64_t{id} << 32 | copy;
+  }
 };
 
 /// Effective retransmission count (the knob is >= 1 by contract).
@@ -29,10 +44,6 @@ std::uint32_t repeat_of(const ProtocolOptions& opts) {
 bool none_active(const net::NodeMask& active) {
   return std::none_of(active.begin(), active.end(),
                       [](bool b) { return b; });
-}
-
-bool is_down(const ProtocolOptions& opts, NodeId v) {
-  return opts.faults != nullptr && opts.faults->is_down(v);
 }
 
 /// One BoundedBfs per worker thread, reused across calls: its stamp arrays
@@ -146,11 +157,11 @@ std::vector<std::uint32_t> ttl_flood_count(const net::Network& net,
   RoundEngine<FloodMsg> engine(net, &active, "ttl_flood", opts.faults);
 
   for (NodeId v = 0; v < n; ++v) {
-    if (!active[v] || is_down(opts, v)) continue;
+    if (!active[v]) continue;
     heard[rank[v]].insert(v);
     if (ttl > 0) {
       for (std::uint32_t r = 0; r < repeat; ++r)
-        engine.broadcast(v, {v, ttl - 1});
+        engine.broadcast(v, {v, ttl - 1, r});
     }
   }
 
@@ -160,15 +171,14 @@ std::vector<std::uint32_t> ttl_flood_count(const net::Network& net,
       [&](NodeId self, NodeId /*from*/, const FloodMsg& msg) {
         if (heard[rank[self]].insert(msg.origin).second && msg.ttl > 0) {
           for (std::uint32_t r = 0; r < repeat; ++r)
-            engine.broadcast(self, {msg.origin, msg.ttl - 1});
+            engine.broadcast(self, {msg.origin, msg.ttl - 1, r});
         }
       },
       cap);
   if (stats != nullptr) *stats = rs;
 
   for (NodeId v = 0; v < n; ++v) {
-    // Crashed nodes report nothing, whatever they heard before dying.
-    if (active[v] && !is_down(opts, v))
+    if (active[v])
       counts[v] = static_cast<std::uint32_t>(heard[rank[v]].size());
   }
   return counts;
@@ -196,30 +206,24 @@ std::vector<NodeId> leader_flood(const net::Network& net,
   }
 
   const std::uint32_t repeat = repeat_of(opts);
-  RoundEngine<NodeId> engine(net, &active, "leader_flood", opts.faults);
+  RoundEngine<Candidate> engine(net, &active, "leader_flood", opts.faults);
   for (NodeId v = 0; v < n; ++v) {
-    if (!active[v] || is_down(opts, v)) continue;
+    if (!active[v]) continue;
     leader[v] = v;
-    for (std::uint32_t r = 0; r < repeat; ++r) engine.broadcast(v, v);
+    for (std::uint32_t r = 0; r < repeat; ++r) engine.broadcast(v, {v, r});
   }
   // Idempotent: a candidate no smaller than the current leader (duplicate
   // or stale retransmission) is ignored and not re-flooded.
   const RunStats rs = engine.run(
-      [&](NodeId self, NodeId /*from*/, NodeId candidate) {
-        if (candidate < leader[self]) {
-          leader[self] = candidate;
+      [&](NodeId self, NodeId /*from*/, Candidate candidate) {
+        if (candidate.id < leader[self]) {
+          leader[self] = candidate.id;
           for (std::uint32_t r = 0; r < repeat; ++r)
-            engine.broadcast(self, candidate);
+            engine.broadcast(self, {candidate.id, r});
         }
       },
       /*max_rounds=*/opts.max_rounds > 0 ? opts.max_rounds : n + 1);
   if (stats != nullptr) *stats = rs;
-
-  if (opts.faults != nullptr) {
-    for (NodeId v = 0; v < n; ++v) {
-      if (opts.faults->is_down(v)) leader[v] = net::kInvalidNode;
-    }
-  }
   return leader;
 }
 
@@ -247,6 +251,15 @@ struct BidMsg {
   BidKind kind;
   NodeId id;
   std::uint32_t ttl;
+  std::uint32_t copy;       ///< retransmission index, in [0, repeat)
+  std::uint32_t iteration;  ///< election iteration (bids recur each one)
+
+  std::uint64_t transmission() const {
+    return mix_hash(
+        mix_hash(std::uint64_t{id} << 32 | ttl,
+                 std::uint64_t{iteration} << 32 | copy),
+        static_cast<std::uint64_t>(kind));
+  }
 };
 enum class Status : std::uint8_t { kUndecided, kLandmark, kCovered };
 
@@ -396,28 +409,10 @@ std::vector<NodeId> khop_landmark_election(const net::Network& net,
   std::vector<NodeId> landmarks;
 
   // Each iteration elects the locally-minimal undecided ids in parallel and
-  // suppresses their k-hop neighborhoods. On a reliable network at least
-  // one node (the globally smallest undecided id) wins per iteration, so
-  // this terminates; under faults the explicit iteration guard below backs
-  // up the argument (crashed nodes leave the undecided pool each sweep).
-  std::size_t iterations = 0;
-  while (undecided > 0) {
-    // --- Casualty sweep: nodes that died while undecided can never bid
-    // again; retire them so the loop's progress argument survives crashes.
-    if (opts.faults != nullptr) {
-      for (NodeId v = 0; v < n; ++v) {
-        if (status[v] == Status::kUndecided && opts.faults->is_down(v)) {
-          status[v] = Status::kCovered;
-          --undecided;
-        }
-      }
-      if (undecided == 0) break;
-    }
-    // Safety net: each iteration either elects or retires at least one
-    // node, so n+1 iterations means the invariant broke — stop with a
-    // partial (still maximal-so-far) landmark set rather than spin.
-    if (++iterations > n + 1) break;
-
+  // suppresses their k-hop neighborhoods. Bids come from undecided nodes
+  // only, so the smallest undecided id hears nothing smaller — lost bids
+  // or not — and wins every iteration: the loop terminates.
+  for (std::uint32_t iteration = 0; undecided > 0; ++iteration) {
     // --- Bid phase: undecided nodes flood their id within k hops.
     std::vector<NodeId> min_bid(n, net::kInvalidNode);
     std::vector<std::unordered_map<NodeId, std::uint32_t>> heard(n);
@@ -428,7 +423,7 @@ std::vector<NodeId> khop_landmark_election(const net::Network& net,
       min_bid[v] = v;
       heard[v][v] = k;
       for (std::uint32_t r = 0; r < repeat; ++r)
-        engine.broadcast(v, {BidKind::kBid, v, k - 1});
+        engine.broadcast(v, {BidKind::kBid, v, k - 1, r, iteration});
     }
     // Idempotent: a bid is re-forwarded only when it arrives with more
     // remaining TTL than ever seen before.
@@ -443,37 +438,29 @@ std::vector<NodeId> khop_landmark_election(const net::Network& net,
           min_bid[self] = std::min(min_bid[self], msg.id);
           if (msg.ttl > 0) {
             for (std::uint32_t r = 0; r < repeat; ++r)
-              engine.broadcast(self, {BidKind::kBid, msg.id, msg.ttl - 1});
+              engine.broadcast(self, {BidKind::kBid, msg.id, msg.ttl - 1, r,
+                                      iteration});
           }
         },
         cap);
 
-    // --- Decide phase: live local minima become landmarks. (A node that
-    // crashed mid-bid may look like a local minimum; it is skipped here
-    // and retired by the next casualty sweep.)
+    // --- Decide phase: local minima become landmarks.
     std::vector<NodeId> winners;
     for (NodeId v = 0; v < n; ++v) {
-      if (status[v] == Status::kUndecided && min_bid[v] == v &&
-          !is_down(opts, v)) {
+      if (status[v] == Status::kUndecided && min_bid[v] == v) {
         status[v] = Status::kLandmark;
         winners.push_back(v);
         --undecided;
       }
     }
-    if (winners.empty()) {
-      // Only reachable when a crash stole every local minimum this
-      // iteration; without faults it is a broken invariant.
-      BALLFIT_ASSERT_MSG(opts.faults != nullptr,
-                         "landmark election made no progress");
-      continue;
-    }
+    BALLFIT_ASSERT_MSG(!winners.empty(), "landmark election made no progress");
 
     // --- Cover phase: winners suppress their k-hop neighborhoods.
     std::vector<std::unordered_map<NodeId, std::uint32_t>> cover_heard(n);
     RoundEngine<BidMsg> cover(net, &active, "landmark_election", opts.faults);
     for (NodeId w : winners) {
       for (std::uint32_t r = 0; r < repeat; ++r)
-        cover.broadcast(w, {BidKind::kCover, w, k - 1});
+        cover.broadcast(w, {BidKind::kCover, w, k - 1, r, iteration});
     }
     total += cover.run(
         [&](NodeId self, NodeId /*from*/, const BidMsg& msg) {
@@ -490,7 +477,8 @@ std::vector<NodeId> khop_landmark_election(const net::Network& net,
           }
           if (msg.ttl > 0) {
             for (std::uint32_t r = 0; r < repeat; ++r)
-              cover.broadcast(self, {BidKind::kCover, msg.id, msg.ttl - 1});
+              cover.broadcast(self, {BidKind::kCover, msg.id, msg.ttl - 1, r,
+                                     iteration});
           }
         },
         cap);

@@ -18,11 +18,13 @@
 /// All three tolerate imperfect communication when run with a
 /// `ProtocolOptions` carrying a fault model: handlers are idempotent (a
 /// duplicated delivery changes nothing), each newly learned fact can be
-/// re-broadcast `repeat` times to survive loss, termination is by
-/// quiescence-under-loss (bounded by a rounds cap) instead of exact round
-/// counts, and crashed nodes resolve to the "knows nothing" value (0 /
-/// kInvalidNode / not a landmark). At zero loss and no crashes the results
-/// are bit-identical to the oracles even with the fault hook installed.
+/// re-broadcast `repeat` times to survive loss — each copy names its index
+/// in its transmission identity, so copies draw their fates independently
+/// — and termination is by quiescence-under-loss (bounded by a rounds cap)
+/// instead of exact round counts. Crashes do not reach the protocols: a
+/// crashed node is an inactive one in the `active` mask. At zero loss the
+/// results are bit-identical to the oracles even with the fault hook
+/// installed.
 
 #include <cstdint>
 #include <vector>
@@ -36,8 +38,8 @@ namespace ballfit::sim {
 
 /// Execution knobs shared by every protocol.
 struct ProtocolOptions {
-  /// Fault model to run under (non-owning; nullptr = reliable network).
-  FaultModel* faults = nullptr;
+  /// Lossy channel to run under (non-owning; nullptr = reliable network).
+  const FaultModel* faults = nullptr;
   /// Radio transmissions per newly learned fact (>= 1). Each copy rolls
   /// the loss process independently, so k retransmissions turn per-hop
   /// loss p into p^k. Pointless (but harmless) without a fault model.
@@ -54,7 +56,7 @@ struct ProtocolOptions {
 /// packets are forwarded by active nodes only. Returns, for each active
 /// node, the number of *distinct originators heard, including itself* —
 /// i.e. the size of its TTL-neighborhood within its fragment. Inactive
-/// (and crashed) nodes get 0. Without a fault model no engine runs: one
+/// nodes get 0. Without a fault model no engine runs: one
 /// bounded BFS per active node, spread over `threads` workers (0 =
 /// hardware concurrency), gives the counts, and the same `RunStats` and
 /// `sim.ttl_flood.*` counters as the engine. With a fault model the flood
@@ -76,7 +78,7 @@ std::vector<std::uint32_t> ttl_flood_count_oracle(const net::Network& net,
 /// Min-id leader flood over the induced subgraph: every active node ends up
 /// knowing the smallest node id in its connected fragment. This both labels
 /// fragments (grouping, Sec. II-B last paragraph) and elects a unique
-/// leader per boundary. Inactive (and crashed) nodes map to kInvalidNode.
+/// leader per boundary. Inactive nodes map to kInvalidNode.
 std::vector<net::NodeId> leader_flood(const net::Network& net,
                                       const net::NodeMask& active,
                                       RunStats* stats = nullptr,
@@ -91,9 +93,10 @@ std::vector<net::NodeId> leader_flood_oracle(const net::Network& net,
 /// already-elected landmark lies within `k` hops and it has the smallest id
 /// among undecided nodes in its k-hop neighborhood. The result is a maximal
 /// k-hop independent set: landmarks are pairwise > k hops apart, and every
-/// active node is within k hops of some landmark. Under faults, crashed
-/// nodes are never elected and the spacing/coverage guarantees degrade to
-/// best-effort (lost cover packets can leave two landmarks closer than k).
+/// active node is within k hops of some landmark. Under loss the
+/// spacing/coverage guarantees degrade to best-effort (lost cover packets
+/// can leave two landmarks closer than k); the smallest undecided id still
+/// wins every iteration, so the election terminates.
 /// Without a fault model the election is computed by bounded BFS instead of
 /// the engine (one search per bidder and per winner and iteration), with the
 /// same landmarks, `RunStats` and `sim.landmark_election.*` counters.

@@ -1,6 +1,10 @@
 // Tests for the fault-injection layer (src/sim/faults) and the
 // loss/crash-tolerance of the protocols and pipeline built on it:
 //   - determinism: one seed, one outcome (drops, stats, results);
+//   - statelessness: a shared model gives every flood the same fates
+//     whatever ran on it before;
+//   - the crash schedule: one death round per node, order-free, monotone
+//     in the clock, binomially distributed;
 //   - neutrality: the hook installed with a zero config (or pure loss=0)
 //     is bit-identical to the oracle implementations;
 //   - idempotency: duplicating every message changes nothing;
@@ -10,6 +14,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
+#include <string>
 
 #include "common/rng.hpp"
 #include "core/pipeline.hpp"
@@ -44,71 +50,80 @@ net::Network random_network(std::uint64_t seed, std::size_t surface = 150,
   return net::build_network(shape, opt, rng);
 }
 
+/// Per node, whether it is alive at fault clock `round` under `cfg`'s
+/// crash schedule — the mask the detection session folds crashes into.
+NodeMask alive_at(const FaultConfig& cfg, std::size_t num_nodes,
+                  std::size_t round) {
+  const std::vector<std::size_t> death = death_rounds(cfg, num_nodes);
+  NodeMask alive(num_nodes);
+  for (NodeId v = 0; v < num_nodes; ++v) alive[v] = death[v] > round;
+  return alive;
+}
+
 // ---------------------------------------------------------------------------
 // FaultModel unit behavior.
 
 TEST(FaultModel, ZeroConfigIsNeutral) {
   FaultConfig cfg;
   EXPECT_FALSE(cfg.any());
-  FaultModel model(cfg, 16);
-  EXPECT_EQ(model.num_down(), 0u);
-  for (int i = 0; i < 100; ++i) {
-    EXPECT_TRUE(model.deliver(0, 1));
-    EXPECT_FALSE(model.duplicate());
+  const FaultModel model(cfg);
+  for (std::uint64_t t = 0; t < 100; ++t) {
+    EXPECT_EQ(model.deliveries(7, t % 5, 0, 1, t), 1u);
   }
-  model.advance_round();
-  EXPECT_EQ(model.num_down(), 0u);
-  EXPECT_EQ(model.stats().dropped, 0u);
-  EXPECT_EQ(model.stats().duplicated, 0u);
+  for (const std::size_t d : death_rounds(cfg, 16)) EXPECT_EQ(d, kNeverDies);
 }
 
 TEST(FaultModel, RejectsOutOfRangeProbabilities) {
   FaultConfig cfg;
   cfg.drop_probability = 1.5;
-  EXPECT_THROW(FaultModel(cfg, 4), InvalidArgument);
+  EXPECT_THROW(FaultModel{cfg}, InvalidArgument);
+  cfg = FaultConfig{};
+  cfg.duplicate_probability = std::nan("");
+  EXPECT_THROW(FaultModel{cfg}, InvalidArgument);
   cfg = FaultConfig{};
   cfg.crash_fraction = -0.1;
-  EXPECT_THROW(FaultModel(cfg, 4), InvalidArgument);
+  EXPECT_THROW(validate(cfg, 4), InvalidArgument);
+  EXPECT_THROW(death_rounds(cfg, 4), InvalidArgument);
+  cfg = FaultConfig{};
+  cfg.crash_probability = std::nan("");
+  EXPECT_THROW(death_rounds(cfg, 4), InvalidArgument);
   cfg = FaultConfig{};
   cfg.crash_at_round = {{9, 0}};
-  EXPECT_THROW(FaultModel(cfg, 4), InvalidArgument);
+  EXPECT_THROW(death_rounds(cfg, 4), InvalidArgument);
+  EXPECT_NO_THROW(death_rounds(cfg, 10));
 }
 
 TEST(FaultModel, CrashFractionIsDeterministicInSeed) {
   FaultConfig cfg;
   cfg.crash_fraction = 0.3;
   cfg.seed = 99;
-  FaultModel a(cfg, 200);
-  FaultModel b(cfg, 200);
-  ASSERT_GT(a.num_down(), 0u);
-  ASSERT_LT(a.num_down(), 200u);
-  for (NodeId v = 0; v < 200; ++v) EXPECT_EQ(a.is_down(v), b.is_down(v));
+  const std::vector<std::size_t> a = death_rounds(cfg, 200);
+  EXPECT_EQ(a, death_rounds(cfg, 200));
+  const auto down = std::count(a.begin(), a.end(), std::size_t{0});
+  ASSERT_GT(down, 0);
+  ASSERT_LT(down, 200);
+  for (const std::size_t d : a) EXPECT_TRUE(d == 0 || d == kNeverDies);
   cfg.seed = 100;
-  FaultModel c(cfg, 200);
-  bool differs = false;
-  for (NodeId v = 0; v < 200; ++v) differs |= a.is_down(v) != c.is_down(v);
-  EXPECT_TRUE(differs) << "different seeds produced identical crash sets";
+  EXPECT_NE(a, death_rounds(cfg, 200))
+      << "different seeds produced identical crash sets";
 }
 
 TEST(FaultModel, ScheduledCrashFiresAtItsRound) {
   FaultConfig cfg;
   cfg.crash_at_round = {{2, 0}, {5, 3}};
-  FaultModel model(cfg, 8);
-  EXPECT_TRUE(model.is_down(2));  // round-0 entries apply at construction
-  EXPECT_FALSE(model.is_down(5));
-  model.advance_round();  // round 1
-  model.advance_round();  // round 2
-  EXPECT_FALSE(model.is_down(5));
-  model.advance_round();  // round 3
-  EXPECT_TRUE(model.is_down(5));
-  EXPECT_EQ(model.num_down(), 2u);
+  const std::vector<std::size_t> death = death_rounds(cfg, 8);
+  EXPECT_EQ(death[2], 0u);  // down from the start
+  EXPECT_EQ(death[5], 3u);  // alive at clock 2, down from clock 3
+  EXPECT_TRUE(alive_at(cfg, 8, 2)[5]);
+  EXPECT_FALSE(alive_at(cfg, 8, 3)[5]);
+  EXPECT_EQ(std::count(death.begin(), death.end(), kNeverDies), 6);
 }
 
 TEST(FaultModel, LinkLossIsFixedPerLinkAndAsymmetric) {
   FaultConfig cfg;
   cfg.link_loss_max = 0.8;
   cfg.seed = 7;
-  FaultModel model(cfg, 64);
+  const FaultModel model(cfg);
   const double ab = model.link_loss(3, 4);
   EXPECT_EQ(model.link_loss(3, 4), ab);  // stateless: same link, same value
   EXPECT_GE(ab, 0.0);
@@ -118,34 +133,126 @@ TEST(FaultModel, LinkLossIsFixedPerLinkAndAsymmetric) {
   EXPECT_NE(model.link_loss(3, 4), model.link_loss(4, 3));
 }
 
+// Every coordinate of a transmission feeds its fate: changing any one of
+// them redraws it, repeating all of them repeats it.
+TEST(FaultModel, FateIsAFunctionOfTheWholeTransmission) {
+  FaultConfig cfg;
+  cfg.drop_probability = 0.5;
+  cfg.duplicate_probability = 0.5;
+  cfg.seed = 5;
+  const FaultModel model(cfg);
+  const auto fates = [&](auto vary) {
+    std::vector<unsigned> out;
+    for (std::uint64_t i = 0; i < 64; ++i) out.push_back(vary(i));
+    return out;
+  };
+  const auto by_protocol =
+      fates([&](std::uint64_t i) { return model.deliveries(i, 1, 0, 1, 9); });
+  const auto by_round =
+      fates([&](std::uint64_t i) { return model.deliveries(3, i, 0, 1, 9); });
+  const auto by_link = fates([&](std::uint64_t i) {
+    return model.deliveries(3, 1, 0, static_cast<NodeId>(i), 9);
+  });
+  const auto by_identity =
+      fates([&](std::uint64_t i) { return model.deliveries(3, 1, 0, 1, i); });
+  for (const auto* f : {&by_protocol, &by_round, &by_link, &by_identity}) {
+    for (unsigned fate : {0u, 1u, 2u})
+      EXPECT_GT(std::count(f->begin(), f->end(), fate), 4) << fate;
+  }
+  EXPECT_EQ(by_identity, fates([&](std::uint64_t i) {
+              return model.deliveries(3, 1, 0, 1, i);
+            }));
+}
+
+// ---------------------------------------------------------------------------
+// The crash schedule: one death round per node.
+
+TEST(CrashSchedule, PermutedOrDuplicatedEntriesChangeNothing) {
+  FaultConfig cfg;
+  cfg.crash_fraction = 0.05;
+  cfg.crash_probability = 0.02;
+  cfg.crash_at_round = {{3, 4}, {9, 0}, {3, 2}, {40, 7}};
+  cfg.seed = 12;
+  FaultConfig shuffled = cfg;
+  shuffled.crash_at_round = {{40, 7}, {3, 2}, {9, 0}, {40, 7}, {3, 4}};
+  const std::vector<std::size_t> death = death_rounds(cfg, 100);
+  EXPECT_EQ(death, death_rounds(shuffled, 100));
+  EXPECT_EQ(death[9], 0u);
+  // The earliest entry wins, wherever it is listed.
+  EXPECT_LE(death[3], 2u);
+  EXPECT_LE(death_rounds(shuffled, 100)[3], 2u);
+  EXPECT_LE(death[40], 7u);
+}
+
+TEST(CrashSchedule, CasualtiesOnlyGrowWithTheClock) {
+  FaultConfig cfg;
+  cfg.crash_fraction = 0.1;
+  cfg.crash_probability = 0.05;
+  cfg.crash_at_round = {{17, 6}, {18, 30}};
+  cfg.seed = 4;
+  NodeMask previous = alive_at(cfg, 300, 0);
+  std::size_t previous_alive = std::count(previous.begin(), previous.end(),
+                                          true);
+  for (std::size_t t = 1; t <= 40; ++t) {
+    const NodeMask alive = alive_at(cfg, 300, t);
+    for (NodeId v = 0; v < 300; ++v)
+      EXPECT_TRUE(previous[v] || !alive[v]) << "node " << v << " revived";
+    const std::size_t now = std::count(alive.begin(), alive.end(), true);
+    EXPECT_LE(now, previous_alive);
+    previous = alive;
+    previous_alive = now;
+  }
+  EXPECT_LT(previous_alive, 300u * 3 / 10);  // 0.9 · 0.95^40 ≈ 0.12
+}
+
+// Over fixed seeds, the casualty count at clock t is Binomial(n, q) with
+// q = crash_fraction at t = 0 and q = 1 − (1 − p)^t for crash_probability
+// p. Every count must lie within 5 standard deviations of n·q.
+TEST(CrashSchedule, CasualtyCountsFallInBinomialBand) {
+  const std::size_t n = 20000;
+  const auto expect_in_band = [n](const FaultConfig& cfg, std::size_t round,
+                                  double q) {
+    const NodeMask alive = alive_at(cfg, n, round);
+    const double down =
+        static_cast<double>(std::count(alive.begin(), alive.end(), false));
+    const double mean = n * q;
+    const double band = 5.0 * std::sqrt(n * q * (1.0 - q));
+    EXPECT_NEAR(down, mean, band)
+        << "seed=" << cfg.seed << " round=" << round << " q=" << q;
+  };
+  for (std::uint64_t seed = 1; seed <= 6; ++seed) {
+    FaultConfig fraction;
+    fraction.crash_fraction = 0.15;
+    fraction.seed = seed;
+    expect_in_band(fraction, 0, 0.15);
+    expect_in_band(fraction, 50, 0.15);  // no per-round deaths
+
+    FaultConfig per_round;
+    per_round.crash_probability = 0.01;
+    per_round.seed = seed;
+    expect_in_band(per_round, 0, 0.0);
+    for (std::size_t t : {1u, 10u, 60u})
+      expect_in_band(per_round, t, 1.0 - std::pow(0.99, double(t)));
+
+    FaultConfig certain;
+    certain.crash_probability = 1.0;
+    certain.seed = seed;
+    expect_in_band(certain, 0, 0.0);
+    expect_in_band(certain, 1, 1.0);
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Engine semantics under a fault model.
 
-TEST(RoundEngineFaults, NonNeighborSendBecomesCountedDrop) {
-  const net::Network net = line_network(4);
-  FaultModel model(FaultConfig{}, net.num_nodes());
-  RoundEngine<int> engine(net, nullptr, nullptr, &model);
-  EXPECT_NO_THROW(engine.send(0, 3, 1));  // out of range: dropped, no throw
-  EXPECT_EQ(engine.stats().dropped, 1u);
-  EXPECT_EQ(model.stats().dropped, 1u);
-  int deliveries = 0;
-  engine.run([&](NodeId, NodeId, int) { ++deliveries; }, 10);
-  EXPECT_EQ(deliveries, 0);
-}
-
-TEST(RoundEngineFaults, SendToCrashedNodeBecomesCountedDrop) {
-  const net::Network net = line_network(4);
-  FaultConfig cfg;
-  cfg.crash_at_round = {{1, 0}};
-  FaultModel model(cfg, net.num_nodes());
-  RoundEngine<int> engine(net, nullptr, nullptr, &model);
-  engine.send(0, 1, 42);     // dead receiver
-  engine.broadcast(1, 7);    // dead sender
-  EXPECT_EQ(engine.stats().dropped, 2u);
-  int deliveries = 0;
-  engine.run([&](NodeId, NodeId, int) { ++deliveries; }, 10);
-  EXPECT_EQ(deliveries, 0);
-}
+/// A test message naming its transmission by payload and copy.
+struct Tagged {
+  int payload;
+  std::uint32_t copy;
+  std::uint64_t transmission() const {
+    return mix_hash(static_cast<std::uint64_t>(payload), copy);
+  }
+};
 
 TEST(RoundEngineFaults, WithoutModelHardContractsStillHold) {
   const net::Network net = line_network(4);
@@ -153,17 +260,17 @@ TEST(RoundEngineFaults, WithoutModelHardContractsStillHold) {
   EXPECT_THROW(engine.send(0, 3, 1), InvalidArgument);
 }
 
-TEST(RoundEngineFaults, MidRunCrashDropsQueuedMail) {
-  const net::Network net = line_network(3);
+// The fault channel loosens no contract: a send beyond one hop throws with
+// a model installed, as without one.
+TEST(RoundEngineFaults, WithModelHardContractsStillHold) {
+  const net::Network net = line_network(4);
   FaultConfig cfg;
-  cfg.crash_at_round = {{1, 1}};  // node 1 dies at the start of round 1
-  FaultModel model(cfg, net.num_nodes());
-  RoundEngine<int> engine(net, nullptr, nullptr, &model);
-  engine.send(0, 1, 42);  // queued for round 1 — receiver dies first
-  int deliveries = 0;
-  engine.run([&](NodeId, NodeId, int) { ++deliveries; }, 10);
-  EXPECT_EQ(deliveries, 0);
-  EXPECT_EQ(engine.stats().dropped, 1u);
+  cfg.drop_probability = 0.5;
+  const FaultModel model(cfg);
+  RoundEngine<Tagged> engine(net, nullptr, nullptr, &model);
+  EXPECT_THROW(engine.send(0, 3, {1, 0}), InvalidArgument);
+  EXPECT_EQ(engine.stats().messages, 0u);
+  EXPECT_EQ(engine.stats().dropped, 0u);
 }
 
 TEST(RoundEngineFaults, DropProbabilityOneLosesEverything) {
@@ -171,12 +278,14 @@ TEST(RoundEngineFaults, DropProbabilityOneLosesEverything) {
   NodeMask active(5, true);
   FaultConfig cfg;
   cfg.drop_probability = 1.0;
-  FaultModel model(cfg, net.num_nodes());
+  const FaultModel model(cfg);
   ProtocolOptions opts;
   opts.faults = &model;
-  const auto counts = ttl_flood_count(net, active, 3, nullptr, opts);
+  RunStats stats;
+  const auto counts = ttl_flood_count(net, active, 3, &stats, opts);
   for (NodeId v = 0; v < 5; ++v) EXPECT_EQ(counts[v], 1u);  // self only
-  EXPECT_GT(model.stats().dropped, 0u);
+  EXPECT_EQ(stats.dropped, 8u);  // every origin's broadcast, to each side
+  EXPECT_EQ(stats.messages, 5u);
 }
 
 TEST(RoundEngineFaults, BroadcastStillReachesAllActiveNeighbors) {
@@ -197,6 +306,26 @@ TEST(RoundEngineFaults, BroadcastStillReachesAllActiveNeighbors) {
   EXPECT_EQ(engine.stats().messages, 1u);  // one radio transmission
 }
 
+// Copies of one message carry their index, so they draw their fates
+// independently: k copies turn per-hop loss p into p^k.
+TEST(RoundEngineFaults, RetransmittedCopiesDrawIndependently) {
+  const net::Network net = line_network(2);
+  FaultConfig cfg;
+  cfg.drop_probability = 0.5;
+  const FaultModel model(cfg);
+  std::size_t delivered = 0;
+  const int trials = 2000;
+  for (int m = 0; m < trials; ++m) {
+    RoundEngine<Tagged> engine(net, nullptr, "copies", &model);
+    for (std::uint32_t r = 0; r < 3; ++r) engine.send(0, 1, {m, r});
+    bool heard = false;
+    engine.run([&](NodeId, NodeId, const Tagged&) { heard = true; }, 2);
+    delivered += heard;
+  }
+  // P(some copy arrives) = 1 − 0.5³ = 0.875; σ ≈ 0.0074 over 2000 trials.
+  EXPECT_NEAR(static_cast<double>(delivered) / trials, 0.875, 0.04);
+}
+
 // ---------------------------------------------------------------------------
 // Determinism: one seed, one outcome.
 
@@ -206,11 +335,10 @@ TEST(FaultDeterminism, SameSeedSameDropsStatsAndResults) {
   FaultConfig cfg;
   cfg.drop_probability = 0.15;
   cfg.duplicate_probability = 0.05;
-  cfg.crash_probability = 0.002;
   cfg.seed = 42;
 
   auto run_once = [&](RunStats* stats) {
-    FaultModel model(cfg, net.num_nodes());
+    const FaultModel model(cfg);
     ProtocolOptions opts;
     opts.faults = &model;
     opts.repeat = 2;
@@ -234,7 +362,7 @@ TEST(FaultDeterminism, DifferentSeedsDifferentDrops) {
   cfg.drop_probability = 0.15;
   auto drops = [&](std::uint64_t seed) {
     cfg.seed = seed;
-    FaultModel model(cfg, net.num_nodes());
+    const FaultModel model(cfg);
     ProtocolOptions opts;
     opts.faults = &model;
     RunStats stats;
@@ -244,8 +372,55 @@ TEST(FaultDeterminism, DifferentSeedsDifferentDrops) {
   EXPECT_NE(drops(1), drops(2));
 }
 
+void expect_same_stats(const RunStats& a, const RunStats& b,
+                       const std::string& where) {
+  EXPECT_EQ(a.rounds, b.rounds) << where;
+  EXPECT_EQ(a.messages, b.messages) << where;
+  EXPECT_EQ(a.dropped, b.dropped) << where;
+  EXPECT_EQ(a.duplicated, b.duplicated) << where;
+}
+
+// One shared model: a faulted flood returns the same result and RunStats
+// whether it runs first or after other floods on that model.
+TEST(FaultDeterminism, SharedModelResultsIndependentOfCallOrder) {
+  const net::Network net = random_network(9);
+  Rng rng(21);
+  NodeMask active(net.num_nodes());
+  for (NodeId v = 0; v < net.num_nodes(); ++v) active[v] = rng.uniform() < 0.8;
+  FaultConfig cfg;
+  cfg.drop_probability = 0.2;
+  cfg.link_loss_max = 0.2;
+  cfg.duplicate_probability = 0.1;
+  cfg.seed = 77;
+  ProtocolOptions opts;
+  opts.repeat = 2;
+
+  const FaultModel fresh_ttl(cfg);
+  opts.faults = &fresh_ttl;
+  RunStats ttl_first;
+  const auto counts_first = ttl_flood_count(net, active, 3, &ttl_first, opts);
+  const FaultModel fresh_leader(cfg);
+  opts.faults = &fresh_leader;
+  RunStats leader_first;
+  const auto leaders_first = leader_flood(net, active, &leader_first, opts);
+
+  const FaultModel shared(cfg);
+  opts.faults = &shared;
+  (void)khop_landmark_election(net, active, 2, nullptr, opts);
+  (void)ttl_flood_count(net, active, 2, nullptr, opts);
+  RunStats leader_later;
+  EXPECT_EQ(leader_flood(net, active, &leader_later, opts), leaders_first);
+  expect_same_stats(leader_later, leader_first, "leader_flood");
+  (void)leader_flood(net, active, nullptr, opts);
+  RunStats ttl_later;
+  EXPECT_EQ(ttl_flood_count(net, active, 3, &ttl_later, opts), counts_first);
+  expect_same_stats(ttl_later, ttl_first, "ttl_flood");
+  EXPECT_GT(ttl_first.dropped, 0u);
+  EXPECT_GT(leader_first.duplicated, 0u);
+}
+
 // ---------------------------------------------------------------------------
-// Neutrality: hook installed, loss 0, no crashes => bit-identical results.
+// Neutrality: hook installed, loss 0 => bit-identical results.
 
 class FaultFreeEquivalence : public ::testing::TestWithParam<std::uint64_t> {};
 
@@ -255,23 +430,29 @@ TEST_P(FaultFreeEquivalence, AllProtocolsMatchOraclesWithHookInstalled) {
   NodeMask active(net.num_nodes(), false);
   for (NodeId v = 0; v < net.num_nodes(); ++v) active[v] = rng.bernoulli(0.6);
 
-  FaultModel model(FaultConfig{}, net.num_nodes());
+  const FaultModel model(FaultConfig{});
   ProtocolOptions opts;
   opts.faults = &model;
 
+  RunStats total;
   for (std::uint32_t ttl : {1u, 2u, 3u}) {
-    EXPECT_EQ(ttl_flood_count(net, active, ttl, nullptr, opts),
+    RunStats stats;
+    EXPECT_EQ(ttl_flood_count(net, active, ttl, &stats, opts),
               ttl_flood_count_oracle(net, active, ttl))
         << "ttl=" << ttl;
+    total += stats;
   }
-  EXPECT_EQ(leader_flood(net, active, nullptr, opts),
+  RunStats stats;
+  EXPECT_EQ(leader_flood(net, active, &stats, opts),
             leader_flood_oracle(net, active));
+  total += stats;
 
   NodeMask all(net.num_nodes(), true);
-  EXPECT_EQ(khop_landmark_election(net, all, 2, nullptr, opts),
+  EXPECT_EQ(khop_landmark_election(net, all, 2, &stats, opts),
             khop_landmark_election(net, all, 2));
-  EXPECT_EQ(model.stats().dropped, 0u);
-  EXPECT_EQ(model.stats().duplicated, 0u);
+  total += stats;
+  EXPECT_EQ(total.dropped, 0u);
+  EXPECT_EQ(total.duplicated, 0u);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, FaultFreeEquivalence,
@@ -280,7 +461,7 @@ INSTANTIATE_TEST_SUITE_P(Seeds, FaultFreeEquivalence,
 TEST(FaultFreeEquivalence, RepeatAloneDoesNotChangeResults) {
   const net::Network net = random_network(5);
   NodeMask active(net.num_nodes(), true);
-  FaultModel model(FaultConfig{}, net.num_nodes());
+  const FaultModel model(FaultConfig{});
   ProtocolOptions opts;
   opts.faults = &model;
   opts.repeat = 3;
@@ -300,18 +481,22 @@ TEST(FaultIdempotency, DuplicatingEveryMessagePreservesAllProtocols) {
   NodeMask active(net.num_nodes(), true);
   FaultConfig cfg;
   cfg.duplicate_probability = 1.0;
-  FaultModel model(cfg, net.num_nodes());
+  const FaultModel model(cfg);
   ProtocolOptions opts;
   opts.faults = &model;
 
-  EXPECT_EQ(ttl_flood_count(net, active, 3, nullptr, opts),
+  RunStats total, stats;
+  EXPECT_EQ(ttl_flood_count(net, active, 3, &stats, opts),
             ttl_flood_count_oracle(net, active, 3));
-  EXPECT_EQ(leader_flood(net, active, nullptr, opts),
+  total += stats;
+  EXPECT_EQ(leader_flood(net, active, &stats, opts),
             leader_flood_oracle(net, active));
-  EXPECT_EQ(khop_landmark_election(net, active, 2, nullptr, opts),
+  total += stats;
+  EXPECT_EQ(khop_landmark_election(net, active, 2, &stats, opts),
             khop_landmark_election(net, active, 2));
-  EXPECT_GT(model.stats().duplicated, 0u);
-  EXPECT_EQ(model.stats().dropped, 0u);
+  total += stats;
+  EXPECT_GT(total.duplicated, 0u);
+  EXPECT_EQ(total.dropped, 0u);
 }
 
 // ---------------------------------------------------------------------------
@@ -325,15 +510,15 @@ TEST_P(LossTolerance, FloodsConvergeAtFifteenPercentLossWithRepeat3) {
   FaultConfig cfg;
   cfg.drop_probability = 0.15;
   cfg.seed = GetParam();
+  const FaultModel model(cfg);
+  ProtocolOptions opts;
+  opts.faults = &model;
+  opts.repeat = 3;
 
   // Per-hop delivery with 3 transmissions: 1 - 0.15^3 = 99.66%. The
   // fragment-wide leader flood has both that and path redundancy plus n
   // rounds to recover, so it converges to the exact oracle answer.
   {
-    FaultModel model(cfg, net.num_nodes());
-    ProtocolOptions opts;
-    opts.faults = &model;
-    opts.repeat = 3;
     RunStats stats;
     EXPECT_EQ(leader_flood(net, active, &stats, opts),
               leader_flood_oracle(net, active));
@@ -346,10 +531,6 @@ TEST_P(LossTolerance, FloodsConvergeAtFifteenPercentLossWithRepeat3) {
   // heard volume must stay within 1% of the oracle, and no node may hear
   // phantoms or go deaf.
   {
-    FaultModel model(cfg, net.num_nodes());
-    ProtocolOptions opts;
-    opts.faults = &model;
-    opts.repeat = 3;
     const auto lossy = ttl_flood_count(net, active, 2, nullptr, opts);
     const auto exact = ttl_flood_count_oracle(net, active, 2);
     std::size_t matching = 0;
@@ -382,7 +563,7 @@ TEST(LossTolerance, TwentyPercentLossDegradesGracefullyNotCatastrophically) {
   FaultConfig cfg;
   cfg.drop_probability = 0.2;
   cfg.seed = 3;
-  FaultModel model(cfg, net.num_nodes());
+  const FaultModel model(cfg);
   ProtocolOptions opts;
   opts.faults = &model;
   opts.repeat = 2;
@@ -402,20 +583,24 @@ TEST(LossTolerance, TwentyPercentLossDegradesGracefullyNotCatastrophically) {
       << "repeat=2 at 20% loss should retain >80% of the flood volume";
 }
 
+// Crashes reach the election as inactive nodes: under loss it still
+// terminates and elects only live ones.
 TEST(LossTolerance, ElectionTerminatesAndElectsOnlyLiveNodes) {
   const net::Network net = random_network(13, 80, 100);
-  NodeMask active(net.num_nodes(), true);
   FaultConfig cfg;
   cfg.drop_probability = 0.2;
   cfg.crash_probability = 0.01;
   cfg.seed = 5;
-  FaultModel model(cfg, net.num_nodes());
+  const NodeMask alive = alive_at(cfg, net.num_nodes(), 10);
+  ASSERT_LT(std::count(alive.begin(), alive.end(), true),
+            static_cast<std::ptrdiff_t>(net.num_nodes()));
+  const FaultModel model(cfg);
   ProtocolOptions opts;
   opts.faults = &model;
   opts.repeat = 2;
-  const auto landmarks = khop_landmark_election(net, active, 2, nullptr, opts);
+  const auto landmarks = khop_landmark_election(net, alive, 2, nullptr, opts);
   ASSERT_FALSE(landmarks.empty());
-  for (NodeId lm : landmarks) EXPECT_FALSE(model.is_down(lm));
+  for (NodeId lm : landmarks) EXPECT_TRUE(alive[lm]);
 }
 
 // ---------------------------------------------------------------------------
@@ -423,21 +608,19 @@ TEST(LossTolerance, ElectionTerminatesAndElectsOnlyLiveNodes) {
 
 TEST(CrashTolerance, CrashedNodesReportNothing) {
   const net::Network net = line_network(7);
-  NodeMask active(7, true);
   FaultConfig cfg;
   cfg.crash_at_round = {{3, 0}};  // severs the line into two fragments
-  FaultModel model(cfg, net.num_nodes());
+  const NodeMask alive = alive_at(cfg, net.num_nodes(), 0);
+  const FaultModel model(cfg);
   ProtocolOptions opts;
   opts.faults = &model;
 
-  const auto counts = ttl_flood_count(net, active, 6, nullptr, opts);
+  const auto counts = ttl_flood_count(net, alive, 6, nullptr, opts);
   EXPECT_EQ(counts[0], 3u);  // 0,1,2 only — 3 is a barrier now
   EXPECT_EQ(counts[3], 0u);
   EXPECT_EQ(counts[6], 3u);
 
-  FaultModel model2(cfg, net.num_nodes());
-  opts.faults = &model2;
-  const auto leader = leader_flood(net, active, nullptr, opts);
+  const auto leader = leader_flood(net, alive, nullptr, opts);
   EXPECT_EQ(leader[0], 0u);
   EXPECT_EQ(leader[2], 0u);
   EXPECT_EQ(leader[3], net::kInvalidNode);
@@ -461,15 +644,15 @@ TEST(CrashTolerance, AllInactiveMaskReturnsImmediately) {
 
 TEST(CrashTolerance, EveryNodeCrashedStillTerminates) {
   const net::Network net = line_network(5);
-  NodeMask active(5, true);
   FaultConfig cfg;
   cfg.crash_fraction = 1.0;
-  FaultModel model(cfg, net.num_nodes());
+  const NodeMask alive = alive_at(cfg, net.num_nodes(), 0);
+  const FaultModel model(cfg);
   ProtocolOptions opts;
   opts.faults = &model;
-  const auto counts = ttl_flood_count(net, active, 3, nullptr, opts);
+  const auto counts = ttl_flood_count(net, alive, 3, nullptr, opts);
   for (NodeId v = 0; v < 5; ++v) EXPECT_EQ(counts[v], 0u);
-  const auto landmarks = khop_landmark_election(net, active, 2, nullptr, opts);
+  const auto landmarks = khop_landmark_election(net, alive, 2, nullptr, opts);
   EXPECT_TRUE(landmarks.empty());
 }
 
@@ -521,10 +704,11 @@ TEST(PipelineFaults, CrashedNodesAreNeverReportedAsBoundary) {
 
   const PipelineResult result = detect_boundaries(network, cfg);
   EXPECT_GT(result.crashed_nodes, 0u);
-  // Rebuild the model to recover the (deterministic) down set.
-  sim::FaultModel model(faults, network.num_nodes());
+  // The schedule is a pure function of the config: recover the down set.
+  const std::vector<std::size_t> death =
+      sim::death_rounds(faults, network.num_nodes());
   for (NodeId v = 0; v < network.num_nodes(); ++v) {
-    if (model.is_down(v)) {
+    if (death[v] == 0) {
       EXPECT_FALSE(result.ubf_candidates[v]);
       EXPECT_FALSE(result.boundary[v]);
       EXPECT_EQ(result.groups.leader[v], net::kInvalidNode);

@@ -177,7 +177,7 @@ BoundarySurface build_one_surface(const net::Network& network,
   surface.group_leader = leader;
 
   // Step I on the round engine: an inert fault model forces that path.
-  sim::FaultModel inert(sim::FaultConfig{}, network.num_nodes());
+  const sim::FaultModel inert(sim::FaultConfig{});
   sim::ProtocolOptions engine;
   engine.faults = &inert;
   surface.landmarks = sim::khop_landmark_election(

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 
 #include "common/assert.hpp"
 #include "common/rng.hpp"
@@ -469,14 +470,186 @@ TEST(SessionFaults, DeltaFromFaultStateSortedDedupIdempotent) {
   const net::Network net = sphere_network(38, 80, 100);
   sim::FaultConfig fc;
   fc.crash_at_round = {{20, 0}, {5, 0}, {20, 0}};  // unsorted, duplicated
-  const sim::FaultModel model(fc, net.num_nodes());
 
   DetectionSession session(net);
-  const NetworkDelta d = delta_from_fault_state(session, model);
+  const NetworkDelta d = delta_from_fault_state(session, fc, 0);
   EXPECT_EQ(d.crashed, (std::vector<NodeId>{5, 20}));
   EXPECT_TRUE(d.revived.empty());
   session.apply(d);
-  EXPECT_TRUE(delta_from_fault_state(session, model).empty());
+  EXPECT_TRUE(delta_from_fault_state(session, fc, 0).empty());
+  EXPECT_TRUE(delta_from_fault_state(session, fc, 9).empty());
+}
+
+/// `expect_same_result` plus the fault telemetry.
+void expect_same_faulted(const PipelineResult& a, const PipelineResult& b,
+                         const char* what) {
+  expect_same_result(a, b, what);
+  EXPECT_EQ(a.crashed_nodes, b.crashed_nodes) << what;
+  EXPECT_EQ(a.fault_stats.dropped, b.fault_stats.dropped) << what;
+  EXPECT_EQ(a.fault_stats.duplicated, b.fault_stats.duplicated) << what;
+  EXPECT_EQ(a.fault_stats.crashed, b.fault_stats.crashed) << what;
+}
+
+std::vector<bool> alive_set(const DetectionSession& session) {
+  std::vector<bool> alive(session.network().num_nodes());
+  for (NodeId v = 0; v < alive.size(); ++v) alive[v] = session.is_alive(v);
+  return alive;
+}
+
+/// A true-coordinates config under every fault mechanism at once.
+PipelineConfig every_fault_config() {
+  PipelineConfig cfg;
+  cfg.use_true_coordinates = true;
+  cfg.flood_repeat = 2;
+  sim::FaultConfig faults;
+  faults.drop_probability = 0.1;
+  faults.link_loss_max = 0.1;
+  faults.duplicate_probability = 0.05;
+  faults.crash_fraction = 0.05;
+  faults.crash_probability = 0.01;
+  faults.crash_at_round = {{7, 2}, {40, 5}, {41, 0}};
+  faults.seed = 19;
+  cfg.faults = faults;
+  return cfg;
+}
+
+// The fault clock is additive: two advances leave the session as one
+// advance by their sum, and their casualties partition its casualties.
+TEST(SessionFaults, AdvanceFaultsComposesAdditively) {
+  const net::Network net = sphere_network(39, 80, 100);
+  const PipelineConfig cfg = every_fault_config();
+  DetectionSession split(net);
+  DetectionSession whole(net);
+  (void)split.run(cfg);
+  (void)whole.run(cfg);
+
+  const NetworkDelta a = split.advance_faults(3);
+  const NetworkDelta b = split.advance_faults(4);
+  const NetworkDelta ab = whole.advance_faults(7);
+  EXPECT_EQ(alive_set(split), alive_set(whole));
+  std::vector<NodeId> both = a.crashed;
+  both.insert(both.end(), b.crashed.begin(), b.crashed.end());
+  std::sort(both.begin(), both.end());
+  EXPECT_EQ(both, ab.crashed);
+  EXPECT_FALSE(ab.crashed.empty());
+  EXPECT_TRUE(a.revived.empty() && b.revived.empty() && ab.revived.empty());
+  expect_same_faulted(split.run(cfg), whole.run(cfg),
+                      "advance(3) + advance(4) vs advance(7)");
+}
+
+// A faulted run depends on its config and the fault clock alone: a
+// session that first ran a reliable run and a θ sweep returns what a
+// fresh session does.
+TEST(SessionFaults, EarlierRunsDoNotChangeAFaultedRun) {
+  const net::Network net = sphere_network(40, 80, 100);
+  const PipelineConfig faulted = every_fault_config();
+  PipelineConfig reliable = faulted;
+  reliable.faults.reset();
+
+  DetectionSession used(net);
+  (void)used.run(reliable);
+  for (const std::uint32_t theta : {10u, 15u, 25u}) {
+    PipelineConfig sweep = reliable;
+    sweep.iff.theta = theta;
+    (void)used.run(sweep);
+    sweep.faults = faulted.faults;
+    (void)used.run(sweep);
+  }
+  DetectionSession fresh(net);
+  const PipelineResult want = fresh.run(faulted);
+  expect_same_faulted(used.run(faulted), want, "used vs fresh session");
+  EXPECT_GT(want.fault_stats.dropped, 0u);
+  EXPECT_GT(want.fault_stats.duplicated, 0u);
+  EXPECT_GT(want.crashed_nodes, 0u);
+}
+
+// Schedule order and repeats are not part of the config's identity: a
+// permuted, duplicated schedule keeps the installed clock.
+TEST(SessionFaults, PermutedScheduleKeepsTheClock) {
+  const net::Network net = sphere_network(41, 80, 100);
+  const PipelineConfig cfg = every_fault_config();
+  DetectionSession session(net);
+  (void)session.run(cfg);
+  (void)session.advance_faults(6);
+  EXPECT_FALSE(session.is_alive(40));  // scheduled for round 5
+  const std::vector<bool> alive = alive_set(session);
+
+  PipelineConfig permuted = cfg;
+  permuted.faults->crash_at_round = {{41, 0}, {40, 5}, {7, 2}, {40, 5}};
+  const PipelineResult r = session.run(permuted);
+  EXPECT_EQ(alive_set(session), alive);
+  expect_same_faulted(r, session.run(cfg), "permuted vs listed schedule");
+}
+
+TEST(SessionFaults, CasualtiesOnlyGrowAsTheClockAdvances) {
+  const net::Network net = sphere_network(42, 80, 100);
+  const PipelineConfig cfg = every_fault_config();
+  DetectionSession session(net);
+  (void)session.run(cfg);
+  std::vector<bool> previous = alive_set(session);
+  for (int step = 0; step < 12; ++step) {
+    const NetworkDelta fired = session.advance_faults(1);
+    EXPECT_TRUE(fired.revived.empty()) << "step " << step;
+    const std::vector<bool> alive = alive_set(session);
+    for (NodeId v = 0; v < alive.size(); ++v)
+      EXPECT_TRUE(previous[v] || !alive[v]) << "node " << v << " revived";
+    for (const NodeId v : fired.crashed) EXPECT_TRUE(previous[v]);
+    previous = alive;
+  }
+  EXPECT_FALSE(session.is_alive(7));
+  EXPECT_FALSE(session.is_alive(40));
+}
+
+// A bad fault config fails at the API boundary — out-of-range schedule
+// ids, and probabilities that are NaN or outside [0, 1], even on an
+// otherwise inert config — and leaves the session exactly as it was.
+TEST(SessionFaults, InvalidConfigRejectedBeforeAnyStateChange) {
+  const net::Network net = sphere_network(43, 80, 100);
+  const PipelineConfig cfg = every_fault_config();
+  const double nan = std::nan("");
+  std::vector<sim::FaultConfig> bad(7, *cfg.faults);
+  bad[0].crash_at_round.push_back({static_cast<NodeId>(net.num_nodes()), 1});
+  bad[1].drop_probability = nan;
+  bad[2].crash_probability = nan;
+  bad[3].crash_fraction = -0.1;
+  bad[4].duplicate_probability = 1.5;
+  bad[5].link_loss_max = 2.0;
+  bad[6] = sim::FaultConfig{};
+  bad[6].drop_probability = nan;
+  ASSERT_FALSE(bad[6].any());
+
+  DetectionSession session(net);
+  (void)session.run(cfg);
+  (void)session.advance_faults(3);
+  const std::vector<bool> alive = alive_set(session);
+  const std::uint64_t ubf_runs = session.stats().ubf.full_runs +
+                                 session.stats().ubf.partial_runs +
+                                 session.stats().ubf.cache_hits;
+  for (std::size_t i = 0; i < bad.size(); ++i) {
+    PipelineConfig c = cfg;
+    c.faults = bad[i];
+    EXPECT_THROW((void)session.run(c), InvalidArgument) << "config " << i;
+    EXPECT_EQ(alive_set(session), alive) << "config " << i;
+    EXPECT_TRUE(session.has_fault_model()) << "config " << i;
+    EXPECT_EQ(session.stats().ubf.full_runs + session.stats().ubf.partial_runs +
+                  session.stats().ubf.cache_hits,
+              ubf_runs)
+        << "config " << i;
+  }
+  // The clock survived: the next valid run sees round 3.
+  DetectionSession reference(net);
+  (void)reference.run(cfg);
+  (void)reference.advance_faults(3);
+  expect_same_faulted(session.run(cfg), reference.run(cfg),
+                      "after rejected configs");
+
+  DetectionSession fresh(net);
+  PipelineConfig c = cfg;
+  c.faults = bad[0];
+  EXPECT_THROW((void)fresh.run(c), InvalidArgument);
+  EXPECT_EQ(fresh.num_alive(), net.num_nodes());
+  EXPECT_FALSE(fresh.has_fault_model());
+  EXPECT_EQ(fresh.result_fingerprint(), 0u);
 }
 
 // --- Observability: stage counters and quality artifacts -------------------

@@ -1,6 +1,7 @@
 // Tests for src/sim: the round engine semantics (locality enforcement,
 // round delivery, quiescence, delivery order against a dense-scan
-// reference engine) and the three protocols, each checked against its BFS
+// reference engine, faulted results independent of drain order) and the
+// three protocols, each checked against its BFS
 // oracle on random networks; the BFS paths of the TTL flood count and the
 // landmark election are checked against their engine paths.
 
@@ -249,7 +250,7 @@ TEST(LandmarkElection, FaultFreeMatchesEngine) {
           ProtocolOptions plain;
           plain.repeat = repeat;
           plain.max_rounds = max_rounds;
-          FaultModel inert(FaultConfig{}, net.num_nodes());
+          const FaultModel inert(FaultConfig{});
           ProtocolOptions engine = plain;
           engine.faults = &inert;
 
@@ -283,7 +284,7 @@ TEST(TtlFloodCount, MaxTtlMatchesOracle) {
   const std::vector<std::uint32_t> want = {3, 3, 3, 0, 2, 2};
   EXPECT_EQ(ttl_flood_count_oracle(net, active, net::kUnreachable), want);
 
-  FaultModel inert(FaultConfig{}, net.num_nodes());
+  const FaultModel inert(FaultConfig{});
   ProtocolOptions engine;
   engine.faults = &inert;
   RunStats plain_stats, engine_stats;
@@ -306,7 +307,7 @@ TEST(LandmarkElection, MaxSpacingElectsOnePerComponent) {
   NodeMask split(6, true);
   split[3] = false;
   const NodeMask all(6, true);
-  FaultModel inert(FaultConfig{}, net.num_nodes());
+  const FaultModel inert(FaultConfig{});
   ProtocolOptions engine;
   engine.faults = &inert;
   for (const ProtocolOptions& opts : {ProtocolOptions{}, engine}) {
@@ -406,7 +407,7 @@ TEST(TtlFloodCount, FaultFreeMatchesEngine) {
             ProtocolOptions plain;
             plain.repeat = repeat;
             plain.max_rounds = max_rounds;
-            FaultModel inert(FaultConfig{}, net.num_nodes());
+            const FaultModel inert(FaultConfig{});
             ProtocolOptions engine = plain;
             engine.faults = &inert;
 
@@ -442,26 +443,27 @@ TEST(TtlFloodCount, FaultFreeMatchesEngine) {
 
 /// A literal copy of the engine loop before the mail list: every round it
 /// swaps the pending inboxes out into a fresh N-sized array and scans all N
-/// receivers in id order. The obs hook is left out.
-template <typename M>
+/// receivers in id order — or, when `kShuffle` is non-zero, in an order
+/// drawn from an Rng seeded with it, each inbox shuffled too. The obs hook
+/// is left out.
+template <typename M, std::uint64_t kShuffle = 0>
 class DenseEngine {
  public:
   DenseEngine(const net::Network& net, const net::NodeMask* active,
-              const char* /*protocol*/, FaultModel* faults)
+              const char* protocol, const FaultModel* faults)
       : net_(&net), active_(active), faults_(faults),
-        pending_(net.num_nodes()) {}
+        pending_(net.num_nodes()) {
+    for (const char* c = protocol; c != nullptr && *c != '\0'; ++c) {
+      protocol_key_ ^= static_cast<unsigned char>(*c);
+      protocol_key_ *= 0x100000001b3ull;
+    }
+  }
 
   bool is_active(net::NodeId v) const {
     return active_ == nullptr || (*active_)[v];
   }
 
   void broadcast(net::NodeId from, M msg) {
-    if (faults_ != nullptr) {
-      if (faults_->is_down(from) || !is_active(from)) {
-        drop(1);
-        return;
-      }
-    }
     const auto neighbors = net_->neighbors(from);
     net::NodeId last = net::kInvalidNode;
     for (net::NodeId v : neighbors) {
@@ -483,27 +485,24 @@ class DenseEngine {
     for (std::size_t round = 0; round < max_rounds; ++round) {
       if (!messages_in_flight()) break;
       ++stats_.rounds;
-      if (faults_ != nullptr) faults_->advance_round();
       std::vector<std::vector<std::pair<net::NodeId, M>>> delivering(
           net_->num_nodes());
       delivering.swap(pending_);
-      for (net::NodeId v = 0; v < net_->num_nodes(); ++v) {
-        if (delivering[v].empty()) continue;
-        if (faults_ != nullptr && faults_->is_down(v)) {
-          drop(delivering[v].size());
-          continue;
-        }
-        for (auto& [from, msg] : delivering[v]) {
-          if (faults_ == nullptr) {
-            handler(v, from, msg);
-            continue;
-          }
-          if (!faults_->deliver(from, v)) {
-            ++stats_.dropped;
-            continue;
-          }
-          handler(v, from, msg);
-          if (faults_->duplicate()) {
+      std::vector<net::NodeId> order(net_->num_nodes());
+      for (net::NodeId v = 0; v < order.size(); ++v) order[v] = v;
+      shuffle(order);
+      for (net::NodeId v : order) {
+        auto& inbox = delivering[v];
+        shuffle(inbox);
+        for (auto& [from, msg] : inbox) {
+          const unsigned copies =
+              faults_ == nullptr
+                  ? 1u
+                  : faults_->deliveries(protocol_key_, stats_.rounds, from,
+                                        v, msg.transmission());
+          if (copies == 0) ++stats_.dropped;
+          if (copies > 0) handler(v, from, msg);
+          if (copies > 1) {
             ++stats_.duplicated;
             handler(v, from, msg);
           }
@@ -522,17 +521,29 @@ class DenseEngine {
   const RunStats& stats() const { return stats_; }
 
  private:
-  void drop(std::size_t n) {
-    stats_.dropped += n;
-    faults_->note_dropped(n);
+  /// Fisher–Yates under the drain seed; the identity without one.
+  template <typename T>
+  void shuffle(std::vector<T>& items) {
+    if (kShuffle == 0) return;
+    for (std::size_t i = items.size(); i > 1; --i)
+      std::swap(items[i - 1], items[rng_.uniform_index(i)]);
   }
 
   const net::Network* net_;
   const net::NodeMask* active_;
-  FaultModel* faults_;
+  const FaultModel* faults_;
+  std::uint64_t protocol_key_ = 0xcbf29ce484222325ull;
   std::vector<std::vector<std::pair<net::NodeId, M>>> pending_;
   RunStats stats_;
+  Rng rng_{kShuffle};
 };
+
+template <typename M>
+using SortedEngine = DenseEngine<M>;
+template <typename M>
+using ShuffledEngine = DenseEngine<M, 0x5eed>;
+template <typename M>
+using ReshuffledEngine = DenseEngine<M, 0xd1ce>;
 
 /// Handler invocations in order: (round, self, from).
 using DeliveryLog = std::vector<std::tuple<std::size_t, NodeId, NodeId>>;
@@ -540,93 +551,100 @@ using DeliveryLog = std::vector<std::tuple<std::size_t, NodeId, NodeId>>;
 struct ProtocolTrace {
   DeliveryLog log;
   RunStats stats;
-  FaultStats faults;
   std::vector<NodeId> result;  // counts, leaders or landmarks
 };
 
-// The three protocols' engine paths (sim/protocols.cpp), on engine `E`.
+// The three protocols' engine paths (sim/protocols.cpp), on engine `E`,
+// with the library's protocol names and transmission identities.
 
 template <template <typename> class E>
 ProtocolTrace trace_ttl_flood(const net::Network& net, const NodeMask& active,
                               std::uint32_t ttl, std::uint32_t repeat,
-                              const FaultConfig& cfg) {
+                              const FaultModel& faults) {
   struct Msg {
     NodeId origin;
     std::uint32_t ttl;
+    std::uint32_t copy;
+    std::uint64_t transmission() const {
+      return mix_hash(std::uint64_t{origin} << 32 | ttl, copy);
+    }
   };
   ProtocolTrace t;
-  FaultModel faults(cfg, net.num_nodes());
   std::vector<std::unordered_set<NodeId>> heard(net.num_nodes());
   {
-    E<Msg> engine(net, &active, nullptr, &faults);
+    E<Msg> engine(net, &active, "ttl_flood", &faults);
     for (NodeId v = 0; v < net.num_nodes(); ++v) {
-      if (!active[v] || faults.is_down(v)) continue;
+      if (!active[v]) continue;
       heard[v].insert(v);
       for (std::uint32_t r = 0; r < repeat; ++r)
-        engine.broadcast(v, {v, ttl - 1});
+        engine.broadcast(v, {v, ttl - 1, r});
     }
     t.stats = engine.run(
         [&](NodeId self, NodeId from, const Msg& msg) {
           t.log.emplace_back(engine.stats().rounds, self, from);
           if (heard[self].insert(msg.origin).second && msg.ttl > 0) {
             for (std::uint32_t r = 0; r < repeat; ++r)
-              engine.broadcast(self, {msg.origin, msg.ttl - 1});
+              engine.broadcast(self, {msg.origin, msg.ttl - 1, r});
           }
         },
         std::size_t{ttl} + 1);
   }
   for (NodeId v = 0; v < net.num_nodes(); ++v)
-    t.result.push_back(active[v] && !faults.is_down(v)
-                           ? static_cast<NodeId>(heard[v].size())
-                           : 0);
-  t.faults = faults.stats();
+    t.result.push_back(active[v] ? static_cast<NodeId>(heard[v].size()) : 0);
   return t;
 }
 
 template <template <typename> class E>
 ProtocolTrace trace_leader_flood(const net::Network& net,
                                  const NodeMask& active, std::uint32_t repeat,
-                                 const FaultConfig& cfg) {
-  ProtocolTrace t;
-  FaultModel faults(cfg, net.num_nodes());
-  t.result.assign(net.num_nodes(), net::kInvalidNode);
-  {
-    E<NodeId> engine(net, &active, nullptr, &faults);
-    for (NodeId v = 0; v < net.num_nodes(); ++v) {
-      if (!active[v] || faults.is_down(v)) continue;
-      t.result[v] = v;
-      for (std::uint32_t r = 0; r < repeat; ++r) engine.broadcast(v, v);
+                                 const FaultModel& faults) {
+  struct Msg {
+    NodeId id;
+    std::uint32_t copy;
+    std::uint64_t transmission() const {
+      return std::uint64_t{id} << 32 | copy;
     }
-    t.stats = engine.run(
-        [&](NodeId self, NodeId from, NodeId candidate) {
-          t.log.emplace_back(engine.stats().rounds, self, from);
-          if (candidate < t.result[self]) {
-            t.result[self] = candidate;
-            for (std::uint32_t r = 0; r < repeat; ++r)
-              engine.broadcast(self, candidate);
-          }
-        },
-        net.num_nodes() + 1);
-  }
+  };
+  ProtocolTrace t;
+  t.result.assign(net.num_nodes(), net::kInvalidNode);
+  E<Msg> engine(net, &active, "leader_flood", &faults);
   for (NodeId v = 0; v < net.num_nodes(); ++v) {
-    if (faults.is_down(v)) t.result[v] = net::kInvalidNode;
+    if (!active[v]) continue;
+    t.result[v] = v;
+    for (std::uint32_t r = 0; r < repeat; ++r) engine.broadcast(v, {v, r});
   }
-  t.faults = faults.stats();
+  t.stats = engine.run(
+      [&](NodeId self, NodeId from, const Msg& msg) {
+        t.log.emplace_back(engine.stats().rounds, self, from);
+        if (msg.id < t.result[self]) {
+          t.result[self] = msg.id;
+          for (std::uint32_t r = 0; r < repeat; ++r)
+            engine.broadcast(self, {msg.id, r});
+        }
+      },
+      net.num_nodes() + 1);
   return t;
 }
 
 template <template <typename> class E>
 ProtocolTrace trace_election(const net::Network& net, const NodeMask& active,
                              std::uint32_t k, std::uint32_t repeat,
-                             const FaultConfig& cfg) {
+                             const FaultModel& faults) {
   struct Msg {
+    std::uint8_t kind;  // 0 bid, 1 cover
     NodeId id;
     std::uint32_t ttl;
+    std::uint32_t copy;
+    std::uint32_t iteration;
+    std::uint64_t transmission() const {
+      return mix_hash(mix_hash(std::uint64_t{id} << 32 | ttl,
+                               std::uint64_t{iteration} << 32 | copy),
+                      kind);
+    }
   };
   enum Status : std::uint8_t { kUndecided, kLandmark, kCovered };
   const std::size_t n = net.num_nodes();
   ProtocolTrace t;
-  FaultModel faults(cfg, n);
   std::vector<Status> status(n, kUndecided);
   std::size_t undecided = 0;
   for (NodeId v = 0; v < n; ++v) {
@@ -635,16 +653,18 @@ ProtocolTrace trace_election(const net::Network& net, const NodeMask& active,
   }
   // One flood phase: bids (cover = false) or covers, TTL-refreshed.
   const auto phase = [&](const std::vector<NodeId>& sources, bool cover,
+                         std::uint32_t iteration,
                          std::vector<NodeId>& min_bid) {
+    const std::uint8_t kind = cover ? 1 : 0;
     std::vector<std::unordered_map<NodeId, std::uint32_t>> heard(n);
-    E<Msg> engine(net, &active, nullptr, &faults);
+    E<Msg> engine(net, &active, "landmark_election", &faults);
     for (NodeId v : sources) {
       if (!cover) {
         min_bid[v] = v;
         heard[v][v] = k;
       }
       for (std::uint32_t r = 0; r < repeat; ++r)
-        engine.broadcast(v, {v, k - 1});
+        engine.broadcast(v, {kind, v, k - 1, r, iteration});
     }
     t.stats += engine.run(
         [&](NodeId self, NodeId from, const Msg& msg) {
@@ -664,40 +684,43 @@ ProtocolTrace trace_election(const net::Network& net, const NodeMask& active,
           }
           if (msg.ttl > 0) {
             for (std::uint32_t r = 0; r < repeat; ++r)
-              engine.broadcast(self, {msg.id, msg.ttl - 1});
+              engine.broadcast(self, {kind, msg.id, msg.ttl - 1, r,
+                                      iteration});
           }
         },
         std::size_t{k} + 1);
   };
-  std::size_t iterations = 0;
-  while (undecided > 0) {
-    for (NodeId v = 0; v < n; ++v) {
-      if (status[v] == kUndecided && faults.is_down(v)) {
-        status[v] = kCovered;
-        --undecided;
-      }
-    }
-    if (undecided == 0 || ++iterations > n + 1) break;
+  for (std::uint32_t iteration = 0; undecided > 0; ++iteration) {
     std::vector<NodeId> bidders, winners;
     for (NodeId v = 0; v < n; ++v) {
       if (status[v] == kUndecided) bidders.push_back(v);
     }
     std::vector<NodeId> min_bid(n, net::kInvalidNode);
-    phase(bidders, false, min_bid);
+    phase(bidders, false, iteration, min_bid);
     for (NodeId v : bidders) {
-      if (min_bid[v] == v && !faults.is_down(v)) {
+      if (min_bid[v] == v) {
         status[v] = kLandmark;
         winners.push_back(v);
         --undecided;
       }
     }
-    if (winners.empty()) continue;
-    phase(winners, true, min_bid);
+    if (winners.empty()) {
+      ADD_FAILURE() << "election iteration " << iteration << " elected nobody";
+      break;
+    }
+    phase(winners, true, iteration, min_bid);
     t.result.insert(t.result.end(), winners.begin(), winners.end());
   }
   std::sort(t.result.begin(), t.result.end());
-  t.faults = faults.stats();
   return t;
+}
+
+void expect_same_stats(const RunStats& got, const RunStats& want,
+                       const std::string& where) {
+  EXPECT_EQ(got.rounds, want.rounds) << where;
+  EXPECT_EQ(got.messages, want.messages) << where;
+  EXPECT_EQ(got.dropped, want.dropped) << where;
+  EXPECT_EQ(got.duplicated, want.duplicated) << where;
 }
 
 void expect_same_trace(const ProtocolTrace& got, const ProtocolTrace& want,
@@ -705,86 +728,134 @@ void expect_same_trace(const ProtocolTrace& got, const ProtocolTrace& want,
   EXPECT_FALSE(want.log.empty()) << where;
   EXPECT_TRUE(got.log == want.log) << where;
   EXPECT_EQ(got.result, want.result) << where;
-  EXPECT_EQ(got.stats.rounds, want.stats.rounds) << where;
-  EXPECT_EQ(got.stats.messages, want.stats.messages) << where;
-  EXPECT_EQ(got.stats.dropped, want.stats.dropped) << where;
-  EXPECT_EQ(got.stats.duplicated, want.stats.duplicated) << where;
-  EXPECT_EQ(got.faults.dropped, want.faults.dropped) << where;
-  EXPECT_EQ(got.faults.duplicated, want.faults.duplicated) << where;
-  EXPECT_EQ(got.faults.crashed, want.faults.crashed) << where;
+  expect_same_stats(got.stats, want.stats, where);
 }
 
-// A FaultModel draws loss and duplication from one sequential stream, so
-// the frontier engine must invoke handlers in exactly the dense scan's
-// order — ascending receiver, FIFO within an inbox — for every faulted run
-// to stay bit-identical.
+/// The fault scenarios the delivery-order tests run: a lossy and a
+/// duplicating channel, and a crash schedule (at fault clock 2) folded
+/// into the active mask over a lossy channel.
+struct FaultScenario {
+  FaultConfig config;
+  NodeMask active;
+};
+
+std::vector<FaultScenario> fault_scenarios(const net::Network& net,
+                                           std::uint64_t seed) {
+  const std::size_t n = net.num_nodes();
+  Rng rng(seed * 11 + 1);
+  NodeMask active(n);
+  for (NodeId v = 0; v < n; ++v) active[v] = rng.uniform() < 0.7;
+
+  std::vector<FaultScenario> out(3, {FaultConfig{}, active});
+  out[0].config.drop_probability = 0.2;
+  out[0].config.link_loss_max = 0.3;
+  out[0].config.seed = seed;
+  out[1].config.duplicate_probability = 0.25;
+  out[1].config.drop_probability = 0.05;
+  out[1].config.seed = seed + 1;
+  FaultConfig& crashing = out[2].config;
+  crashing.crash_fraction = 0.05;
+  crashing.crash_probability = 0.01;
+  crashing.drop_probability = 0.1;
+  for (NodeId v = 0; v < n; v += 37) crashing.crash_at_round.push_back({v, 2});
+  crashing.seed = seed + 2;
+  const std::vector<std::size_t> death = death_rounds(crashing, n);
+  for (NodeId v = 0; v < n; ++v) out[2].active[v] = active[v] && death[v] > 2;
+  return out;
+}
+
+// The frontier engine must invoke handlers in exactly the dense scan's
+// order — ascending receiver, FIFO within an inbox — under every fault
+// scenario: the leader flood's message count depends on it.
 TEST(RoundEngine, FrontierDeliversInDenseOrder) {
   for (std::uint64_t seed : {3u, 8u}) {
     const net::Network net = random_network(seed, 150, 200);
-    const std::size_t n = net.num_nodes();
-    Rng rng(seed * 11 + 1);
-    NodeMask active(n);
-    for (NodeId v = 0; v < n; ++v) active[v] = rng.uniform() < 0.7;
-
-    FaultConfig lossy;
-    lossy.drop_probability = 0.2;
-    lossy.link_loss_max = 0.3;
-    lossy.seed = seed;
-    FaultConfig duplicating;
-    duplicating.duplicate_probability = 0.25;
-    duplicating.drop_probability = 0.05;
-    duplicating.seed = seed + 1;
-    FaultConfig crashing;
-    crashing.crash_fraction = 0.05;
-    crashing.crash_probability = 0.01;
-    crashing.drop_probability = 0.1;
-    for (NodeId v = 0; v < n; v += 37)
-      crashing.crash_at_round.push_back({v, 2});
-    crashing.seed = seed + 2;
-
-    const FaultConfig* const configs[] = {&lossy, &duplicating, &crashing};
-    for (std::size_t c = 0; c < std::size(configs); ++c) {
-      const FaultConfig* cfg = configs[c];
+    const auto scenarios = fault_scenarios(net, seed);
+    for (std::size_t c = 0; c < scenarios.size(); ++c) {
+      const NodeMask& active = scenarios[c].active;
+      const FaultModel faults(scenarios[c].config);
       for (std::uint32_t repeat : {1u, 2u}) {
         const std::string where = "seed=" + std::to_string(seed) +
                                   " config=" + std::to_string(c) +
                                   " repeat=" + std::to_string(repeat);
+        const ProtocolTrace flood =
+            trace_ttl_flood<RoundEngine>(net, active, 3, repeat, faults);
         expect_same_trace(
-            trace_ttl_flood<RoundEngine>(net, active, 3, repeat, *cfg),
-            trace_ttl_flood<DenseEngine>(net, active, 3, repeat, *cfg),
+            flood, trace_ttl_flood<SortedEngine>(net, active, 3, repeat, faults),
             "ttl_flood " + where);
+        const ProtocolTrace leader =
+            trace_leader_flood<RoundEngine>(net, active, repeat, faults);
         expect_same_trace(
-            trace_leader_flood<RoundEngine>(net, active, repeat, *cfg),
-            trace_leader_flood<DenseEngine>(net, active, repeat, *cfg),
+            leader,
+            trace_leader_flood<SortedEngine>(net, active, repeat, faults),
             "leader_flood " + where);
+        const ProtocolTrace election =
+            trace_election<RoundEngine>(net, active, 2, repeat, faults);
         expect_same_trace(
-            trace_election<RoundEngine>(net, active, 2, repeat, *cfg),
-            trace_election<DenseEngine>(net, active, 2, repeat, *cfg),
+            election,
+            trace_election<SortedEngine>(net, active, 2, repeat, faults),
             "landmark_election " + where);
 
         // The traced drivers are the library's engine paths: same results
-        // under the same faults.
+        // and RunStats under the same faults.
         ProtocolOptions opts;
         opts.repeat = repeat;
-        FaultModel flood_faults(*cfg, n);
-        opts.faults = &flood_faults;
-        const auto counts = ttl_flood_count(net, active, 3, nullptr, opts);
+        opts.faults = &faults;
+        RunStats stats;
+        const auto counts = ttl_flood_count(net, active, 3, &stats, opts);
         EXPECT_EQ(std::vector<NodeId>(counts.begin(), counts.end()),
-                  trace_ttl_flood<RoundEngine>(net, active, 3, repeat, *cfg)
-                      .result)
+                  flood.result)
             << where;
-        FaultModel leader_faults(*cfg, n);
-        opts.faults = &leader_faults;
-        EXPECT_EQ(leader_flood(net, active, nullptr, opts),
-                  trace_leader_flood<RoundEngine>(net, active, repeat, *cfg)
-                      .result)
+        expect_same_stats(stats, flood.stats, "ttl_flood " + where);
+        EXPECT_EQ(leader_flood(net, active, &stats, opts), leader.result)
             << where;
-        FaultModel election_faults(*cfg, n);
-        opts.faults = &election_faults;
-        EXPECT_EQ(khop_landmark_election(net, active, 2, nullptr, opts),
-                  trace_election<RoundEngine>(net, active, 2, repeat, *cfg)
-                      .result)
+        expect_same_stats(stats, leader.stats, "leader_flood " + where);
+        EXPECT_EQ(khop_landmark_election(net, active, 2, &stats, opts),
+                  election.result)
             << where;
+        expect_same_stats(stats, election.stats, "election " + where);
+      }
+    }
+  }
+}
+
+// Every transmission's fate is a hash of the transmission, not a draw from
+// a stream, so the TTL flood and the election — whose forwarding decisions
+// within a round do not depend on arrival order — give the same counts,
+// landmarks and RunStats when the reference engine drains receivers and
+// inboxes in shuffled order. (The leader flood's message count does depend
+// on that order; see FrontierDeliversInDenseOrder.)
+TEST(RoundEngine, ShuffledDrainKeepsFaultedFloodCountsAndLandmarks) {
+  for (std::uint64_t seed : {3u, 8u}) {
+    const net::Network net = random_network(seed, 150, 200);
+    for (const FaultScenario& scenario : fault_scenarios(net, seed)) {
+      const NodeMask& active = scenario.active;
+      const FaultModel faults(scenario.config);
+      for (std::uint32_t repeat : {1u, 2u}) {
+        const std::string where = "seed=" + std::to_string(seed) +
+                                  " drop=" +
+                                  std::to_string(scenario.config.drop_probability) +
+                                  " repeat=" + std::to_string(repeat);
+        const ProtocolTrace flood =
+            trace_ttl_flood<SortedEngine>(net, active, 3, repeat, faults);
+        const ProtocolTrace election =
+            trace_election<SortedEngine>(net, active, 2, repeat, faults);
+        const ProtocolTrace shuffled_floods[] = {
+            trace_ttl_flood<ShuffledEngine>(net, active, 3, repeat, faults),
+            trace_ttl_flood<ReshuffledEngine>(net, active, 3, repeat, faults)};
+        for (const ProtocolTrace& got : shuffled_floods) {
+          EXPECT_FALSE(got.log == flood.log) << "drain order never changed";
+          EXPECT_EQ(got.result, flood.result) << "ttl_flood " << where;
+          expect_same_stats(got.stats, flood.stats, "ttl_flood " + where);
+        }
+        const ProtocolTrace shuffled_elections[] = {
+            trace_election<ShuffledEngine>(net, active, 2, repeat, faults),
+            trace_election<ReshuffledEngine>(net, active, 2, repeat, faults)};
+        for (const ProtocolTrace& got : shuffled_elections) {
+          EXPECT_EQ(got.result, election.result) << "election " << where;
+          expect_same_stats(got.stats, election.stats, "election " + where);
+        }
+        EXPECT_GT(flood.stats.dropped, 0u) << where;
       }
     }
   }
