@@ -41,7 +41,7 @@
 #include "common/buildinfo.hpp"
 #include "core/stats.hpp"
 #include "obs/export.hpp"
-#include "sim/engine.hpp"
+#include "sim/protocols.hpp"
 
 namespace ballfit::bench {
 

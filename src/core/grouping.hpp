@@ -12,7 +12,6 @@
 #include <vector>
 
 #include "net/network.hpp"
-#include "sim/engine.hpp"
 #include "sim/protocols.hpp"
 
 namespace ballfit::core {

@@ -16,7 +16,6 @@
 #include <vector>
 
 #include "net/network.hpp"
-#include "sim/engine.hpp"
 #include "sim/protocols.hpp"
 
 namespace ballfit::core {
@@ -27,9 +26,9 @@ struct IffConfig {
   /// T: flooding TTL in hops.
   std::uint32_t ttl = 3;
   /// Run the real message-passing protocol (default) or the BFS oracle
-  /// (identical output). On a reliable network both are the same per-node
-  /// BFS and cost the same; they differ only under a fault model, which
-  /// the oracle ignores.
+  /// (identical output). On a reliable network both are one bounded search
+  /// per candidate; they differ only under a fault model, which the oracle
+  /// ignores.
   bool use_message_passing = true;
 };
 
@@ -42,8 +41,8 @@ struct IffConfig {
 /// the threshold was applied to (0 for non-candidates) — the flood margin
 /// `counts[v] - θ` is the graded fragment-size signal behind the binary
 /// verdict, consumed by the per-boundary quality scores (grouping.hpp).
-/// `threads` spreads the reliable-network count over workers (0 =
-/// hardware concurrency); the result does not depend on it.
+/// `threads` spreads the count over workers (0 = hardware concurrency);
+/// the result does not depend on it.
 std::vector<bool> iff_filter(const net::Network& network,
                              const std::vector<bool>& candidates,
                              const IffConfig& config = {},

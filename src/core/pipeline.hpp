@@ -30,8 +30,8 @@
 #include "core/ubf.hpp"
 #include "net/measurement.hpp"
 #include "net/network.hpp"
-#include "sim/engine.hpp"
 #include "sim/faults.hpp"
+#include "sim/protocols.hpp"
 
 namespace ballfit::core {
 

@@ -1,8 +1,9 @@
 #pragma once
 
 /// \file faults.hpp
-/// Deterministic fault injection: a stateless lossy channel for the round
-/// engine, and a crash schedule for the detection session's alive mask.
+/// Deterministic fault injection: a stateless lossy channel for the
+/// flooding protocols, and a crash schedule for the detection session's
+/// alive mask.
 ///
 /// The paper's protocols assume the LOCAL model with reliable local
 /// broadcast; real 3D sensor deployments lose packets and nodes. Two pieces
@@ -14,12 +15,12 @@
 ///     v→u draw independently, the common radio pathology) and duplication
 ///     (`duplicate_probability`; handlers must be idempotent). Each
 ///     transmission's fate is a splitmix64 hash of (seed, protocol,
-///     engine-local round, from, to, transmission identity), where the
+///     protocol-local round, from, to, transmission identity), where the
 ///     protocol names the identity: the payload plus the copy index (plus
 ///     the iteration in the landmark election). So two different messages
 ///     on one link in one round draw independently, and no decision depends
-///     on what else ran before it or on the order an engine drains its
-///     queues.
+///     on what else ran before it or on the order a protocol decides its
+///     deliveries in.
 ///   - **Crashes** (`death_rounds`): `crash_fraction` (down from the
 ///     start), `crash_at_round` (scheduled deaths) and `crash_probability`
 ///     (each live node dies per round) collapse into one death round per
@@ -106,9 +107,10 @@ struct FaultStats {
 /// The lossy channel: a const, stateless function from one transmission
 /// to its number of deliveries. It holds only the channel's three
 /// probabilities and the seed — no generator, clock, counters or per-node
-/// state — so one model can serve any number of engines, in any order, on
-/// any thread, and every engine sees the same fates. The crash fields of
-/// the config it is built from play no part here (see `death_rounds`).
+/// state — so one model can serve any number of protocol runs, in any
+/// order, on any thread, and every run sees the same fates. The crash
+/// fields of the config it is built from play no part here (see
+/// `death_rounds`).
 class FaultModel {
  public:
   /// Throws `InvalidArgument` unless the channel probabilities lie in
@@ -116,9 +118,9 @@ class FaultModel {
   explicit FaultModel(const FaultConfig& config);
 
   /// How many times one transmission over from→to is delivered: 0 (lost),
-  /// 1, or 2 (duplicated). `protocol` names the engine run, `round` is the
-  /// engine-local round being delivered and `transmission` the identity the
-  /// protocol gave the message.
+  /// 1, or 2 (duplicated). `protocol` keys the protocol, `round` is the
+  /// protocol-local round being delivered and `transmission` the identity
+  /// the protocol gave the message.
   unsigned deliveries(std::uint64_t protocol, std::size_t round,
                       net::NodeId from, net::NodeId to,
                       std::uint64_t transmission) const;

@@ -1,11 +1,13 @@
 #include "sim/protocols.hpp"
 
 #include <algorithm>
-#include <unordered_map>
-#include <unordered_set>
+#include <atomic>
+#include <string>
+#include <string_view>
 
 #include "common/assert.hpp"
 #include "common/parallel.hpp"
+#include "obs/metrics.hpp"
 
 namespace ballfit::sim {
 
@@ -13,24 +15,54 @@ using net::NodeId;
 
 namespace {
 
-struct FloodMsg {
-  NodeId origin;
-  std::uint32_t ttl;
-  std::uint32_t copy;  ///< retransmission index, in [0, repeat)
-
-  std::uint64_t transmission() const {
-    return mix_hash(std::uint64_t{origin} << 32 | ttl, copy);
+/// One protocol's channel: the fault model (nullptr = reliable) and the
+/// FNV-1a hash of the protocol's name, which keys the model's draws and
+/// names the protocol's `sim.*` counters.
+class Channel {
+ public:
+  Channel(const FaultModel* faults, std::string_view protocol)
+      : faults_(faults), protocol_(protocol) {
+    for (const char c : protocol) {
+      key_ ^= static_cast<unsigned char>(c);
+      key_ *= 0x100000001b3ull;
+    }
   }
-};
 
-/// One copy of a leader-flood candidate.
-struct Candidate {
-  NodeId id;
-  std::uint32_t copy;
-
-  std::uint64_t transmission() const {
-    return std::uint64_t{id} << 32 | copy;
+  /// How many times one transmission over from→to is delivered in
+  /// `round`: always once on a reliable network; otherwise the model's
+  /// draw for the identity `transmission()` names, tallied in `stats`.
+  template <typename Identity>
+  unsigned deliver(std::size_t round, NodeId from, NodeId to,
+                   Identity&& transmission, RunStats& stats) const {
+    if (faults_ == nullptr) return 1;
+    const unsigned copies =
+        faults_->deliveries(key_, round, from, to, transmission());
+    if (copies == 0) ++stats.dropped;
+    if (copies > 1) ++stats.duplicated;
+    return copies;
   }
+
+  /// Adds `runs` runs' pooled cost to the protocol's counters, each run
+  /// over `active_nodes` nodes.
+  void record(const RunStats& cost, std::size_t runs,
+              std::size_t active_nodes) const {
+    if (!obs::enabled()) return;
+    const std::string prefix = "sim." + std::string(protocol_);
+    obs::Registry& reg = obs::Registry::global();
+    reg.counter(prefix + ".messages").add(cost.messages);
+    reg.counter(prefix + ".rounds").add(cost.rounds);
+    reg.counter(prefix + ".active_nodes").add(runs * active_nodes);
+    reg.counter(prefix + ".runs").add(runs);
+    if (faults_ != nullptr) {
+      reg.counter(prefix + ".dropped").add(cost.dropped);
+      reg.counter(prefix + ".duplicated").add(cost.duplicated);
+    }
+  }
+
+ private:
+  const FaultModel* faults_;
+  std::string_view protocol_;
+  std::uint64_t key_ = 0xcbf29ce484222325ull;  // FNV offset basis
 };
 
 /// Effective retransmission count (the knob is >= 1 by contract).
@@ -38,77 +70,106 @@ std::uint32_t repeat_of(const ProtocolOptions& opts) {
   return std::max<std::uint32_t>(1, opts.repeat);
 }
 
-/// True when no node in `active` can participate — protocols return their
-/// "knows nothing" result immediately instead of spinning up an engine and
-/// running empty rounds.
-bool none_active(const net::NodeMask& active) {
-  return std::none_of(active.begin(), active.end(),
-                      [](bool b) { return b; });
+std::vector<NodeId> active_nodes(const net::NodeMask& active) {
+  std::vector<NodeId> out;
+  for (NodeId v = 0; v < active.size(); ++v) {
+    if (active[v]) out.push_back(v);
+  }
+  return out;
 }
 
-/// One BoundedBfs per worker thread, reused across calls: its stamp arrays
-/// are sized once per network size.
+/// One source's flood in a TTL-bounded protocol, as a lossy bounded
+/// search. The source broadcasts in round 0; a node that first hears the
+/// packet in round R, with R < `ttl`, relays it in round R, `repeat`
+/// copies; each copy reaches every active neighbor in round R + 1 with TTL
+/// `ttl` − R − 1 left, or not, as the channel decides. Epoch-stamped, so a
+/// reused object costs what the flood reaches.
+class SourceFlood {
+ public:
+  /// Floods `source`'s packet over `active`. With `source_heard` the
+  /// source starts out having heard it; otherwise it hears it like any
+  /// other node, when an echo comes back, and relays it then.
+  /// `transmission(ttl_left, copy)` names a copy for the channel. Adds the
+  /// flood's messages, drops and duplicates to `cost` and raises
+  /// `cost.rounds` to the flood's last round.
+  template <typename Identity>
+  void run(const net::Network& net, const net::NodeMask& active,
+           NodeId source, std::uint32_t ttl, std::uint32_t repeat,
+           bool source_heard, const Channel& channel, Identity&& transmission,
+           RunStats& cost) {
+    if (stamp_.size() != net.num_nodes()) {
+      stamp_.assign(net.num_nodes(), 0);
+      epoch_ = 0;
+    }
+    if (++epoch_ == 0) {  // wrapped: no stale stamp may match
+      std::fill(stamp_.begin(), stamp_.end(), 0);
+      epoch_ = 1;
+    }
+    heard_.clear();
+    if (source_heard) hear(source);
+    relays_.assign(1, source);
+    for (std::size_t round = 1; round <= ttl && !relays_.empty(); ++round) {
+      const auto left = static_cast<std::uint32_t>(ttl - round);
+      next_.clear();
+      for (const NodeId w : relays_) {
+        cost.messages += repeat;
+        bool reaches = false;
+        for (const NodeId x : net.neighbors(w)) {
+          if (!active[x]) continue;
+          reaches = true;
+          for (std::uint32_t copy = 0; copy < repeat; ++copy) {
+            const unsigned copies = channel.deliver(
+                round, w, x, [&] { return transmission(left, copy); }, cost);
+            if (copies > 0 && stamp_[x] != epoch_) {
+              hear(x);
+              next_.push_back(x);
+            }
+          }
+        }
+        if (reaches) cost.rounds = std::max(cost.rounds, round);
+      }
+      relays_.swap(next_);
+    }
+  }
+
+  /// Nodes that heard the last run's packet, in the order they first did.
+  const std::vector<NodeId>& heard() const { return heard_; }
+
+ private:
+  void hear(NodeId v) {
+    stamp_[v] = epoch_;
+    heard_.push_back(v);
+  }
+
+  std::vector<std::uint32_t> stamp_;
+  std::uint32_t epoch_ = 0;
+  std::vector<NodeId> heard_;
+  std::vector<NodeId> relays_;  ///< this round's relays
+  std::vector<NodeId> next_;    ///< next round's
+};
+
+/// One flood object per worker thread, reused across calls.
+SourceFlood& local_flood() {
+  static thread_local SourceFlood flood;
+  return flood;
+}
+
+/// One BoundedBfs per worker thread, reused across calls.
 net::BoundedBfs& local_bfs() {
   static thread_local net::BoundedBfs bfs;
   return bfs;
 }
 
-/// The TTL flood on a reliable network, computed without the engine. There
-/// a packet from v reaches exactly the active nodes within `reach` =
-/// min(ttl, cap) hops, first along a shortest path, and each node within
-/// `relay` = min(ttl − 1, cap) hops re-broadcasts it `repeat` times (the
-/// origin included, even when it has no active neighbor). Hop distance is
-/// symmetric, so one bounded BFS from each active node u yields both u's
-/// count (the size of its ball) and its share of the messages (the
-/// origins within `relay` hops of it). The flood from u lasts
-/// min(cap, ttl, 1 + deepest level reached) rounds, and none when u is
-/// isolated; the engine's rounds are the longest flood.
-std::vector<std::uint32_t> flood_count_bfs(const net::Network& net,
-                                           const net::NodeMask& active,
-                                           std::uint32_t ttl, std::size_t cap,
-                                           std::size_t repeat,
-                                           unsigned threads, RunStats* stats) {
-  const std::size_t n = net.num_nodes();
-  std::vector<std::uint32_t> counts(n, 0);
-  std::vector<NodeId> origins;
-  for (NodeId v = 0; v < n; ++v) {
-    if (active[v]) origins.push_back(v);
+/// Pools per-source costs: sums, with the rounds of the longest flood.
+RunStats pool(const std::vector<RunStats>& costs) {
+  RunStats total;
+  for (const RunStats& c : costs) {
+    total.messages += c.messages;
+    total.dropped += c.dropped;
+    total.duplicated += c.duplicated;
+    total.rounds = std::max(total.rounds, c.rounds);
   }
-  const auto reach =
-      static_cast<std::uint32_t>(std::min<std::size_t>(ttl, cap));
-  // One past the deepest relaying hop: 0 when nobody relays (ttl 0).
-  const std::size_t relay_end =
-      ttl == 0 ? 0 : std::min<std::size_t>(ttl - 1, cap) + 1;
-
-  std::vector<std::uint32_t> relays(origins.size(), 0);
-  std::vector<std::uint32_t> rounds(origins.size(), 0);
-  const auto visible = [&active](NodeId v) { return bool(active[v]); };
-  parallel_for(
-      origins.size(),
-      [&](std::size_t i) {
-        net::BoundedBfs& bfs = local_bfs();
-        bfs.run(net, origins[i], reach, visible);
-        const std::vector<NodeId>& ball = bfs.visited();
-        counts[origins[i]] = static_cast<std::uint32_t>(ball.size());
-        // Visiting order is by level, so the relays form a prefix.
-        std::uint32_t r = 0;
-        while (r < ball.size() && bfs.dist(ball[r]) < relay_end) ++r;
-        relays[i] = r;
-        const std::uint32_t depth = bfs.dist(ball.back());
-        if (relay_end > 0 && depth > 0)
-          rounds[i] = static_cast<std::uint32_t>(
-              std::min<std::size_t>({cap, ttl, std::size_t{depth} + 1}));
-      },
-      threads == 0 ? default_threads() : threads);
-
-  if (stats != nullptr) {
-    *stats = RunStats{};
-    for (std::size_t i = 0; i < origins.size(); ++i) {
-      stats->messages += repeat * relays[i];
-      stats->rounds = std::max<std::size_t>(stats->rounds, rounds[i]);
-    }
-  }
-  return counts;
+  return total;
 }
 
 }  // namespace
@@ -122,65 +183,37 @@ std::vector<std::uint32_t> ttl_flood_count(const net::Network& net,
   BALLFIT_REQUIRE(active.size() == n, "mask size mismatch");
 
   std::vector<std::uint32_t> counts(n, 0);
-  if (none_active(active)) {
+  const std::vector<NodeId> origins = active_nodes(active);
+  if (origins.empty()) {
     if (stats != nullptr) *stats = RunStats{};
     return counts;
   }
 
   const std::uint32_t repeat = repeat_of(opts);
-  const std::size_t cap =
-      opts.max_rounds > 0 ? opts.max_rounds : std::size_t{ttl} + 1;
-  if (opts.faults == nullptr) {
-    RunStats rs;
-    counts = flood_count_bfs(net, active, ttl, cap, repeat, threads, &rs);
-    if (stats != nullptr) *stats = rs;
-    if (obs::enabled()) {  // the counters the engine run would record
-      obs::Registry& reg = obs::Registry::global();
-      reg.counter("sim.ttl_flood.messages").add(rs.messages);
-      reg.counter("sim.ttl_flood.rounds").add(rs.rounds);
-      reg.counter("sim.ttl_flood.active_nodes")
-          .add(static_cast<std::uint64_t>(
-              std::count(active.begin(), active.end(), true)));
-      reg.counter("sim.ttl_flood.runs").add(1);
-    }
-    return counts;
-  }
-
-  // Only active nodes send, receive or report, so `heard` holds one set
-  // per active node, indexed by its rank among them.
-  std::vector<std::uint32_t> rank(n, 0);
-  std::size_t num_active = 0;
-  for (NodeId v = 0; v < n; ++v) {
-    if (active[v]) rank[v] = static_cast<std::uint32_t>(num_active++);
-  }
-  std::vector<std::unordered_set<NodeId>> heard(num_active);
-  RoundEngine<FloodMsg> engine(net, &active, "ttl_flood", opts.faults);
-
-  for (NodeId v = 0; v < n; ++v) {
-    if (!active[v]) continue;
-    heard[rank[v]].insert(v);
-    if (ttl > 0) {
-      for (std::uint32_t r = 0; r < repeat; ++r)
-        engine.broadcast(v, {v, ttl - 1, r});
-    }
-  }
-
-  // Idempotent by construction: a duplicated or retransmitted packet whose
-  // origin is already known falls through the insert and is not forwarded.
-  const RunStats rs = engine.run(
-      [&](NodeId self, NodeId /*from*/, const FloodMsg& msg) {
-        if (heard[rank[self]].insert(msg.origin).second && msg.ttl > 0) {
-          for (std::uint32_t r = 0; r < repeat; ++r)
-            engine.broadcast(self, {msg.origin, msg.ttl - 1, r});
-        }
+  const Channel channel(opts.faults, "ttl_flood");
+  std::vector<RunStats> costs(origins.size());
+  // Under loss a flood reaching u says nothing about u's flood reaching
+  // back, so each origin adds itself to the count of every node it reached.
+  parallel_for(
+      origins.size(),
+      [&](std::size_t i) {
+        const NodeId origin = origins[i];
+        SourceFlood& flood = local_flood();
+        flood.run(
+            net, active, origin, ttl, repeat, /*source_heard=*/true, channel,
+            [origin](std::uint32_t left, std::uint32_t copy) {
+              return mix_hash(std::uint64_t{origin} << 32 | left, copy);
+            },
+            costs[i]);
+        for (const NodeId v : flood.heard())
+          std::atomic_ref<std::uint32_t>(counts[v]).fetch_add(
+              1, std::memory_order_relaxed);
       },
-      cap);
-  if (stats != nullptr) *stats = rs;
+      threads == 0 ? default_threads() : threads);
 
-  for (NodeId v = 0; v < n; ++v) {
-    if (active[v])
-      counts[v] = static_cast<std::uint32_t>(heard[rank[v]].size());
-  }
+  const RunStats total = pool(costs);
+  channel.record(total, 1, origins.size());
+  if (stats != nullptr) *stats = total;
   return counts;
 }
 
@@ -189,8 +222,18 @@ std::vector<std::uint32_t> ttl_flood_count_oracle(const net::Network& net,
                                                   std::uint32_t ttl,
                                                   unsigned threads) {
   BALLFIT_REQUIRE(active.size() == net.num_nodes(), "mask size mismatch");
-  return flood_count_bfs(net, active, ttl, std::size_t{ttl} + 1, 1, threads,
-                         nullptr);
+  std::vector<std::uint32_t> counts(net.num_nodes(), 0);
+  const std::vector<NodeId> origins = active_nodes(active);
+  const auto visible = [&active](NodeId v) { return bool(active[v]); };
+  parallel_for(
+      origins.size(),
+      [&](std::size_t i) {
+        net::BoundedBfs& bfs = local_bfs();
+        bfs.run(net, origins[i], ttl, visible);
+        counts[origins[i]] = static_cast<std::uint32_t>(bfs.visited().size());
+      },
+      threads == 0 ? default_threads() : threads);
+  return counts;
 }
 
 std::vector<NodeId> leader_flood(const net::Network& net,
@@ -200,30 +243,115 @@ std::vector<NodeId> leader_flood(const net::Network& net,
   BALLFIT_REQUIRE(active.size() == n, "mask size mismatch");
 
   std::vector<NodeId> leader(n, net::kInvalidNode);
-  if (none_active(active)) {
+  // The flood runs on the subgraph induced by `active`, its nodes numbered
+  // in increasing id (node i is `ids[i]`), so a smaller number is a smaller
+  // id and every per-round array is sized by the active nodes only.
+  const std::vector<NodeId> ids = active_nodes(active);
+  const std::size_t m = ids.size();
+  if (m == 0) {
     if (stats != nullptr) *stats = RunStats{};
     return leader;
   }
+  std::vector<std::uint32_t> number(n, 0);
+  for (std::uint32_t i = 0; i < m; ++i) number[ids[i]] = i;
+  std::vector<std::size_t> first_nbr(m + 1, 0);
+  std::vector<std::uint32_t> nbrs;  // ascending within each node's row
+  for (std::uint32_t i = 0; i < m; ++i) {
+    for (const NodeId w : net.neighbors(ids[i])) {
+      if (active[w]) nbrs.push_back(number[w]);
+    }
+    first_nbr[i + 1] = nbrs.size();
+  }
+
+  // One round's broadcasts: the senders, and the candidates each sent,
+  // grouped by sender in the order sent (the s-th sender's are
+  // candidates[offsets[s] .. offsets[s + 1])).
+  struct Mail {
+    std::vector<std::uint32_t> senders;
+    std::vector<std::size_t> offsets{0};
+    std::vector<std::uint32_t> candidates;
+  };
+  Mail sent;  // delivered this round
+  Mail next;  // sent this round, delivered in the next
+  std::vector<std::uint32_t> best(m);  // each node's leader so far
+  for (std::uint32_t i = 0; i < m; ++i) {
+    best[i] = i;
+    sent.senders.push_back(i);
+    sent.candidates.push_back(i);
+    sent.offsets.push_back(i + 1);
+  }
 
   const std::uint32_t repeat = repeat_of(opts);
-  RoundEngine<Candidate> engine(net, &active, "leader_flood", opts.faults);
-  for (NodeId v = 0; v < n; ++v) {
-    if (!active[v]) continue;
-    leader[v] = v;
-    for (std::uint32_t r = 0; r < repeat; ++r) engine.broadcast(v, {v, r});
-  }
-  // Idempotent: a candidate no smaller than the current leader (duplicate
-  // or stale retransmission) is ignored and not re-flooded.
-  const RunStats rs = engine.run(
-      [&](NodeId self, NodeId /*from*/, Candidate candidate) {
-        if (candidate.id < leader[self]) {
-          leader[self] = candidate.id;
-          for (std::uint32_t r = 0; r < repeat; ++r)
-            engine.broadcast(self, {candidate.id, r});
+  const Channel channel(opts.faults, "leader_flood");
+  RunStats cost;
+  cost.messages = std::size_t{repeat} * m;
+  // Per node, 1 + its index among the senders of the round being
+  // delivered (`slot`) or being sent (`next_slot`); 0 when it sent nothing.
+  std::vector<std::uint32_t> slot(m), next_slot(m, 0);
+  for (std::uint32_t i = 0; i < m; ++i) slot[i] = i + 1;
+  std::vector<std::size_t> listed(m, 0);  // round a receiver was listed in
+  std::vector<std::uint32_t> receivers;
+
+  while (!sent.senders.empty()) {
+    const std::size_t round = cost.rounds + 1;
+    receivers.clear();
+    for (const std::uint32_t w : sent.senders) {
+      for (std::size_t e = first_nbr[w]; e < first_nbr[w + 1]; ++e) {
+        const std::uint32_t u = nbrs[e];
+        if (listed[u] != round) {
+          listed[u] = round;
+          receivers.push_back(u);
         }
-      },
-      /*max_rounds=*/opts.max_rounds > 0 ? opts.max_rounds : n + 1);
-  if (stats != nullptr) *stats = rs;
+      }
+    }
+    if (receivers.empty()) break;  // nobody in range: no round runs
+    cost.rounds = round;
+
+    // Receiver u reads its mail in the order its FIFO inbox filled during
+    // the previous round's ascending drain: by sender id, then as sent.
+    // Each improvement is re-broadcast at once; a duplicate or a candidate
+    // no smaller than the current leader changes nothing. A receiver reads
+    // and writes only its own state and mail, so receivers may run in any
+    // order.
+    for (const std::uint32_t u : receivers) {
+      const std::size_t before = next.candidates.size();
+      for (std::size_t e = first_nbr[u]; e < first_nbr[u + 1]; ++e) {
+        const std::uint32_t w = nbrs[e];
+        const std::uint32_t s = slot[w];
+        if (s == 0) continue;
+        for (std::size_t c = sent.offsets[s - 1]; c < sent.offsets[s]; ++c) {
+          const std::uint32_t candidate = sent.candidates[c];
+          for (std::uint32_t copy = 0; copy < repeat; ++copy) {
+            const unsigned copies = channel.deliver(
+                round, ids[w], ids[u],
+                [&] { return std::uint64_t{ids[candidate]} << 32 | copy; },
+                cost);
+            if (copies > 0 && candidate < best[u]) {
+              best[u] = candidate;
+              next.candidates.push_back(candidate);
+            }
+          }
+        }
+      }
+      if (next.candidates.size() > before) {
+        next.senders.push_back(u);
+        next.offsets.push_back(next.candidates.size());
+        next_slot[u] = static_cast<std::uint32_t>(next.senders.size());
+      }
+    }
+    cost.messages += std::size_t{repeat} * next.candidates.size();
+
+    for (const std::uint32_t w : sent.senders) slot[w] = 0;
+    std::swap(sent, next);
+    std::swap(slot, next_slot);
+    next.senders.clear();
+    next.offsets.assign(1, 0);
+    next.candidates.clear();
+  }
+
+  for (std::uint32_t i = 0; i < m; ++i) leader[ids[i]] = ids[best[i]];
+  channel.record(cost, 1, m);
+  if (stats != nullptr) *stats = cost;
   return leader;
 }
 
@@ -245,146 +373,6 @@ std::vector<NodeId> leader_flood_oracle(const net::Network& net,
   return leader;
 }
 
-namespace {
-enum class BidKind : std::uint8_t { kBid, kCover };
-struct BidMsg {
-  BidKind kind;
-  NodeId id;
-  std::uint32_t ttl;
-  std::uint32_t copy;       ///< retransmission index, in [0, repeat)
-  std::uint32_t iteration;  ///< election iteration (bids recur each one)
-
-  std::uint64_t transmission() const {
-    return mix_hash(
-        mix_hash(std::uint64_t{id} << 32 | ttl,
-                 std::uint64_t{iteration} << 32 | copy),
-        static_cast<std::uint64_t>(kind));
-  }
-};
-enum class Status : std::uint8_t { kUndecided, kLandmark, kCovered };
-
-/// The election on a reliable network, computed without the engine. On a
-/// reliable synchronous network every flood is a BFS: a bid or cover
-/// packet from v reaches exactly the nodes within `reach` = min(k, rounds
-/// cap) hops over `active`, arriving first along a shortest path, and the
-/// nodes within `relay` = min(k − 1, cap) hops re-broadcast it once per
-/// copy. So each iteration is one bounded BFS per undecided node (it wins
-/// iff no smaller undecided id lies in its ball) plus one per winner
-/// (cover). Rounds, messages and the engine's obs counters are derived
-/// from the BFS depths and ball sizes and equal the engine's exactly.
-std::vector<NodeId> election_fault_free(const net::Network& net,
-                                        const net::NodeMask& active,
-                                        std::uint32_t k, RunStats* stats,
-                                        const ProtocolOptions& opts) {
-  const std::size_t n = net.num_nodes();
-  const std::size_t repeat = repeat_of(opts);
-  const std::size_t cap =
-      opts.max_rounds > 0 ? opts.max_rounds : std::size_t{k} + 1;
-  const auto reach = static_cast<std::uint32_t>(std::min<std::size_t>(k, cap));
-  const auto relay =
-      static_cast<std::uint32_t>(std::min<std::size_t>(k - 1, cap));
-
-  std::vector<Status> status(n, Status::kCovered);
-  std::vector<NodeId> undecided;
-  for (NodeId v = 0; v < n; ++v) {
-    if (!active[v]) continue;
-    status[v] = Status::kUndecided;
-    undecided.push_back(v);
-  }
-  const std::size_t num_active = undecided.size();
-
-  net::BoundedBfs bfs;
-  const auto visible = [&active](NodeId v) { return bool(active[v]); };
-  // One flood from the last BFS source: its transmissions (the source and
-  // every relay, `repeat` copies each) and the round of its last broadcast.
-  // The engine runs a round after each broadcast that reaches a neighbor,
-  // so a flood that reaches anyone lasts `last broadcast round + 1`.
-  struct Flood {
-    std::size_t relays = 0;
-    std::uint32_t depth = 0;
-  };
-  const auto measure = [&bfs, relay]() {
-    Flood f;
-    for (NodeId u : bfs.visited()) {
-      const std::uint32_t d = bfs.dist(u);
-      f.depth = std::max(f.depth, d);
-      if (d <= relay) ++f.relays;
-    }
-    return f;
-  };
-
-  RunStats total;
-  std::size_t engine_runs = 0;
-  std::vector<NodeId> landmarks;
-  std::vector<NodeId> winners;
-  while (!undecided.empty()) {
-    // --- Bid phase. The source ignores the echo of its own bid.
-    RunStats bid;
-    winners.clear();
-    for (NodeId v : undecided) {
-      bfs.run(net, v, reach, visible);
-      bool wins = true;
-      for (NodeId u : bfs.visited()) {
-        if (u < v && status[u] == Status::kUndecided) {
-          wins = false;
-          break;
-        }
-      }
-      const Flood f = measure();
-      bid.messages += repeat * f.relays;
-      if (f.depth > 0)
-        bid.rounds = std::max<std::size_t>(bid.rounds,
-                                           std::min(f.depth, k - 1) + 1);
-      if (wins) winners.push_back(v);
-    }
-    bid.rounds = std::min(bid.rounds, cap);
-    BALLFIT_ASSERT_MSG(!winners.empty(), "landmark election made no progress");
-    for (NodeId w : winners) status[w] = Status::kLandmark;
-
-    // --- Cover phase. The winner's cover state is not seeded, so its own
-    // cover echoes back in round 2 with TTL k − 2 and, for k >= 3, is
-    // re-broadcast once more (and delivered in round 3).
-    RunStats cover;
-    const bool echo = k >= 3 && cap >= 2;
-    for (NodeId w : winners) {
-      bfs.run(net, w, reach, visible);
-      for (NodeId u : bfs.visited()) {
-        if (status[u] == Status::kUndecided) status[u] = Status::kCovered;
-      }
-      const Flood f = measure();
-      const bool echoes = echo && f.depth > 0;
-      cover.messages += repeat * (f.relays + (echoes ? 1 : 0));
-      if (f.depth > 0) {
-        const std::uint32_t last =
-            std::max(std::min(f.depth, k - 1), echoes ? 2u : 0u);
-        cover.rounds = std::max<std::size_t>(cover.rounds, last + 1);
-      }
-    }
-    cover.rounds = std::min(cover.rounds, cap);
-
-    total += bid;
-    total += cover;
-    engine_runs += 2;
-    landmarks.insert(landmarks.end(), winners.begin(), winners.end());
-    std::erase_if(undecided,
-                  [&](NodeId v) { return status[v] != Status::kUndecided; });
-  }
-
-  if (engine_runs > 0 && obs::enabled()) {
-    obs::Registry& reg = obs::Registry::global();
-    reg.counter("sim.landmark_election.messages").add(total.messages);
-    reg.counter("sim.landmark_election.rounds").add(total.rounds);
-    reg.counter("sim.landmark_election.active_nodes")
-        .add(engine_runs * num_active);
-    reg.counter("sim.landmark_election.runs").add(engine_runs);
-  }
-  if (stats != nullptr) *stats = total;
-  std::sort(landmarks.begin(), landmarks.end());
-  return landmarks;
-}
-
-}  // namespace
-
 std::vector<NodeId> khop_landmark_election(const net::Network& net,
                                            const net::NodeMask& active,
                                            std::uint32_t k, RunStats* stats,
@@ -392,100 +380,70 @@ std::vector<NodeId> khop_landmark_election(const net::Network& net,
   const std::size_t n = net.num_nodes();
   BALLFIT_REQUIRE(active.size() == n, "mask size mismatch");
   BALLFIT_REQUIRE(k >= 1, "landmark spacing k must be >= 1");
-  if (opts.faults == nullptr)
-    return election_fault_free(net, active, k, stats, opts);
+
+  enum class Status : std::uint8_t { kUndecided, kLandmark, kCovered };
+  enum Kind : std::uint64_t { kBid = 0, kCover = 1 };
+  std::vector<Status> status(n, Status::kCovered);  // inactive: never bids
+  std::vector<NodeId> undecided = active_nodes(active);
+  for (const NodeId v : undecided) status[v] = Status::kUndecided;
+  const std::size_t num_active = undecided.size();
 
   const std::uint32_t repeat = repeat_of(opts);
-  const std::size_t cap =
-      opts.max_rounds > 0 ? opts.max_rounds : std::size_t{k} + 1;
-  std::vector<Status> status(n, Status::kUndecided);
-  std::size_t undecided = 0;
-  for (NodeId v = 0; v < n; ++v) {
-    if (active[v]) ++undecided;
-    else status[v] = Status::kCovered;  // inactive: never participates
-  }
-
+  const Channel channel(opts.faults, "landmark_election");
+  SourceFlood& flood = local_flood();
+  // Per node, 1 + the last iteration in which a smaller bid reached it.
+  std::vector<std::uint32_t> outbid(n, 0);
   RunStats total;
+  std::size_t runs = 0;
   std::vector<NodeId> landmarks;
+  std::vector<NodeId> winners;
 
-  // Each iteration elects the locally-minimal undecided ids in parallel and
-  // suppresses their k-hop neighborhoods. Bids come from undecided nodes
-  // only, so the smallest undecided id hears nothing smaller — lost bids
-  // or not — and wins every iteration: the loop terminates.
-  for (std::uint32_t iteration = 0; undecided > 0; ++iteration) {
-    // --- Bid phase: undecided nodes flood their id within k hops.
-    std::vector<NodeId> min_bid(n, net::kInvalidNode);
-    std::vector<std::unordered_map<NodeId, std::uint32_t>> heard(n);
-    RoundEngine<BidMsg> engine(net, &active, "landmark_election",
-                               opts.faults);
-    for (NodeId v = 0; v < n; ++v) {
-      if (status[v] != Status::kUndecided) continue;
-      min_bid[v] = v;
-      heard[v][v] = k;
-      for (std::uint32_t r = 0; r < repeat; ++r)
-        engine.broadcast(v, {BidKind::kBid, v, k - 1, r, iteration});
-    }
-    // Idempotent: a bid is re-forwarded only when it arrives with more
-    // remaining TTL than ever seen before.
-    total += engine.run(
-        [&](NodeId self, NodeId /*from*/, const BidMsg& msg) {
-          BALLFIT_ASSERT(msg.kind == BidKind::kBid);
-          auto [it, inserted] = heard[self].try_emplace(msg.id, msg.ttl);
-          if (!inserted) {
-            if (it->second >= msg.ttl) return;  // already forwarded farther
-            it->second = msg.ttl;
-          }
-          min_bid[self] = std::min(min_bid[self], msg.id);
-          if (msg.ttl > 0) {
-            for (std::uint32_t r = 0; r < repeat; ++r)
-              engine.broadcast(self, {BidKind::kBid, msg.id, msg.ttl - 1, r,
-                                      iteration});
-          }
-        },
-        cap);
-
-    // --- Decide phase: local minima become landmarks.
-    std::vector<NodeId> winners;
-    for (NodeId v = 0; v < n; ++v) {
-      if (status[v] == Status::kUndecided && min_bid[v] == v) {
-        status[v] = Status::kLandmark;
-        winners.push_back(v);
-        --undecided;
+  // Each iteration elects the undecided nodes that hear no smaller bid and
+  // suppresses what their covers reach. The smallest undecided id hears no
+  // smaller bid, lost bids or not, so it wins every iteration and the loop
+  // terminates.
+  for (std::uint32_t iteration = 0; !undecided.empty(); ++iteration) {
+    const auto transmission = [iteration](Kind kind, NodeId id) {
+      return [=](std::uint32_t left, std::uint32_t copy) {
+        return mix_hash(mix_hash(std::uint64_t{id} << 32 | left,
+                                 std::uint64_t{iteration} << 32 | copy),
+                        kind);
+      };
+    };
+    RunStats bids;
+    for (const NodeId v : undecided) {
+      flood.run(net, active, v, k, repeat, /*source_heard=*/true, channel,
+                transmission(kBid, v), bids);
+      for (const NodeId u : flood.heard()) {
+        if (u > v) outbid[u] = iteration + 1;
       }
+    }
+    winners.clear();
+    for (const NodeId v : undecided) {
+      if (outbid[v] == iteration + 1) continue;
+      status[v] = Status::kLandmark;
+      winners.push_back(v);
     }
     BALLFIT_ASSERT_MSG(!winners.empty(), "landmark election made no progress");
 
-    // --- Cover phase: winners suppress their k-hop neighborhoods.
-    std::vector<std::unordered_map<NodeId, std::uint32_t>> cover_heard(n);
-    RoundEngine<BidMsg> cover(net, &active, "landmark_election", opts.faults);
-    for (NodeId w : winners) {
-      for (std::uint32_t r = 0; r < repeat; ++r)
-        cover.broadcast(w, {BidKind::kCover, w, k - 1, r, iteration});
+    RunStats covers;
+    for (const NodeId w : winners) {
+      flood.run(net, active, w, k, repeat, /*source_heard=*/false, channel,
+                transmission(kCover, w), covers);
+      for (const NodeId u : flood.heard()) {
+        if (status[u] == Status::kUndecided) status[u] = Status::kCovered;
+      }
     }
-    total += cover.run(
-        [&](NodeId self, NodeId /*from*/, const BidMsg& msg) {
-          BALLFIT_ASSERT(msg.kind == BidKind::kCover);
-          auto [it, inserted] =
-              cover_heard[self].try_emplace(msg.id, msg.ttl);
-          if (!inserted) {
-            if (it->second >= msg.ttl) return;
-            it->second = msg.ttl;
-          }
-          if (status[self] == Status::kUndecided) {
-            status[self] = Status::kCovered;
-            --undecided;
-          }
-          if (msg.ttl > 0) {
-            for (std::uint32_t r = 0; r < repeat; ++r)
-              cover.broadcast(self, {BidKind::kCover, msg.id, msg.ttl - 1, r,
-                                     iteration});
-          }
-        },
-        cap);
 
+    total += bids;
+    total += covers;
+    runs += 2;
     landmarks.insert(landmarks.end(), winners.begin(), winners.end());
+    std::erase_if(undecided,
+                  [&](NodeId v) { return status[v] != Status::kUndecided; });
   }
 
+  if (runs > 0) channel.record(total, runs, num_active);
   if (stats != nullptr) *stats = total;
   std::sort(landmarks.begin(), landmarks.end());
   return landmarks;

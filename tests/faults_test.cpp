@@ -22,7 +22,6 @@
 #include "model/shapes.hpp"
 #include "net/builder.hpp"
 #include "net/graph.hpp"
-#include "sim/engine.hpp"
 #include "sim/faults.hpp"
 #include "sim/protocols.hpp"
 
@@ -243,35 +242,7 @@ TEST(CrashSchedule, CasualtyCountsFallInBinomialBand) {
 }
 
 // ---------------------------------------------------------------------------
-// Engine semantics under a fault model.
-
-/// A test message naming its transmission by payload and copy.
-struct Tagged {
-  int payload;
-  std::uint32_t copy;
-  std::uint64_t transmission() const {
-    return mix_hash(static_cast<std::uint64_t>(payload), copy);
-  }
-};
-
-TEST(RoundEngineFaults, WithoutModelHardContractsStillHold) {
-  const net::Network net = line_network(4);
-  RoundEngine<int> engine(net);
-  EXPECT_THROW(engine.send(0, 3, 1), InvalidArgument);
-}
-
-// The fault channel loosens no contract: a send beyond one hop throws with
-// a model installed, as without one.
-TEST(RoundEngineFaults, WithModelHardContractsStillHold) {
-  const net::Network net = line_network(4);
-  FaultConfig cfg;
-  cfg.drop_probability = 0.5;
-  const FaultModel model(cfg);
-  RoundEngine<Tagged> engine(net, nullptr, nullptr, &model);
-  EXPECT_THROW(engine.send(0, 3, {1, 0}), InvalidArgument);
-  EXPECT_EQ(engine.stats().messages, 0u);
-  EXPECT_EQ(engine.stats().dropped, 0u);
-}
+// The channel as the protocols see it.
 
 TEST(RoundEngineFaults, DropProbabilityOneLosesEverything) {
   const net::Network net = line_network(5);
@@ -288,42 +259,32 @@ TEST(RoundEngineFaults, DropProbabilityOneLosesEverything) {
   EXPECT_EQ(stats.messages, 5u);
 }
 
-TEST(RoundEngineFaults, BroadcastStillReachesAllActiveNeighbors) {
-  // Guards the move-into-last-queue optimization: every active neighbor
-  // still receives one copy, and the message payload survives intact.
-  const net::Network net = line_network(3);  // node 1 has neighbors 0 and 2
-  RoundEngine<std::string> engine(net);
-  engine.broadcast(1, std::string("payload"));
-  int deliveries = 0;
-  engine.run(
-      [&](NodeId, NodeId from, const std::string& msg) {
-        ++deliveries;
-        EXPECT_EQ(from, 1u);
-        EXPECT_EQ(msg, "payload");
-      },
-      10);
-  EXPECT_EQ(deliveries, 2);
-  EXPECT_EQ(engine.stats().messages, 1u);  // one radio transmission
-}
-
-// Copies of one message carry their index, so they draw their fates
-// independently: k copies turn per-hop loss p into p^k.
+// Copies of one packet carry their index, so they draw their fates
+// independently: with per-hop loss p, a packet sent in k copies is lost
+// with probability p^k. On a two-node line each TTL-1 count tells whether
+// the other node's packet arrived; each seed redraws every fate.
 TEST(RoundEngineFaults, RetransmittedCopiesDrawIndependently) {
   const net::Network net = line_network(2);
+  const NodeMask active(2, true);
   FaultConfig cfg;
   cfg.drop_probability = 0.5;
-  const FaultModel model(cfg);
-  std::size_t delivered = 0;
-  const int trials = 2000;
-  for (int m = 0; m < trials; ++m) {
-    RoundEngine<Tagged> engine(net, nullptr, "copies", &model);
-    for (std::uint32_t r = 0; r < 3; ++r) engine.send(0, 1, {m, r});
-    bool heard = false;
-    engine.run([&](NodeId, NodeId, const Tagged&) { heard = true; }, 2);
-    delivered += heard;
+  const int trials = 1000;
+  for (std::uint32_t repeat : {1u, 2u, 3u}) {
+    std::size_t heard = 0;
+    for (int m = 0; m < trials; ++m) {
+      cfg.seed = static_cast<std::uint64_t>(m) + 1;
+      const FaultModel model(cfg);
+      ProtocolOptions opts;
+      opts.faults = &model;
+      opts.repeat = repeat;
+      const auto counts = ttl_flood_count(net, active, 1, nullptr, opts);
+      heard += (counts[0] == 2) + (counts[1] == 2);
+    }
+    // P(some copy arrives) = 1 − 0.5^k; σ <= 0.011 over 2000 packets.
+    EXPECT_NEAR(static_cast<double>(heard) / (2 * trials),
+                1.0 - std::pow(0.5, repeat), 0.05)
+        << "repeat=" << repeat;
   }
-  // P(some copy arrives) = 1 − 0.5³ = 0.875; σ ≈ 0.0074 over 2000 trials.
-  EXPECT_NEAR(static_cast<double>(delivered) / trials, 0.875, 0.04);
 }
 
 // ---------------------------------------------------------------------------

@@ -142,7 +142,7 @@ TEST(LandmarkElection, SpacingAndCoverageOnSphere) {
 
 // ---------------------------------------------------------------------------
 // Reference builder: a literal copy of the surface builder as it was before
-// its steps went group-local (full-network election on the engine, an
+// its steps went group-local (a full-network election, an
 // N-sized two-cell mask and `shortest_path` per CDG edge, an unbounded
 // `hop_distances` per apex pair, a full over-edge recount per tentative
 // flip). The optimized builder must reproduce it exactly.
@@ -176,12 +176,10 @@ BoundarySurface build_one_surface(const net::Network& network,
   BoundarySurface surface;
   surface.group_leader = leader;
 
-  // Step I on the round engine: an inert fault model forces that path.
-  const sim::FaultModel inert(sim::FaultConfig{});
-  sim::ProtocolOptions engine;
-  engine.faults = &inert;
-  surface.landmarks = sim::khop_landmark_election(
-      network, group_mask, config.landmark_spacing, nullptr, engine);
+  // Step I: the library election, which tests/sim_test.cpp pins to a
+  // literal round engine.
+  surface.landmarks = sim::khop_landmark_election(network, group_mask,
+                                                  config.landmark_spacing);
   const net::MultiSourceBfs assoc =
       net::multi_source_bfs(network, surface.landmarks, &group_mask);
   surface.voronoi_owner = assoc.owner;

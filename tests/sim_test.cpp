@@ -1,14 +1,15 @@
-// Tests for src/sim: the round engine semantics (locality enforcement,
-// round delivery, quiescence, delivery order against a dense-scan
-// reference engine, faulted results independent of drain order) and the
-// three protocols, each checked against its BFS
-// oracle on random networks; the BFS paths of the TTL flood count and the
-// landmark election are checked against their engine paths.
+// Tests for src/sim's protocols: each against its BFS oracle on random
+// networks, and each against a literal round engine with FIFO inboxes
+// (`DenseEngine`, below) on results, RunStats and `sim.*` counters, with
+// and without a fault channel; the TTL count and the election also under
+// shuffled drain orders; and the round semantics (one hop per round,
+// inactive nodes never relay, duplicates change nothing).
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <map>
+#include <optional>
 #include <string>
 #include <tuple>
 #include <unordered_map>
@@ -19,7 +20,6 @@
 #include "net/builder.hpp"
 #include "net/graph.hpp"
 #include "obs/metrics.hpp"
-#include "sim/engine.hpp"
 #include "sim/faults.hpp"
 #include "sim/protocols.hpp"
 
@@ -45,60 +45,6 @@ net::Network random_network(std::uint64_t seed, std::size_t surface = 250,
   opt.surface_count = surface;
   opt.interior_count = interior;
   return net::build_network(shape, opt, rng);
-}
-
-TEST(RoundEngine, MessagesDeliverNextRound) {
-  const net::Network net = line_network(3);
-  RoundEngine<int> engine(net);
-  engine.send(0, 1, 42);
-  std::vector<int> delivered;
-  engine.run(
-      [&](NodeId self, NodeId from, int msg) {
-        delivered.push_back(msg);
-        EXPECT_EQ(self, 1u);
-        EXPECT_EQ(from, 0u);
-      },
-      10);
-  ASSERT_EQ(delivered.size(), 1u);
-  EXPECT_EQ(delivered[0], 42);
-  EXPECT_EQ(engine.stats().rounds, 1u);
-  EXPECT_EQ(engine.stats().messages, 1u);
-}
-
-TEST(RoundEngine, RejectsNonNeighborSend) {
-  const net::Network net = line_network(4);
-  RoundEngine<int> engine(net);
-  EXPECT_THROW(engine.send(0, 3, 1), InvalidArgument);
-}
-
-TEST(RoundEngine, BroadcastReachesActiveNeighborsOnly) {
-  const net::Network net = line_network(3);
-  NodeMask active(3, true);
-  active[2] = false;
-  RoundEngine<int> engine(net, &active);
-  engine.broadcast(1, 7);
-  int deliveries = 0;
-  engine.run([&](NodeId self, NodeId, int) {
-    ++deliveries;
-    EXPECT_EQ(self, 0u);  // node 2 is inactive
-  },
-             10);
-  EXPECT_EQ(deliveries, 1);
-}
-
-TEST(RoundEngine, ChainedForwardingTakesOneRoundPerHop) {
-  const net::Network net = line_network(5);
-  RoundEngine<int> engine(net);
-  engine.send(0, 1, 0);
-  engine.run(
-      [&](NodeId self, NodeId, int hops) {
-        if (self + 1 < net.num_nodes()) {
-          engine.send(self, static_cast<NodeId>(self + 1), hops + 1);
-        }
-      },
-      100);
-  EXPECT_EQ(engine.stats().rounds, 4u);  // 0→1→2→3→4
-  EXPECT_EQ(engine.stats().messages, 4u);
 }
 
 TEST(TtlFloodCount, MatchesOracleOnLine) {
@@ -210,254 +156,49 @@ TEST(LandmarkElection, RestrictedToActiveSubgraph) {
   for (NodeId lm : landmarks) EXPECT_GE(lm, 4u);
 }
 
-/// The `sim.landmark_election.*` counters one election call records.
-std::map<std::string, std::uint64_t> election_counters(
-    const net::Network& net, const NodeMask& active, std::uint32_t k,
-    const ProtocolOptions& opts, std::vector<NodeId>& landmarks,
-    RunStats& stats) {
-  obs::Registry::global().reset();
-  obs::set_enabled(true);
-  landmarks = khop_landmark_election(net, active, k, &stats, opts);
-  obs::set_enabled(false);
-  std::map<std::string, std::uint64_t> out;
-  for (const char* c : {"messages", "rounds", "active_nodes", "runs"}) {
-    const std::string name = std::string("sim.landmark_election.") + c;
-    out[name] = obs::Registry::global().snapshot().counters[name];
-  }
-  return out;
-}
-
-// The reliable-network election is computed by BFS, not by the engine; an
-// inert fault model forces the engine path. Both must agree on everything
-// a caller can observe: landmarks, rounds, messages and obs counters.
-TEST(LandmarkElection, FaultFreeMatchesEngine) {
-  const net::Network net = random_network(17, 220, 300);
-  Rng rng(5);
-  NodeMask sparse(net.num_nodes());
-  for (NodeId v = 0; v < net.num_nodes(); ++v) sparse[v] = rng.uniform() < 0.6;
-  NodeMask shell(net.num_nodes());
-  for (NodeId v = 0; v < net.num_nodes(); ++v)
-    shell[v] = net.is_ground_truth_boundary(v);
-  const NodeMask all(net.num_nodes(), true);
-  const NodeMask none(net.num_nodes(), false);
-
-  const NodeMask* const masks[] = {&all, &sparse, &shell, &none};
-  for (const NodeMask* active : masks) {
-    for (std::uint32_t k = 1; k <= 5; ++k) {
-      for (std::uint32_t repeat : {1u, 3u}) {
-        for (std::size_t max_rounds : {std::size_t{0}, std::size_t{1},
-                                       std::size_t{2}}) {
-          ProtocolOptions plain;
-          plain.repeat = repeat;
-          plain.max_rounds = max_rounds;
-          const FaultModel inert(FaultConfig{});
-          ProtocolOptions engine = plain;
-          engine.faults = &inert;
-
-          std::vector<NodeId> got, want;
-          RunStats got_stats, want_stats;
-          const auto got_obs =
-              election_counters(net, *active, k, plain, got, got_stats);
-          const auto want_obs =
-              election_counters(net, *active, k, engine, want, want_stats);
-          const std::string where = "k=" + std::to_string(k) +
-                                    " repeat=" + std::to_string(repeat) +
-                                    " max_rounds=" +
-                                    std::to_string(max_rounds);
-          ASSERT_EQ(want.empty(), active == &none) << where;
-          EXPECT_EQ(got, want) << where;
-          EXPECT_EQ(got_stats.rounds, want_stats.rounds) << where;
-          EXPECT_EQ(got_stats.messages, want_stats.messages) << where;
-          EXPECT_EQ(got_obs, want_obs) << where;
-        }
-      }
-    }
-  }
-}
-
-// At the largest TTL the natural round cap is 2^32; computed in 32 bits it
-// wrapped to 0 and the engine ran no round at all.
-TEST(TtlFloodCount, MaxTtlMatchesOracle) {
-  const net::Network net = line_network(6);
-  NodeMask active(6, true);
-  active[3] = false;  // two fragments: {0, 1, 2} and {4, 5}
-  const std::vector<std::uint32_t> want = {3, 3, 3, 0, 2, 2};
-  EXPECT_EQ(ttl_flood_count_oracle(net, active, net::kUnreachable), want);
-
-  const FaultModel inert(FaultConfig{});
-  ProtocolOptions engine;
-  engine.faults = &inert;
-  RunStats plain_stats, engine_stats;
-  EXPECT_EQ(ttl_flood_count(net, active, net::kUnreachable, &plain_stats),
-            want);
-  EXPECT_EQ(ttl_flood_count(net, active, net::kUnreachable, &engine_stats,
-                            engine),
-            want);
-  // Every (origin, node) pair in a fragment relays once: 9 + 4.
-  EXPECT_EQ(plain_stats.messages, 13u);
-  EXPECT_EQ(engine_stats.messages, 13u);
-  EXPECT_EQ(plain_stats.rounds, 3u);  // the last relay, 2 hops out, + 1
-  EXPECT_EQ(engine_stats.rounds, 3u);
-}
-
-// `k + 1` wrapped the same way in both election paths, which then elected
-// every node.
-TEST(LandmarkElection, MaxSpacingElectsOnePerComponent) {
-  const net::Network net = line_network(6);
-  NodeMask split(6, true);
-  split[3] = false;
-  const NodeMask all(6, true);
-  const FaultModel inert(FaultConfig{});
-  ProtocolOptions engine;
-  engine.faults = &inert;
-  for (const ProtocolOptions& opts : {ProtocolOptions{}, engine}) {
-    EXPECT_EQ(khop_landmark_election(net, all, net::kUnreachable, nullptr,
-                                     opts),
-              std::vector<NodeId>{0});
-    EXPECT_EQ(khop_landmark_election(net, split, net::kUnreachable, nullptr,
-                                     opts),
-              (std::vector<NodeId>{0, 4}));
-  }
-}
-
-/// Counts and the `sim.ttl_flood.*` counters of one flood call.
-struct FloodRun {
-  std::vector<std::uint32_t> counts;
-  RunStats stats;
-  std::map<std::string, std::uint64_t> obs;
-};
-
-FloodRun flood_run(const net::Network& net, const NodeMask& active,
-                   std::uint32_t ttl, const ProtocolOptions& opts,
-                   unsigned threads) {
-  obs::Registry::global().reset();
-  obs::set_enabled(true);
-  FloodRun run;
-  run.counts = ttl_flood_count(net, active, ttl, &run.stats, opts, threads);
-  obs::set_enabled(false);
-  const auto counters = obs::Registry::global().snapshot().counters;
-  for (const char* c : {"messages", "rounds", "active_nodes", "runs"}) {
-    const std::string name = std::string("sim.ttl_flood.") + c;
-    const auto it = counters.find(name);
-    run.obs[name] = it == counters.end() ? 0 : it->second;
-  }
-  return run;
-}
-
-/// True when some active node has no active neighbor.
-bool has_isolated_active(const net::Network& net, const NodeMask& active) {
-  for (NodeId v = 0; v < net.num_nodes(); ++v) {
-    if (!active[v]) continue;
-    const auto nbrs = net.neighbors(v);
-    if (std::none_of(nbrs.begin(), nbrs.end(),
-                     [&](NodeId u) { return bool(active[u]); }))
-      return true;
-  }
-  return false;
-}
-
-// The reliable-network TTL count is one BFS per active node, not an engine
-// run; an inert fault model forces the engine. Both must agree on counts,
-// rounds, messages and obs counters, at every thread count.
-TEST(TtlFloodCount, FaultFreeMatchesEngine) {
-  for (std::uint64_t seed : {17u, 29u}) {
-    const net::Network net = random_network(seed, 150, 200);
-    Rng rng(seed + 5);
-    NodeMask sparse(net.num_nodes()), scattered(net.num_nodes());
-    for (NodeId v = 0; v < net.num_nodes(); ++v) {
-      sparse[v] = rng.uniform() < 0.6;
-      scattered[v] = rng.uniform() < 0.08;
-    }
-    ASSERT_TRUE(has_isolated_active(net, scattered));
-    NodeMask shell(net.num_nodes());
-    for (NodeId v = 0; v < net.num_nodes(); ++v)
-      shell[v] = net.is_ground_truth_boundary(v);
-    // The shell plus a few interior nodes cut off from it and each other.
-    NodeMask shell_plus(shell);
-    std::size_t added = 0;
-    for (NodeId v = 0; v < net.num_nodes() && added < 5; ++v) {
-      if (shell_plus[v]) continue;
-      const auto nbrs = net.neighbors(v);
-      if (std::any_of(nbrs.begin(), nbrs.end(),
-                      [&](NodeId u) { return bool(shell_plus[u]); }))
-        continue;
-      shell_plus[v] = true;
-      ++added;
-    }
-    ASSERT_GT(added, 0u);
-    // Every active node isolated: floods transmit but run no round.
-    NodeMask lonely(net.num_nodes(), false);
-    for (NodeId v = 0; v < net.num_nodes(); ++v) {
-      const auto nbrs = net.neighbors(v);
-      lonely[v] = std::none_of(nbrs.begin(), nbrs.end(),
-                               [&](NodeId u) { return bool(lonely[u]); });
-    }
-    const NodeMask all(net.num_nodes(), true);
-    const NodeMask none(net.num_nodes(), false);
-
-    const NodeMask* const masks[] = {&all,        &sparse, &scattered, &shell,
-                                     &shell_plus, &lonely, &none};
-    for (std::size_t m = 0; m < std::size(masks); ++m) {
-      const NodeMask* active = masks[m];
-      for (std::uint32_t ttl = 0; ttl <= 5; ++ttl) {
-        for (std::uint32_t repeat : {1u, 3u}) {
-          for (std::size_t max_rounds :
-               {std::size_t{0}, std::size_t{1}, std::size_t{2},
-                std::size_t{ttl}}) {
-            ProtocolOptions plain;
-            plain.repeat = repeat;
-            plain.max_rounds = max_rounds;
-            const FaultModel inert(FaultConfig{});
-            ProtocolOptions engine = plain;
-            engine.faults = &inert;
-
-            const FloodRun want = flood_run(net, *active, ttl, engine, 1);
-            const std::string where =
-                "seed=" + std::to_string(seed) +
-                " mask=" + std::to_string(m) +
-                " ttl=" + std::to_string(ttl) +
-                " repeat=" + std::to_string(repeat) +
-                " max_rounds=" + std::to_string(max_rounds);
-            for (unsigned threads : {1u, 2u, 4u}) {
-              if (threads > 1 && repeat > 1) continue;  // same searches
-              const FloodRun got = flood_run(net, *active, ttl, plain, threads);
-              EXPECT_EQ(got.counts, want.counts) << where << " t=" << threads;
-              EXPECT_EQ(got.stats.rounds, want.stats.rounds) << where;
-              EXPECT_EQ(got.stats.messages, want.stats.messages) << where;
-              EXPECT_EQ(got.obs, want.obs) << where << " t=" << threads;
-            }
-            if (max_rounds == 0) {
-              EXPECT_EQ(want.counts,
-                        ttl_flood_count_oracle(net, *active, ttl))
-                  << where;
-            }
-          }
-        }
-      }
-    }
-  }
-}
-
 // ---------------------------------------------------------------------------
-// Delivery order: the frontier engine against the engine it replaced.
+// The reference: a literal round engine.
 
-/// A literal copy of the engine loop before the mail list: every round it
-/// swaps the pending inboxes out into a fresh N-sized array and scans all N
+/// A literal round engine with FIFO inboxes, the reference for every
+/// protocol in sim/protocols.hpp: a broadcast is one message and is queued
+/// at every active neighbor for the next round. Every round swaps the
+/// pending inboxes out into a fresh N-sized array and scans all N
 /// receivers in id order — or, when `kShuffle` is non-zero, in an order
-/// drawn from an Rng seeded with it, each inbox shuffled too. The obs hook
-/// is left out.
+/// drawn from an Rng seeded with it, each inbox shuffled too. Each
+/// delivery's fate comes from the fault model, when there is one. On
+/// destruction it adds its cost to the `sim.<protocol>.*` counters, one
+/// run per engine.
 template <typename M, std::uint64_t kShuffle = 0>
 class DenseEngine {
  public:
   DenseEngine(const net::Network& net, const net::NodeMask* active,
               const char* protocol, const FaultModel* faults)
-      : net_(&net), active_(active), faults_(faults),
+      : net_(&net), active_(active), protocol_(protocol), faults_(faults),
         pending_(net.num_nodes()) {
     for (const char* c = protocol; c != nullptr && *c != '\0'; ++c) {
       protocol_key_ ^= static_cast<unsigned char>(*c);
       protocol_key_ *= 0x100000001b3ull;
     }
   }
+
+  ~DenseEngine() {
+    if (!obs::enabled()) return;
+    const std::string prefix = std::string("sim.") + protocol_;
+    obs::Registry& reg = obs::Registry::global();
+    std::size_t active = 0;
+    for (net::NodeId v = 0; v < net_->num_nodes(); ++v) active += is_active(v);
+    reg.counter(prefix + ".messages").add(stats_.messages);
+    reg.counter(prefix + ".rounds").add(stats_.rounds);
+    reg.counter(prefix + ".active_nodes").add(active);
+    reg.counter(prefix + ".runs").add(1);
+    if (faults_ != nullptr) {
+      reg.counter(prefix + ".dropped").add(stats_.dropped);
+      reg.counter(prefix + ".duplicated").add(stats_.duplicated);
+    }
+  }
+
+  DenseEngine(const DenseEngine&) = delete;
+  DenseEngine& operator=(const DenseEngine&) = delete;
 
   bool is_active(net::NodeId v) const {
     return active_ == nullptr || (*active_)[v];
@@ -531,6 +272,7 @@ class DenseEngine {
 
   const net::Network* net_;
   const net::NodeMask* active_;
+  const char* protocol_;
   const FaultModel* faults_;
   std::uint64_t protocol_key_ = 0xcbf29ce484222325ull;
   std::vector<std::vector<std::pair<net::NodeId, M>>> pending_;
@@ -548,19 +290,30 @@ using ReshuffledEngine = DenseEngine<M, 0xd1ce>;
 /// Handler invocations in order: (round, self, from).
 using DeliveryLog = std::vector<std::tuple<std::size_t, NodeId, NodeId>>;
 
+/// One protocol run: its result (counts, leaders or landmarks), cost and
+/// `sim.*` counters, plus the delivery log when it ran on a test engine.
 struct ProtocolTrace {
   DeliveryLog log;
   RunStats stats;
-  std::vector<NodeId> result;  // counts, leaders or landmarks
+  std::vector<NodeId> result;
+  std::map<std::string, std::uint64_t> obs;
 };
 
-// The three protocols' engine paths (sim/protocols.cpp), on engine `E`,
-// with the library's protocol names and transmission identities.
+bool any_active(const NodeMask& active) {
+  return std::any_of(active.begin(), active.end(), [](bool b) { return b; });
+}
+
+// The three protocols as message handlers on engine `E`, with the
+// library's protocol names and transmission identities: the TTL count
+// (a packet is forwarded on its first arrival), the leader flood (every
+// improvement is forwarded) and the election (bids and covers forwarded
+// when they arrive with more TTL left than any copy before). Like the
+// library, they run no engine when no node is active.
 
 template <template <typename> class E>
 ProtocolTrace trace_ttl_flood(const net::Network& net, const NodeMask& active,
                               std::uint32_t ttl, std::uint32_t repeat,
-                              const FaultModel& faults) {
+                              const FaultModel* faults) {
   struct Msg {
     NodeId origin;
     std::uint32_t ttl;
@@ -571,11 +324,12 @@ ProtocolTrace trace_ttl_flood(const net::Network& net, const NodeMask& active,
   };
   ProtocolTrace t;
   std::vector<std::unordered_set<NodeId>> heard(net.num_nodes());
-  {
-    E<Msg> engine(net, &active, "ttl_flood", &faults);
+  if (any_active(active)) {
+    E<Msg> engine(net, &active, "ttl_flood", faults);
     for (NodeId v = 0; v < net.num_nodes(); ++v) {
       if (!active[v]) continue;
       heard[v].insert(v);
+      if (ttl == 0) continue;
       for (std::uint32_t r = 0; r < repeat; ++r)
         engine.broadcast(v, {v, ttl - 1, r});
     }
@@ -597,7 +351,7 @@ ProtocolTrace trace_ttl_flood(const net::Network& net, const NodeMask& active,
 template <template <typename> class E>
 ProtocolTrace trace_leader_flood(const net::Network& net,
                                  const NodeMask& active, std::uint32_t repeat,
-                                 const FaultModel& faults) {
+                                 const FaultModel* faults) {
   struct Msg {
     NodeId id;
     std::uint32_t copy;
@@ -607,7 +361,8 @@ ProtocolTrace trace_leader_flood(const net::Network& net,
   };
   ProtocolTrace t;
   t.result.assign(net.num_nodes(), net::kInvalidNode);
-  E<Msg> engine(net, &active, "leader_flood", &faults);
+  if (!any_active(active)) return t;
+  E<Msg> engine(net, &active, "leader_flood", faults);
   for (NodeId v = 0; v < net.num_nodes(); ++v) {
     if (!active[v]) continue;
     t.result[v] = v;
@@ -629,7 +384,7 @@ ProtocolTrace trace_leader_flood(const net::Network& net,
 template <template <typename> class E>
 ProtocolTrace trace_election(const net::Network& net, const NodeMask& active,
                              std::uint32_t k, std::uint32_t repeat,
-                             const FaultModel& faults) {
+                             const FaultModel* faults) {
   struct Msg {
     std::uint8_t kind;  // 0 bid, 1 cover
     NodeId id;
@@ -657,7 +412,7 @@ ProtocolTrace trace_election(const net::Network& net, const NodeMask& active,
                          std::vector<NodeId>& min_bid) {
     const std::uint8_t kind = cover ? 1 : 0;
     std::vector<std::unordered_map<NodeId, std::uint32_t>> heard(n);
-    E<Msg> engine(net, &active, "landmark_election", &faults);
+    E<Msg> engine(net, &active, "landmark_election", faults);
     for (NodeId v : sources) {
       if (!cover) {
         min_bid[v] = v;
@@ -715,6 +470,51 @@ ProtocolTrace trace_election(const net::Network& net, const NodeMask& active,
   return t;
 }
 
+// The library's protocols, their results in the traces' shape.
+
+ProtocolTrace library_ttl_flood(const net::Network& net, const NodeMask& active,
+                                std::uint32_t ttl, const ProtocolOptions& opts,
+                                unsigned threads = 1) {
+  ProtocolTrace t;
+  const auto counts =
+      ttl_flood_count(net, active, ttl, &t.stats, opts, threads);
+  t.result.assign(counts.begin(), counts.end());
+  return t;
+}
+
+ProtocolTrace library_leader_flood(const net::Network& net,
+                                   const NodeMask& active,
+                                   const ProtocolOptions& opts) {
+  ProtocolTrace t;
+  t.result = leader_flood(net, active, &t.stats, opts);
+  return t;
+}
+
+ProtocolTrace library_election(const net::Network& net, const NodeMask& active,
+                               std::uint32_t k, const ProtocolOptions& opts) {
+  ProtocolTrace t;
+  t.result = khop_landmark_election(net, active, k, &t.stats, opts);
+  return t;
+}
+
+/// `run()` with collection on, the `sim.<protocol>.*` counters it added
+/// recorded in its trace (0 for a counter it did not touch).
+template <typename Run>
+ProtocolTrace observed(const std::string& protocol, Run&& run) {
+  obs::Registry::global().reset();
+  obs::set_enabled(true);
+  ProtocolTrace t = run();
+  obs::set_enabled(false);
+  const auto counters = obs::Registry::global().snapshot().counters;
+  for (const char* c : {"messages", "rounds", "active_nodes", "runs",
+                        "dropped", "duplicated"}) {
+    const std::string name = "sim." + protocol + "." + c;
+    const auto it = counters.find(name);
+    t.obs[name] = it == counters.end() ? 0 : it->second;
+  }
+  return t;
+}
+
 void expect_same_stats(const RunStats& got, const RunStats& want,
                        const std::string& where) {
   EXPECT_EQ(got.rounds, want.rounds) << where;
@@ -723,17 +523,216 @@ void expect_same_stats(const RunStats& got, const RunStats& want,
   EXPECT_EQ(got.duplicated, want.duplicated) << where;
 }
 
-void expect_same_trace(const ProtocolTrace& got, const ProtocolTrace& want,
-                       const std::string& where) {
-  EXPECT_FALSE(want.log.empty()) << where;
-  EXPECT_TRUE(got.log == want.log) << where;
+/// Same result, cost and counters.
+void expect_same_run(const ProtocolTrace& got, const ProtocolTrace& want,
+                     const std::string& where) {
   EXPECT_EQ(got.result, want.result) << where;
   expect_same_stats(got.stats, want.stats, where);
+  EXPECT_EQ(got.obs, want.obs) << where;
 }
 
-/// The fault scenarios the delivery-order tests run: a lossy and a
-/// duplicating channel, and a crash schedule (at fault clock 2) folded
-/// into the active mask over a lossy channel.
+/// True when some active node has no active neighbor.
+bool has_isolated_active(const net::Network& net, const NodeMask& active) {
+  for (NodeId v = 0; v < net.num_nodes(); ++v) {
+    if (!active[v]) continue;
+    const auto nbrs = net.neighbors(v);
+    if (std::none_of(nbrs.begin(), nbrs.end(),
+                     [&](NodeId u) { return bool(active[u]); }))
+      return true;
+  }
+  return false;
+}
+
+/// `net` with its node ids randomly permuted: the same graph, another id
+/// layout.
+net::Network permuted(const net::Network& net, std::uint64_t seed) {
+  const std::size_t n = net.num_nodes();
+  std::vector<NodeId> perm(n);
+  for (NodeId v = 0; v < n; ++v) perm[v] = v;
+  Rng rng(seed);
+  for (std::size_t i = n; i > 1; --i)
+    std::swap(perm[i - 1], perm[rng.uniform_index(i)]);
+  std::vector<Vec3> pos(n);
+  std::vector<bool> shell(n);
+  for (NodeId v = 0; v < n; ++v) {
+    pos[perm[v]] = net.position(v);
+    shell[perm[v]] = net.is_ground_truth_boundary(v);
+  }
+  return net::Network(std::move(pos), std::move(shell), net.radio_range());
+}
+
+// ---------------------------------------------------------------------------
+// The library against the reference engine.
+
+// On a reliable network, without a model and with an inert one, the
+// election equals the sorted reference engine on landmarks, RunStats and
+// counters.
+TEST(LandmarkElection, FaultFreeMatchesEngine) {
+  const net::Network net = random_network(17, 220, 300);
+  Rng rng(5);
+  NodeMask sparse(net.num_nodes());
+  for (NodeId v = 0; v < net.num_nodes(); ++v) sparse[v] = rng.uniform() < 0.6;
+  NodeMask shell(net.num_nodes());
+  for (NodeId v = 0; v < net.num_nodes(); ++v)
+    shell[v] = net.is_ground_truth_boundary(v);
+  const NodeMask all(net.num_nodes(), true);
+  const NodeMask none(net.num_nodes(), false);
+  const FaultModel inert(FaultConfig{});
+
+  const NodeMask* const masks[] = {&all, &sparse, &shell, &none};
+  for (const NodeMask* active : masks) {
+    for (std::uint32_t k = 1; k <= 5; ++k) {
+      for (std::uint32_t repeat : {1u, 3u}) {
+        for (const FaultModel* faults :
+             {&inert, static_cast<const FaultModel*>(nullptr)}) {
+          ProtocolOptions opts;
+          opts.repeat = repeat;
+          opts.faults = faults;
+          const std::string where =
+              "k=" + std::to_string(k) + " repeat=" + std::to_string(repeat) +
+              " inert=" + std::to_string(faults != nullptr);
+          const ProtocolTrace want = observed("landmark_election", [&] {
+            return trace_election<SortedEngine>(net, *active, k, repeat,
+                                                faults);
+          });
+          const ProtocolTrace got = observed("landmark_election", [&] {
+            return library_election(net, *active, k, opts);
+          });
+          ASSERT_EQ(want.result.empty(), active == &none) << where;
+          expect_same_run(got, want, where);
+        }
+      }
+    }
+  }
+}
+
+// At the largest TTL the natural round cap is 2^32; computed in 32 bits it
+// wrapped to 0 and the engine ran no round at all.
+TEST(TtlFloodCount, MaxTtlMatchesOracle) {
+  const net::Network net = line_network(6);
+  NodeMask active(6, true);
+  active[3] = false;  // two fragments: {0, 1, 2} and {4, 5}
+  const std::vector<std::uint32_t> want = {3, 3, 3, 0, 2, 2};
+  EXPECT_EQ(ttl_flood_count_oracle(net, active, net::kUnreachable), want);
+
+  const FaultModel inert(FaultConfig{});
+  ProtocolOptions engine;
+  engine.faults = &inert;
+  RunStats plain_stats, engine_stats;
+  EXPECT_EQ(ttl_flood_count(net, active, net::kUnreachable, &plain_stats),
+            want);
+  EXPECT_EQ(ttl_flood_count(net, active, net::kUnreachable, &engine_stats,
+                            engine),
+            want);
+  // Every (origin, node) pair in a fragment relays once: 9 + 4.
+  EXPECT_EQ(plain_stats.messages, 13u);
+  EXPECT_EQ(engine_stats.messages, 13u);
+  EXPECT_EQ(plain_stats.rounds, 3u);  // the last relay, 2 hops out, + 1
+  EXPECT_EQ(engine_stats.rounds, 3u);
+}
+
+// `k + 1` wrapped the same way in both election paths, which then elected
+// every node.
+TEST(LandmarkElection, MaxSpacingElectsOnePerComponent) {
+  const net::Network net = line_network(6);
+  NodeMask split(6, true);
+  split[3] = false;
+  const NodeMask all(6, true);
+  const FaultModel inert(FaultConfig{});
+  ProtocolOptions engine;
+  engine.faults = &inert;
+  for (const ProtocolOptions& opts : {ProtocolOptions{}, engine}) {
+    EXPECT_EQ(khop_landmark_election(net, all, net::kUnreachable, nullptr,
+                                     opts),
+              std::vector<NodeId>{0});
+    EXPECT_EQ(khop_landmark_election(net, split, net::kUnreachable, nullptr,
+                                     opts),
+              (std::vector<NodeId>{0, 4}));
+  }
+}
+
+// On a reliable network the TTL count equals the sorted reference engine
+// on counts, RunStats and counters, at every thread count, without a model
+// and with an inert one; and equals the BFS oracle.
+TEST(TtlFloodCount, FaultFreeMatchesEngine) {
+  const FaultModel inert(FaultConfig{});
+  for (std::uint64_t seed : {17u, 29u}) {
+    const net::Network net = random_network(seed, 150, 200);
+    Rng rng(seed + 5);
+    NodeMask sparse(net.num_nodes()), scattered(net.num_nodes());
+    for (NodeId v = 0; v < net.num_nodes(); ++v) {
+      sparse[v] = rng.uniform() < 0.6;
+      scattered[v] = rng.uniform() < 0.08;
+    }
+    ASSERT_TRUE(has_isolated_active(net, scattered));
+    NodeMask shell(net.num_nodes());
+    for (NodeId v = 0; v < net.num_nodes(); ++v)
+      shell[v] = net.is_ground_truth_boundary(v);
+    // The shell plus a few interior nodes cut off from it and each other.
+    NodeMask shell_plus(shell);
+    std::size_t added = 0;
+    for (NodeId v = 0; v < net.num_nodes() && added < 5; ++v) {
+      if (shell_plus[v]) continue;
+      const auto nbrs = net.neighbors(v);
+      if (std::any_of(nbrs.begin(), nbrs.end(),
+                      [&](NodeId u) { return bool(shell_plus[u]); }))
+        continue;
+      shell_plus[v] = true;
+      ++added;
+    }
+    ASSERT_GT(added, 0u);
+    // Every active node isolated: floods transmit but run no round.
+    NodeMask lonely(net.num_nodes(), false);
+    for (NodeId v = 0; v < net.num_nodes(); ++v) {
+      const auto nbrs = net.neighbors(v);
+      lonely[v] = std::none_of(nbrs.begin(), nbrs.end(),
+                               [&](NodeId u) { return bool(lonely[u]); });
+    }
+    const NodeMask all(net.num_nodes(), true);
+    const NodeMask none(net.num_nodes(), false);
+
+    const NodeMask* const masks[] = {&all,        &sparse, &scattered, &shell,
+                                     &shell_plus, &lonely, &none};
+    for (std::size_t m = 0; m < std::size(masks); ++m) {
+      const NodeMask* active = masks[m];
+      for (std::uint32_t ttl = 0; ttl <= 5; ++ttl) {
+        for (std::uint32_t repeat : {1u, 3u}) {
+          for (const FaultModel* faults :
+               {&inert, static_cast<const FaultModel*>(nullptr)}) {
+            ProtocolOptions opts;
+            opts.repeat = repeat;
+            opts.faults = faults;
+            const ProtocolTrace want = observed("ttl_flood", [&] {
+              return trace_ttl_flood<SortedEngine>(net, *active, ttl, repeat,
+                                                   faults);
+            });
+            const std::string where =
+                "seed=" + std::to_string(seed) +
+                " mask=" + std::to_string(m) + " ttl=" + std::to_string(ttl) +
+                " repeat=" + std::to_string(repeat) +
+                " inert=" + std::to_string(faults != nullptr);
+            for (unsigned threads : {1u, 2u, 4u}) {
+              if (threads > 1 && repeat > 1) continue;  // same searches
+              const ProtocolTrace got = observed("ttl_flood", [&] {
+                return library_ttl_flood(net, *active, ttl, opts, threads);
+              });
+              expect_same_run(got, want,
+                              where + " threads=" + std::to_string(threads));
+            }
+            const auto oracle = ttl_flood_count_oracle(net, *active, ttl);
+            EXPECT_EQ(want.result,
+                      std::vector<NodeId>(oracle.begin(), oracle.end()))
+                << where;
+          }
+        }
+      }
+    }
+  }
+}
+
+/// The fault scenarios the reference tests run: a lossy and a duplicating
+/// channel, and a crash schedule (at fault clock 2) folded into the active
+/// mask over a lossy channel.
 struct FaultScenario {
   FaultConfig config;
   NodeMask active;
@@ -764,57 +763,87 @@ std::vector<FaultScenario> fault_scenarios(const net::Network& net,
   return out;
 }
 
-// The frontier engine must invoke handlers in exactly the dense scan's
-// order — ascending receiver, FIFO within an inbox — under every fault
-// scenario: the leader flood's message count depends on it.
-TEST(RoundEngine, FrontierDeliversInDenseOrder) {
+// Every protocol equals the sorted reference engine on results, RunStats
+// and counters: without a model, with an inert one and under the three
+// fault scenarios, at repeat 1 and 2, on random networks and on the same
+// networks with their ids permuted (the leader flood's message count
+// depends on how ids lie in the graph).
+TEST(Protocols, MatchSortedEngine) {
   for (std::uint64_t seed : {3u, 8u}) {
-    const net::Network net = random_network(seed, 150, 200);
-    const auto scenarios = fault_scenarios(net, seed);
-    for (std::size_t c = 0; c < scenarios.size(); ++c) {
-      const NodeMask& active = scenarios[c].active;
-      const FaultModel faults(scenarios[c].config);
-      for (std::uint32_t repeat : {1u, 2u}) {
-        const std::string where = "seed=" + std::to_string(seed) +
-                                  " config=" + std::to_string(c) +
-                                  " repeat=" + std::to_string(repeat);
-        const ProtocolTrace flood =
-            trace_ttl_flood<RoundEngine>(net, active, 3, repeat, faults);
-        expect_same_trace(
-            flood, trace_ttl_flood<SortedEngine>(net, active, 3, repeat, faults),
-            "ttl_flood " + where);
-        const ProtocolTrace leader =
-            trace_leader_flood<RoundEngine>(net, active, repeat, faults);
-        expect_same_trace(
-            leader,
-            trace_leader_flood<SortedEngine>(net, active, repeat, faults),
-            "leader_flood " + where);
-        const ProtocolTrace election =
-            trace_election<RoundEngine>(net, active, 2, repeat, faults);
-        expect_same_trace(
-            election,
-            trace_election<SortedEngine>(net, active, 2, repeat, faults),
-            "landmark_election " + where);
+    const net::Network built = random_network(seed, 150, 200);
+    const net::Network shuffled = permuted(built, seed + 100);
+    for (const net::Network* net : {&built, &shuffled}) {
+      const auto scenarios = fault_scenarios(*net, seed);
+      const FaultModel inert(FaultConfig{});
+      struct Channel {
+        const char* name;
+        std::optional<FaultModel> model;
+        const NodeMask* active;
+      };
+      std::vector<Channel> channels;
+      channels.push_back({"none", std::nullopt, &scenarios[0].active});
+      channels.push_back({"inert", inert, &scenarios[0].active});
+      for (const FaultScenario& s : scenarios)
+        channels.push_back({"faulted", FaultModel(s.config), &s.active});
 
-        // The traced drivers are the library's engine paths: same results
-        // and RunStats under the same faults.
-        ProtocolOptions opts;
-        opts.repeat = repeat;
-        opts.faults = &faults;
-        RunStats stats;
-        const auto counts = ttl_flood_count(net, active, 3, &stats, opts);
-        EXPECT_EQ(std::vector<NodeId>(counts.begin(), counts.end()),
-                  flood.result)
-            << where;
-        expect_same_stats(stats, flood.stats, "ttl_flood " + where);
-        EXPECT_EQ(leader_flood(net, active, &stats, opts), leader.result)
-            << where;
-        expect_same_stats(stats, leader.stats, "leader_flood " + where);
-        EXPECT_EQ(khop_landmark_election(net, active, 2, &stats, opts),
-                  election.result)
-            << where;
-        expect_same_stats(stats, election.stats, "election " + where);
+      RunStats faulted_total;
+      for (std::size_t c = 0; c < channels.size(); ++c) {
+        const NodeMask& active = *channels[c].active;
+        const FaultModel* faults =
+            channels[c].model ? &*channels[c].model : nullptr;
+        for (std::uint32_t repeat : {1u, 2u}) {
+          ProtocolOptions opts;
+          opts.repeat = repeat;
+          opts.faults = faults;
+          const std::string where =
+              "seed=" + std::to_string(seed) +
+              " permuted=" + std::to_string(net == &shuffled) +
+              " channel=" + std::to_string(c) + "/" + channels[c].name +
+              " repeat=" + std::to_string(repeat);
+
+          const ProtocolTrace flood = observed("ttl_flood", [&] {
+            return trace_ttl_flood<SortedEngine>(*net, active, 3, repeat,
+                                                 faults);
+          });
+          for (unsigned threads : {1u, 4u}) {
+            expect_same_run(observed("ttl_flood",
+                                     [&] {
+                                       return library_ttl_flood(
+                                           *net, active, 3, opts, threads);
+                                     }),
+                            flood,
+                            "ttl_flood " + where +
+                                " threads=" + std::to_string(threads));
+          }
+          const ProtocolTrace leader = observed("leader_flood", [&] {
+            return trace_leader_flood<SortedEngine>(*net, active, repeat,
+                                                    faults);
+          });
+          expect_same_run(observed("leader_flood",
+                                   [&] {
+                                     return library_leader_flood(*net, active,
+                                                                 opts);
+                                   }),
+                          leader, "leader_flood " + where);
+          const ProtocolTrace election = observed("landmark_election", [&] {
+            return trace_election<SortedEngine>(*net, active, 2, repeat,
+                                                faults);
+          });
+          expect_same_run(observed("landmark_election",
+                                   [&] {
+                                     return library_election(*net, active, 2,
+                                                             opts);
+                                   }),
+                          election, "landmark_election " + where);
+          if (c >= 2) {
+            faulted_total += flood.stats;
+            faulted_total += leader.stats;
+            faulted_total += election.stats;
+          }
+        }
       }
+      EXPECT_GT(faulted_total.dropped, 0u);
+      EXPECT_GT(faulted_total.duplicated, 0u);
     }
   }
 }
@@ -823,8 +852,9 @@ TEST(RoundEngine, FrontierDeliversInDenseOrder) {
 // a stream, so the TTL flood and the election — whose forwarding decisions
 // within a round do not depend on arrival order — give the same counts,
 // landmarks and RunStats when the reference engine drains receivers and
-// inboxes in shuffled order. (The leader flood's message count does depend
-// on that order; see FrontierDeliversInDenseOrder.)
+// inboxes in shuffled order. This is what lets the library compute them
+// one source at a time. (The leader flood's message count does depend on
+// that order; the library replays the sorted drain.)
 TEST(RoundEngine, ShuffledDrainKeepsFaultedFloodCountsAndLandmarks) {
   for (std::uint64_t seed : {3u, 8u}) {
     const net::Network net = random_network(seed, 150, 200);
@@ -837,26 +867,107 @@ TEST(RoundEngine, ShuffledDrainKeepsFaultedFloodCountsAndLandmarks) {
                                   std::to_string(scenario.config.drop_probability) +
                                   " repeat=" + std::to_string(repeat);
         const ProtocolTrace flood =
-            trace_ttl_flood<SortedEngine>(net, active, 3, repeat, faults);
+            trace_ttl_flood<SortedEngine>(net, active, 3, repeat, &faults);
         const ProtocolTrace election =
-            trace_election<SortedEngine>(net, active, 2, repeat, faults);
+            trace_election<SortedEngine>(net, active, 2, repeat, &faults);
         const ProtocolTrace shuffled_floods[] = {
-            trace_ttl_flood<ShuffledEngine>(net, active, 3, repeat, faults),
-            trace_ttl_flood<ReshuffledEngine>(net, active, 3, repeat, faults)};
+            trace_ttl_flood<ShuffledEngine>(net, active, 3, repeat, &faults),
+            trace_ttl_flood<ReshuffledEngine>(net, active, 3, repeat, &faults)};
         for (const ProtocolTrace& got : shuffled_floods) {
           EXPECT_FALSE(got.log == flood.log) << "drain order never changed";
           EXPECT_EQ(got.result, flood.result) << "ttl_flood " << where;
           expect_same_stats(got.stats, flood.stats, "ttl_flood " + where);
         }
         const ProtocolTrace shuffled_elections[] = {
-            trace_election<ShuffledEngine>(net, active, 2, repeat, faults),
-            trace_election<ReshuffledEngine>(net, active, 2, repeat, faults)};
+            trace_election<ShuffledEngine>(net, active, 2, repeat, &faults),
+            trace_election<ReshuffledEngine>(net, active, 2, repeat, &faults)};
         for (const ProtocolTrace& got : shuffled_elections) {
           EXPECT_EQ(got.result, election.result) << "election " << where;
           expect_same_stats(got.stats, election.stats, "election " + where);
         }
         EXPECT_GT(flood.stats.dropped, 0u) << where;
       }
+    }
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Round semantics, at the protocol level.
+
+// A packet crosses one hop per round. On a 5-node line a TTL-2 packet is
+// heard two hops out and its flood lasts two rounds; at TTL 4 node 0's
+// packet reaches node 4 in round 4. The leader flood carries id 0 to node
+// 4 in round 4, whose re-broadcast reaches node 3 in round 5.
+TEST(Protocols, OneRoundPerHop) {
+  const net::Network net = line_network(5);
+  const NodeMask all(5, true);
+  RunStats stats;
+  EXPECT_EQ(ttl_flood_count(net, all, 2, &stats),
+            (std::vector<std::uint32_t>{3, 4, 5, 4, 3}));
+  EXPECT_EQ(stats.rounds, 2u);
+  EXPECT_EQ(ttl_flood_count(net, all, 4, &stats),
+            (std::vector<std::uint32_t>{5, 5, 5, 5, 5}));
+  EXPECT_EQ(stats.rounds, 4u);
+  EXPECT_EQ(leader_flood(net, all, &stats), std::vector<NodeId>(5, 0));
+  EXPECT_EQ(stats.rounds, 5u);
+  // One election iteration: node 0's bid reaches node 4 in round 4, and its
+  // cover does too.
+  EXPECT_EQ(khop_landmark_election(net, all, 4, &stats),
+            std::vector<NodeId>{0});
+  EXPECT_EQ(stats.rounds, 8u);
+}
+
+// Inactive nodes neither hear nor relay: a line cut at node 2 is two
+// fragments to every protocol, and node 2 sends nothing.
+TEST(Protocols, InactiveNodesNeverRelay) {
+  const net::Network net = line_network(5);
+  NodeMask active(5, true);
+  active[2] = false;
+  RunStats stats;
+  EXPECT_EQ(ttl_flood_count(net, active, 3, &stats),
+            (std::vector<std::uint32_t>{2, 2, 0, 2, 2}));
+  // Each origin's broadcast, and its one active neighbor's relay.
+  EXPECT_EQ(stats.messages, 8u);
+  EXPECT_EQ(stats.rounds, 2u);
+  EXPECT_EQ(leader_flood(net, active, &stats),
+            (std::vector<NodeId>{0, 0, net::kInvalidNode, 3, 3}));
+  EXPECT_EQ(stats.messages, 6u);  // four initial broadcasts, two adoptions
+  EXPECT_EQ(khop_landmark_election(net, active, 4, &stats),
+            (std::vector<NodeId>{0, 3}));
+}
+
+// A channel that duplicates every delivery changes no result, round or
+// message, and counts exactly one duplicate per delivery: as many as the
+// reliable reference engine made deliveries.
+TEST(Protocols, DuplicateEverythingChannelKeepsResults) {
+  const net::Network net = random_network(7, 150, 200);
+  Rng rng(7);
+  NodeMask active(net.num_nodes());
+  for (NodeId v = 0; v < net.num_nodes(); ++v) active[v] = rng.uniform() < 0.7;
+  FaultConfig cfg;
+  cfg.duplicate_probability = 1.0;
+  const FaultModel model(cfg);
+  for (std::uint32_t repeat : {1u, 2u}) {
+    ProtocolOptions reliable;
+    reliable.repeat = repeat;
+    ProtocolOptions doubled = reliable;
+    doubled.faults = &model;
+    const std::string where = "repeat=" + std::to_string(repeat);
+
+    const ProtocolTrace runs[][2] = {
+        {library_ttl_flood(net, active, 3, doubled),
+         trace_ttl_flood<SortedEngine>(net, active, 3, repeat, nullptr)},
+        {library_leader_flood(net, active, doubled),
+         trace_leader_flood<SortedEngine>(net, active, repeat, nullptr)},
+        {library_election(net, active, 3, doubled),
+         trace_election<SortedEngine>(net, active, 3, repeat, nullptr)}};
+    for (const auto& [got, want] : runs) {
+      EXPECT_EQ(got.result, want.result) << where;
+      EXPECT_EQ(got.stats.rounds, want.stats.rounds) << where;
+      EXPECT_EQ(got.stats.messages, want.stats.messages) << where;
+      EXPECT_EQ(got.stats.dropped, 0u) << where;
+      EXPECT_EQ(got.stats.duplicated, want.log.size()) << where;
+      EXPECT_GT(got.stats.duplicated, 0u) << where;
     }
   }
 }
