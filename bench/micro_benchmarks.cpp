@@ -49,7 +49,10 @@ void BM_GridRadiusQuery(benchmark::State& state) {
   std::size_t hits = 0;
   for (auto _ : state) {
     const Vec3 q = geom::sample_in_box(rng, {{0, 0, 0}, {10, 10, 10}});
-    grid.for_each_in_radius(q, 1.0, [&](std::uint32_t) { ++hits; });
+    grid.for_each_in_ball(q, 1.0, [&](std::uint32_t) {
+      ++hits;
+      return true;
+    });
   }
   benchmark::DoNotOptimize(hits);
 }

@@ -18,7 +18,7 @@
 #include "common/strings.hpp"
 #include "core/session.hpp"
 #include "mesh/obj_export.hpp"
-#include "mesh/surface_stage.hpp"
+#include "mesh/surface_builder.hpp"
 #include "model/zoo.hpp"
 #include "net/builder.hpp"
 #include "obs/metrics.hpp"
@@ -81,8 +81,8 @@ int main(int argc, char** argv) {
                 quality.mean_confidence, quality.flood_margin);
   }
 
-  mesh::SurfaceStage surface_stage;
-  const mesh::SurfaceResult& surfaces = surface_stage.run(session, result);
+  const mesh::SurfaceResult surfaces =
+      mesh::build_surfaces(network, result.boundary, result.groups);
   mesh::write_obj(surfaces, "hole_inspection.obj", result.group_quality);
   std::printf("wrote hole_inspection.obj (%zu surfaces)\n",
               surfaces.surfaces.size());

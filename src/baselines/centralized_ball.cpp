@@ -31,8 +31,11 @@ std::vector<bool> centralized_ball_detect(const net::Network& network,
 
         // Lemma 1 with global knowledge: witnesses j, k range over *all*
         // nodes within 2r of i, not only one-hop neighbors.
-        std::vector<std::uint32_t> near =
-            grid.query_radius(self, 2.0 * r);
+        std::vector<std::uint32_t> near;
+        grid.for_each_in_ball(self, 2.0 * r, [&](std::uint32_t u) {
+          near.push_back(u);
+          return true;
+        });
         bool found = false;
         for (std::size_t a = 0; a < near.size() && !found; ++a) {
           if (near[a] == i) continue;

@@ -565,16 +565,6 @@ void DetectionSession::run_filter_stages(const PipelineConfig& config,
       }
     }
   }
-
-  Fingerprint fp;
-  fp.flags(result.boundary);
-  fp.boolean(config.iff.use_message_passing);
-  fp.boolean(config.group);
-  // Downstream consumers (the surface stage) read node positions, so a
-  // move must change the result identity even when the boundary set is
-  // unchanged.
-  fp.u64(topology_version_);
-  result_fp_ = fp.value();
 }
 
 PipelineResult DetectionSession::run(const PipelineConfig& config) {

@@ -12,7 +12,6 @@
 ///          └─ UBF (per-node candidate flags)     ← every UbfConfig knob
 ///               └─ IFF (boundary flags)          ← iff.theta/ttl/use_message_passing
 ///                    └─ Group (BoundaryGroups)   ← iff.use_message_passing
-///                         └─ Surface (opt-in, mesh::SurfaceStage)
 ///
 /// Each stage caches its last artifact keyed by a fingerprint of exactly
 /// the config fields and upstream artifacts it reads. A config sweep that
@@ -152,11 +151,6 @@ class DetectionSession {
 
   const SessionStats& stats() const { return stats_; }
 
-  /// Fingerprint of the last run's final boundary + groups; equal values
-  /// guarantee identical (boundary, groups). 0 before the first run.
-  /// `mesh::SurfaceStage` keys its artifact on this.
-  std::uint64_t result_fingerprint() const { return result_fp_; }
-
  private:
   void run_ubf_stages(const PipelineConfig& config,
                       const UbfConfig& ubf_config, unsigned threads,
@@ -269,7 +263,6 @@ class DetectionSession {
   std::uint64_t group_fp_ = 0;
   bool group_valid_ = false;
 
-  std::uint64_t result_fp_ = 0;
   SessionStats stats_;
 };
 

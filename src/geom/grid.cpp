@@ -1,63 +1,52 @@
 #include "geom/grid.hpp"
 
-#include <cmath>
 #include <limits>
+#include <numeric>
 
 #include "common/assert.hpp"
+#include "geom/aabb.hpp"
 
 namespace ballfit::geom {
 
 SpatialGrid::SpatialGrid(const std::vector<Vec3>& points, double cell_size)
-    : points_(&points), cell_size_(cell_size) {
-  BALLFIT_REQUIRE(cell_size > 0.0, "SpatialGrid cell_size must be positive");
-  cells_.reserve(points.size());
-  for (std::uint32_t i = 0; i < points.size(); ++i) {
-    cells_[hash_key(key_for(points[i]))].push_back(i);
+    : points_(&points), cell_(cell_size) {
+  BALLFIT_REQUIRE(std::isfinite(cell_size) && cell_size > 0.0,
+                  "SpatialGrid cell_size must be finite and positive");
+  const std::size_t n = points.size();
+  BALLFIT_REQUIRE(n <= std::numeric_limits<std::uint32_t>::max(),
+                  "SpatialGrid indexes at most 2^32 - 1 points");
+  starts_.assign(2, 0);  // one empty cell
+  if (n == 0) return;
+
+  Aabb box;
+  for (const Vec3& p : points) box.expand(p);
+  origin_ = box.min;
+  const Vec3 ext = box.extent();
+  // Doubling ends at the latest at an infinite edge (reached when the box
+  // is wider than the largest double): one cell, where the distance test
+  // alone decides.
+  const auto cells_along = [&](double e) {
+    return std::isinf(cell_) ? 1.0 : std::floor(e / cell_) + 1.0;
+  };
+  const double budget = static_cast<double>(kBaseCells + kCellsPerPoint * n);
+  while (cells_along(ext.x) * cells_along(ext.y) * cells_along(ext.z) >
+         budget) {
+    cell_ *= 2.0;
   }
-}
+  nx_ = static_cast<std::size_t>(cells_along(ext.x));
+  ny_ = static_cast<std::size_t>(cells_along(ext.y));
+  nz_ = static_cast<std::size_t>(cells_along(ext.z));
 
-std::vector<std::uint32_t> SpatialGrid::query_radius(const Vec3& q,
-                                                     double radius) const {
-  std::vector<std::uint32_t> out;
-  for_each_in_radius(q, radius, [&](std::uint32_t idx) { out.push_back(idx); });
-  return out;
-}
-
-std::int64_t SpatialGrid::nearest(const Vec3& q) const {
-  if (points_->empty()) return -1;
-  double best_d2 = std::numeric_limits<double>::infinity();
-  std::int64_t best = -1;
-  // Expanding shell search: once a candidate is found in shell s, points in
-  // shells beyond (s+1) cannot beat it, because any point there is at least
-  // s * cell_size away.
-  const CellKey base = key_for(q);
-  for (std::int64_t shell = 0;; ++shell) {
-    bool any_cell = false;
-    for (std::int64_t dx = -shell; dx <= shell; ++dx)
-      for (std::int64_t dy = -shell; dy <= shell; ++dy)
-        for (std::int64_t dz = -shell; dz <= shell; ++dz) {
-          if (std::max({std::llabs(dx), std::llabs(dy), std::llabs(dz)}) !=
-              shell)
-            continue;  // only the surface of the shell
-          auto it = cells_.find(
-              hash_key({base.x + dx, base.y + dy, base.z + dz}));
-          if (it == cells_.end()) continue;
-          any_cell = true;
-          for (std::uint32_t idx : it->second) {
-            double d2 = (*points_)[idx].distance_sq_to(q);
-            if (d2 < best_d2) {
-              best_d2 = d2;
-              best = idx;
-            }
-          }
-        }
-    if (best >= 0) {
-      const double guaranteed = static_cast<double>(shell) * cell_size_;
-      if (best_d2 <= guaranteed * guaranteed) return best;
-    }
-    // Safety: if we searched far past the populated area, stop.
-    if (!any_cell && shell > 0 && best >= 0) return best;
-    if (shell > 4096) return best;  // pathological fallback
+  // Counting sort: count per cell, prefix-sum to each cell's end, then
+  // place points in descending order so each cell ends up ascending and
+  // starts_[c] ends at the cell's first slot.
+  const std::size_t num_cells = nx_ * ny_ * nz_;
+  starts_.assign(num_cells + 1, 0);
+  for (const Vec3& p : points) ++starts_[cell_index(p)];
+  std::partial_sum(starts_.begin(), starts_.end(), starts_.begin());
+  nodes_.resize(n);
+  for (std::size_t i = n; i-- > 0;) {
+    nodes_[--starts_[cell_index(points[i])]] = static_cast<std::uint32_t>(i);
   }
 }
 

@@ -1,60 +1,72 @@
 #pragma once
 
 /// \file grid.hpp
-/// Uniform spatial hash grid over a fixed point set.
+/// Uniform spatial grid over a fixed point set: the repo's one index for
+/// radius queries.
 ///
-/// The network builder uses it to compute unit-disk adjacency in O(n·ρ)
-/// instead of O(n²), and samplers use it for blue-noise style minimum
-/// distance rejection. Points are immutable after construction; the grid
-/// stores indices into the caller's array.
+/// `net::Network` computes unit-ball adjacency through it in O(n·ρ) instead
+/// of O(n²), both at construction and in `apply_moves`, and the centralized
+/// baseline runs its ball-emptiness queries on it. The grid is anchored at
+/// the points' AABB minimum and stores indices into the caller's array,
+/// counting-sorted into a dense cell array (cell-major, ascending within a
+/// cell). Queries only read, so any number of threads may share one grid.
+/// The caller's array must outlive the grid and stay unchanged.
 
+#include <algorithm>
+#include <cmath>
+#include <cstddef>
 #include <cstdint>
-#include <unordered_map>
 #include <vector>
 
-#include "common/assert.hpp"
-#include "geom/aabb.hpp"
 #include "geom/vec3.hpp"
 
 namespace ballfit::geom {
 
 class SpatialGrid {
  public:
+  /// The cell array holds at most kBaseCells + kCellsPerPoint · n cells.
+  static constexpr std::size_t kBaseCells = 64;
+  static constexpr std::size_t kCellsPerPoint = 8;
+
   /// Builds a grid over `points` with cubic cells of edge `cell_size`, in
   /// the same length units as the points (radio-range units everywhere in
   /// this repo). `cell_size` is typically the query radius so a radius
-  /// query touches at most 27 cells; it must be > 0.
+  /// query touches at most 27 cells; it must be finite and > 0. A bounding
+  /// box that would need more cells than the budget above gets a wider
+  /// edge instead (doubled until it fits), so memory stays O(n) for any
+  /// finite input; queries stay exact, only coarser.
   SpatialGrid(const std::vector<Vec3>& points, double cell_size);
 
-  /// Indices of all points p with |p − q| <= radius (same units as the
-  /// points; the comparison is inclusive, matching unit-disk adjacency).
-  std::vector<std::uint32_t> query_radius(const Vec3& q, double radius) const;
-
-  /// Visits all points within `radius` of `q` without allocating.
-  template <typename Fn>
-  void for_each_in_radius(const Vec3& q, double radius, Fn&& fn) const {
-    for_each_in_ball(q, radius, [&](std::uint32_t idx) {
-      fn(idx);
-      return true;
-    });
-  }
-
   /// Radius-bounded visitor with early exit: visits points p with
-  /// |p − q| <= radius until `fn(idx)` returns false. Returns false iff a
-  /// visit stopped the walk (i.e. the ball is known non-empty to the
-  /// caller), true when every point in the ball was visited. No temporary
-  /// vectors — this is the hot-path form of `query_radius`.
+  /// |p − q| <= radius (inclusive, matching unit-ball adjacency) until
+  /// `fn(idx)` returns false. Returns false iff a visit stopped the walk
+  /// (i.e. the ball is known non-empty to the caller), true when every
+  /// point in the ball was visited. `q` may lie outside the points' box.
   template <typename Fn>
   bool for_each_in_ball(const Vec3& q, double radius, Fn&& fn) const {
     const double r2 = radius * radius;
-    const CellKey lo = key_for(q - Vec3{radius, radius, radius});
-    const CellKey hi = key_for(q + Vec3{radius, radius, radius});
-    for (std::int64_t cx = lo.x; cx <= hi.x; ++cx)
-      for (std::int64_t cy = lo.y; cy <= hi.y; ++cy)
-        for (std::int64_t cz = lo.z; cz <= hi.z; ++cz) {
-          auto it = cells_.find(hash_key({cx, cy, cz}));
-          if (it == cells_.end()) continue;
-          for (std::uint32_t idx : it->second) {
+    // Cells of q's own cell ± ⌈radius/edge⌉ along each axis cover the
+    // ball; clamping q into the box keeps that true for outside queries.
+    const double span = std::ceil(radius / cell_);
+    const std::size_t reach =
+        span > 0.0 ? static_cast<std::size_t>(std::min(
+                         span, static_cast<double>(starts_.size())))
+                   : 0;
+    const std::size_t cx = axis_cell(q.x, origin_.x, nx_);
+    const std::size_t cy = axis_cell(q.y, origin_.y, ny_);
+    const std::size_t cz = axis_cell(q.z, origin_.z, nz_);
+    const std::size_t x0 = cx < reach ? 0 : cx - reach;
+    const std::size_t y0 = cy < reach ? 0 : cy - reach;
+    const std::size_t z0 = cz < reach ? 0 : cz - reach;
+    const std::size_t x1 = std::min(cx + reach, nx_ - 1);
+    const std::size_t y1 = std::min(cy + reach, ny_ - 1);
+    const std::size_t z1 = std::min(cz + reach, nz_ - 1);
+    for (std::size_t z = z0; z <= z1; ++z)
+      for (std::size_t y = y0; y <= y1; ++y)
+        for (std::size_t x = x0; x <= x1; ++x) {
+          const std::size_t c = (z * ny_ + y) * nx_ + x;
+          for (std::uint32_t k = starts_[c]; k < starts_[c + 1]; ++k) {
+            const std::uint32_t idx = nodes_[k];
             if ((*points_)[idx].distance_sq_to(q) <= r2 && !fn(idx)) {
               return false;
             }
@@ -63,42 +75,34 @@ class SpatialGrid {
     return true;
   }
 
-  /// Index of the nearest point to `q`, or -1 when the grid is empty.
-  /// Searches expanding shells of cells, so it is exact.
-  std::int64_t nearest(const Vec3& q) const;
-
-  std::size_t size() const { return points_->size(); }
-  double cell_size() const { return cell_size_; }
+  /// The cell edge in use: the requested one, or wider when the budget
+  /// forced it.
+  double cell_size() const { return cell_; }
 
  private:
-  struct CellKey {
-    std::int64_t x, y, z;
-  };
-
-  CellKey key_for(const Vec3& p) const {
-    return {static_cast<std::int64_t>(std::floor(p.x / cell_size_)),
-            static_cast<std::int64_t>(std::floor(p.y / cell_size_)),
-            static_cast<std::int64_t>(std::floor(p.z / cell_size_))};
+  /// Cell of `coord` along one axis: truncated, then clamped into
+  /// [0, cells). A NaN offset (an infinite edge over an infinite distance)
+  /// lands in cell 0.
+  std::size_t axis_cell(double coord, double lo, std::size_t cells) const {
+    const double t = (coord - lo) / cell_;
+    if (!(t >= 1.0)) return 0;
+    if (t >= static_cast<double>(cells)) return cells - 1;
+    return static_cast<std::size_t>(t);
   }
 
-  static std::uint64_t hash_key(const CellKey& k) {
-    // Exact packed key: 21 bits per axis with a 2^20 offset. Cell
-    // coordinates are bounded by |c| < 2^20 for any realistic scene
-    // (checked below), so two distinct cells never share a key — a collision
-    // here would silently merge cells and produce duplicate query results.
-    constexpr std::int64_t kBias = 1 << 20;
-    BALLFIT_ASSERT_MSG(k.x > -kBias && k.x < kBias && k.y > -kBias &&
-                           k.y < kBias && k.z > -kBias && k.z < kBias,
-                       "SpatialGrid cell coordinate out of packable range");
-    const auto ux = static_cast<std::uint64_t>(k.x + kBias);
-    const auto uy = static_cast<std::uint64_t>(k.y + kBias);
-    const auto uz = static_cast<std::uint64_t>(k.z + kBias);
-    return ux | (uy << 21) | (uz << 42);
+  std::size_t cell_index(const Vec3& p) const {
+    return (axis_cell(p.z, origin_.z, nz_) * ny_ +
+            axis_cell(p.y, origin_.y, ny_)) *
+               nx_ +
+           axis_cell(p.x, origin_.x, nx_);
   }
 
   const std::vector<Vec3>* points_;
-  double cell_size_;
-  std::unordered_map<std::uint64_t, std::vector<std::uint32_t>> cells_;
+  Vec3 origin_{};
+  double cell_;
+  std::size_t nx_ = 1, ny_ = 1, nz_ = 1;
+  std::vector<std::uint32_t> starts_;  // num_cells + 1
+  std::vector<std::uint32_t> nodes_;   // point indices, cell-major
 };
 
 }  // namespace ballfit::geom

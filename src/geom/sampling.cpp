@@ -1,9 +1,6 @@
 #include "geom/sampling.hpp"
 
 #include <cmath>
-#include <numeric>
-
-#include "geom/grid.hpp"
 
 namespace ballfit::geom {
 
@@ -42,33 +39,6 @@ Vec3 sample_on_triangle(Rng& rng, const Vec3& a, const Vec3& b,
   const double su = std::sqrt(rng.uniform());
   const double v = rng.uniform();
   return a * (1.0 - su) + b * (su * (1.0 - v)) + c * (su * v);
-}
-
-std::vector<Vec3> poisson_thin(Rng& rng, std::vector<Vec3> points,
-                               double min_dist) {
-  if (points.empty() || min_dist <= 0.0) return points;
-
-  // Fisher–Yates shuffle so the greedy pass has no positional bias.
-  for (std::size_t i = points.size() - 1; i > 0; --i) {
-    std::size_t j = rng.uniform_index(i + 1);
-    std::swap(points[i], points[j]);
-  }
-
-  SpatialGrid grid(points, min_dist);
-  std::vector<bool> kept(points.size(), false);
-  std::vector<Vec3> survivors;
-  for (std::size_t i = 0; i < points.size(); ++i) {
-    // Early-exit visitor: the first kept conflict settles the point, so
-    // the rest of the neighborhood never needs to be walked.
-    const bool conflict = !grid.for_each_in_ball(
-        points[i], min_dist,
-        [&](std::uint32_t j) { return !(j < i && kept[j]); });
-    if (!conflict) {
-      kept[i] = true;
-      survivors.push_back(points[i]);
-    }
-  }
-  return survivors;
 }
 
 }  // namespace ballfit::geom

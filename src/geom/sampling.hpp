@@ -3,8 +3,6 @@
 /// \file sampling.hpp
 /// Uniform random sampling primitives used by the network generators.
 
-#include <vector>
-
 #include "common/rng.hpp"
 #include "geom/aabb.hpp"
 #include "geom/vec3.hpp"
@@ -25,11 +23,5 @@ Vec3 sample_in_ball(Rng& rng, const Vec3& c, double r);
 
 /// Uniform point on triangle (a,b,c) via the square-root parameterization.
 Vec3 sample_on_triangle(Rng& rng, const Vec3& a, const Vec3& b, const Vec3& c);
-
-/// Thins `points` so that no two survivors are closer than `min_dist`
-/// (greedy dart-throwing elimination, order given by `rng` shuffle).
-/// Produces Poisson-disk-like spacing from an oversampled input set.
-std::vector<Vec3> poisson_thin(Rng& rng, std::vector<Vec3> points,
-                               double min_dist);
 
 }  // namespace ballfit::geom

@@ -24,6 +24,10 @@
 
 #include "geom/vec3.hpp"
 
+namespace ballfit::geom {
+class SpatialGrid;
+}
+
 namespace ballfit::net {
 
 using NodeId = std::uint32_t;
@@ -89,12 +93,12 @@ class Network {
   void apply_moves(std::span<const NodeMove> moves);
 
  private:
-  /// Unit-disk CSR construction; see the ctor contract. Dispatches between
-  /// the dense grid sweep (counting-sort buckets over a dense cell array,
-  /// parallel two-pass count/fill) and the hash-grid fallback for point
-  /// sets whose AABB would make the dense cell array larger than the
-  /// point count justifies.
-  void build_adjacency(unsigned threads);
+  /// Rebuilds the CSR over `grid` (built on `positions_` with cell edge
+  /// `radio_range_`): the rows with `(*refill)[i] != 0`, or every row when
+  /// `refill` is null, are filled from the grid; the others keep their
+  /// current contents. Construction and `apply_moves` both go through it.
+  void fill_rows(const geom::SpatialGrid& grid, const std::vector<char>* refill,
+                 unsigned threads);
 
   std::vector<geom::Vec3> positions_;
   std::vector<bool> truth_boundary_;

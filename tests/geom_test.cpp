@@ -183,44 +183,17 @@ TEST(SpatialGrid, RadiusQueryMatchesBruteForce) {
   for (int q = 0; q < 50; ++q) {
     const Vec3 query = sample_in_box(rng, {{0, 0, 0}, {10, 10, 10}});
     const double radius = rng.uniform(0.1, 3.0);
-    auto got = grid.query_radius(query, radius);
+    std::vector<std::uint32_t> got;
+    grid.for_each_in_ball(query, radius, [&](std::uint32_t i) {
+      got.push_back(i);
+      return true;
+    });
     std::sort(got.begin(), got.end());
     std::vector<std::uint32_t> want;
     for (std::uint32_t i = 0; i < pts.size(); ++i)
       if (pts[i].distance_to(query) <= radius) want.push_back(i);
     EXPECT_EQ(got, want);
   }
-}
-
-TEST(SpatialGrid, NearestMatchesBruteForce) {
-  Rng rng(22);
-  std::vector<Vec3> pts;
-  for (int i = 0; i < 300; ++i)
-    pts.push_back(sample_in_box(rng, {{0, 0, 0}, {5, 5, 5}}));
-  const SpatialGrid grid(pts, 0.7);
-  for (int q = 0; q < 100; ++q) {
-    const Vec3 query = sample_in_box(rng, {{-1, -1, -1}, {6, 6, 6}});
-    const auto got = grid.nearest(query);
-    ASSERT_GE(got, 0);
-    double best = 1e300;
-    std::int64_t want = -1;
-    for (std::uint32_t i = 0; i < pts.size(); ++i) {
-      const double d = pts[i].distance_to(query);
-      if (d < best) {
-        best = d;
-        want = i;
-      }
-    }
-    EXPECT_NEAR(pts[static_cast<std::size_t>(got)].distance_to(query), best,
-                1e-12);
-    (void)want;
-  }
-}
-
-TEST(SpatialGrid, EmptyGridNearestReturnsMinusOne) {
-  std::vector<Vec3> pts;
-  const SpatialGrid grid(pts, 1.0);
-  EXPECT_EQ(grid.nearest({0, 0, 0}), -1);
 }
 
 TEST(SpatialGrid, ForEachInBallVisitsExactlyTheBall) {
@@ -261,6 +234,53 @@ TEST(SpatialGrid, ForEachInBallStopsWhenVisitorReturnsFalse) {
                                                });
   EXPECT_FALSE(completed);
   EXPECT_EQ(visits, 1);
+}
+
+TEST(SpatialGrid, WidenedCellsStayExact) {
+  // Point sets whose box at the requested edge would need more cells than
+  // the budget allows: far-apart clusters, a 2·10⁶-unit span off the
+  // origin, and a box wider than the largest double. The grid widens its
+  // edge (up to infinite) and every query, inside or outside the box, still
+  // visits exactly the ball.
+  Rng rng(26);
+  std::vector<Vec3> clusters;
+  for (int i = 0; i < 60; ++i) {
+    const Vec3 base = i % 2 == 0 ? Vec3{0, 0, 0} : Vec3{2e6, -2e6, 2e6};
+    clusters.push_back(base + sample_in_box(rng, {{0, 0, 0}, {2, 2, 2}}));
+  }
+  const std::vector<Vec3> extreme = {
+      {-1.7e308, 0, 0}, {1.7e308, 0, 0}, {1.7e308, 0.5, 0}, {0, 0, 0}};
+  for (const std::vector<Vec3>& pts : {clusters, extreme}) {
+    const SpatialGrid grid(pts, 1.0);
+    EXPECT_GT(grid.cell_size(), 1.0);
+    std::vector<Vec3> queries = pts;
+    queries.push_back({3e6, 3e6, 3e6});
+    queries.push_back({-1.0, 0.5, 0.5});
+    for (const Vec3& query : queries) {
+      for (const double radius : {0.0, 0.5, 1.0, 2.5}) {
+        std::vector<std::uint32_t> got;
+        grid.for_each_in_ball(query, radius, [&](std::uint32_t i) {
+          got.push_back(i);
+          return true;
+        });
+        std::sort(got.begin(), got.end());
+        std::vector<std::uint32_t> want;
+        for (std::uint32_t i = 0; i < pts.size(); ++i)
+          if (pts[i].distance_sq_to(query) <= radius * radius)
+            want.push_back(i);
+        EXPECT_EQ(got, want);
+      }
+    }
+  }
+}
+
+TEST(SpatialGrid, EmptyGridVisitsNothing) {
+  const std::vector<Vec3> pts;
+  const SpatialGrid grid(pts, 1.0);
+  EXPECT_TRUE(grid.for_each_in_ball({0, 0, 0}, 5.0, [](std::uint32_t) {
+    ADD_FAILURE() << "visited a point of an empty grid";
+    return true;
+  }));
 }
 
 // --- CandidateCache ---------------------------------------------------------
@@ -360,19 +380,6 @@ TEST(Sampling, OnTriangleBarycentricInside) {
     EXPECT_GE(p.y, -1e-12);
     EXPECT_LE(p.x + p.y, 2.0 + 1e-12);
   }
-}
-
-TEST(Sampling, PoissonThinEnforcesSpacing) {
-  Rng rng(36);
-  std::vector<Vec3> pts;
-  for (int i = 0; i < 3000; ++i)
-    pts.push_back(sample_in_box(rng, {{0, 0, 0}, {5, 5, 5}}));
-  const auto thinned = poisson_thin(rng, pts, 0.5);
-  EXPECT_GT(thinned.size(), 50u);
-  EXPECT_LT(thinned.size(), pts.size());
-  for (std::size_t i = 0; i < thinned.size(); ++i)
-    for (std::size_t j = i + 1; j < thinned.size(); ++j)
-      EXPECT_GT(thinned[i].distance_to(thinned[j]), 0.5);
 }
 
 }  // namespace

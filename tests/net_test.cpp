@@ -8,6 +8,8 @@
 #include <cmath>
 #include <deque>
 #include <limits>
+#include <string>
+#include <utility>
 
 #include "common/rng.hpp"
 #include "model/sampler.hpp"
@@ -413,63 +415,169 @@ TEST(EdgeMeasurementCache, SymmetricAcrossDirectedCopies) {
   }
 }
 
-TEST(ParallelBuilder, ThreadCountAndGridPathInvariant) {
+/// Brute-force unit-ball rows: j is in row i iff j != i and
+/// |p_i − p_j|² <= r², the comparison the builder makes.
+std::vector<std::vector<NodeId>> brute_force_rows(const std::vector<Vec3>& pos,
+                                                  double r) {
+  std::vector<std::vector<NodeId>> rows(pos.size());
+  for (NodeId i = 0; i < pos.size(); ++i)
+    for (NodeId j = 0; j < pos.size(); ++j)
+      if (i != j && pos[i].distance_sq_to(pos[j]) <= r * r)
+        rows[i].push_back(j);
+  return rows;
+}
+
+void expect_brute_force_csr(const Network& net, const std::vector<Vec3>& pos,
+                            const std::string& what) {
+  const auto want = brute_force_rows(pos, net.radio_range());
+  ASSERT_EQ(net.num_nodes(), pos.size()) << what;
+  for (NodeId i = 0; i < net.num_nodes(); ++i) {
+    const auto got = net.neighbors(i);
+    EXPECT_TRUE(std::equal(got.begin(), got.end(), want[i].begin(),
+                           want[i].end()))
+        << what << ", row " << i;
+  }
+}
+
+/// Point sets for the builder and apply_moves checks: a sampled sphere, a
+/// stretched bar, two clusters far apart (over the grid's cell budget, so
+/// the grid widens its cells), points on a line at exactly half a radio
+/// range apart (neighbors at distance exactly 1), duplicated positions,
+/// and a single node.
+std::vector<std::pair<std::string, std::vector<Vec3>>> grid_inputs() {
+  std::vector<std::pair<std::string, std::vector<Vec3>>> inputs;
   Rng rng(17);
   const model::SphereShape shape({0, 0, 0}, 3.0);
-  std::vector<geom::Vec3> pos = model::sample_surface(shape, 150, rng);
+  std::vector<Vec3> sphere = model::sample_surface(shape, 150, rng);
   {
     auto interior = model::sample_volume(shape, 250, rng, 0.0);
-    pos.insert(pos.end(), interior.begin(), interior.end());
+    sphere.insert(sphere.end(), interior.begin(), interior.end());
   }
-  const std::vector<bool> truth(pos.size(), false);
+  inputs.emplace_back("sphere", std::move(sphere));
 
-  const net::Network serial(pos, truth, 1.0, 1);
-  const net::Network parallel(pos, truth, 1.0, 8);
-  ASSERT_EQ(serial.num_nodes(), parallel.num_nodes());
-  for (NodeId v = 0; v < serial.num_nodes(); ++v) {
-    const auto a = serial.neighbors(v);
-    const auto b = parallel.neighbors(v);
-    ASSERT_TRUE(std::equal(a.begin(), a.end(), b.begin(), b.end()))
-        << "row " << v;
+  std::vector<Vec3> bar;
+  for (int i = 0; i < 300; ++i)
+    bar.push_back({rng.uniform(0, 150), rng.uniform(0, 1.2),
+                   rng.uniform(0, 1.2)});
+  inputs.emplace_back("stretched", std::move(bar));
+
+  std::vector<Vec3> clusters;
+  for (int i = 0; i < 200; ++i) {
+    const Vec3 base = i % 2 == 0 ? Vec3{0, 0, 0} : Vec3{1000, -1000, 500};
+    clusters.push_back(base + Vec3{rng.uniform(0, 3), rng.uniform(0, 3),
+                                   rng.uniform(0, 3)});
   }
+  inputs.emplace_back("two far clusters", std::move(clusters));
 
-  // Brute-force cross-check of the dense-grid sweep.
-  for (NodeId i = 0; i < serial.num_nodes(); ++i) {
-    for (NodeId j = 0; j < serial.num_nodes(); ++j) {
-      if (i == j) continue;
-      EXPECT_EQ(serial.are_neighbors(i, j), serial.true_distance(i, j) <= 1.0)
-          << i << "," << j;
+  std::vector<Vec3> line;
+  for (int i = 0; i < 40; ++i) line.push_back({0.5 * (39 - i), 2.0, -1.0});
+  inputs.emplace_back("collinear", std::move(line));
+
+  std::vector<Vec3> dup;
+  for (int i = 0; i < 60; ++i)
+    dup.push_back({rng.uniform(0, 3), rng.uniform(0, 3), rng.uniform(0, 3)});
+  for (int i = 0; i < 60; i += 3) dup.push_back(dup[i]);
+  dup.push_back(dup[0]);
+  inputs.emplace_back("duplicates", std::move(dup));
+
+  inputs.emplace_back("one node", std::vector<Vec3>{{7, -3, 2}});
+  return inputs;
+}
+
+TEST(ParallelBuilder, ThreadCountAndGridPathInvariant) {
+  for (const auto& [name, pos] : grid_inputs()) {
+    const std::vector<bool> truth(pos.size(), false);
+    for (const unsigned threads : {1u, 4u}) {
+      expect_brute_force_csr(Network(pos, truth, 1.0, threads), pos,
+                             name + ", " + std::to_string(threads) +
+                                 " threads");
     }
   }
 }
 
+TEST(Network, FarSpanMatchesBruteForce) {
+  // Positions spanning 2·10⁶ radio ranges, far over the grid's cell
+  // budget at a unit edge.
+  Rng rng(31);
+  std::vector<Vec3> pos;
+  for (int i = 0; i < 40; ++i) {
+    const double off = i % 2 == 0 ? 0.0 : 2e6;
+    pos.push_back(
+        {off + rng.uniform(0, 2), rng.uniform(0, 2), rng.uniform(0, 2)});
+  }
+  for (const unsigned threads : {1u, 4u}) {
+    expect_brute_force_csr(
+        Network(pos, std::vector<bool>(pos.size(), false), 1.0, threads),
+        pos, std::to_string(threads) + " threads");
+  }
+}
+
 // --- apply_moves: local adjacency rebuild ----------------------------------
+
+void expect_same_csr(const Network& got, const Network& want,
+                     const std::string& what) {
+  ASSERT_EQ(got.num_nodes(), want.num_nodes()) << what;
+  for (NodeId i = 0; i < got.num_nodes(); ++i) {
+    EXPECT_EQ(got.position(i), want.position(i)) << what << ", node " << i;
+    const auto a = got.neighbors(i);
+    const auto b = want.neighbors(i);
+    EXPECT_TRUE(std::equal(a.begin(), a.end(), b.begin(), b.end()))
+        << what << ", row " << i;
+  }
+}
 
 TEST(ApplyMoves, EquivalentToFreshConstruction) {
   Rng rng(7);
   std::vector<Vec3> pos;
   for (int i = 0; i < 250; ++i)
     pos.push_back({rng.uniform(0, 5), rng.uniform(0, 5), rng.uniform(0, 5)});
-  Network net(pos, std::vector<bool>(pos.size(), false), 1.0);
+  std::vector<std::pair<std::string, std::vector<Vec3>>> inputs =
+      grid_inputs();
+  inputs.emplace_back("box", pos);
 
-  // Mix of small drifts and one long jump, unsorted by id on purpose.
-  std::vector<NodeMove> moves = {
-      {42, {pos[42].x + 0.3, pos[42].y, pos[42].z - 0.2}},
-      {7, {pos[7].x - 0.4, pos[7].y + 0.1, pos[7].z}},
-      {199, {0.1, 0.1, 0.1}},  // jumps across the box
-  };
+  for (auto& [name, p] : inputs) {
+    const std::vector<bool> truth(p.size(), false);
+    Network net(p, truth, 1.0);
+    const auto last = static_cast<NodeId>(p.size() - 1);
+    const Vec3 home = p.size() > 1 ? p[1] : p[0];
+    // Batches, unsorted by id on purpose: small drifts and a jump onto
+    // another node's exact position; a jump far outside the box (the grid
+    // grows and may widen its cells); the far node brought back.
+    std::vector<std::vector<NodeMove>> batches;
+    if (p.size() == 1) {
+      batches = {{{0, {7.5, -3, 2}}}, {{0, {1e5, 0, 0}}}, {{0, {7, -3, 2}}}};
+    } else {
+      batches = {
+          {{last, p[last] + Vec3{0.3, 0, -0.2}},
+           {0, p[0] - Vec3{0.4, -0.1, 0}},
+           {last / 2, p[1]}},
+          {{1, p[1] + Vec3{4e4, 0, 0}}},
+          {{1, home}, {last, p[last / 3]}},
+      };
+    }
+    for (std::size_t b = 0; b < batches.size(); ++b) {
+      net.apply_moves(batches[b]);
+      for (const NodeMove& m : batches[b]) p[m.node] = m.new_position;
+      const std::string what = name + ", batch " + std::to_string(b);
+      expect_same_csr(net, Network(p, truth, 1.0), what);
+      expect_brute_force_csr(net, p, what);
+    }
+  }
+}
+
+TEST(ApplyMoves, FarFromOriginMatchesBruteForce) {
+  // A compact network 2·10⁶ radio ranges from the origin.
+  const Vec3 far{2e6, 2e6, 2e6};
+  std::vector<Vec3> pos = {far, far + Vec3{0.6, 0, 0}, far + Vec3{0, 0.6, 0},
+                           far + Vec3{1.5, 0, 0}};
+  const std::vector<bool> truth(pos.size(), false);
+  Network net(pos, truth, 1.0);
+  const std::vector<NodeMove> moves = {{3, far + Vec3{0.9, 0.3, 0}},
+                                       {0, far + Vec3{-0.7, 0, 0}}};
   net.apply_moves(moves);
   for (const NodeMove& m : moves) pos[m.node] = m.new_position;
-  const Network fresh(pos, std::vector<bool>(pos.size(), false), 1.0);
-
-  for (NodeId i = 0; i < net.num_nodes(); ++i) {
-    EXPECT_EQ(net.position(i).x, fresh.position(i).x) << "node " << i;
-    const auto got = net.neighbors(i);
-    const auto want = fresh.neighbors(i);
-    ASSERT_EQ(got.size(), want.size()) << "node " << i;
-    for (std::size_t k = 0; k < want.size(); ++k)
-      EXPECT_EQ(got[k], want[k]) << "node " << i;
-  }
+  expect_brute_force_csr(net, pos, "after moves");
+  expect_same_csr(net, Network(pos, truth, 1.0), "after moves");
 }
 
 TEST(ApplyMoves, RejectsDuplicateAndOutOfRangeIds) {
