@@ -5,10 +5,12 @@
 ///
 /// The per-node stages (local MDS + unit-ball test) are embarrassingly
 /// parallel and read-only over shared state, but their per-index cost is
-/// skewed: boundary nodes cluster in id order, and so do the large two-hop
-/// patches. Workers therefore claim small fixed-size chunks from one atomic
-/// counter instead of owning a contiguous quarter each — no pools, no
-/// per-worker queues.
+/// skewed and clustered: the ball test walks nodes in spatial order
+/// (`net::Network::spatial_order`), where the expensive boundary nodes sit
+/// in runs of cells along the surface, and in sampling id order the
+/// surface nodes come first. Workers therefore claim small fixed-size
+/// chunks from one atomic counter instead of owning a contiguous quarter
+/// each — no pools, no per-worker queues.
 
 #include <algorithm>
 #include <atomic>

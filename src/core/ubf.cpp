@@ -5,6 +5,7 @@
 #include <atomic>
 #include <cmath>
 #include <cstdint>
+#include <span>
 
 #include "common/assert.hpp"
 #include "common/epoch_map.hpp"
@@ -227,6 +228,108 @@ UbfScratch& local_scratch() {
   return scratch;
 }
 
+/// The interior certificate (see `BallSweep`): true when every point of
+/// S(self, r) is covered by the members of `coords` (those below
+/// `witness_count` at the one-hop limit, the rest at the two-hop limit),
+/// so no candidate ball can be empty. Which members it tries, and in what
+/// order, only decides how soon it finds a cover; soundness rests on the
+/// per-cell test alone. Adds the cell checks it performs to `checks`.
+bool sphere_covered(const std::vector<Vec3>& coords, std::size_t self_index,
+                    std::size_t witness_count, double r,
+                    const UnitBallFitting::InsideLimits& limits,
+                    UbfScratch& scratch, std::size_t& checks) {
+  const Vec3 self = coords[self_index];
+  const double delta = certificate_margin(r, self);
+  const double reach_one = std::sqrt(limits.one_hop_sq) - delta;
+  const double reach_two = std::sqrt(limits.two_hop_sq) - delta;
+  const CoverTable& table = cover_table();
+
+  // |p − u| >= | |u − self| − r | for every p on the sphere, so a member
+  // whose distance to self is outside (r − a, r + a), a = reach − (the
+  // finest chord), covers no cell at any level. A non-finite member
+  // fails the test too.
+  const double finest = r * table.leaf_chord;
+  const auto band = [&](double reach, double& lo_sq, double& hi_sq) {
+    const double a = reach - finest;
+    lo_sq = r > a ? (r - a) * (r - a) : -1.0;
+    hi_sq = a > 0.0 ? (r + a) * (r + a) : -1.0;
+  };
+  double lo_one, hi_one, lo_two, hi_two;
+  band(reach_one, lo_one, hi_one);
+  band(reach_two, lo_two, hi_two);
+  std::array<std::vector<CoverMember>, 8>& octants = scratch.cover;
+  for (std::vector<CoverMember>& o : octants) o.clear();
+  Vec3 mass;
+  for (std::size_t u = 0; u < coords.size(); ++u) {
+    if (u == self_index) continue;
+    const bool one = u < witness_count;
+    const Vec3 rel = coords[u] - self;
+    const double d2 = rel.norm_sq();
+    if (d2 > (one ? lo_one : lo_two) && d2 < (one ? hi_one : hi_two)) {
+      octants[octant_of(rel)].push_back({rel, one ? reach_one : reach_two});
+      mass += rel;
+    }
+  }
+
+  // Depth-first from the roots, so the stack holds at most the roots plus
+  // three siblings per level below.
+  struct Pending {
+    int level;
+    std::uint32_t index;  // within its level
+  };
+  constexpr std::uint32_t kRoots = 20u << (2 * kCoverRoot);
+  std::array<Pending, kRoots + 3 * (kCoverLeaf - kCoverRoot)> stack;
+  std::size_t top = 0;
+  // An uncovered region, if any, most likely faces away from the
+  // members' mass: those roots go on the stack last, so they pop first.
+  const unsigned away = octant_of(-mass);
+  for (const bool first : {false, true}) {
+    for (std::uint32_t c = kRoots; c-- > 0;) {
+      const CoverCell& root = table.cells[cover_level_offset(kCoverRoot) + c];
+      if ((octant_of(root.center) == away) == first) {
+        stack[top++] = {kCoverRoot, c};
+      }
+    }
+  }
+  const CoverMember* memo = nullptr;
+  while (top > 0) {
+    const Pending cell = stack[--top];
+    const CoverCell& c =
+        table.cells[cover_level_offset(cell.level) + cell.index];
+    const Vec3 p = c.center * r;
+    const double spread = r * c.chord;
+    const auto covers = [&](const CoverMember& m) {
+      ++checks;
+      const double t = m.reach - spread;
+      return t > 0.0 && p.distance_sq_to(m.rel) < t * t;
+    };
+    if (memo != nullptr && covers(*memo)) continue;
+    // Octants nearest the cell first. A member 90° or more away from
+    // the cell's center is at least r from the cell's center point, and
+    // every reach is below r, so the opposite octant is skipped.
+    const unsigned home = octant_of(c.center);
+    const CoverMember* found = nullptr;
+    for (const unsigned flip : {0u, 1u, 2u, 4u, 3u, 5u, 6u}) {
+      for (const CoverMember& m : octants[home ^ flip]) {
+        if (covers(m)) {
+          found = &m;
+          break;
+        }
+      }
+      if (found != nullptr) break;
+    }
+    if (found != nullptr) {
+      memo = found;
+      continue;
+    }
+    if (cell.level == kCoverLeaf) return false;
+    for (std::uint32_t child = 4; child-- > 0;) {
+      stack[top++] = {cell.level + 1, 4 * cell.index + child};
+    }
+  }
+  return true;
+}
+
 /// The optimized Algorithm 1 pair sweep. Enumerates empty candidate balls
 /// in exactly the order the naive double loop finds them; every shortcut
 /// below is provably outcome-neutral, so classification stays bit-identical
@@ -260,6 +363,14 @@ UbfScratch& local_scratch() {
 ///     witnesses. Which members are tried,
 ///     and in what order (the last covering member first, then the cell's
 ///     own octant outward), decides only how soon a cover is found.
+///   - **One-hop-first certificate** (true-coordinates driver, kTwoHop,
+///     before the two-hop gather): the certificate runs on the one-hop
+///     members alone, and a cover settles the node with zero empty balls.
+///     Soundness: one-hop members carry the same limit in both views, and
+///     a cell covered by a member of a subset is covered by that member in
+///     the full set, so the full view certifies too. Only when the subset
+///     fails does the driver gather the two-hop members and run the
+///     unchanged path; `cover_checks` then counts both attempts.
 ///   - **Pair pruning**: a sphere of radius r through two points farther
 ///     apart than 2r does not exist (circumradius > r), so such pairs are
 ///     skipped before the Eq. 1 solve. The 1e-9 relative slack keeps the
@@ -294,7 +405,8 @@ class BallSweep {
         witness_count_(witness_count),
         radius_(radius),
         scratch_(scratch) {
-    certified_ = sphere_covered(limits);
+    certified_ = sphere_covered(coords, self_index, witness_count, radius,
+                                limits, scratch, cover_checks_);
     if (certified_) return;
     scratch.cache.rebuild(coords, self_index);
     const std::size_t n = scratch.cache.size();
@@ -362,108 +474,6 @@ class BallSweep {
 
  private:
   static constexpr std::uint32_t kNoSlot = geom::CandidateCache::kNoSlot;
-
-  /// The interior certificate (see the class comment): true when every
-  /// point of S(self, r) is covered, so no candidate ball can be empty.
-  /// Which members it tries, and in what order, only decides how soon it
-  /// finds a cover; soundness rests on the per-cell test alone.
-  bool sphere_covered(const UnitBallFitting::InsideLimits& limits) {
-    const double r = radius_;
-    const double delta = certificate_margin(r, self_);
-    const double reach_one = std::sqrt(limits.one_hop_sq) - delta;
-    const double reach_two = std::sqrt(limits.two_hop_sq) - delta;
-    const CoverTable& table = cover_table();
-
-    // |p − u| >= | |u − self| − r | for every p on the sphere, so a member
-    // whose distance to self is outside (r − a, r + a), a = reach − (the
-    // finest chord), covers no cell at any level. A non-finite member
-    // fails the test too.
-    const double finest = r * table.leaf_chord;
-    const auto band = [&](double reach, double& lo_sq, double& hi_sq) {
-      const double a = reach - finest;
-      lo_sq = r > a ? (r - a) * (r - a) : -1.0;
-      hi_sq = a > 0.0 ? (r + a) * (r + a) : -1.0;
-    };
-    double lo_one, hi_one, lo_two, hi_two;
-    band(reach_one, lo_one, hi_one);
-    band(reach_two, lo_two, hi_two);
-    std::array<std::vector<CoverMember>, 8>& octants = scratch_.cover;
-    for (std::vector<CoverMember>& o : octants) o.clear();
-    Vec3 mass;
-    for (std::size_t u = 0; u < coords_.size(); ++u) {
-      if (u == self_index_) continue;
-      const bool one = u < witness_count_;
-      const Vec3 rel = coords_[u] - self_;
-      const double d2 = rel.norm_sq();
-      if (d2 > (one ? lo_one : lo_two) && d2 < (one ? hi_one : hi_two)) {
-        octants[octant_of(rel)].push_back({rel, one ? reach_one : reach_two});
-        mass += rel;
-      }
-    }
-
-    // Depth-first from the roots, so the stack holds at most the roots plus
-    // three siblings per level below.
-    struct Pending {
-      int level;
-      std::uint32_t index;  // within its level
-    };
-    constexpr std::uint32_t kRoots = 20u << (2 * kCoverRoot);
-    std::array<Pending, kRoots + 3 * (kCoverLeaf - kCoverRoot)> stack;
-    std::size_t top = 0;
-    // An uncovered region, if any, most likely faces away from the
-    // members' mass: those roots go on the stack last, so they pop first.
-    const unsigned away = octant_of(-mass);
-    for (const bool first : {false, true}) {
-      for (std::uint32_t c = kRoots; c-- > 0;) {
-        const CoverCell& root = table.cells[cover_level_offset(kCoverRoot) + c];
-        if ((octant_of(root.center) == away) == first) {
-          stack[top++] = {kCoverRoot, c};
-        }
-      }
-    }
-    const CoverMember* memo = nullptr;
-    std::size_t checks = 0;
-    while (top > 0) {
-      const Pending cell = stack[--top];
-      const CoverCell& c =
-          table.cells[cover_level_offset(cell.level) + cell.index];
-      const Vec3 p = c.center * r;
-      const double spread = r * c.chord;
-      const auto covers = [&](const CoverMember& m) {
-        ++checks;
-        const double t = m.reach - spread;
-        return t > 0.0 && p.distance_sq_to(m.rel) < t * t;
-      };
-      if (memo != nullptr && covers(*memo)) continue;
-      // Octants nearest the cell first. A member 90° or more away from
-      // the cell's center is at least r from the cell's center point, and
-      // every reach is below r, so the opposite octant is skipped.
-      const unsigned home = octant_of(c.center);
-      const CoverMember* found = nullptr;
-      for (const unsigned flip : {0u, 1u, 2u, 4u, 3u, 5u, 6u}) {
-        for (const CoverMember& m : octants[home ^ flip]) {
-          if (covers(m)) {
-            found = &m;
-            break;
-          }
-        }
-        if (found != nullptr) break;
-      }
-      if (found != nullptr) {
-        memo = found;
-        continue;
-      }
-      if (cell.level == kCoverLeaf) {
-        cover_checks_ = checks;
-        return false;
-      }
-      for (std::uint32_t child = 4; child-- > 0;) {
-        stack[top++] = {cell.level + 1, 4 * cell.index + child};
-      }
-    }
-    cover_checks_ = checks;
-    return true;
-  }
 
   bool ball_empty(const Vec3& center, UbfNodeDiagnostics& diag) {
     const geom::CandidateCache& cache = scratch_.cache;
@@ -654,47 +664,51 @@ NodeView frame_view(const localization::LocalFrame& frame, NodeId i) {
   return {&frame.coords, frame.one_hop_count, frame.stress_rms, !frame.ok};
 }
 
-/// True-coordinates path: the alive one-hop (and, under kTwoHop, two-hop)
-/// positions gathered into the worker's scratch arena, uncertainty 0.
-/// `seen` epoch-marks visited nodes (the allocation-free equivalent of a
-/// per-node unordered_set — see common/epoch_map.hpp) and `gather` reuses
-/// its capacity across nodes. Member order is identical to the naive
-/// gather, though emptiness is order-independent anyway.
+/// True-coordinates path: the alive one-hop positions gathered into the
+/// worker's scratch arena (`gather`, whose capacity is reused across
+/// nodes), uncertainty 0. Under kTwoHop, `add_two_hop` extends the same
+/// view when the one-hop members alone cannot certify the node.
 NodeView true_view(const net::Network& network, NodeId i,
-                   const std::vector<char>* alive, bool two_hop,
-                   UbfScratch& scratch) {
+                   const std::vector<char>* alive, UbfScratch& scratch) {
+  std::vector<Vec3>& coords = scratch.gather;
+  coords.clear();
+  coords.push_back(network.position(i));
+  for (NodeId v : network.neighbors(i)) {
+    if (alive == nullptr || (*alive)[v] != 0) {
+      coords.push_back(network.position(v));
+    }
+  }
+  const std::size_t witness_count = coords.size();
+  return {&coords, witness_count, 0.0, witness_count < kMinBallTestMembers};
+}
+
+/// Appends the alive two-hop members of i (neighbors of alive neighbors,
+/// minus the one-hop set and i itself, deduplicated) to the view
+/// `true_view` gathered. `seen` epoch-marks visited nodes (the
+/// allocation-free equivalent of a per-node unordered_set — see
+/// common/epoch_map.hpp); nodes settled on their one-hop view never touch
+/// it. Member order is identical to the naive gather, though emptiness is
+/// order-independent anyway.
+void add_two_hop(const net::Network& network, NodeId i,
+                 const std::vector<char>* alive, UbfScratch& scratch) {
   const auto dead = [&](NodeId v) {
     return alive != nullptr && (*alive)[v] == 0;
   };
-  std::vector<Vec3>& coords = scratch.gather;
   EpochSlotMap& seen = scratch.seen;
   seen.reset_universe(network.num_nodes());
   seen.clear();
-  coords.clear();
-  coords.push_back(network.position(i));
   seen.insert(i, 0);
   for (NodeId v : network.neighbors(i)) {
-    if (dead(v)) continue;
-    coords.push_back(network.position(v));
-    seen.insert(v, 0);
+    if (!dead(v)) seen.insert(v, 0);
   }
-  const std::size_t witness_count = coords.size();
-  if (witness_count < kMinBallTestMembers) {
-    return {&coords, witness_count, 0.0, true};
-  }
-  if (two_hop) {
-    // Exact two-hop membership: neighbors of neighbors, minus the one-hop
-    // set and i itself, deduplicated.
-    for (NodeId j : network.neighbors(i)) {
-      if (dead(j)) continue;
-      for (NodeId u : network.neighbors(j)) {
-        if (!dead(u) && seen.insert(u, 0)) {
-          coords.push_back(network.position(u));
-        }
+  for (NodeId j : network.neighbors(i)) {
+    if (dead(j)) continue;
+    for (NodeId u : network.neighbors(j)) {
+      if (!dead(u) && seen.insert(u, 0)) {
+        scratch.gather.push_back(network.position(u));
       }
     }
   }
-  return {&coords, witness_count, 0.0, false};
 }
 
 /// The one per-node ball-test driver behind every detector entry point.
@@ -704,7 +718,9 @@ NodeView true_view(const net::Network& network, NodeId i,
 /// counts votes. Every node the `run_mask` selects is recomputed from
 /// scratch; all shortcuts are upstream (which nodes run), never inside a
 /// node's decision, so a run over any sound dirty set leaves `flags` equal
-/// to a full recompute.
+/// to a full recompute. Nodes are visited in the network's spatial order,
+/// so a worker's consecutive nodes read overlapping neighborhoods; each
+/// flag depends only on its node's inputs, so the order moves no result.
 void run_ball_tests(const UnitBallFitting& ubf, const net::Network& network,
                     const std::vector<localization::LocalFrame>* frames,
                     std::vector<char>& flags, const std::vector<char>* alive,
@@ -752,9 +768,11 @@ void run_ball_tests(const UnitBallFitting& ubf, const net::Network& network,
 
   BALLFIT_SPAN("ball_test");
   const std::string parent = obs::current_span_path();
+  const std::span<const NodeId> order = network.spatial_order();
   parallel_for(
       n,
-      [&](std::size_t i) {
+      [&](std::size_t k) {
+        const std::size_t i = order[k];
         if (run_mask != nullptr && (*run_mask)[i] == 0) return;
         const obs::SpanPathScope adopt(parent);
         BALLFIT_SPAN("node");
@@ -769,10 +787,10 @@ void run_ball_tests(const UnitBallFitting& ubf, const net::Network& network,
           return;
         }
         const NodeId self = static_cast<NodeId>(i);
-        const NodeView view =
-            frames != nullptr
-                ? frame_view((*frames)[i], self)
-                : true_view(network, self, alive, two_hop, local_scratch());
+        UbfScratch& scratch = local_scratch();
+        const NodeView view = frames != nullptr
+                                  ? frame_view((*frames)[i], self)
+                                  : true_view(network, self, alive, scratch);
         if (view.degenerate) {
           flags[i] = config.degenerate_is_boundary ? 1 : 0;
           // A degenerate fallback is a claim with no ball evidence: pin it
@@ -794,18 +812,31 @@ void run_ball_tests(const UnitBallFitting& ubf, const net::Network& network,
         const std::vector<Vec3>& coords = *view.coords;
         UbfNodeDiagnostics diag;
         if (!cross_verify) {
+          // One-hop-first certificate (see BallSweep): a cover by the
+          // one-hop members settles the node as zero empty balls before
+          // the two-hop gather.
+          std::size_t first_checks = 0;
+          const bool settled =
+              two_hop &&
+              sphere_covered(coords, 0, view.witness_count, ubf.ball_radius(),
+                             ubf.inside_limits(view.uncertainty), scratch,
+                             first_checks);
+          if (two_hop && !settled) add_two_hop(network, self, alive, scratch);
           if (want_conf) {
             const std::size_t votes =
-                ubf.count_empty_balls(coords, 0, view.witness_count, pool,
-                                      view.uncertainty, &diag);
+                settled ? 0
+                        : ubf.count_empty_balls(coords, 0, view.witness_count,
+                                                pool, view.uncertainty, &diag);
             flags[i] = votes >= config.min_empty_balls ? 1 : 0;
             set_conf(vote_confidence(votes, config.min_empty_balls));
           } else {
-            flags[i] = ubf.test_node(coords, 0, view.witness_count, &diag,
-                                     view.uncertainty)
+            flags[i] = !settled && ubf.test_node(coords, 0, view.witness_count,
+                                                 &diag, view.uncertainty)
                            ? 1
                            : 0;
           }
+          if (settled) diag.certified = true;
+          diag.cover_checks += first_checks;
         } else {
           const std::vector<NodeId>& members = (*frames)[i].members;
           const auto balls =

@@ -166,7 +166,8 @@ struct UbfNodeDiagnostics {
   /// 2r prune never reach the solver.
   std::size_t trisphere_solves = 0;
   /// Member-against-cell distance checks the interior certificate
-  /// performed, whether or not it succeeded (count).
+  /// performed, whether or not it succeeded (count). The true-coordinates
+  /// driver's one-hop-first attempt (see ubf.cpp) adds its checks here.
   std::size_t cover_checks = 0;
 };
 

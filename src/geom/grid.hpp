@@ -9,13 +9,16 @@
 /// baseline runs its ball-emptiness queries on it. The grid is anchored at
 /// the points' AABB minimum and stores indices into the caller's array,
 /// counting-sorted into a dense cell array (cell-major, ascending within a
-/// cell). Queries only read, so any number of threads may share one grid.
-/// The caller's array must outlive the grid and stay unchanged.
+/// cell). That array doubles as a spatial visit order (`order()`), which
+/// `net::Network` keeps for its per-node loops. Queries only read, so any
+/// number of threads may share one grid. The caller's array must outlive
+/// the grid and stay unchanged.
 
 #include <algorithm>
 #include <cmath>
 #include <cstddef>
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "geom/vec3.hpp"
@@ -78,6 +81,13 @@ class SpatialGrid {
   /// The cell edge in use: the requested one, or wider when the budget
   /// forced it.
   double cell_size() const { return cell_; }
+
+  /// Every point index exactly once, cell by cell (cells in x-fastest
+  /// order), ascending within a cell: a permutation of [0, n) that is a
+  /// pure function of the points and `cell_size`, so two grids over equal
+  /// points with equal cell sizes give equal orders. Consecutive entries
+  /// are spatial neighbors, which is what a per-point loop over it is for.
+  std::span<const std::uint32_t> order() const { return nodes_; }
 
  private:
   /// Cell of `coord` along one axis: truncated, then clamped into

@@ -37,18 +37,12 @@ Network build_network(const model::Shape& shape, const BuildOptions& options,
       const std::size_t biggest = static_cast<std::size_t>(
           std::max_element(comps.sizes.begin(), comps.sizes.end()) -
           comps.sizes.begin());
-      std::vector<Vec3> kept_pos;
-      std::vector<bool> kept_truth;
+      std::vector<char> keep(net.num_nodes(), 0);
       for (NodeId i = 0; i < net.num_nodes(); ++i) {
-        if (comps.component[i] == biggest) {
-          kept_pos.push_back(net.position(i));
-          kept_truth.push_back(net.is_ground_truth_boundary(i));
-        } else {
-          ++dropped;
-        }
+        keep[i] = comps.component[i] == biggest ? 1 : 0;
       }
-      net = Network(std::move(kept_pos), std::move(kept_truth),
-                    options.radio_range, options.threads);
+      dropped = net.num_nodes() - comps.sizes[biggest];
+      net = net.restricted_to(keep);
     }
   }
 

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstddef>
+#include <limits>
 #include <numeric>
 
 #include "common/assert.hpp"
@@ -55,7 +56,7 @@ void Network::fill_rows(const geom::SpatialGrid& grid,
   // Two passes, each parallel over rows (writes are row-private): count
   // each row's degree and prefix-sum into offsets, then fill and sort each
   // row. The result is byte-identical for any thread count.
-  std::vector<std::size_t> offsets(n + 1, 0);
+  std::vector<std::uint32_t> offsets(n + 1, 0);
   parallel_for(
       n,
       [&](std::size_t i) {
@@ -68,8 +69,12 @@ void Network::fill_rows(const geom::SpatialGrid& grid,
         offsets[i + 1] = d;
       },
       threads);
+  const std::size_t entries =
+      std::accumulate(offsets.begin(), offsets.end(), std::size_t{0});
+  BALLFIT_REQUIRE(entries <= std::numeric_limits<std::uint32_t>::max(),
+                  "adjacency must hold fewer than 2^32 entries");
   std::partial_sum(offsets.begin(), offsets.end(), offsets.begin());
-  std::vector<NodeId> adjacency(offsets[n]);
+  std::vector<NodeId> adjacency(entries);
   parallel_for(
       n,
       [&](std::size_t i) {
@@ -86,6 +91,7 @@ void Network::fill_rows(const geom::SpatialGrid& grid,
       threads);
   offsets_ = std::move(offsets);
   adjacency_ = std::move(adjacency);
+  order_.assign(grid.order().begin(), grid.order().end());
 }
 
 void Network::apply_moves(std::span<const NodeMove> moves) {
@@ -124,6 +130,46 @@ void Network::apply_moves(std::span<const NodeMove> moves) {
                           });
   }
   fill_rows(grid, &affected, 1);
+}
+
+Network Network::restricted_to(const std::vector<char>& keep) const {
+  const std::size_t n = num_nodes();
+  BALLFIT_REQUIRE(keep.size() == n, "keep mask must be sized num_nodes");
+  // Two passes, as in fill_rows: renumber and count each kept row's kept
+  // neighbors, then copy the rows. Counts are subsets of this CSR's, so
+  // the offsets cannot overflow.
+  std::vector<NodeId> renumber(n, kInvalidNode);
+  const auto m = static_cast<std::size_t>(
+      std::count_if(keep.begin(), keep.end(), [](char k) { return k != 0; }));
+  Network out;
+  out.radio_range_ = radio_range_;
+  out.positions_.reserve(m);
+  out.truth_boundary_.reserve(m);
+  out.offsets_.reserve(m + 1);
+  out.offsets_.push_back(0);
+  for (NodeId i = 0; i < n; ++i) {
+    if (keep[i] == 0) continue;
+    renumber[i] = static_cast<NodeId>(out.positions_.size());
+    out.positions_.push_back(positions_[i]);
+    out.truth_boundary_.push_back(truth_boundary_[i]);
+    const auto nb = neighbors(i);
+    out.offsets_.push_back(out.offsets_.back() +
+                           static_cast<std::uint32_t>(std::count_if(
+                               nb.begin(), nb.end(),
+                               [&](NodeId j) { return keep[j] != 0; })));
+  }
+  out.num_truth_ = static_cast<std::size_t>(std::count(
+      out.truth_boundary_.begin(), out.truth_boundary_.end(), true));
+  out.adjacency_.reserve(out.offsets_.back());
+  for (NodeId i = 0; i < n; ++i) {
+    if (keep[i] == 0) continue;
+    for (NodeId j : neighbors(i)) {
+      if (keep[j] != 0) out.adjacency_.push_back(renumber[j]);
+    }
+  }
+  const geom::SpatialGrid grid(out.positions_, radio_range_);
+  out.order_.assign(grid.order().begin(), grid.order().end());
+  return out;
 }
 
 bool Network::are_neighbors(NodeId i, NodeId j) const {

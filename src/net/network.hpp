@@ -17,6 +17,13 @@
 /// churn engine to relocate nodes between detection runs; it rebuilds
 /// adjacency only around the moved nodes and leaves every other CSR row
 /// byte-identical to a from-scratch construction.
+///
+/// Besides adjacency, a network holds one spatial visit order
+/// (`spatial_order`): the cell-major node array of the `geom::SpatialGrid`
+/// its adjacency is built from. Per-node loops whose work reads each
+/// node's neighborhood walk it instead of id order, so that consecutive
+/// nodes share most of their neighbors' cache lines; ids themselves stay
+/// in sampling order (they key the noise model, seeds and elections).
 
 #include <cstdint>
 #include <span>
@@ -66,6 +73,15 @@ class Network {
     return offsets_[i + 1] - offsets_[i];
   }
 
+  /// Every node id exactly once, in the cell-major order of a
+  /// `geom::SpatialGrid` over `positions()` with cell edge `radio_range()`
+  /// (ascending within a cell). A pure function of the positions and the
+  /// range: it equals the order of a fresh Network over the same positions
+  /// after construction, `apply_moves` and `restricted_to` alike. Visiting
+  /// nodes in this order changes only which worker computes what, never a
+  /// per-node result.
+  std::span<const NodeId> spatial_order() const { return order_; }
+
   bool are_neighbors(NodeId i, NodeId j) const;
 
   /// True Euclidean distance between two nodes (any pair, oracle view).
@@ -92,11 +108,23 @@ class Network {
   /// untouched — they describe the original sampling, not current geometry.
   void apply_moves(std::span<const NodeMove> moves);
 
+  /// The network on the nodes with `keep[i] != 0`, renumbered in id order
+  /// (kept node i becomes the number of kept nodes below i), with their
+  /// positions, labels and range. Unit-disk adjacency is pairwise, so the
+  /// result is byte-identical to a fresh Network over the kept positions;
+  /// it is computed by restricting this CSR, which a monotone renumbering
+  /// keeps sorted, and only the visit order is rebuilt from a grid.
+  /// `keep` must be sized num_nodes().
+  Network restricted_to(const std::vector<char>& keep) const;
+
  private:
+  Network() = default;  // filled in by restricted_to
+
   /// Rebuilds the CSR over `grid` (built on `positions_` with cell edge
   /// `radio_range_`): the rows with `(*refill)[i] != 0`, or every row when
   /// `refill` is null, are filled from the grid; the others keep their
-  /// current contents. Construction and `apply_moves` both go through it.
+  /// current contents. Then keeps the grid's order as `order_`.
+  /// Construction and `apply_moves` both go through it.
   void fill_rows(const geom::SpatialGrid& grid, const std::vector<char>* refill,
                  unsigned threads);
 
@@ -104,9 +132,10 @@ class Network {
   std::vector<bool> truth_boundary_;
   std::size_t num_truth_ = 0;
   double radio_range_ = 0.0;
-  // CSR adjacency.
-  std::vector<std::size_t> offsets_;
+  // CSR adjacency; 32-bit offsets cap it below 2^32 entries.
+  std::vector<std::uint32_t> offsets_;
   std::vector<NodeId> adjacency_;
+  std::vector<NodeId> order_;  // spatial_order()
 };
 
 }  // namespace ballfit::net

@@ -484,13 +484,26 @@ std::vector<std::pair<std::string, std::vector<Vec3>>> grid_inputs() {
   return inputs;
 }
 
+/// The spatial visit order holds every node id exactly once.
+void expect_order_is_permutation(const Network& net, const std::string& what) {
+  std::vector<NodeId> sorted(net.spatial_order().begin(),
+                             net.spatial_order().end());
+  std::sort(sorted.begin(), sorted.end());
+  ASSERT_EQ(sorted.size(), net.num_nodes()) << what;
+  for (NodeId i = 0; i < sorted.size(); ++i) {
+    ASSERT_EQ(sorted[i], i) << what;
+  }
+}
+
 TEST(ParallelBuilder, ThreadCountAndGridPathInvariant) {
   for (const auto& [name, pos] : grid_inputs()) {
     const std::vector<bool> truth(pos.size(), false);
     for (const unsigned threads : {1u, 4u}) {
-      expect_brute_force_csr(Network(pos, truth, 1.0, threads), pos,
-                             name + ", " + std::to_string(threads) +
-                                 " threads");
+      const Network net(pos, truth, 1.0, threads);
+      const std::string what =
+          name + ", " + std::to_string(threads) + " threads";
+      expect_brute_force_csr(net, pos, what);
+      expect_order_is_permutation(net, what);
     }
   }
 }
@@ -514,16 +527,29 @@ TEST(Network, FarSpanMatchesBruteForce) {
 
 // --- apply_moves: local adjacency rebuild ----------------------------------
 
+/// Everything a Network holds matches: range, positions, labels, CSR
+/// offsets (degrees) and rows, and the visit order.
 void expect_same_csr(const Network& got, const Network& want,
                      const std::string& what) {
   ASSERT_EQ(got.num_nodes(), want.num_nodes()) << what;
+  EXPECT_EQ(got.radio_range(), want.radio_range()) << what;
+  EXPECT_EQ(got.ground_truth_boundary(), want.ground_truth_boundary())
+      << what;
+  EXPECT_EQ(got.num_ground_truth_boundary(), want.num_ground_truth_boundary())
+      << what;
   for (NodeId i = 0; i < got.num_nodes(); ++i) {
     EXPECT_EQ(got.position(i), want.position(i)) << what << ", node " << i;
+    EXPECT_EQ(got.degree(i), want.degree(i)) << what << ", node " << i;
     const auto a = got.neighbors(i);
     const auto b = want.neighbors(i);
     EXPECT_TRUE(std::equal(a.begin(), a.end(), b.begin(), b.end()))
         << what << ", row " << i;
   }
+  const auto oa = got.spatial_order();
+  const auto ob = want.spatial_order();
+  EXPECT_TRUE(std::equal(oa.begin(), oa.end(), ob.begin(), ob.end()))
+      << what << ", spatial order";
+  expect_order_is_permutation(got, what);
 }
 
 TEST(ApplyMoves, EquivalentToFreshConstruction) {
@@ -562,6 +588,86 @@ TEST(ApplyMoves, EquivalentToFreshConstruction) {
       expect_same_csr(net, Network(p, truth, 1.0), what);
       expect_brute_force_csr(net, p, what);
     }
+  }
+}
+
+// --- restricted_to: the induced subnetwork ----------------------------------
+
+/// The kept positions and labels of `keep`, in id order.
+std::pair<std::vector<Vec3>, std::vector<bool>> kept_part(
+    const Network& net, const std::vector<char>& keep) {
+  std::pair<std::vector<Vec3>, std::vector<bool>> out;
+  for (NodeId i = 0; i < net.num_nodes(); ++i) {
+    if (keep[i] == 0) continue;
+    out.first.push_back(net.position(i));
+    out.second.push_back(net.is_ground_truth_boundary(i));
+  }
+  return out;
+}
+
+TEST(RestrictedTo, EquivalentToFreshConstruction) {
+  for (const auto& [name, pos] : grid_inputs()) {
+    std::vector<bool> truth(pos.size(), false);
+    for (std::size_t i = 0; i < pos.size(); i += 4) truth[i] = true;
+    for (const unsigned threads : {1u, 4u}) {
+      const Network net(pos, truth, 1.0, threads);
+      const std::size_t n = net.num_nodes();
+      // Masks: everything, nothing, every third node dropped (rows lose
+      // entries), and the largest connected component alone (rows keep
+      // every entry).
+      std::vector<std::pair<std::string, std::vector<char>>> masks;
+      masks.emplace_back("all", std::vector<char>(n, 1));
+      masks.emplace_back("none", std::vector<char>(n, 0));
+      std::vector<char> thirds(n, 1);
+      for (std::size_t i = 0; i < n; i += 3) thirds[i] = 0;
+      masks.emplace_back("thirds", std::move(thirds));
+      const Components comps = connected_components(net);
+      const std::size_t biggest = static_cast<std::size_t>(
+          std::max_element(comps.sizes.begin(), comps.sizes.end()) -
+          comps.sizes.begin());
+      std::vector<char> component(n, 0);
+      for (NodeId i = 0; i < n; ++i) {
+        component[i] = comps.component[i] == biggest ? 1 : 0;
+      }
+      masks.emplace_back("largest component", std::move(component));
+      for (const auto& [mask_name, keep] : masks) {
+        const std::string what = name + ", " + mask_name + ", " +
+                                 std::to_string(threads) + " threads";
+        auto [kept_pos, kept_truth] = kept_part(net, keep);
+        expect_same_csr(net.restricted_to(keep),
+                        Network(std::move(kept_pos), std::move(kept_truth),
+                                1.0, threads),
+                        what);
+      }
+    }
+  }
+}
+
+TEST(RestrictedTo, RejectsWrongMaskSize) {
+  const Network net = line_network(5);
+  EXPECT_THROW((void)net.restricted_to(std::vector<char>(4, 1)),
+               InvalidArgument);
+}
+
+// A sparse build that drops nodes outside its largest component equals a
+// fresh construction over the nodes it kept, at any build thread count.
+TEST(Builder, DroppedComponentsEqualFreshBuild) {
+  const model::SphereShape shape({0, 0, 0}, 4.0);
+  for (const unsigned threads : {1u, 4u}) {
+    Rng rng(9);
+    BuildOptions opt;
+    opt.surface_count = 150;
+    opt.interior_count = 150;
+    opt.threads = threads;
+    BuildDiagnostics diag;
+    const Network net = build_network(shape, opt, rng, &diag);
+    ASSERT_GT(diag.dropped_disconnected, 0u);
+    EXPECT_EQ(diag.kept_nodes + diag.dropped_disconnected, 300u);
+    EXPECT_TRUE(is_connected(net));
+    expect_same_csr(net,
+                    Network(net.positions(), net.ground_truth_boundary(),
+                            net.radio_range(), threads),
+                    std::to_string(threads) + " threads");
   }
 }
 

@@ -17,9 +17,12 @@
 //      on seeded random member clouds (dense, sparse, half-space,
 //      coplanar, duplicated, translated, with noise margins) and on every
 //      node of noisy local frames, a certified node has no empty ball, and
-//      the kernel's counts equal the naive ones.
-//   3. Thread-count determinism — the scratch arena is per-thread state,
-//      so `detect` must return the same vector for 1, 2, and 8 workers.
+//      the kernel's counts equal the naive ones. A cloud whose one-hop
+//      members alone certify also certifies in full.
+//   3. Thread-count and id-order independence — the scratch arena is
+//      per-thread state and the driver visits nodes in spatial order, so
+//      results must not change with the worker count (1, 2, 4, 8) or with
+//      a random relabelling of the ids.
 
 #include <gtest/gtest.h>
 
@@ -27,6 +30,8 @@
 #include <array>
 #include <cmath>
 #include <limits>
+#include <map>
+#include <string>
 #include <unordered_set>
 #include <utility>
 #include <vector>
@@ -40,6 +45,7 @@
 #include "model/zoo.hpp"
 #include "net/builder.hpp"
 #include "net/measurement.hpp"
+#include "obs/metrics.hpp"
 
 namespace ballfit {
 namespace {
@@ -189,36 +195,94 @@ net::Network build_test_network(const model::Shape& shape,
   return net::build_network(shape, options, rng);
 }
 
+/// The same network with its node ids permuted at random: the driver
+/// visits nodes in spatial order, so ids that carry no spatial meaning at
+/// all must not change a node's result either.
+net::Network shuffled(const net::Network& network, std::uint64_t seed) {
+  std::vector<net::NodeId> perm(network.num_nodes());
+  for (net::NodeId i = 0; i < perm.size(); ++i) perm[i] = i;
+  Rng rng(seed);
+  for (std::size_t i = perm.size(); i > 1; --i) {
+    std::swap(perm[i - 1],
+              perm[static_cast<std::size_t>(rng.uniform_int(
+                  0, static_cast<std::int64_t>(i) - 1))]);
+  }
+  std::vector<geom::Vec3> positions;
+  std::vector<bool> truth;
+  for (const net::NodeId v : perm) {
+    positions.push_back(network.position(v));
+    truth.push_back(network.is_ground_truth_boundary(v));
+  }
+  return net::Network(std::move(positions), std::move(truth),
+                      network.radio_range());
+}
+
+/// The ubf.* work counters of one true-coordinates run.
+std::map<std::string, std::uint64_t> ubf_counters(
+    const core::UnitBallFitting& ubf, unsigned threads) {
+  obs::Registry::global().reset();
+  std::vector<float> confidence;
+  (void)ubf.detect_with_true_coordinates(nullptr, nullptr, &confidence,
+                                         threads);
+  std::map<std::string, std::uint64_t> out;
+  for (const auto& [name, value] :
+       obs::Registry::global().snapshot().counters) {
+    if (name.rfind("ubf.", 0) == 0) out[name] = value;
+  }
+  return out;
+}
+
 // Flags, confidence and fallbacks of the true-coordinates driver equal
-// literal Algorithm 1 under both scopes, and under the default two-hop
-// scope the interior certificate settles some nodes (so the comparison
-// covers it).
+// literal Algorithm 1 under both scopes, at 1 and 4 threads, on the
+// network and on an id-shuffled copy, and under the default two-hop scope
+// the interior certificate settles some nodes (so the comparison covers
+// it). On the network itself the ubf.* work counters are equal at 1 and 4
+// threads, and the driver certifies exactly the nodes whose full two-hop
+// view certifies: the one-hop-first certificate settles no node the full
+// certificate would not, and misses none.
 void expect_bit_identical(const net::Network& network) {
+  const net::Network permuted = shuffled(network, 77);
   for (const auto scope : {core::UbfConfig::EmptinessScope::kTwoHop,
                            core::UbfConfig::EmptinessScope::kOneHop}) {
-    const char* scope_name =
-        scope == core::UbfConfig::EmptinessScope::kTwoHop ? "two-hop"
-                                                          : "one-hop";
+    const bool two_hop = scope == core::UbfConfig::EmptinessScope::kTwoHop;
     core::UbfConfig cfg;
     cfg.scope = scope;
-    const core::UnitBallFitting ubf(network, cfg);
-    std::size_t fallbacks = 0;
-    std::vector<float> confidence;
-    const std::vector<bool> optimized =
-        ubf.detect_with_true_coordinates(&fallbacks, nullptr, &confidence);
-    const NaiveResult reference = naive_run(network, ubf);
-    ASSERT_EQ(optimized.size(), reference.flags.size());
-    ASSERT_EQ(confidence.size(), reference.confidence.size());
-    for (std::size_t i = 0; i < optimized.size(); ++i) {
-      ASSERT_EQ(optimized[i], reference.flags[i])
-          << "node " << i << " diverges under scope " << scope_name;
-      ASSERT_EQ(confidence[i], reference.confidence[i])
-          << "node " << i << " confidence diverges under scope "
-          << scope_name;
-    }
-    EXPECT_EQ(fallbacks, reference.fallbacks) << scope_name;
-    if (scope == core::UbfConfig::EmptinessScope::kTwoHop) {
-      EXPECT_GT(reference.certified, 0u);
+    for (const net::Network* net : {&network, &permuted}) {
+      const core::UnitBallFitting ubf(*net, cfg);
+      const NaiveResult reference = naive_run(*net, ubf);
+      for (const unsigned threads : {1u, 4u}) {
+        const std::string what =
+            std::string(two_hop ? "two-hop" : "one-hop") +
+            (net == &permuted ? ", shuffled ids, " : ", ") +
+            std::to_string(threads) + " threads";
+        std::size_t fallbacks = 0;
+        std::vector<float> confidence;
+        const std::vector<bool> optimized = ubf.detect_with_true_coordinates(
+            &fallbacks, nullptr, &confidence, threads);
+        ASSERT_EQ(optimized.size(), reference.flags.size());
+        ASSERT_EQ(confidence.size(), reference.confidence.size());
+        for (std::size_t i = 0; i < optimized.size(); ++i) {
+          ASSERT_EQ(optimized[i], reference.flags[i])
+              << "node " << i << " diverges, " << what;
+          ASSERT_EQ(confidence[i], reference.confidence[i])
+              << "node " << i << " confidence diverges, " << what;
+        }
+        EXPECT_EQ(fallbacks, reference.fallbacks) << what;
+      }
+      if (two_hop) {
+        EXPECT_GT(reference.certified, 0u);
+      }
+      if (net != &network) continue;
+      obs::set_enabled(true);
+      const auto serial = ubf_counters(ubf, 1);
+      const auto parallel = ubf_counters(ubf, 4);
+      obs::set_enabled(false);
+      obs::Registry::global().reset();
+      EXPECT_EQ(serial, parallel);
+      if (two_hop) {
+        ASSERT_TRUE(serial.count("ubf.nodes_certified"));
+        EXPECT_EQ(serial.at("ubf.nodes_certified"), reference.certified);
+      }
     }
   }
 }
@@ -380,6 +444,7 @@ TEST(UbfOracle, CertifiedCloudsHaveNoEmptyBall) {
   constexpr std::size_t kAll = std::numeric_limits<std::size_t>::max();
   Rng rng(2024);
   std::size_t certified[6] = {};
+  std::size_t subset_certified = 0;
   for (int trial = 0; trial < 600; ++trial) {
     const auto kind = static_cast<CloudKind>(trial % 6);
     const Cloud cloud = random_cloud(rng, kind);
@@ -411,7 +476,23 @@ TEST(UbfOracle, CertifiedCloudsHaveNoEmptyBall) {
                                       6, uncertainty),
               naive_empty_pairs(cloud.coords, cloud.witness_count, r, limits,
                                 6));
+    // A cover by a subset of the members is a cover by all of them: when
+    // the one-hop members alone certify, the full cloud certifies too
+    // (the true-coordinates driver settles such nodes before gathering
+    // their two-hop members).
+    const std::vector<geom::Vec3> one_hop(
+        cloud.coords.begin(),
+        cloud.coords.begin() +
+            static_cast<std::ptrdiff_t>(cloud.witness_count));
+    core::UbfNodeDiagnostics one_hop_diag;
+    (void)ubf.count_empty_balls(one_hop, 0, one_hop.size(), 1, uncertainty,
+                                &one_hop_diag);
+    if (one_hop_diag.certified) {
+      ++subset_certified;
+      EXPECT_TRUE(diag.certified);
+    }
   }
+  EXPECT_GT(subset_certified, 20u);
   // The certificate must actually fire on interior-like clouds, wherever
   // they sit, and never on surface-like or planar ones.
   EXPECT_GT(certified[static_cast<int>(CloudKind::kDense)], 20u);
