@@ -6,11 +6,13 @@
 /// `--nodes` at the paper's operating density, times the parallel
 /// unit-disk build, then runs one `core::DetectionSession` end-to-end on
 /// true coordinates at `--threads` workers, builds the Sec. III surfaces of
-/// the detected boundary (`mesh::build_surfaces`, serial), and reports wall
-/// clock, the detection result with its UBF / IFF / grouping split, the
-/// surface time with its Steps I–V split, the ball test's work counters
-/// (`ubf_nodes_certified`, `ubf_trisphere_solves`, `ubf_balls_tested`,
-/// `ubf_cover_checks`), and peak RSS.
+/// the detected boundary (`mesh::build_surfaces`, its Step I election on
+/// the same workers), and reports wall clock, the detection result with
+/// its UBF / IFF / grouping split, the surface time with its Steps I–V
+/// split and its size (`surfaces`, `landmarks`, `mesh_edges`,
+/// `mesh_triangles`, equal at every thread count), the ball test's work
+/// counters (`ubf_nodes_certified`, `ubf_trisphere_solves`,
+/// `ubf_balls_tested`, `ubf_cover_checks`), and peak RSS.
 ///
 ///   fig_scaling --nodes 100000 --threads 4
 ///   fig_scaling --nodes 1000000 --threads 8
@@ -112,10 +114,18 @@ int main(int argc, char** argv) {
   const core::PipelineResult result = session.run(cfg);
   const double detect_ms = detect_watch.elapsed_ms();
 
+  mesh::MeshConfig mesh_cfg;
+  mesh_cfg.threads = cfg.threads;
   Stopwatch surface_watch;
   const mesh::SurfaceResult surfaces =
-      mesh::build_surfaces(network, result.boundary, result.groups);
+      mesh::build_surfaces(network, result.boundary, result.groups, mesh_cfg);
   const double surface_ms = surface_watch.elapsed_ms();
+  std::size_t landmarks = 0, mesh_edges = 0, mesh_triangles = 0;
+  for (const mesh::BoundarySurface& s : surfaces.surfaces) {
+    landmarks += s.landmarks.size();
+    mesh_edges += s.mesh.num_edges();
+    mesh_triangles += s.mesh.triangles().size();
+  }
 
   const double rss_mib = peak_rss_mib();
   std::printf("session: detect %.0f ms, boundary %zu in %zu groups; "
@@ -163,6 +173,10 @@ int main(int argc, char** argv) {
       .param("build_ms", build_ms)
       .param("detect_ms", detect_ms)
       .param("surface_ms", surface_ms)
+      .param("surfaces", static_cast<double>(surfaces.surfaces.size()))
+      .param("landmarks", static_cast<double>(landmarks))
+      .param("mesh_edges", static_cast<double>(mesh_edges))
+      .param("mesh_triangles", static_cast<double>(mesh_triangles))
       .param("peak_rss_mib", rss_mib)
       .detection(stats)
       .cost("iff", result.iff_cost)

@@ -48,6 +48,11 @@ UnitBallFitting::UnitBallFitting(const net::Network& network, UbfConfig config)
   BALLFIT_REQUIRE(std::isfinite(config_.noise_margin_factor) &&
                       config_.noise_margin_factor >= 0.0,
                   "noise_margin_factor must be finite and non-negative");
+  // At 0 every node would meet the threshold, yet the test stops at its
+  // first empty ball: the flag would depend on whether the vote margin
+  // (confidence) is counted.
+  BALLFIT_REQUIRE(config_.min_empty_balls >= 1,
+                  "min_empty_balls must be at least 1");
   radius_ = config_.radius_override > 0.0
                 ? config_.radius_override
                 : (1.0 + config_.epsilon) * network.radio_range();
@@ -208,17 +213,214 @@ unsigned octant_of(const Vec3& v) {
          (v.z >= 0.0 ? 4u : 0u);
 }
 
+/// The interior certificate (see `BallSweep`): is every point of S(self, r)
+/// covered by the members (those below the witness count at the one-hop
+/// limit, the rest at the two-hop limit), so that no candidate ball can be
+/// empty? The sphere is searched depth-first over the cells of
+/// `cover_table`: a cell some member covers is settled, an uncovered cell
+/// is split 1:4, and an uncovered leaf fails the search. Which members it
+/// tries, and in what order, only decides how soon it finds a cover;
+/// soundness rests on the per-cell test alone. Every call adds the cell
+/// checks it performs to `checks`.
+class CoverSearch {
+ public:
+  /// A fresh search with the members of `coords` (all but `self_index`);
+  /// true when they cover the sphere.
+  bool start(const std::vector<Vec3>& coords, std::size_t self_index,
+             std::size_t witness_count, double r,
+             const UnitBallFitting::InsideLimits& limits,
+             std::size_t& checks) {
+    self_ = coords[self_index];
+    self_index_ = self_index;
+    witness_count_ = witness_count;
+    r_ = r;
+    const double delta = certificate_margin(r, self_);
+    reach_one_ = std::sqrt(limits.one_hop_sq) - delta;
+    reach_two_ = std::sqrt(limits.two_hop_sq) - delta;
+    // |p − u| >= | |u − self| − r | for every p on the sphere, so a member
+    // whose distance to self is outside (r − a, r + a), a = reach − (the
+    // finest chord), covers no cell at any level. A non-finite member
+    // fails the test too.
+    const double finest = r * cover_table().leaf_chord;
+    const auto band = [&](double reach, double& lo_sq, double& hi_sq) {
+      const double a = reach - finest;
+      lo_sq = r > a ? (r - a) * (r - a) : -1.0;
+      hi_sq = a > 0.0 ? (r + a) * (r + a) : -1.0;
+    };
+    band(reach_one_, lo_one_, hi_one_);
+    band(reach_two_, lo_two_, hi_two_);
+    for (std::vector<CoverMember>& o : octants_) o.clear();
+    const Vec3 mass = add_members(coords, 0);
+
+    // An uncovered region, if any, most likely faces away from the
+    // members' mass: those roots go on the stack last, so they pop first.
+    const CoverTable& table = cover_table();
+    const unsigned away = octant_of(-mass);
+    top_ = 0;
+    for (const bool first : {false, true}) {
+      for (std::uint32_t c = kRoots; c-- > 0;) {
+        const CoverCell& root =
+            table.cells[cover_level_offset(kCoverRoot) + c];
+        if ((octant_of(root.center) == away) == first) {
+          stack_[top_++] = {kCoverRoot, c};
+        }
+      }
+    }
+    return search(checks);
+  }
+
+  /// Continues the last `start`, which must have failed, after `coords`
+  /// grew by the members from `first_new` on (all beyond the witness
+  /// count). Returns exactly what `start` on the grown `coords` would.
+  ///
+  /// The failed search left the leaf it failed on, that leaf's ancestors
+  /// (split, none covered by an old member) and, on the stack, the untried
+  /// cells: the remaining roots and the remaining children of those
+  /// ancestors. Every other cell it settled stays settled with more
+  /// members. A fresh search would first test each ancestor against every
+  /// member; the old ones fail it, so only the new ones are tried there,
+  /// outermost ancestor first, and one that covers an ancestor settles the
+  /// ancestor's untried children with it. Failing that, the new members
+  /// must cover the failed leaf itself. The untried cells then run against
+  /// all members.
+  bool resume(const std::vector<Vec3>& coords, std::size_t first_new,
+              std::size_t& checks) {
+    BALLFIT_ASSERT(failed_.level == kCoverLeaf);
+    std::array<std::size_t, 8> old;
+    for (unsigned o = 0; o < 8; ++o) old[o] = octants_[o].size();
+    add_members(coords, first_new);
+    const Pending leaf = failed_;
+    failed_ = {};
+    bool settled = false;
+    for (int level = kCoverRoot; level < kCoverLeaf && !settled; ++level) {
+      const Pending ancestor{
+          level, leaf.index >> (2 * (kCoverLeaf - level))};
+      if (cover_of(probe(ancestor), old, checks) != nullptr) {
+        // The stack holds the roots, then the ancestors' children by
+        // level: those below `level` are this ancestor's.
+        while (top_ > 0 && stack_[top_ - 1].level > level) --top_;
+        settled = true;
+      }
+    }
+    if (!settled && cover_of(probe(leaf), old, checks) == nullptr) {
+      failed_ = leaf;
+      return false;
+    }
+    return search(checks);
+  }
+
+ private:
+  struct Pending {
+    int level = 0;
+    std::uint32_t index = 0;  // within its level
+  };
+  /// A cell's center point on S(self, r), its spread r·chord and the
+  /// octant of its center.
+  struct Probe {
+    Vec3 point;
+    double spread;
+    unsigned home;
+  };
+  static constexpr std::uint32_t kRoots = 20u << (2 * kCoverRoot);
+
+  Probe probe(const Pending& cell) const {
+    const CoverCell& c =
+        cover_table().cells[cover_level_offset(cell.level) + cell.index];
+    return {c.center * r_, r_ * c.chord, octant_of(c.center)};
+  }
+
+  static bool covers(const Probe& cell, const CoverMember& m,
+                     std::size_t& checks) {
+    ++checks;
+    const double t = m.reach - cell.spread;
+    return t > 0.0 && cell.point.distance_sq_to(m.rel) < t * t;
+  }
+
+  /// Files the members `coords[from..]` that can cover some cell by
+  /// octant; returns the sum of their offsets from self.
+  Vec3 add_members(const std::vector<Vec3>& coords, std::size_t from) {
+    Vec3 mass;
+    for (std::size_t u = from; u < coords.size(); ++u) {
+      if (u == self_index_) continue;
+      const bool one = u < witness_count_;
+      const Vec3 rel = coords[u] - self_;
+      const double d2 = rel.norm_sq();
+      if (d2 > (one ? lo_one_ : lo_two_) && d2 < (one ? hi_one_ : hi_two_)) {
+        octants_[octant_of(rel)].push_back(
+            {rel, one ? reach_one_ : reach_two_});
+        mass += rel;
+      }
+    }
+    return mass;
+  }
+
+  /// The first member that covers `cell`, from the `from[o]`-th of each
+  /// octant o's list on, or nullptr. Octants nearest the cell first. A
+  /// member 90° or more away from the cell's center is at least r from
+  /// the cell's center point, and every reach is below r, so the opposite
+  /// octant is skipped.
+  const CoverMember* cover_of(const Probe& cell,
+                              const std::array<std::size_t, 8>& from,
+                              std::size_t& checks) const {
+    for (const unsigned flip : {0u, 1u, 2u, 4u, 3u, 5u, 6u}) {
+      const unsigned o = cell.home ^ flip;
+      const std::vector<CoverMember>& list = octants_[o];
+      for (std::size_t m = from[o]; m < list.size(); ++m) {
+        if (covers(cell, list[m], checks)) return &list[m];
+      }
+    }
+    return nullptr;
+  }
+
+  /// Runs the depth-first search from the cells on the stack, which holds
+  /// at most the roots plus three siblings per level below. On failure
+  /// the stack and `failed_` keep what `resume` needs.
+  bool search(std::size_t& checks) {
+    static constexpr std::array<std::size_t, 8> kAll{};
+    const CoverMember* memo = nullptr;  // the last member that covered
+    while (top_ > 0) {
+      const Pending cell = stack_[--top_];
+      const Probe p = probe(cell);
+      if (memo != nullptr && covers(p, *memo, checks)) continue;
+      if (const CoverMember* found = cover_of(p, kAll, checks)) {
+        memo = found;
+        continue;
+      }
+      if (cell.level == kCoverLeaf) {
+        failed_ = cell;
+        return false;
+      }
+      for (std::uint32_t child = 4; child-- > 0;) {
+        stack_[top_++] = {cell.level + 1, 4 * cell.index + child};
+      }
+    }
+    return true;
+  }
+
+  Vec3 self_;
+  std::size_t self_index_ = 0;
+  std::size_t witness_count_ = 0;
+  double r_ = 0.0;
+  double reach_one_ = 0.0, reach_two_ = 0.0;
+  double lo_one_ = 0.0, hi_one_ = 0.0, lo_two_ = 0.0, hi_two_ = 0.0;
+  std::array<std::vector<CoverMember>, 8> octants_;  // by octant of rel
+  std::array<Pending, kRoots + 3 * (kCoverLeaf - kCoverRoot)> stack_;
+  std::size_t top_ = 0;
+  Pending failed_;  // the leaf the last search failed on, if it did
+};
+
 /// Per-thread scratch arena, reused across every node a worker processes.
 /// Holds the sorted candidate cache, the per-slot emptiness thresholds
-/// (structure-of-arrays buffers), the certificate's member list, and the
+/// (structure-of-arrays buffers), the certificate's search, and the
 /// gather buffers of the true-coordinates view. Steady state performs no
 /// allocations; contents never influence results (everything is rebuilt
-/// per node), so detection output is independent of how nodes are
-/// distributed over threads.
+/// per node, and a resumed certificate decides what a fresh one would),
+/// so detection output is independent of how nodes are distributed over
+/// threads.
 struct UbfScratch {
   geom::CandidateCache cache;
   std::vector<double> lim_sq;  // per-slot threshold; < 0 disables
-  std::array<std::vector<CoverMember>, 8> cover;  // certificate, by octant
+  CoverSearch cover;           // the interior certificate
   std::vector<Vec3> gather;  // true-coordinates view: member coordinates
   EpochSlotMap seen;         // true-coordinates view: membership dedup
 };
@@ -226,108 +428,6 @@ struct UbfScratch {
 UbfScratch& local_scratch() {
   static thread_local UbfScratch scratch;
   return scratch;
-}
-
-/// The interior certificate (see `BallSweep`): true when every point of
-/// S(self, r) is covered by the members of `coords` (those below
-/// `witness_count` at the one-hop limit, the rest at the two-hop limit),
-/// so no candidate ball can be empty. Which members it tries, and in what
-/// order, only decides how soon it finds a cover; soundness rests on the
-/// per-cell test alone. Adds the cell checks it performs to `checks`.
-bool sphere_covered(const std::vector<Vec3>& coords, std::size_t self_index,
-                    std::size_t witness_count, double r,
-                    const UnitBallFitting::InsideLimits& limits,
-                    UbfScratch& scratch, std::size_t& checks) {
-  const Vec3 self = coords[self_index];
-  const double delta = certificate_margin(r, self);
-  const double reach_one = std::sqrt(limits.one_hop_sq) - delta;
-  const double reach_two = std::sqrt(limits.two_hop_sq) - delta;
-  const CoverTable& table = cover_table();
-
-  // |p − u| >= | |u − self| − r | for every p on the sphere, so a member
-  // whose distance to self is outside (r − a, r + a), a = reach − (the
-  // finest chord), covers no cell at any level. A non-finite member
-  // fails the test too.
-  const double finest = r * table.leaf_chord;
-  const auto band = [&](double reach, double& lo_sq, double& hi_sq) {
-    const double a = reach - finest;
-    lo_sq = r > a ? (r - a) * (r - a) : -1.0;
-    hi_sq = a > 0.0 ? (r + a) * (r + a) : -1.0;
-  };
-  double lo_one, hi_one, lo_two, hi_two;
-  band(reach_one, lo_one, hi_one);
-  band(reach_two, lo_two, hi_two);
-  std::array<std::vector<CoverMember>, 8>& octants = scratch.cover;
-  for (std::vector<CoverMember>& o : octants) o.clear();
-  Vec3 mass;
-  for (std::size_t u = 0; u < coords.size(); ++u) {
-    if (u == self_index) continue;
-    const bool one = u < witness_count;
-    const Vec3 rel = coords[u] - self;
-    const double d2 = rel.norm_sq();
-    if (d2 > (one ? lo_one : lo_two) && d2 < (one ? hi_one : hi_two)) {
-      octants[octant_of(rel)].push_back({rel, one ? reach_one : reach_two});
-      mass += rel;
-    }
-  }
-
-  // Depth-first from the roots, so the stack holds at most the roots plus
-  // three siblings per level below.
-  struct Pending {
-    int level;
-    std::uint32_t index;  // within its level
-  };
-  constexpr std::uint32_t kRoots = 20u << (2 * kCoverRoot);
-  std::array<Pending, kRoots + 3 * (kCoverLeaf - kCoverRoot)> stack;
-  std::size_t top = 0;
-  // An uncovered region, if any, most likely faces away from the
-  // members' mass: those roots go on the stack last, so they pop first.
-  const unsigned away = octant_of(-mass);
-  for (const bool first : {false, true}) {
-    for (std::uint32_t c = kRoots; c-- > 0;) {
-      const CoverCell& root = table.cells[cover_level_offset(kCoverRoot) + c];
-      if ((octant_of(root.center) == away) == first) {
-        stack[top++] = {kCoverRoot, c};
-      }
-    }
-  }
-  const CoverMember* memo = nullptr;
-  while (top > 0) {
-    const Pending cell = stack[--top];
-    const CoverCell& c =
-        table.cells[cover_level_offset(cell.level) + cell.index];
-    const Vec3 p = c.center * r;
-    const double spread = r * c.chord;
-    const auto covers = [&](const CoverMember& m) {
-      ++checks;
-      const double t = m.reach - spread;
-      return t > 0.0 && p.distance_sq_to(m.rel) < t * t;
-    };
-    if (memo != nullptr && covers(*memo)) continue;
-    // Octants nearest the cell first. A member 90° or more away from
-    // the cell's center is at least r from the cell's center point, and
-    // every reach is below r, so the opposite octant is skipped.
-    const unsigned home = octant_of(c.center);
-    const CoverMember* found = nullptr;
-    for (const unsigned flip : {0u, 1u, 2u, 4u, 3u, 5u, 6u}) {
-      for (const CoverMember& m : octants[home ^ flip]) {
-        if (covers(m)) {
-          found = &m;
-          break;
-        }
-      }
-      if (found != nullptr) break;
-    }
-    if (found != nullptr) {
-      memo = found;
-      continue;
-    }
-    if (cell.level == kCoverLeaf) return false;
-    for (std::uint32_t child = 4; child-- > 0;) {
-      stack[top++] = {cell.level + 1, 4 * cell.index + child};
-    }
-  }
-  return true;
 }
 
 /// The optimized Algorithm 1 pair sweep. Enumerates empty candidate balls
@@ -369,8 +469,12 @@ bool sphere_covered(const std::vector<Vec3>& coords, std::size_t self_index,
 ///     Soundness: one-hop members carry the same limit in both views, and
 ///     a cell covered by a member of a subset is covered by that member in
 ///     the full set, so the full view certifies too. Only when the subset
-///     fails does the driver gather the two-hop members and run the
-///     unchanged path; `cover_checks` then counts both attempts.
+///     fails does the driver gather the two-hop members, and then it
+///     resumes the failed search with them (`CoverSearch::resume`) rather
+///     than starting over: the cells the one-hop members settled stay
+///     settled, and the resumed search decides exactly what a fresh one on
+///     the full view would. `cover_checks` counts both parts; the sweep
+///     that follows a failed certificate does not try it again.
 ///   - **Pair pruning**: a sphere of radius r through two points farther
 ///     apart than 2r does not exist (circumradius > r), so such pairs are
 ///     skipped before the Eq. 1 solve. The 1e-9 relative slack keeps the
@@ -396,17 +500,21 @@ class BallSweep {
     kStop,      // abort the whole sweep
   };
 
+  /// `certify` = false when the caller already ran the certificate on
+  /// this view and it failed.
   BallSweep(const std::vector<Vec3>& coords, std::size_t self_index,
             std::size_t witness_count, double radius,
-            UnitBallFitting::InsideLimits limits, UbfScratch& scratch)
+            UnitBallFitting::InsideLimits limits, UbfScratch& scratch,
+            bool certify = true)
       : coords_(coords),
         self_(coords[self_index]),
         self_index_(self_index),
         witness_count_(witness_count),
         radius_(radius),
         scratch_(scratch) {
-    certified_ = sphere_covered(coords, self_index, witness_count, radius,
-                                limits, scratch, cover_checks_);
+    certified_ = certify && scratch.cover.start(coords, self_index,
+                                                witness_count, radius, limits,
+                                                cover_checks_);
     if (certified_) return;
     scratch.cache.rebuild(coords, self_index);
     const std::size_t n = scratch.cache.size();
@@ -525,6 +633,19 @@ class BallSweep {
   std::size_t cover_checks_ = 0;
 };
 
+/// Runs `sweep` until it has found `cap` empty balls or tried every pair,
+/// and returns how many it found. Every empty ball counts, several per
+/// pair included. With `cap` the vote threshold this is `test_node`'s
+/// walk; a larger cap counts the margin past it (`count_empty_balls`).
+std::size_t count_up_to(BallSweep& sweep, std::size_t cap,
+                        UbfNodeDiagnostics& diag) {
+  sweep.run(diag, [&](std::size_t, std::size_t) {
+    return diag.empty_balls >= cap ? BallSweep::Step::kStop
+                                   : BallSweep::Step::kContinue;
+  });
+  return diag.empty_balls;
+}
+
 }  // namespace
 
 bool UnitBallFitting::test_node(const std::vector<Vec3>& coords,
@@ -543,13 +664,8 @@ bool UnitBallFitting::test_node(const std::vector<Vec3>& coords,
   // against the full member set (one- or two-hop view per config).
   BallSweep sweep(coords, self_index, witness_count, radius_, limits,
                   local_scratch());
-  sweep.run(local, [&](std::size_t, std::size_t) {
-    if (local.empty_balls >= config_.min_empty_balls) {
-      local.found_empty_ball = true;
-      return BallSweep::Step::kStop;
-    }
-    return BallSweep::Step::kContinue;
-  });
+  local.found_empty_ball = count_up_to(sweep, config_.min_empty_balls,
+                                       local) >= config_.min_empty_balls;
   if (diag != nullptr) *diag = local;
   return local.found_empty_ball;
 }
@@ -597,12 +713,7 @@ std::size_t UnitBallFitting::count_empty_balls(const std::vector<Vec3>& coords,
     const InsideLimits limits = inside_limits(coord_uncertainty);
     BallSweep sweep(coords, self_index, witness_count, radius_, limits,
                     local_scratch());
-    // Same kContinue walk as test_node (multiple balls per pair count),
-    // only the stop condition moves from min_empty_balls out to cap.
-    sweep.run(local, [&](std::size_t, std::size_t) {
-      return local.empty_balls >= cap ? BallSweep::Step::kStop
-                                      : BallSweep::Step::kContinue;
-    });
+    count_up_to(sweep, cap, local);
   }
   local.found_empty_ball = local.empty_balls >= config_.min_empty_balls;
   if (diag != nullptr) *diag = local;
@@ -812,31 +923,33 @@ void run_ball_tests(const UnitBallFitting& ubf, const net::Network& network,
         const std::vector<Vec3>& coords = *view.coords;
         UbfNodeDiagnostics diag;
         if (!cross_verify) {
-          // One-hop-first certificate (see BallSweep): a cover by the
-          // one-hop members settles the node as zero empty balls before
-          // the two-hop gather.
-          std::size_t first_checks = 0;
-          const bool settled =
-              two_hop &&
-              sphere_covered(coords, 0, view.witness_count, ubf.ball_radius(),
-                             ubf.inside_limits(view.uncertainty), scratch,
-                             first_checks);
-          if (two_hop && !settled) add_two_hop(network, self, alive, scratch);
-          if (want_conf) {
-            const std::size_t votes =
-                settled ? 0
-                        : ubf.count_empty_balls(coords, 0, view.witness_count,
-                                                pool, view.uncertainty, &diag);
-            flags[i] = votes >= config.min_empty_balls ? 1 : 0;
-            set_conf(vote_confidence(votes, config.min_empty_balls));
-          } else {
-            flags[i] = !settled && ubf.test_node(coords, 0, view.witness_count,
-                                                 &diag, view.uncertainty)
-                           ? 1
-                           : 0;
+          // The certificate first, and under kTwoHop on the one-hop
+          // members alone (see BallSweep): a cover settles the node as
+          // zero empty balls before the two-hop gather, and a failure is
+          // resumed with the two-hop members.
+          const UnitBallFitting::InsideLimits limits =
+              ubf.inside_limits(view.uncertainty);
+          std::size_t checks = 0;
+          bool settled = scratch.cover.start(coords, 0, view.witness_count,
+                                             ubf.ball_radius(), limits, checks);
+          if (two_hop && !settled) {
+            const std::size_t first_two_hop = coords.size();
+            add_two_hop(network, self, alive, scratch);
+            settled = scratch.cover.resume(coords, first_two_hop, checks);
           }
-          if (settled) diag.certified = true;
-          diag.cover_checks += first_checks;
+          std::size_t votes = 0;
+          if (settled) {
+            diag.certified = true;
+          } else {
+            BallSweep sweep(coords, 0, view.witness_count, ubf.ball_radius(),
+                            limits, scratch, /*certify=*/false);
+            votes = count_up_to(sweep,
+                                want_conf ? pool : config.min_empty_balls,
+                                diag);
+          }
+          flags[i] = votes >= config.min_empty_balls ? 1 : 0;
+          set_conf(vote_confidence(votes, config.min_empty_balls));
+          diag.cover_checks += checks;
         } else {
           const std::vector<NodeId>& members = (*frames)[i].members;
           const auto balls =

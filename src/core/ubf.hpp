@@ -86,7 +86,7 @@ struct UbfConfig {
   /// witness pair yields one); a coordinate-noise fluke sees one or two.
   /// 1 reproduces the literal algorithm; higher values trade missing for
   /// mistaken under noise. On the frame path one verified ball suffices —
-  /// the cross-verifying witnesses already suppress flukes.
+  /// the cross-verifying witnesses already suppress flukes. At least 1.
   std::size_t min_empty_balls = 1;
   /// Nodes whose neighborhood is too small to embed (< 4 members) cannot
   /// run the test; with this flag (default) they declare themselves
@@ -166,8 +166,9 @@ struct UbfNodeDiagnostics {
   /// 2r prune never reach the solver.
   std::size_t trisphere_solves = 0;
   /// Member-against-cell distance checks the interior certificate
-  /// performed, whether or not it succeeded (count). The true-coordinates
-  /// driver's one-hop-first attempt (see ubf.cpp) adds its checks here.
+  /// performed, whether or not it succeeded (count). On the
+  /// true-coordinates path this is the one-hop-first attempt plus, when
+  /// it fails, its resumption with the two-hop members (see ubf.cpp).
   std::size_t cover_checks = 0;
 };
 
@@ -175,8 +176,8 @@ class UnitBallFitting {
  public:
   /// Throws `InvalidArgument` unless `epsilon`, `radius_override`,
   /// `measurement_error_hint` and `noise_margin_factor` are finite, all but
-  /// the override are non-negative, and the ball radius is at least the
-  /// radio range.
+  /// the override are non-negative, the ball radius is at least the radio
+  /// range, and `min_empty_balls` is at least 1.
   explicit UnitBallFitting(const net::Network& network, UbfConfig config = {});
 
   /// The effective test radius r.

@@ -63,8 +63,9 @@ BoundarySurface build_one_surface(const net::Network& network,
   // ---- Step I: landmark election + Voronoi association.
   {
     BALLFIT_SPAN("step1_landmarks");
-    surface.landmarks = sim::khop_landmark_election(network, group_mask,
-                                                    config.landmark_spacing);
+    surface.landmarks = sim::khop_landmark_election(
+        network, group_mask, config.landmark_spacing, nullptr, {},
+        config.threads);
     surface.voronoi_owner =
         net::multi_source_bfs(network, surface.landmarks, &group_mask).owner;
   }

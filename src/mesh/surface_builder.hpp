@@ -21,7 +21,9 @@
 /// export and evaluation. Steps III–V search with one reused
 /// `net::BoundedBfs` restricted to the group (or to two Voronoi cells), so
 /// a group costs what its own nodes cost, not the network's size; each
-/// step is traced as a span `step1_landmarks` … `step5_flip`.
+/// step is traced as a span `step1_landmarks` … `step5_flip`. Step I's
+/// election floods run on `MeshConfig::threads` workers; the rest of a
+/// group's construction is serial.
 
 #include <cstdint>
 #include <vector>
@@ -39,6 +41,9 @@ struct MeshConfig {
   /// Skip boundaries with fewer nodes than this (degenerate fragments that
   /// survived IFF cannot carry a closed surface anyway).
   std::size_t min_group_size = 4;
+  /// Worker threads for the Step I election floods (count; default 0 =
+  /// hardware concurrency). Every surface is the same at any count.
+  unsigned threads = 0;
 };
 
 /// One reconstructed boundary surface.

@@ -260,6 +260,14 @@ std::vector<DiffRow> diff_snapshots(const std::map<std::string, double>& before,
   return rows;
 }
 
+const DiffRow* first_gate_failure(const std::vector<DiffRow>& rows,
+                                  double fail_over) {
+  for (const DiffRow& r : rows) {
+    if (r.only_before || r.only_after || r.rel() > fail_over) return &r;
+  }
+  return nullptr;
+}
+
 std::string render_diff(const std::vector<DiffRow>& rows) {
   if (rows.empty()) return "";
   Table table({"metric", "before", "after", "delta", "rel"});

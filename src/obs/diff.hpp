@@ -66,6 +66,13 @@ std::vector<DiffRow> diff_snapshots(
     const std::map<std::string, double>& after,
     const DiffOptions& opts = {});
 
+/// The first row that fails a `--fail-over` gate at relative bound
+/// `fail_over`: one present on one side only (a gated metric that vanished
+/// or appeared has not stayed within any bound), or one whose relative
+/// change exceeds the bound. nullptr when every row passes.
+const DiffRow* first_gate_failure(const std::vector<DiffRow>& rows,
+                                  double fail_over);
+
 /// Aligned table: key | before | after | delta | rel%. Rows only present
 /// on one side render "-" on the missing side. Empty string when `rows`
 /// is empty.

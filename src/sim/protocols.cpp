@@ -376,7 +376,8 @@ std::vector<NodeId> leader_flood_oracle(const net::Network& net,
 std::vector<NodeId> khop_landmark_election(const net::Network& net,
                                            const net::NodeMask& active,
                                            std::uint32_t k, RunStats* stats,
-                                           const ProtocolOptions& opts) {
+                                           const ProtocolOptions& opts,
+                                           unsigned threads) {
   const std::size_t n = net.num_nodes();
   BALLFIT_REQUIRE(active.size() == n, "mask size mismatch");
   BALLFIT_REQUIRE(k >= 1, "landmark spacing k must be >= 1");
@@ -390,18 +391,23 @@ std::vector<NodeId> khop_landmark_election(const net::Network& net,
 
   const std::uint32_t repeat = repeat_of(opts);
   const Channel channel(opts.faults, "landmark_election");
-  SourceFlood& flood = local_flood();
+  const unsigned workers = threads == 0 ? default_threads() : threads;
   // Per node, 1 + the last iteration in which a smaller bid reached it.
   std::vector<std::uint32_t> outbid(n, 0);
   RunStats total;
   std::size_t runs = 0;
   std::vector<NodeId> landmarks;
   std::vector<NodeId> winners;
+  std::vector<RunStats> costs;
 
   // Each iteration elects the undecided nodes that hear no smaller bid and
   // suppresses what their covers reach. The smallest undecided id hears no
   // smaller bid, lost bids or not, so it wins every iteration and the loop
-  // terminates.
+  // terminates. Within a phase the sources' floods are independent (see
+  // the file comment), so each runs on its own index with its own cost
+  // slot; the only shared writes are idempotent: every bid that outbids u
+  // stores the same iteration, and a cover only ever moves u from
+  // undecided to covered.
   for (std::uint32_t iteration = 0; !undecided.empty(); ++iteration) {
     const auto transmission = [iteration](Kind kind, NodeId id) {
       return [=](std::uint32_t left, std::uint32_t copy) {
@@ -410,14 +416,22 @@ std::vector<NodeId> khop_landmark_election(const net::Network& net,
                         kind);
       };
     };
-    RunStats bids;
-    for (const NodeId v : undecided) {
-      flood.run(net, active, v, k, repeat, /*source_heard=*/true, channel,
-                transmission(kBid, v), bids);
-      for (const NodeId u : flood.heard()) {
-        if (u > v) outbid[u] = iteration + 1;
-      }
-    }
+    costs.assign(undecided.size(), RunStats{});
+    parallel_for(
+        undecided.size(),
+        [&](std::size_t i) {
+          const NodeId v = undecided[i];
+          SourceFlood& flood = local_flood();
+          flood.run(net, active, v, k, repeat, /*source_heard=*/true, channel,
+                    transmission(kBid, v), costs[i]);
+          for (const NodeId u : flood.heard()) {
+            if (u > v)
+              std::atomic_ref<std::uint32_t>(outbid[u]).store(
+                  iteration + 1, std::memory_order_relaxed);
+          }
+        },
+        workers);
+    const RunStats bids = pool(costs);
     winners.clear();
     for (const NodeId v : undecided) {
       if (outbid[v] == iteration + 1) continue;
@@ -426,14 +440,22 @@ std::vector<NodeId> khop_landmark_election(const net::Network& net,
     }
     BALLFIT_ASSERT_MSG(!winners.empty(), "landmark election made no progress");
 
-    RunStats covers;
-    for (const NodeId w : winners) {
-      flood.run(net, active, w, k, repeat, /*source_heard=*/false, channel,
-                transmission(kCover, w), covers);
-      for (const NodeId u : flood.heard()) {
-        if (status[u] == Status::kUndecided) status[u] = Status::kCovered;
-      }
-    }
+    costs.assign(winners.size(), RunStats{});
+    parallel_for(
+        winners.size(),
+        [&](std::size_t i) {
+          const NodeId w = winners[i];
+          SourceFlood& flood = local_flood();
+          flood.run(net, active, w, k, repeat, /*source_heard=*/false,
+                    channel, transmission(kCover, w), costs[i]);
+          for (const NodeId u : flood.heard()) {
+            Status expected = Status::kUndecided;
+            std::atomic_ref<Status>(status[u]).compare_exchange_strong(
+                expected, Status::kCovered, std::memory_order_relaxed);
+          }
+        },
+        workers);
+    const RunStats covers = pool(costs);
 
     total += bids;
     total += covers;

@@ -31,7 +31,9 @@
 /// depends on any other source's packets: each is a lossy bounded search
 /// in which a node first hearing the packet in round R < T relays it once
 /// per copy, and the protocol's result, messages, drops and duplicates are
-/// sums over sources, its rounds the longest source. The leader flood is
+/// sums over sources, its rounds the longest source. Both protocols run
+/// one source per `parallel_for` index, each source's cost in its own slot,
+/// so nothing they return depends on the thread count. The leader flood is
 /// not separable: a node relays every improvement, and how many it makes
 /// in one round depends on the order it reads its mail in. It is replayed
 /// exactly: in each round, every receiver reads the previous round's
@@ -135,9 +137,12 @@ std::vector<net::NodeId> leader_flood_oracle(const net::Network& net,
 /// wins every iteration, so the election terminates. Each iteration is a
 /// bid flood from every undecided node and a cover flood from every
 /// winner; a winner's cover is not pre-marked as heard at the winner, so
-/// it echoes back and, for k >= 3, is relayed once more. Serial.
+/// it echoes back and, for k >= 3, is relayed once more. Each phase's
+/// floods are spread over `threads` workers (0 = hardware concurrency), one
+/// source per index; the result does not depend on the thread count.
 std::vector<net::NodeId> khop_landmark_election(
     const net::Network& net, const net::NodeMask& active, std::uint32_t k,
-    RunStats* stats = nullptr, const ProtocolOptions& opts = {});
+    RunStats* stats = nullptr, const ProtocolOptions& opts = {},
+    unsigned threads = 0);
 
 }  // namespace ballfit::sim

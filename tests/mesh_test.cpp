@@ -2,7 +2,8 @@
 // hand-built meshes (tetrahedron, octahedron, non-manifold cases), the
 // landmark election's spacing and coverage, full surface construction on a
 // sphere network (closed genus-0 manifold expected), and the builder
-// against a literal copy of its previous full-network implementation.
+// against a literal copy of its previous full-network implementation, at 1
+// and 4 election threads.
 
 #include <gtest/gtest.h>
 
@@ -406,10 +407,18 @@ TEST(SurfaceBuilderEquivalence, MatchesReferenceOnPaperScenes) {
     for (std::uint32_t k : {3u, 4u}) {
       MeshConfig mc;
       mc.landmark_spacing = k;
-      expect_same_surfaces(
-          build_surfaces(network, r.boundary, r.groups, mc),
-          reference::build_surfaces(network, r.boundary, r.groups, mc),
-          sc.name + " k=" + std::to_string(k), flips, added);
+      const SurfaceResult want =
+          reference::build_surfaces(network, r.boundary, r.groups, mc);
+      // The Step I election runs its floods on `threads` workers; every
+      // surface must come out the same at any count.
+      for (unsigned threads : {1u, 4u}) {
+        mc.threads = threads;
+        expect_same_surfaces(build_surfaces(network, r.boundary, r.groups, mc),
+                             want,
+                             sc.name + " k=" + std::to_string(k) +
+                                 " threads=" + std::to_string(threads),
+                             flips, added);
+      }
     }
   }
   // The scenes must exercise the Step V flip loop. (Step IV adds no edge on
@@ -433,10 +442,15 @@ TEST(SurfaceBuilderEquivalence, MatchesReferenceOnNoisyFig1) {
   const core::PipelineResult r = core::detect_boundaries(network, cfg);
   std::size_t flips = 0;
   std::size_t added = 0;
-  expect_same_surfaces(build_surfaces(network, r.boundary, r.groups),
-                       reference::build_surfaces(network, r.boundary,
-                                                 r.groups, MeshConfig{}),
-                       "noisy fig1", flips, added);
+  const SurfaceResult want =
+      reference::build_surfaces(network, r.boundary, r.groups, MeshConfig{});
+  for (unsigned threads : {1u, 4u}) {
+    MeshConfig mc;
+    mc.threads = threads;
+    expect_same_surfaces(build_surfaces(network, r.boundary, r.groups, mc),
+                         want, "noisy fig1 threads=" + std::to_string(threads),
+                         flips, added);
+  }
   EXPECT_GT(flips, 0u);
 }
 

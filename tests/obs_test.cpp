@@ -441,6 +441,35 @@ TEST(ObsDiff, DiffFindsChangesAndOneSidedKeys) {
   EXPECT_EQ(diff_snapshots(before, after, opts).size(), 2u);
 }
 
+// The --fail-over gate fails a row beyond the bound and a row present on
+// one side only: a gated counter that vanished has not stayed within it.
+TEST(ObsDiff, GateFailsOverBoundAndOneSidedRows) {
+  DiffOptions opts;
+  opts.key_filter = "gated";
+  const std::map<std::string, double> base{{"gated.a", 10.0},
+                                           {"gated.b", 5.0}};
+  const auto rows = [&](const std::map<std::string, double>& after) {
+    return diff_snapshots(base, after, opts);
+  };
+  const auto within = rows({{"gated.a", 10.4}, {"gated.b", 5.0}});
+  EXPECT_EQ(first_gate_failure(within, 0.05), nullptr);
+  const auto over = rows({{"gated.a", 12.0}, {"gated.b", 5.0}});
+  ASSERT_NE(first_gate_failure(over, 0.05), nullptr);
+  EXPECT_EQ(first_gate_failure(over, 0.05)->key, "gated.a");
+  const auto gone = rows({{"gated.a", 10.0}, {"other", 1.0}});
+  ASSERT_NE(first_gate_failure(gone, 0.05), nullptr);
+  EXPECT_EQ(first_gate_failure(gone, 0.05)->key, "gated.b");
+  const auto fresh = rows({{"gated.a", 10.0}, {"gated.b", 5.0},
+                           {"gated.c", 1.0}});
+  ASSERT_NE(first_gate_failure(fresh, 0.05), nullptr);
+  EXPECT_TRUE(first_gate_failure(fresh, 0.05)->only_after);
+  // Rows outside the filter never reach the gate.
+  EXPECT_EQ(first_gate_failure(rows({{"gated.a", 10.0}, {"gated.b", 5.0},
+                                     {"other", 1.0}}),
+                               0.0),
+            nullptr);
+}
+
 TEST(ObsDiff, RenderMatchesGoldenTable) {
   const std::vector<DiffRow> rows = diff_snapshots(
       {{"runs.0.nodes", 100.0}, {"runs.0.old_metric", 1.0}},

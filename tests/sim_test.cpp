@@ -491,9 +491,10 @@ ProtocolTrace library_leader_flood(const net::Network& net,
 }
 
 ProtocolTrace library_election(const net::Network& net, const NodeMask& active,
-                               std::uint32_t k, const ProtocolOptions& opts) {
+                               std::uint32_t k, const ProtocolOptions& opts,
+                               unsigned threads = 1) {
   ProtocolTrace t;
-  t.result = khop_landmark_election(net, active, k, &t.stats, opts);
+  t.result = khop_landmark_election(net, active, k, &t.stats, opts, threads);
   return t;
 }
 
@@ -566,7 +567,7 @@ net::Network permuted(const net::Network& net, std::uint64_t seed) {
 
 // On a reliable network, without a model and with an inert one, the
 // election equals the sorted reference engine on landmarks, RunStats and
-// counters.
+// counters, at every thread count.
 TEST(LandmarkElection, FaultFreeMatchesEngine) {
   const net::Network net = random_network(17, 220, 300);
   Rng rng(5);
@@ -595,11 +596,14 @@ TEST(LandmarkElection, FaultFreeMatchesEngine) {
             return trace_election<SortedEngine>(net, *active, k, repeat,
                                                 faults);
           });
-          const ProtocolTrace got = observed("landmark_election", [&] {
-            return library_election(net, *active, k, opts);
-          });
           ASSERT_EQ(want.result.empty(), active == &none) << where;
-          expect_same_run(got, want, where);
+          for (unsigned threads : {1u, 2u, 4u, 8u}) {
+            const ProtocolTrace got = observed("landmark_election", [&] {
+              return library_election(net, *active, k, opts, threads);
+            });
+            expect_same_run(got, want,
+                            where + " threads=" + std::to_string(threads));
+          }
         }
       }
     }
@@ -767,7 +771,8 @@ std::vector<FaultScenario> fault_scenarios(const net::Network& net,
 // and counters: without a model, with an inert one and under the three
 // fault scenarios, at repeat 1 and 2, on random networks and on the same
 // networks with their ids permuted (the leader flood's message count
-// depends on how ids lie in the graph).
+// depends on how ids lie in the graph); the TTL count and the election at
+// every thread count.
 TEST(Protocols, MatchSortedEngine) {
   for (std::uint64_t seed : {3u, 8u}) {
     const net::Network built = random_network(seed, 150, 200);
@@ -829,12 +834,16 @@ TEST(Protocols, MatchSortedEngine) {
             return trace_election<SortedEngine>(*net, active, 2, repeat,
                                                 faults);
           });
-          expect_same_run(observed("landmark_election",
-                                   [&] {
-                                     return library_election(*net, active, 2,
-                                                             opts);
-                                   }),
-                          election, "landmark_election " + where);
+          for (unsigned threads : {1u, 2u, 4u, 8u}) {
+            expect_same_run(observed("landmark_election",
+                                     [&] {
+                                       return library_election(
+                                           *net, active, 2, opts, threads);
+                                     }),
+                            election,
+                            "landmark_election " + where +
+                                " threads=" + std::to_string(threads));
+          }
           if (c >= 2) {
             faulted_total += flood.stats;
             faulted_total += leader.stats;

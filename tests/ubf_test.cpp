@@ -323,6 +323,19 @@ TEST(UbfConfigChecks, BadRadiusRejected) {
   EXPECT_FALSE(rejects([](UbfConfig& c) { c.noise_margin_factor = 0.0; }));
 }
 
+// A vote threshold of 0 is met by every node, but the test stops at the
+// first empty ball and the confidence count at the cap, so a node's flag
+// would depend on whether confidence was asked for (on obs::enabled() in
+// the pipeline). The constructor rejects it; 1 is the literal algorithm.
+TEST(UbfConfigChecks, ZeroVoteThresholdRejected) {
+  const net::Network net = grid_cube(3);
+  UbfConfig cfg;
+  cfg.min_empty_balls = 0;
+  EXPECT_THROW(UnitBallFitting(net, cfg), InvalidArgument);
+  cfg.min_empty_balls = 1;
+  EXPECT_NO_THROW(UnitBallFitting(net, cfg));
+}
+
 // --- Boundary confidence (vote_confidence and the scored detectors) --------
 
 TEST(UbfConfidence, VoteConfidenceFormula) {

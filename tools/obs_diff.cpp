@@ -10,7 +10,8 @@
 //   obs_diff --filter spans --min-rel 0.05 old.json new.json
 //   obs_diff --fail-over 0.25 baseline.json current.json   # CI tripwire
 //
-// Exit codes: 0 ok, 1 a row exceeded --fail-over, 2 usage/IO error.
+// Exit codes: 0 ok, 1 a row exceeded --fail-over or (under --fail-over) is
+// present on one side only, 2 usage/IO error.
 
 #include <cstdio>
 #include <cstdlib>
@@ -31,7 +32,8 @@ void usage() {
       "  --min-abs <a>    hide rows with absolute delta below a (default 0)\n"
       "  --filter <sub>   only keys containing <sub>\n"
       "  --all            include unchanged rows\n"
-      "  --fail-over <r>  exit 1 if any shown row's relative change > r\n"
+      "  --fail-over <r>  exit 1 if any shown row's relative change > r or\n"
+      "                   any shown row is present on one side only\n"
       "Inputs are bench_results.json documents or JSONL trajectories (the\n"
       "last line is used). Rows only present on one side show as new/gone.\n");
 }
@@ -92,12 +94,15 @@ int main(int argc, char** argv) {
                 before.size(), after.size());
 
     if (fail_over >= 0.0) {
-      for (const auto& r : rows) {
-        if (!r.only_before && !r.only_after && r.rel() > fail_over) {
+      if (const auto* r = ballfit::obs::first_gate_failure(rows, fail_over)) {
+        if (r->only_before || r->only_after) {
+          std::fprintf(stderr, "obs_diff: %s is %s\n", r->key.c_str(),
+                       r->only_before ? "gone" : "new");
+        } else {
           std::fprintf(stderr, "obs_diff: %s changed %.1f%% (> %.1f%%)\n",
-                       r.key.c_str(), 100.0 * r.rel(), 100.0 * fail_over);
-          return 1;
+                       r->key.c_str(), 100.0 * r->rel(), 100.0 * fail_over);
         }
+        return 1;
       }
     }
     return 0;
