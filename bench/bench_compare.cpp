@@ -18,7 +18,9 @@
 ///     plateau exits, fast sweep kernel), built through the per-node
 ///     `build_all_frames` executor the session runs, at a reduced scale
 ///     so a rep stays under ~1 s. The record carries the build's
-///     `completion_scans` work counter.
+///     `completion_scans` work counter and, from its best rep, the
+///     per-phase wall split of the frame build (`phases_ms`: gather +
+///     fill, completion, double-center, eigen init, refine).
 ///   - `pipeline.local_frames_mt` — the same default-tier build at 4
 ///     threads, the one kernel that sees the `parallel_for` scheduler. Its
 ///     record carries `threads` and its best rep's `util` =
@@ -118,6 +120,9 @@ struct KernelRecord {
   double util = 0.0;
   /// `FrameBuildStats::completion_scans` of one build; written when > 0.
   std::uint64_t completion_scans = 0;
+  /// Per-phase wall time (ms) of the best rep's frame build, from the
+  /// `FrameBuildStats` phase fields; written when `completion_scans` is.
+  std::vector<std::pair<std::string, double>> phases_ms;
   /// The `ubf.*` work counters of one detection (`ubf.true_coords` only);
   /// written when non-empty.
   std::vector<std::pair<std::string, std::uint64_t>> ubf_counters;
@@ -275,6 +280,9 @@ void write_kernel(ballfit::obs::JsonWriter& w, const KernelRecord& rec) {
   }
   if (rec.completion_scans > 0) {
     w.field("completion_scans", rec.completion_scans);
+    w.key("phases_ms").begin_object();
+    for (const auto& [phase, ms] : rec.phases_ms) w.field(phase, ms);
+    w.end_object();
   }
   for (const auto& [name, value] : rec.ubf_counters) {
     w.field(name.substr(name.find('.') + 1), value);
@@ -432,7 +440,14 @@ int main(int argc, char** argv) {
         checksum += f.stress_rms;
       double ms = std::chrono::duration<double, std::milli>(t1 - t0).count();
       rec.mean_ms += ms;
-      if (rep == 0 || ms < rec.best_ms) rec.best_ms = ms;
+      if (rep == 0 || ms < rec.best_ms) {
+        rec.best_ms = ms;
+        rec.phases_ms = {{"gather", stats.gather_ns * 1e-6},
+                         {"completion", stats.completion_ns * 1e-6},
+                         {"center", stats.center_ns * 1e-6},
+                         {"eigen", stats.eigen_ns * 1e-6},
+                         {"refine", stats.refine_ns * 1e-6}};
+      }
       std::printf("%s rep %d: %.2f ms (stress checksum %.6f)\n",
                   rec.name.c_str(), rep, ms, checksum);
 
@@ -491,6 +506,10 @@ int main(int argc, char** argv) {
                 " completion scans\n",
                 mt.name.c_str(), rec.best_ms / mt.best_ms, mt.util,
                 rec.name.c_str(), rec.completion_scans);
+    std::printf("%s best rep phases:", rec.name.c_str());
+    for (const auto& [phase, ms] : rec.phases_ms)
+      std::printf(" %s %.2f ms", phase.c_str(), ms);
+    std::printf("\n");
     records.push_back(rec);
     records.push_back(ref);
     records.push_back(mt);

@@ -156,15 +156,54 @@ EigenDecomposition eigen_top_k(const Matrix& m, int k, int max_iters,
     if (k == 3) {
       // Register-resident accumulators for the k the MDS init always uses;
       // the generic path's indirection through vector-of-vectors defeats
-      // unrolling. Accumulation order per output is unchanged.
+      // unrolling. Three rows per pass: 9 independent accumulators share
+      // each v[j] load, and with the three matrix and three vector
+      // operands they fill 15 of the 16 SSE registers. Four rows (12
+      // accumulators + 7 operands) spill three accumulators to the stack
+      // and run no faster (EXPERIMENTS.md). Accumulation order per output
+      // is unchanged; the last n mod 3 rows run one at a time.
       const double* v0 = v[0].data();
       const double* v1 = v[1].data();
       const double* v2 = v[2].data();
-      for (std::size_t r = 0; r < n; ++r) {
+      const double* mat = m.data().data();
+      std::size_t r = 0;
+      for (; r + 3 <= n; r += 3) {
+        const double* row0 = mat + r * n;
+        const double* row1 = row0 + n;
+        const double* row2 = row1 + n;
+        double s00 = shift * v0[r], s01 = shift * v1[r], s02 = shift * v2[r];
+        double s10 = shift * v0[r + 1], s11 = shift * v1[r + 1],
+               s12 = shift * v2[r + 1];
+        double s20 = shift * v0[r + 2], s21 = shift * v1[r + 2],
+               s22 = shift * v2[r + 2];
+        for (std::size_t j = 0; j < n; ++j) {
+          const double x0 = v0[j], x1 = v1[j], x2 = v2[j];
+          const double a0 = row0[j], a1 = row1[j], a2 = row2[j];
+          s00 += a0 * x0;
+          s01 += a0 * x1;
+          s02 += a0 * x2;
+          s10 += a1 * x0;
+          s11 += a1 * x1;
+          s12 += a1 * x2;
+          s20 += a2 * x0;
+          s21 += a2 * x1;
+          s22 += a2 * x2;
+        }
+        y[0][r] = s00;
+        y[1][r] = s01;
+        y[2][r] = s02;
+        y[0][r + 1] = s10;
+        y[1][r + 1] = s11;
+        y[2][r + 1] = s12;
+        y[0][r + 2] = s20;
+        y[1][r + 2] = s21;
+        y[2][r + 2] = s22;
+      }
+      for (; r < n; ++r) {
         double s0 = shift * v0[r];
         double s1 = shift * v1[r];
         double s2 = shift * v2[r];
-        const double* row = m.data().data() + r * n;
+        const double* row = mat + r * n;
         for (std::size_t j = 0; j < n; ++j) {
           const double a = row[j];
           s0 += a * v0[j];

@@ -1,10 +1,11 @@
 #include "localization/local_frame.hpp"
 
 #include <algorithm>
-#include <atomic>
+#include <chrono>
 #include <cmath>
 #include <cstdint>
 #include <limits>
+#include <mutex>
 #include <string>
 
 #include "common/assert.hpp"
@@ -25,11 +26,16 @@ namespace {
 
 constexpr double kMissing = std::numeric_limits<double>::infinity();
 
-/// Per-thread scratch arena for the frame builders. Every matrix/vector a
-/// frame build needs lives here and is re-shaped (not re-allocated) per
-/// node, so steady-state frame construction is heap-free. Contents are
-/// dead between frame builds — nothing may escape by reference, and no
-/// result may depend on which thread (and hence which arena) built a
+/// Per-thread scratch arena for the frame builders. The m×m matrices, the
+/// completion CSR and flags, the SMACOF system and the member dedup live
+/// here and are re-shaped (not re-allocated) per node, so once an arena
+/// has seen its largest patch they cost no heap traffic. The frame build
+/// as a whole is not heap-free: the frame's own members/coords, the
+/// `eigen_top_k` blocks and result, `double_center_into`'s row means and
+/// `refine_embedding`'s per-attempt start copy are still allocated per
+/// call; each is O(m) against the O(m²)-and-up work around it. Contents
+/// are dead between frame builds — nothing may escape by reference, and
+/// no result may depend on which thread (and hence which arena) built a
 /// frame. `slot` maps a node id to its member index for the frame
 /// currently under construction (epoch-cleared per frame).
 struct LocScratch {
@@ -54,6 +60,30 @@ LocScratch& scratch() {
   thread_local LocScratch s;
   return s;
 }
+
+/// Charges the wall time between laps to `FrameBuildStats` phase fields;
+/// reads no clock when no stats are collected.
+class PhaseClock {
+ public:
+  explicit PhaseClock(FrameBuildStats* stats) : stats_(stats) {
+    if (stats_ != nullptr) last_ = Clock::now();
+  }
+
+  /// Adds the time since the previous lap (or construction) to `field`.
+  void lap(std::uint64_t FrameBuildStats::*field) {
+    if (stats_ == nullptr) return;
+    const Clock::time_point now = Clock::now();
+    stats_->*field += static_cast<std::uint64_t>(
+        std::chrono::duration_cast<std::chrono::nanoseconds>(now - last_)
+            .count());
+    last_ = now;
+  }
+
+ private:
+  using Clock = std::chrono::steady_clock;
+  FrameBuildStats* stats_;
+  Clock::time_point last_;
+};
 
 /// Fills d (m×m, `kMissing` off-diagonal default) and w (m×m zeros) with
 /// the measured distance of every member pair that is a radio edge.
@@ -318,6 +348,7 @@ bool Localizer::mdsmap_init(NodeId i, const std::vector<char>* alive,
   BALLFIT_REQUIRE(i < network_->num_nodes(), "node id out of range");
 
   LocScratch& s = scratch();
+  PhaseClock clock(stats);
   gather_two_hop_members(*network_, alive, i, frame, s);
 
   if (frame.one_hop_count < 4) {
@@ -332,6 +363,7 @@ bool Localizer::mdsmap_init(NodeId i, const std::vector<char>* alive,
                       s.w);
   linalg::Matrix& d = s.d;
   linalg::Matrix& w = s.w;
+  clock.lap(&FrameBuildStats::gather_ns);
 
   // Shortest-path completion. The patch has diameter <= 4 hops, so a few
   // rounds of sparse relaxation over the measured edges (a→k→b with (k,b)
@@ -358,7 +390,10 @@ bool Localizer::mdsmap_init(NodeId i, const std::vector<char>* alive,
   // patches run all three rounds and the third still lowers ~183k
   // entries — so the loop may stop short of true shortest paths, and
   // the exact entries it leaves (hence its visit order and round cap)
-  // are part of the kBitwise contract.
+  // are part of the kBitwise contract. The reference is the literal
+  // symmetric loop in tests/localization_equivalence_test.cpp: visit
+  // rows a ascending, columns k ascending, and on `cand < d(a,b)` write
+  // d(a,b) = d(b,a) = cand.
   //
   // Semi-naive visits: from the second round on, row a relaxes through
   // column k only if d(a,k) was lowered since row a last did. A skipped
@@ -368,27 +403,50 @@ bool Localizer::mdsmap_init(NodeId i, const std::vector<char>* alive,
   // decreased since. So the skip writes exactly what a full rescan
   // writes, in the same order, and the `changed` exit fires on the same
   // round.
+  //
+  // Row-local visits with a deferred mirror: while row a relaxes it
+  // reads only row a and the CSR, so its one write outside row a — the
+  // mirror d(b,a) and the flag fresh(b,a) — is not needed until row b
+  // runs. Each row therefore writes only itself, and just before row a
+  // runs it pulls its column: d(a,x) = min(d(a,x), d(x,a)), flagging
+  // fresh(a,x) where the column entry was lower. Every write is a strict
+  // decrease, d is symmetric on entry, and between two visits of row a
+  // only row a lowers d(a,·), so after the pull row a holds exactly the
+  // values and flags the symmetric loop would, and the visits, writes,
+  // `changed` exit and `completion_scans` are the same. One min pass
+  // over both triangles after the last round restores symmetry. With
+  // nothing but row a written, the relax is a branch-free select
+  // (`minsd`) plus a flag OR instead of a mispredicted branch guarding
+  // a strided column store.
+  double* const dd = &d(0, 0);
   s.comp_fresh.assign(m * m, 1);
   std::uint64_t scans = 0;
   for (int round = 0; round < 3; ++round) {
     bool changed = false;
     for (std::size_t a = 0; a < m; ++a) {
-      unsigned char* fresh = s.comp_fresh.data() + a * m;
+      double* const row = dd + a * m;
+      unsigned char* const fresh = s.comp_fresh.data() + a * m;
+      for (std::size_t x = 0; x < m; ++x) {
+        const double col = dd[x * m + a];
+        const bool lower = col < row[x];
+        row[x] = lower ? col : row[x];
+        fresh[x] |= static_cast<unsigned char>(lower);
+      }
       for (std::size_t k = 0; k < m; ++k) {
         if (fresh[k] == 0) continue;
         fresh[k] = 0;
         ++scans;
-        const double dak = d(a, k);
+        const double dak = row[k];
         if (dak == kMissing) continue;
         const std::uint32_t end = s.comp_begin[k + 1];
         for (std::uint32_t e = s.comp_begin[k]; e < end; ++e) {
-          const std::size_t b = s.comp_adj[e];
+          const std::uint32_t b = s.comp_adj[e];
           const double cand = dak + s.comp_dist[e];
-          if (cand < d(a, b)) {
-            d(a, b) = d(b, a) = cand;
-            fresh[b] = s.comp_fresh[b * m + a] = 1;
-            changed = true;
-          }
+          const double old = row[b];
+          const bool better = cand < old;
+          row[b] = better ? cand : old;
+          fresh[b] |= static_cast<unsigned char>(better);
+          changed |= better;
         }
       }
     }
@@ -397,8 +455,11 @@ bool Localizer::mdsmap_init(NodeId i, const std::vector<char>* alive,
   if (stats != nullptr) stats->completion_scans += scans;
   const double fallback = kMissingPairFallback * 2.0 * network_->radio_range();
   for (std::size_t a = 0; a < m; ++a)
-    for (std::size_t b = 0; b < m; ++b)
-      if (d(a, b) == kMissing) d(a, b) = fallback;
+    for (std::size_t b = a + 1; b < m; ++b) {
+      const double v = std::min(d(a, b), d(b, a));
+      d(a, b) = d(b, a) = v == kMissing ? fallback : v;
+    }
+  clock.lap(&FrameBuildStats::completion_ns);
 
   // Classical MDS init from the top-3 eigenpairs of the centered Gram
   // matrix. kBitwise keeps the reference subspace budget; the default
@@ -407,12 +468,14 @@ bool Localizer::mdsmap_init(NodeId i, const std::vector<char>* alive,
   // pay for itself (at the reference budget the subspace iteration is
   // over a third of the whole frame build).
   linalg::double_center_into(d, s.gram);
+  clock.lap(&FrameBuildStats::center_ns);
   const bool full_eigen = config_.tier == EquivalenceTier::kBitwise;
   init = top3_coords(
       linalg::eigen_top_k(s.gram, 3, full_eigen ? 60 : kMdsEigenIters,
                           full_eigen ? 1e-6 : kMdsEigenTol,
                           /*data_seed=*/!full_eigen),
       m);
+  clock.lap(&FrameBuildStats::eigen_ns);
   return true;
 }
 
@@ -424,9 +487,11 @@ LocalFrame Localizer::mdsmap_frame(NodeId i, const std::vector<char>* alive,
   // Measured-pair stress majorization on the scratch system the init
   // stage left behind (still this thread's, untouched since).
   LocScratch& s = scratch();
+  PhaseClock clock(stats);
   frame.coords =
       refine_embedding(s.d, s.w, std::move(init), i, kMdsmapSweeps,
                        &frame.stress_rms, stats);
+  clock.lap(&FrameBuildStats::refine_ns);
   frame.ok = true;
   return frame;
 }
@@ -438,41 +503,6 @@ double Localizer::frame_rms_error(const LocalFrame& frame) const {
   for (NodeId v : frame.members) truth.push_back(network_->position(v));
   return linalg::procrustes_align(frame.coords, truth).rms_error;
 }
-
-namespace {
-
-/// Lock-free accumulator for `FrameBuildStats` across worker threads.
-struct AtomicFrameStats {
-  std::atomic<std::uint64_t> frames_built{0};
-  std::atomic<std::uint64_t> sweeps_executed{0};
-  std::atomic<std::uint64_t> sweep_budget{0};
-  std::atomic<std::uint64_t> restarts_skipped{0};
-  std::atomic<std::uint64_t> plateau_exits{0};
-  std::atomic<std::uint64_t> completion_scans{0};
-
-  void merge(const FrameBuildStats& s) {
-    frames_built.fetch_add(s.frames_built, std::memory_order_relaxed);
-    sweeps_executed.fetch_add(s.sweeps_executed, std::memory_order_relaxed);
-    sweep_budget.fetch_add(s.sweep_budget, std::memory_order_relaxed);
-    restarts_skipped.fetch_add(s.restarts_skipped,
-                               std::memory_order_relaxed);
-    plateau_exits.fetch_add(s.plateau_exits, std::memory_order_relaxed);
-    completion_scans.fetch_add(s.completion_scans, std::memory_order_relaxed);
-  }
-
-  FrameBuildStats snapshot() const {
-    FrameBuildStats s;
-    s.frames_built = frames_built.load(std::memory_order_relaxed);
-    s.sweeps_executed = sweeps_executed.load(std::memory_order_relaxed);
-    s.sweep_budget = sweep_budget.load(std::memory_order_relaxed);
-    s.restarts_skipped = restarts_skipped.load(std::memory_order_relaxed);
-    s.plateau_exits = plateau_exits.load(std::memory_order_relaxed);
-    s.completion_scans = completion_scans.load(std::memory_order_relaxed);
-    return s;
-  }
-};
-
-}  // namespace
 
 void build_all_frames(const Localizer& localizer, FrameScope scope,
                       std::vector<LocalFrame>& frames, unsigned threads,
@@ -487,7 +517,8 @@ void build_all_frames(const Localizer& localizer, FrameScope scope,
   frames.resize(n);
   const bool two_hop = scope == FrameScope::kTwoHop;
   const std::string parent = obs::current_span_path();
-  AtomicFrameStats agg;
+  FrameBuildStats totals;
+  std::mutex totals_mutex;
   parallel_for(
       n,
       [&](std::size_t i) {
@@ -503,10 +534,10 @@ void build_all_frames(const Localizer& localizer, FrameScope scope,
           frames[i] = two_hop ? localizer.mdsmap_frame(id, alive, &local)
                               : localizer.local_frame(id, alive, &local);
         }
-        agg.merge(local);
+        const std::lock_guard<std::mutex> lock(totals_mutex);
+        totals.merge(local);
       },
       threads == 0 ? default_threads() : threads);
-  const FrameBuildStats totals = agg.snapshot();
   if (stats != nullptr) *stats = totals;
   if (obs::enabled()) {
     auto& reg = obs::Registry::global();

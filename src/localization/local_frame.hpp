@@ -129,8 +129,9 @@ struct LocalizerConfig {
 };
 
 /// Work accounting of one frame build (a `build_all_frames` call or a
-/// single direct frame build). Exported as `loc.*` obs counters and
-/// through `core::PipelineResult::localize_stats`.
+/// single direct frame build). The counters are exported as `loc.*` obs
+/// counters; everything goes out through
+/// `core::PipelineResult::localize_stats`.
 struct FrameBuildStats {
   /// Frames processed, including degenerate (< 4 one-hop members) and
   /// masked-dead placeholders.
@@ -148,6 +149,17 @@ struct FrameBuildStats {
   /// Deterministic: independent of thread count and of full vs. partial
   /// builds.
   std::uint64_t completion_scans = 0;
+  /// Wall time (ns, summed over frames and worker threads) of the two-hop
+  /// build's phases: member gather + measured-pair fill, shortest-path
+  /// completion, double-centering, the top-3 eigen init, and the SMACOF
+  /// refinement. Wall clock, so unlike the counters above they vary run
+  /// to run; they are reported by `bench_compare`, never as `loc.*` obs
+  /// counters (whose gate is exact or near-exact).
+  std::uint64_t gather_ns = 0;
+  std::uint64_t completion_ns = 0;
+  std::uint64_t center_ns = 0;
+  std::uint64_t eigen_ns = 0;
+  std::uint64_t refine_ns = 0;
 
   void merge(const FrameBuildStats& o) {
     frames_built += o.frames_built;
@@ -156,6 +168,11 @@ struct FrameBuildStats {
     restarts_skipped += o.restarts_skipped;
     plateau_exits += o.plateau_exits;
     completion_scans += o.completion_scans;
+    gather_ns += o.gather_ns;
+    completion_ns += o.completion_ns;
+    center_ns += o.center_ns;
+    eigen_ns += o.eigen_ns;
+    refine_ns += o.refine_ns;
   }
 };
 

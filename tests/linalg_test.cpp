@@ -4,8 +4,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <numbers>
+#include <utility>
+#include <vector>
 
 #include "common/rng.hpp"
 #include "geom/sampling.hpp"
@@ -126,6 +130,132 @@ TEST(Eigen, RejectsAsymmetricInput) {
   m(0, 1) = 1.0;
   m(1, 0) = -1.0;
   EXPECT_THROW(eigen_symmetric(m), InvalidArgument);
+}
+
+/// `eigen_top_k` above its dense cutoff, written out literally: one
+/// column of (A + σI)·x at a time (row r sums σ·x[r], then A(r,j)·x[j]
+/// for ascending j), a fresh matvec for every power step and every
+/// Rayleigh product, modified Gram–Schmidt, and a stable sort by
+/// descending eigenvalue. Any blocking or unrolling of the library's
+/// matvec must reproduce these bits.
+EigenDecomposition reference_top_k(const Matrix& a, int k, int max_iters,
+                                   double tol, bool data_seed) {
+  const std::size_t n = a.rows();
+  const auto kk = static_cast<std::size_t>(k);
+  const double shift = a.frobenius_norm() + 1e-30;
+  std::vector<std::vector<double>> x(kk, std::vector<double>(n));
+  if (data_seed) {
+    std::vector<std::pair<double, std::size_t>> norms(n);
+    for (std::size_t c = 0; c < n; ++c) {
+      double s = 0.0;
+      for (std::size_t r = 0; r < n; ++r) s += a(r, c) * a(r, c);
+      norms[c] = {-s, c};
+    }
+    std::stable_sort(norms.begin(), norms.end());
+    for (std::size_t c = 0; c < kk; ++c)
+      for (std::size_t r = 0; r < n; ++r) x[c][r] = a(r, norms[c].second);
+  } else {
+    std::uint64_t seed = 0x243f6a8885a308d3ULL;
+    for (std::size_t c = 0; c < kk; ++c)
+      for (std::size_t r = 0; r < n; ++r)
+        x[c][r] = double(splitmix64(seed) >> 11) * 0x1.0p-53 - 0.5;
+  }
+  const auto matvec = [&](const std::vector<double>& v) {
+    std::vector<double> y(n);
+    for (std::size_t r = 0; r < n; ++r) {
+      double s = shift * v[r];
+      for (std::size_t j = 0; j < n; ++j) s += a(r, j) * v[j];
+      y[r] = s;
+    }
+    return y;
+  };
+  const auto dot = [&](const std::vector<double>& p,
+                       const std::vector<double>& q) {
+    double s = 0.0;
+    for (std::size_t r = 0; r < n; ++r) s += p[r] * q[r];
+    return s;
+  };
+
+  EigenDecomposition out;
+  std::vector<double> values(kk, 0.0);
+  for (int iter = 0; iter < max_iters; ++iter) {
+    std::vector<std::vector<double>> y(kk);
+    for (std::size_t c = 0; c < kk; ++c) y[c] = matvec(x[c]);
+    for (std::size_t c = 0; c < kk; ++c) {
+      x[c] = y[c];
+      for (std::size_t p = 0; p < c; ++p) {
+        const double proj = dot(x[c], x[p]);
+        for (std::size_t r = 0; r < n; ++r) x[c][r] -= proj * x[p][r];
+      }
+      const double norm = std::sqrt(std::max(1e-300, dot(x[c], x[c])));
+      for (std::size_t r = 0; r < n; ++r) x[c][r] /= norm;
+    }
+    bool stable = true;
+    for (std::size_t c = 0; c < kk; ++c) {
+      const double lambda = dot(x[c], matvec(x[c])) - shift;
+      if (std::fabs(lambda - values[c]) > tol * (std::fabs(lambda) + 1.0))
+        stable = false;
+      values[c] = lambda;
+    }
+    out.sweeps = iter + 1;
+    if (stable && iter > 2) {
+      out.converged = true;
+      break;
+    }
+  }
+  std::vector<std::size_t> order(kk);
+  for (std::size_t c = 0; c < kk; ++c) order[c] = c;
+  std::stable_sort(order.begin(), order.end(), [&](std::size_t p,
+                                                   std::size_t q) {
+    return values[p] > values[q];
+  });
+  out.values.resize(kk);
+  out.vectors = Matrix(n, kk);
+  for (std::size_t c = 0; c < kk; ++c) {
+    out.values[c] = values[order[c]];
+    for (std::size_t r = 0; r < n; ++r) out.vectors(r, c) = x[order[c]][r];
+  }
+  return out;
+}
+
+TEST(Eigen, TopKMatchesLiteralReferenceBitForBit) {
+  // Every n mod 4 just above the n <= 24 dense cutoff, the k = 3 kernel
+  // the MDS init runs and the generic k = 2 path, both seeds, and both
+  // budgets the frame build uses (the reference 60 / 1e-6 and the looser
+  // default-tier tolerance). The inputs are centered Gram matrices of
+  // noisy distance matrices, like the frame build's.
+  Rng rng(41);
+  for (std::size_t n = 25; n <= 32; ++n) {
+    std::vector<Vec3> pts(n);
+    for (Vec3& p : pts)
+      p = {rng.uniform(0, 3), rng.uniform(0, 3), rng.uniform(0, 2)};
+    Matrix d(n, n, 0.0);
+    for (std::size_t r = 0; r < n; ++r)
+      for (std::size_t c = r + 1; c < n; ++c)
+        d(r, c) = d(c, r) =
+            pts[r].distance_to(pts[c]) + rng.uniform(-0.2, 0.2);
+    const Matrix gram = double_center(d);
+    for (const int k : {3, 2})
+      for (const bool data_seed : {false, true})
+        for (const double tol : {1e-6, 1e-4}) {
+          SCOPED_TRACE(::testing::Message()
+                       << "n=" << n << " k=" << k << " data_seed="
+                       << data_seed << " tol=" << tol);
+          const EigenDecomposition got =
+              eigen_top_k(gram, k, 60, tol, data_seed);
+          const EigenDecomposition want =
+              reference_top_k(gram, k, 60, tol, data_seed);
+          EXPECT_EQ(got.sweeps, want.sweeps);
+          EXPECT_EQ(got.converged, want.converged);
+          ASSERT_EQ(got.values.size(), want.values.size());
+          for (std::size_t c = 0; c < want.values.size(); ++c) {
+            EXPECT_EQ(got.values[c], want.values[c]) << "value " << c;
+            for (std::size_t r = 0; r < n; ++r)
+              EXPECT_EQ(got.vectors(r, c), want.vectors(r, c))
+                  << "vector " << c << " row " << r;
+          }
+        }
+  }
 }
 
 TEST(Mds, RecoversPlanarSquare) {

@@ -12,6 +12,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <limits>
 #include <vector>
 
@@ -176,25 +177,36 @@ LocalFrame reference_local_frame(const net::Network& net,
 /// Two-hop MDS-MAP(P) frame: {i} ∪ N(i) then the sorted two-hop tail,
 /// three full rounds of a→k→b relaxation over the measured edge lengths,
 /// and the top-3 eigenpairs of the centered Gram matrix at the tier's
-/// subspace budget.
+/// subspace budget. `alive`, when given, drops crashed nodes from the
+/// membership and from relaying it (i itself must be alive). `scans`,
+/// when given, accumulates the (row, column) visits a semi-naive loop
+/// makes — those where d(a,k) was written since row a last visited k —
+/// which is what `FrameBuildStats::completion_scans` counts.
 LocalFrame reference_mdsmap_frame(const net::Network& net,
                                   const net::NoisyDistanceModel& model,
-                                  const LocalizerConfig& cfg, NodeId i) {
+                                  const LocalizerConfig& cfg, NodeId i,
+                                  const std::vector<char>* alive = nullptr,
+                                  std::uint64_t* scans = nullptr) {
+  const auto up = [&](NodeId v) { return alive == nullptr || (*alive)[v]; };
   LocalFrame frame;
   frame.members.push_back(i);
-  for (NodeId v : net.neighbors(i)) frame.members.push_back(v);
+  for (NodeId v : net.neighbors(i))
+    if (up(v)) frame.members.push_back(v);
   frame.one_hop_count = frame.members.size();
   if (frame.one_hop_count < 4) {
     frame.coords.assign(frame.members.size(), {});
     return frame;
   }
   std::vector<NodeId> tail;
-  for (NodeId j : net.neighbors(i))
+  for (NodeId j : net.neighbors(i)) {
+    if (!up(j)) continue;
     for (NodeId u : net.neighbors(j))
-      if (std::find(frame.members.begin(), frame.members.end(), u) ==
+      if (up(u) &&
+          std::find(frame.members.begin(), frame.members.end(), u) ==
               frame.members.end() &&
           std::find(tail.begin(), tail.end(), u) == tail.end())
         tail.push_back(u);
+  }
   std::sort(tail.begin(), tail.end());
   frame.members.insert(frame.members.end(), tail.begin(), tail.end());
   const std::size_t m = frame.members.size();
@@ -202,16 +214,20 @@ LocalFrame reference_mdsmap_frame(const net::Network& net,
   linalg::Matrix d, w;
   reference_fill(net, model, frame.members, d, w);
   const linalg::Matrix measured = d;
+  std::vector<char> written(m * m, 1);
   for (int round = 0; round < 3; ++round) {
     bool changed = false;
     for (std::size_t a = 0; a < m; ++a)
       for (std::size_t k = 0; k < m; ++k) {
+        if (scans != nullptr) *scans += written[a * m + k];
+        written[a * m + k] = 0;
         if (d(a, k) == kMissing) continue;
         for (std::size_t b = 0; b < m; ++b) {
           if (w(k, b) <= 0.0) continue;
           const double cand = d(a, k) + measured(k, b);
           if (cand < d(a, b)) {
             d(a, b) = d(b, a) = cand;
+            written[a * m + b] = written[b * m + a] = 1;
             changed = true;
           }
         }
@@ -293,6 +309,58 @@ TEST(LocalizationEquivalence, StructuralOptsBitIdenticalOnSphere) {
 
 TEST(LocalizationEquivalence, StructuralOptsBitIdenticalOnCubeWithHole) {
   check_bitwise_equivalence(fig1_network(12), 0.2);
+}
+
+TEST(LocalizationEquivalence, EveryNodeOfRandomBoxMatchesReference) {
+  // Every node of one seeded random box, not a sample: the completion's
+  // row-local visits and the eigen init must reproduce the literal
+  // reference on every patch shape the box produces (corners, faces,
+  // interior; patches on both sides of the dense eigen cutoff), at zero,
+  // low and high ranging error, with and without crashed nodes, through
+  // `build_all_frames` at 1 and 4 threads. The completion's work counter
+  // must equal the reference's visit count at both thread counts.
+  Rng rng(31);
+  const model::BoxShape shape({0, 0, 0}, {3.2, 3.2, 2.6});
+  net::BuildOptions opt;
+  opt.surface_count = 110;
+  opt.interior_count = 130;
+  opt.radio_range = 0.8;
+  const net::Network net = net::build_network(shape, opt, rng);
+  const std::size_t n = net.num_nodes();
+  std::vector<char> survivors(n, 1);
+  for (NodeId v = 0; v < n; ++v)
+    if (rng.uniform() < 0.1) survivors[v] = 0;
+  const std::vector<char>* const masks[] = {nullptr, &survivors};
+  const LocalizerConfig cfg;
+  for (const double error : {0.0, 0.1, 0.4}) {
+    const net::NoisyDistanceModel model(net, error, 7);
+    const Localizer localizer(net, model, cfg);
+    for (const std::vector<char>* alive : masks) {
+      SCOPED_TRACE(::testing::Message() << "error=" << error << " crashed="
+                                        << (alive != nullptr));
+      std::vector<LocalFrame> t1, t4;
+      FrameBuildStats s1, s4;
+      build_all_frames(localizer, FrameScope::kTwoHop, t1, /*threads=*/1,
+                       alive, nullptr, &s1);
+      build_all_frames(localizer, FrameScope::kTwoHop, t4, /*threads=*/4,
+                       alive, nullptr, &s4);
+      std::uint64_t reference_scans = 0;
+      std::size_t above_cutoff = 0;
+      for (NodeId v = 0; v < n; ++v) {
+        SCOPED_TRACE(static_cast<unsigned>(v));
+        expect_frames_bitwise_equal(t1[v], t4[v]);
+        if (alive != nullptr && (*alive)[v] == 0) continue;
+        expect_frames_bitwise_equal(
+            t1[v], reference_mdsmap_frame(net, model, cfg, v, alive,
+                                          &reference_scans));
+        above_cutoff += t1[v].members.size() > 24;
+      }
+      EXPECT_GT(above_cutoff, n / 4);
+      EXPECT_GT(reference_scans, 0u);
+      EXPECT_EQ(s1.completion_scans, reference_scans);
+      EXPECT_EQ(s4.completion_scans, reference_scans);
+    }
+  }
 }
 
 TEST(LocalizationEquivalence, DetectionInvariantAcrossThreadCounts) {
