@@ -22,6 +22,9 @@
 
 namespace ballfit {
 
+/// The default worker count: hardware concurrency, at least 1.
+unsigned default_threads();
+
 /// Indices per chunk `parallel_for` hands out: about 16 chunks per worker,
 /// at most 64 indices each, at least 1. A pure function of its arguments,
 /// so the chunk boundaries never depend on timing.
@@ -30,8 +33,9 @@ inline std::size_t parallel_chunk_size(std::size_t count, unsigned threads) {
   return std::clamp<std::size_t>(per, 1, 64);
 }
 
-/// Invokes `fn(i)` for every i in [0, count). With `threads <= 1` (or a
-/// range under two indices per thread) runs inline. Otherwise the range is
+/// Invokes `fn(i)` for every i in [0, count). `threads = 0` means
+/// `default_threads()`. With one thread (or a range under two indices per
+/// thread) runs inline. Otherwise the range is
 /// cut into chunks of `parallel_chunk_size(count, threads)` indices and
 /// min(threads, #chunks) workers are spawned: worker t first runs chunk t,
 /// then claims the next unclaimed chunk from a shared counter until none
@@ -48,6 +52,7 @@ inline std::size_t parallel_chunk_size(std::size_t count, unsigned threads) {
 /// necessarily visited after a failure.
 template <typename Fn>
 void parallel_for(std::size_t count, Fn&& fn, unsigned threads) {
+  if (threads == 0) threads = default_threads();
   if (threads <= 1 || count < 2 * static_cast<std::size_t>(threads)) {
     for (std::size_t i = 0; i < count; ++i) fn(i);
     return;
@@ -83,8 +88,5 @@ void parallel_for(std::size_t count, Fn&& fn, unsigned threads) {
   for (std::thread& w : workers) w.join();
   if (first_error != nullptr) std::rethrow_exception(first_error);
 }
-
-/// The default worker count: hardware concurrency, at least 1.
-unsigned default_threads();
 
 }  // namespace ballfit

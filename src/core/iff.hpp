@@ -30,6 +30,8 @@ struct IffConfig {
   /// per candidate; they differ only under a fault model, which the oracle
   /// ignores.
   bool use_message_passing = true;
+
+  bool operator==(const IffConfig&) const = default;
 };
 
 /// Applies IFF to the UBF candidate set; returns the surviving boundary

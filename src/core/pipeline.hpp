@@ -50,8 +50,8 @@ struct PipelineConfig {
   /// Skip local MDS and hand UBF the true coordinates — the noiseless
   /// reference configuration (and a localization ablation). Default off.
   bool use_true_coordinates = false;
-  /// Localization equivalence tier. It is part of the Measure stage
-  /// fingerprint, so cached artifacts never mix tiers.
+  /// Localization equivalence tier. It is part of the session's Localize
+  /// key, so cached artifacts never mix tiers.
   localization::LocalizerConfig localizer;
   /// Run boundary grouping after IFF (default on).
   bool group = true;

@@ -1,11 +1,9 @@
 #include "core/session.hpp"
 
 #include <algorithm>
-#include <cstring>
 #include <string>
 
 #include "common/assert.hpp"
-#include "common/parallel.hpp"
 #include "net/graph.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
@@ -13,64 +11,6 @@
 namespace ballfit::core {
 
 namespace {
-
-/// FNV-1a accumulator for stage fingerprints. Doubles are mixed by bit
-/// pattern, so a fingerprint match means the inputs were byte-identical —
-/// exactly the contract the bit-identity guarantee needs.
-class Fingerprint {
- public:
-  void u64(std::uint64_t v) {
-    for (int b = 0; b < 8; ++b) {
-      h_ ^= (v >> (8 * b)) & 0xffu;
-      h_ *= 0x100000001b3ull;
-    }
-  }
-  void f64(double v) {
-    std::uint64_t bits = 0;
-    static_assert(sizeof(bits) == sizeof(v));
-    std::memcpy(&bits, &v, sizeof(bits));
-    u64(bits);
-  }
-  void boolean(bool v) { u64(v ? 1u : 0u); }
-  void flags(const std::vector<bool>& f) {
-    u64(f.size());
-    std::uint64_t acc = 0;
-    int bits = 0;
-    for (const bool x : f) {
-      acc = (acc << 1) | (x ? 1u : 0u);
-      if (++bits == 64) {
-        u64(acc);
-        acc = 0;
-        bits = 0;
-      }
-    }
-    if (bits > 0) u64(acc);
-  }
-  std::uint64_t value() const { return h_; }
-
- private:
-  std::uint64_t h_ = 0xcbf29ce484222325ull;  // FNV offset basis
-};
-
-/// Every UbfConfig field the per-node ball test reads, except the
-/// degenerate vote — that one only reaches nodes without a usable frame,
-/// which join every partial run, so it lives in the exact-hit key only.
-void mix_ubf_core(Fingerprint& fp, const UbfConfig& c) {
-  fp.f64(c.epsilon);
-  fp.f64(c.radius_override);
-  fp.f64(c.measurement_error_hint);
-  fp.f64(c.noise_margin_factor);
-  fp.u64(c.min_empty_balls);
-  fp.u64(c.scope == UbfConfig::EmptinessScope::kTwoHop ? 1u : 0u);
-}
-
-/// Every LocalizerConfig field. The whole config keys the Measure artifact
-/// (the localizer object embeds it), so cached frames can never mix
-/// equivalence tiers.
-void mix_localizer_config(Fingerprint& fp,
-                          const localization::LocalizerConfig& c) {
-  fp.u64(static_cast<std::uint64_t>(c.tier));
-}
 
 std::size_t count_marks(const std::vector<char>& mask) {
   return static_cast<std::size_t>(
@@ -125,65 +65,43 @@ void DetectionSession::apply(const NetworkDelta& delta) {
   }
   require_unique(delta.crashed, "crashed");
   require_unique(delta.revived, "revived");
-  {
-    std::vector<net::NodeId> moved_ids;
-    moved_ids.reserve(delta.moved.size());
-    for (const net::NodeMove& m : delta.moved) {
-      BALLFIT_REQUIRE(m.node < n, "NetworkDelta: moved node id out of range");
-      moved_ids.push_back(m.node);
-    }
-    require_unique(std::move(moved_ids), "moved");
+  std::vector<net::NodeId> moved;
+  moved.reserve(delta.moved.size());
+  for (const net::NodeMove& m : delta.moved) {
+    BALLFIT_REQUIRE(m.node < n, "NetworkDelta: moved node id out of range");
+    moved.push_back(m.node);
   }
+  require_unique(moved, "moved");
   BALLFIT_REQUIRE(delta.moved.empty() || mutable_network_ != nullptr,
                   "NetworkDelta contains moves but the session observes a "
                   "const network — construct the session with a mutable "
                   "net::Network to enable node motion");
   if (delta.empty()) return;
 
+  // A move changes which nodes are within reach at all, so its dirty set
+  // is marked on BOTH the pre-move and the post-move adjacency: every
+  // changed frame input involves the moved node under one of the two.
+  if (!moved.empty()) {
+    mark_dirty(moved);
+    mutable_network_->apply_moves(delta.moved);
+    ++topology_version_;
+    mark_dirty(moved);
+    if (obs::enabled()) {
+      obs::Registry::global().counter("session.delta.moved").add(moved.size());
+    }
+  }
+  apply_alive_diff(delta.crashed, delta.revived);
+}
+
+void DetectionSession::mark_dirty(const std::vector<net::NodeId>& seeds) {
   // A frame's membership is a subset of its owner's two-hop neighborhood,
   // so only frames within two hops of a changed node can change; a node's
   // UBF flag additionally reads its one-hop witnesses' frames, adding one
   // hop. The reach is computed on the full adjacency (conservative
-  // superset of any masked reach). A move changes which nodes are within
-  // reach at all, so its dirty set is marked on BOTH the pre-move and the
-  // post-move adjacency: every changed frame input involves the moved node
-  // under one of the two.
-  std::vector<net::NodeId> seeds;
-  seeds.reserve(delta.crashed.size() + delta.revived.size() +
-                delta.moved.size());
-  if (!delta.moved.empty()) {
-    for (const net::NodeMove& m : delta.moved) seeds.push_back(m.node);
-    if (frames_valid_) net::mark_k_hop(*network_, seeds, 2, frames_dirty_);
-    if (ubf_valid_) net::mark_k_hop(*network_, seeds, 3, ubf_dirty_);
-    mutable_network_->apply_moves(delta.moved);
-    ++topology_version_;
-    measure_stale_ = true;
-  }
-  seeds.insert(seeds.end(), delta.crashed.begin(), delta.crashed.end());
-  seeds.insert(seeds.end(), delta.revived.begin(), delta.revived.end());
-  if (frames_valid_) net::mark_k_hop(*network_, seeds, 2, frames_dirty_);
-  if (ubf_valid_) net::mark_k_hop(*network_, seeds, 3, ubf_dirty_);
-
-  for (const net::NodeId v : delta.crashed) {
-    alive_[v] = 0;
-    --num_alive_;
-  }
-  for (const net::NodeId v : delta.revived) {
-    alive_[v] = 1;
-    ++num_alive_;
-    // A user revive of a fault casualty clears the attribution: the node
-    // stays up until the fault clock advances or the model is re-synced.
-    fault_dead_[v] = 0;
-  }
+  // superset of any masked reach).
+  if (frames_key_) net::mark_k_hop(*network_, seeds, 2, frames_dirty_);
+  if (ubf_key_) net::mark_k_hop(*network_, seeds, 3, ubf_dirty_);
   ++alive_epoch_;
-  masked_ = num_alive_ < n;
-
-  if (obs::enabled()) {
-    obs::Registry& reg = obs::Registry::global();
-    reg.counter("session.delta.crashed").add(delta.crashed.size());
-    reg.counter("session.delta.revived").add(delta.revived.size());
-    reg.counter("session.delta.moved").add(delta.moved.size());
-  }
 }
 
 void DetectionSession::apply_alive_diff(
@@ -194,8 +112,7 @@ void DetectionSession::apply_alive_diff(
   seeds.reserve(crashed.size() + revived.size());
   seeds.insert(seeds.end(), crashed.begin(), crashed.end());
   seeds.insert(seeds.end(), revived.begin(), revived.end());
-  if (frames_valid_) net::mark_k_hop(*network_, seeds, 2, frames_dirty_);
-  if (ubf_valid_) net::mark_k_hop(*network_, seeds, 3, ubf_dirty_);
+  mark_dirty(seeds);
   for (const net::NodeId v : crashed) {
     alive_[v] = 0;
     --num_alive_;
@@ -203,8 +120,10 @@ void DetectionSession::apply_alive_diff(
   for (const net::NodeId v : revived) {
     alive_[v] = 1;
     ++num_alive_;
+    // A revive clears the fault attribution: a user-revived casualty stays
+    // up until the fault clock advances or the schedule is re-synced.
+    fault_dead_[v] = 0;
   }
-  ++alive_epoch_;
   masked_ = num_alive_ < network_->num_nodes();
   if (obs::enabled()) {
     obs::Registry& reg = obs::Registry::global();
@@ -266,74 +185,41 @@ NetworkDelta DetectionSession::advance_faults(std::size_t rounds) {
 
 void DetectionSession::run_ubf_stages(const PipelineConfig& config,
                                       const UbfConfig& ubf_config,
-                                      unsigned threads,
+                                      const net::NoisyDistanceModel* model,
                                       PipelineResult& result) {
   const std::size_t n = network_->num_nodes();
   const std::vector<char>* alive_mask = masked_ ? &alive_ : nullptr;
-  // The true-coordinates path reads true positions: it has no Measure or
-  // Localize artifact, and its UBF artifact is keyed on the alive epoch
-  // instead of the frames version. Both paths share the UBF block below.
-  const bool true_coords = config.use_true_coordinates;
-
-  // --- Measure: noise model + localizer (includes the per-edge
-  // measurement cache). Keyed on (measurement_error, noise_seed) plus the
-  // full localizer config — the localizer object embeds it, and every
-  // downstream frame artifact chains off `measure_version_`, so runs at
-  // different equivalence tiers can never share cached frames.
-  if (!true_coords) {
-    Fingerprint fp;
-    fp.f64(config.measurement_error);
-    fp.u64(config.noise_seed);
-    mix_localizer_config(fp, config.localizer);
-    if (measure_valid_ && measure_fp_ == fp.value() && !measure_stale_) {
-      ++stats_.measure.cache_hits;
-      note_stage("measure", "cache_hits");
-    } else if (measure_valid_ && measure_fp_ == fp.value()) {
-      // Same noise law, moved geometry: re-materialize the per-edge cache
-      // against the rebuilt CSR adjacency. The noise draw is keyed on
-      // (seed, node-id pair), so every unmoved pair measures bit-identical
-      // — measure_version_ stays put and frames outside the move's dirty
-      // set remain valid.
-      BALLFIT_SPAN("measurement");
-      model_.emplace(*network_, config.measurement_error, config.noise_seed);
-      localizer_.emplace(*network_, *model_, config.localizer);
-      measure_stale_ = false;
-      ++stats_.measure.partial_runs;
-      note_stage("measure", "partial_runs");
-    } else {
-      BALLFIT_SPAN("measurement");
-      model_.emplace(*network_, config.measurement_error, config.noise_seed);
-      localizer_.emplace(*network_, *model_, config.localizer);
-      measure_fp_ = fp.value();
-      measure_valid_ = true;
-      measure_stale_ = false;
-      ++measure_version_;  // downstream keys reference the new artifact
-      ++stats_.measure.full_runs;
-      note_stage("measure", "full_runs");
-    }
-  }
+  // The true-coordinates path reads true positions: it has no Localize
+  // artifact, and its UBF artifact has no frames key. Both paths share the
+  // UBF block below.
+  const bool true_coords = model == nullptr;
 
   BALLFIT_SPAN("ubf");
 
-  // --- Localize: one frame per node. Keyed on (measure artifact, scope)
-  // plus the alive epoch; an epoch mismatch with a matching key re-embeds
-  // the dirty neighborhoods only.
+  // --- Localize: one frame per node. Keyed on everything the localizer
+  // reads plus the alive epoch; an epoch mismatch with a matching key
+  // re-embeds the dirty neighborhoods only. The key holds the whole
+  // localizer config, so cached frames can never mix equivalence tiers.
+  std::optional<FramesKey> frames_key;
   if (!true_coords) {
     const bool two_hop =
         ubf_config.scope == UbfConfig::EmptinessScope::kTwoHop;
-    std::uint64_t frames_key = 0;
-    {
-      Fingerprint fp;
-      fp.u64(measure_version_);
-      fp.boolean(two_hop);
-      frames_key = fp.value();
-    }
-    if (frames_valid_ && frames_key_ == frames_key &&
-        frames_epoch_ == alive_epoch_) {
+    frames_key = FramesKey{config.measurement_error, config.noise_seed,
+                           config.localizer, two_hop};
+    if (frames_key_ == frames_key && frames_epoch_ == alive_epoch_) {
       ++stats_.localize.cache_hits;
       note_stage("localize", "cache_hits");
     } else {
       BALLFIT_SPAN("mds_frames");
+      // The localizer draws every edge's measurement up front
+      // (`net::EdgeMeasurementCache`) over the current adjacency. The noise
+      // draw is keyed on (seed, node-id pair), so after a move every
+      // unmoved pair measures bit-identical and frames outside the dirty
+      // set stay valid.
+      const localization::Localizer localizer = [&] {
+        BALLFIT_SPAN("measurement");
+        return localization::Localizer(*network_, *model, config.localizer);
+      }();
       const localization::FrameScope scope =
           two_hop ? localization::FrameScope::kTwoHop
                   : localization::FrameScope::kOneHop;
@@ -341,14 +227,15 @@ void DetectionSession::run_ubf_stages(const PipelineConfig& config,
       // neighborhoods accumulated by apply(). Each frame is a pure function
       // of (network, model, scope, alive), so the partial rebuild is
       // bit-identical to a full one.
-      if (frames_valid_ && frames_key_ == frames_key) {
+      if (frames_key_ == frames_key) {
         stats_.last_frames_rebuilt = count_marks(frames_dirty_);
         // A partial rebuild refreshes only the dirty frames, so its build
         // stats describe a fragment; fold them into the artifact's totals
         // rather than replacing them.
         localization::FrameBuildStats partial;
-        localization::build_all_frames(*localizer_, scope, frames_, threads,
-                                       alive_mask, &frames_dirty_, &partial);
+        localization::build_all_frames(localizer, scope, frames_,
+                                       config.threads, alive_mask,
+                                       &frames_dirty_, &partial);
         loc_stats_.merge(partial);
         ++stats_.localize.partial_runs;
         note_stage("localize", "partial_runs");
@@ -360,15 +247,14 @@ void DetectionSession::run_ubf_stages(const PipelineConfig& config,
       } else {
         frames_.clear();
         loc_stats_ = {};
-        localization::build_all_frames(*localizer_, scope, frames_, threads,
-                                       alive_mask, nullptr, &loc_stats_);
+        localization::build_all_frames(localizer, scope, frames_,
+                                       config.threads, alive_mask, nullptr,
+                                       &loc_stats_);
         ++stats_.localize.full_runs;
         note_stage("localize", "full_runs");
       }
       frames_key_ = frames_key;
       frames_epoch_ = alive_epoch_;
-      frames_valid_ = true;
-      ++frames_version_;
       std::fill(frames_dirty_.begin(), frames_dirty_.end(), 0);
     }
   }
@@ -394,22 +280,18 @@ void DetectionSession::run_ubf_stages(const PipelineConfig& config,
   }
 
   // --- UBF ball test (+ witness cross-verification on the frame path).
-  Fingerprint core;
-  core.u64(true_coords ? 2 : 1);  // coordinate-path tag
-  if (!true_coords) core.u64(frames_key_);
-  mix_ubf_core(core, ubf_config);
-  Fingerprint full;
-  full.u64(core.value());
-  full.boolean(ubf_config.degenerate_is_boundary);
-  full.u64(true_coords ? alive_epoch_ : frames_version_);
-  if (ubf_valid_ && ubf_full_fp_ == full.value()) {
+  UbfKey key{{frames_key, ubf_config},
+             ubf_config.degenerate_is_boundary,
+             alive_epoch_};
+  key.core.config.degenerate_is_boundary = false;
+  if (ubf_key_ == key) {
     ++stats_.ubf.cache_hits;
     note_stage("ubf", "cache_hits");
   } else {
     const UnitBallFitting ubf(*network_, ubf_config);
     const std::vector<localization::LocalFrame>* frames =
         true_coords ? nullptr : &frames_;
-    const bool partial = ubf_valid_ && ubf_core_fp_ == core.value() &&
+    const bool partial = ubf_key_ && ubf_key_->core == key.core &&
                          ubf_flags_.size() == n;
     // Obs-gated confidence companion. A partial run can only update the
     // entries it re-tests, so it needs a full-sized carry-over; when the
@@ -430,8 +312,8 @@ void DetectionSession::run_ubf_stages(const PipelineConfig& config,
         if (alive_[i] != 0 && degenerate(i)) ubf_dirty_[i] = 1;
       }
       stats_.last_nodes_retested = count_marks(ubf_dirty_);
-      ubf.update_flags(frames, ubf_flags_, alive_mask, &ubf_dirty_, threads,
-                       conf_out);
+      ubf.update_flags(frames, ubf_flags_, alive_mask, &ubf_dirty_,
+                       config.threads, conf_out);
       ++stats_.ubf.partial_runs;
       note_stage("ubf", "partial_runs");
       if (obs::enabled()) {
@@ -442,7 +324,7 @@ void DetectionSession::run_ubf_stages(const PipelineConfig& config,
     } else {
       ubf_flags_.assign(n, 0);
       ubf.update_flags(frames, ubf_flags_, alive_mask, /*run_mask=*/nullptr,
-                       threads, conf_out);
+                       config.threads, conf_out);
       ++stats_.ubf.full_runs;
       note_stage("ubf", "full_runs");
     }
@@ -450,9 +332,7 @@ void DetectionSession::run_ubf_stages(const PipelineConfig& config,
     for (std::size_t i = 0; i < n; ++i) {
       ubf_candidates_[i] = ubf_flags_[i] != 0;
     }
-    ubf_full_fp_ = full.value();
-    ubf_core_fp_ = core.value();
-    ubf_valid_ = true;
+    ubf_key_ = std::move(key);
     std::fill(ubf_dirty_.begin(), ubf_dirty_.end(), 0);
   }
   result.ubf_candidates = ubf_candidates_;
@@ -462,39 +342,27 @@ void DetectionSession::run_ubf_stages(const PipelineConfig& config,
 }
 
 void DetectionSession::run_filter_stages(const PipelineConfig& config,
-                                         bool faulted, unsigned threads,
+                                         bool faulted,
                                          PipelineResult& result) {
   // --- IFF: whole-network flood over the candidate set (cheap relative
   // to localization; no partial variant). Keyed on the candidate flags,
-  // the IFF knobs, the adjacency version (a move changes flood paths even
-  // when the flags do not), and — under faults — the channel fields plus
-  // the retransmission count. The channel is stateless, so the artifact is
-  // a pure function of that key regardless of what ran before it.
-  std::optional<sim::FaultModel> channel;
+  // the IFF knobs, the adjacency version, and — under faults — the
+  // channel. The channel is stateless, so the artifact is a pure function
+  // of that key regardless of what ran before it.
+  std::optional<sim::FaultModel> fault_model;
+  std::optional<Channel> channel;
   sim::ProtocolOptions proto{};
   if (faulted) {
-    channel.emplace(*config.faults);
-    proto.faults = &*channel;
+    const sim::FaultConfig& f = *config.faults;
+    fault_model.emplace(f);
+    proto.faults = &*fault_model;
     proto.repeat = config.flood_repeat;
+    channel = Channel{f.seed, f.drop_probability, f.link_loss_max,
+                      f.duplicate_probability, config.flood_repeat};
   }
-  const auto mix_channel = [&](Fingerprint& fp) {
-    fp.boolean(faulted);
-    if (!faulted) return;
-    fp.u64(config.faults->seed);
-    fp.f64(config.faults->drop_probability);
-    fp.f64(config.faults->link_loss_max);
-    fp.f64(config.faults->duplicate_probability);
-    fp.u64(config.flood_repeat);
-  };
   {
-    Fingerprint fp;
-    fp.flags(ubf_candidates_);
-    fp.u64(config.iff.theta);
-    fp.u64(config.iff.ttl);
-    fp.boolean(config.iff.use_message_passing);
-    fp.u64(topology_version_);
-    mix_channel(fp);
-    if (iff_valid_ && iff_fp_ == fp.value()) {
+    IffKey key{ubf_candidates_, config.iff, topology_version_, channel};
+    if (iff_key_ == key) {
       ++stats_.iff.cache_hits;
       note_stage("iff", "cache_hits");
     } else {
@@ -504,9 +372,8 @@ void DetectionSession::run_filter_stages(const PipelineConfig& config,
           obs::enabled() ? &iff_counts_ : nullptr;
       if (counts_out == nullptr) iff_counts_.clear();
       boundary_ = iff_filter(*network_, ubf_candidates_, config.iff,
-                             &iff_cost_, proto, counts_out, threads);
-      iff_fp_ = fp.value();
-      iff_valid_ = true;
+                             &iff_cost_, proto, counts_out, config.threads);
+      iff_key_ = std::move(key);
       ++stats_.iff.full_runs;
       note_stage("iff", "full_runs");
     }
@@ -521,12 +388,9 @@ void DetectionSession::run_filter_stages(const PipelineConfig& config,
   // --- Grouping (optional stage). Keyed like IFF: the boundary flags, the
   // message-passing switch, the adjacency version, and the fault channel.
   if (config.group) {
-    Fingerprint fp;
-    fp.flags(boundary_);
-    fp.boolean(config.iff.use_message_passing);
-    fp.u64(topology_version_);
-    mix_channel(fp);
-    if (group_valid_ && group_fp_ == fp.value()) {
+    GroupKey key{boundary_, config.iff.use_message_passing,
+                 topology_version_, channel};
+    if (group_key_ == key) {
       ++stats_.group.cache_hits;
       note_stage("group", "cache_hits");
     } else {
@@ -535,8 +399,7 @@ void DetectionSession::run_filter_stages(const PipelineConfig& config,
       groups_ = group_boundaries(*network_, boundary_,
                                  config.iff.use_message_passing,
                                  &group_cost_, proto);
-      group_fp_ = fp.value();
-      group_valid_ = true;
+      group_key_ = std::move(key);
       ++stats_.group.full_runs;
       note_stage("group", "full_runs");
     }
@@ -570,8 +433,14 @@ void DetectionSession::run_filter_stages(const PipelineConfig& config,
 PipelineResult DetectionSession::run(const PipelineConfig& config) {
   BALLFIT_SPAN("pipeline");
   const std::size_t n = network_->num_nodes();
-  const unsigned threads =
-      config.threads == 0 ? default_threads() : config.threads;
+
+  // The measurement model checks `measurement_error` itself; build it
+  // before the fault state below, so a bad value leaves the session as it
+  // was.
+  std::optional<net::NoisyDistanceModel> model;
+  if (!config.use_true_coordinates) {
+    model.emplace(*network_, config.measurement_error, config.noise_seed);
+  }
 
   // Fold the crash schedule into the alive mask before any stage runs:
   // crashes act through the same masked kernels as user deltas, so faults
@@ -600,8 +469,8 @@ PipelineResult DetectionSession::run(const PipelineConfig& config) {
   if (masked_ || faulted) ubf_config.degenerate_is_boundary = false;
 
   PipelineResult result;
-  run_ubf_stages(config, ubf_config, threads, result);
-  run_filter_stages(config, faulted, threads, result);
+  run_ubf_stages(config, ubf_config, model ? &*model : nullptr, result);
+  run_filter_stages(config, faulted, result);
 
   if (masked_) result.crashed_nodes = n - num_alive_;
   if (faulted) result.fault_stats.crashed = count_marks(fault_dead_);

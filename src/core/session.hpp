@@ -3,24 +3,27 @@
 /// \file session.hpp
 /// Staged detection engine: the pipeline of pipeline.hpp (measurements →
 /// local MDS frames → UBF → IFF → grouping) decomposed into named stages
-/// with typed, fingerprint-keyed artifacts that persist across runs.
+/// whose artifacts persist across runs, each keyed by the inputs it read.
 ///
 /// Stage graph (artifact → consumers):
 ///
-///   Measure   (NoisyDistanceModel + Localizer)   ← measurement_error, noise_seed
-///     └─ Localize (per-node LocalFrame vector)   ← scope, alive mask
-///          └─ UBF (per-node candidate flags)     ← every UbfConfig knob
-///               └─ IFF (boundary flags)          ← iff.theta/ttl/use_message_passing
-///                    └─ Group (BoundaryGroups)   ← iff.use_message_passing
+///   Localize (per-node LocalFrame vector)  ← measurement_error, noise_seed,
+///    │                                       localizer, scope, alive mask
+///    └─ UBF (per-node candidate flags)     ← frames key, every UbfConfig knob
+///         └─ IFF (boundary flags)          ← candidate flags, IffConfig
+///              └─ Group (BoundaryGroups)   ← boundary flags,
+///                                            iff.use_message_passing
 ///
-/// Each stage caches its last artifact keyed by a fingerprint of exactly
-/// the config fields and upstream artifacts it reads. A config sweep that
-/// only changes UBF/IFF knobs therefore reuses the measurement model and
-/// the local frames — the multi-second part of a run — and a change to
-/// `measurement_error` invalidates only Measure → Localize and downstream.
-/// Every artifact is a pure function of (network, alive set, config), so a
+/// Each stage caches its last artifact together with a key struct that
+/// holds exactly the config fields and upstream artifacts it read, compared
+/// by value. A config sweep that only changes UBF/IFF knobs therefore
+/// reuses the local frames — the multi-second part of a run — and a change
+/// to `measurement_error` invalidates Localize and everything downstream.
+/// The measurement model is stateless and rebuilt by every frame-path run;
+/// the localizer over it is built only when frames are (re)built. Every
+/// artifact is a pure function of (network, alive set, config), so a
 /// cached or partially recomputed run is bit-identical to a fresh one;
-/// `detect_boundaries` is now literally one-shot `DetectionSession::run`.
+/// `detect_boundaries` is literally one-shot `DetectionSession::run`.
 ///
 /// Incremental re-detection: `apply(NetworkDelta)` marks nodes crashed,
 /// revived, or moved. Frames are re-embedded only inside the two-hop reach
@@ -78,8 +81,10 @@ struct StageCounters {
 };
 
 struct SessionStats {
-  StageCounters measure;   ///< noise model + localizer construction
-  StageCounters localize;  ///< per-node frame embedding
+  /// Always zero: the measurement model and localizer are built inside
+  /// Localize. perfbench/src/workloads.cpp reads it.
+  StageCounters measure;
+  StageCounters localize;  ///< localizer construction + per-node frames
   StageCounters ubf;       ///< ball test + witness cross-verification
   /// Always zero (the stage was retired); perfbench/src/workloads.cpp reads it.
   StageCounters escalate;
@@ -119,10 +124,12 @@ class DetectionSession {
 
   const net::Network& network() const { return *network_; }
 
-  /// Runs the pipeline, reusing every cached artifact the fingerprints
-  /// allow. Bit-identical to `detect_boundaries(network, config)` for
-  /// reliable (fault-free) configs, including the obs span tree and
-  /// pipeline.* counters of a fresh run for stages that execute.
+  /// Runs the pipeline, reusing every cached artifact whose key matches.
+  /// Bit-identical to `detect_boundaries(network, config)` for reliable
+  /// (fault-free) configs, including the obs span tree and pipeline.*
+  /// counters of a fresh run for stages that execute. Throws
+  /// `InvalidArgument`, before any state change, on a bad
+  /// `measurement_error` (frame path) or fault config.
   PipelineResult run(const PipelineConfig& config = {});
 
   /// Applies a crash/revive/move delta and dirties the affected
@@ -152,14 +159,67 @@ class DetectionSession {
   const SessionStats& stats() const { return stats_; }
 
  private:
+  /// The loss/duplication channel a flood ran under: the `sim::FaultConfig`
+  /// fields its draws read, plus the retransmission count.
+  struct Channel {
+    std::uint64_t seed;
+    double drop_probability;
+    double link_loss_max;
+    double duplicate_probability;
+    std::uint32_t flood_repeat;
+    bool operator==(const Channel&) const = default;
+  };
+  /// What a frame set was built from, besides the alive set.
+  struct FramesKey {
+    double measurement_error;
+    std::uint64_t noise_seed;
+    localization::LocalizerConfig localizer;
+    bool two_hop;
+    bool operator==(const FramesKey&) const = default;
+  };
+  /// `core` is what a partial UBF run may keep flags across: the frames
+  /// (none on true coordinates) and every UbfConfig knob but the
+  /// degenerate vote, which `core.config` holds cleared — only degenerate
+  /// nodes read it, and those join every partial run. An exact hit also
+  /// needs the same vote and the same alive epoch.
+  struct UbfKey {
+    struct Core {
+      std::optional<FramesKey> frames;
+      UbfConfig config;
+      bool operator==(const Core&) const = default;
+    } core;
+    bool degenerate_is_boundary;
+    std::uint64_t epoch;
+    bool operator==(const UbfKey&) const = default;
+  };
+  /// The flood stages' inputs. The adjacency version is there because a
+  /// move changes flood paths without changing a flag; `channel` is none
+  /// on a reliable run.
+  struct IffKey {
+    std::vector<bool> candidates;
+    IffConfig config;
+    std::uint64_t topology_version;
+    std::optional<Channel> channel;
+    bool operator==(const IffKey&) const = default;
+  };
+  struct GroupKey {
+    std::vector<bool> boundary;
+    bool use_message_passing;
+    std::uint64_t topology_version;
+    std::optional<Channel> channel;
+    bool operator==(const GroupKey&) const = default;
+  };
+
+  /// `model` is null on the true-coordinates path.
   void run_ubf_stages(const PipelineConfig& config,
-                      const UbfConfig& ubf_config, unsigned threads,
+                      const UbfConfig& ubf_config,
+                      const net::NoisyDistanceModel* model,
                       PipelineResult& result);
-  /// IFF and grouping over the UBF artifact. The IFF key fingerprints the
+  /// IFF and grouping over the UBF artifact. The IFF key holds the
   /// candidate flags themselves, so new UBF content re-keys the flood
   /// artifacts automatically.
   void run_filter_stages(const PipelineConfig& config, bool faulted,
-                         unsigned threads, PipelineResult& result);
+                         PipelineResult& result);
   /// Installs `config` (validated); a config that differs from the
   /// installed one restarts the fault clock.
   void install_faults(const sim::FaultConfig& config);
@@ -168,9 +228,13 @@ class DetectionSession {
   /// Folds the crash schedule at the fault clock into the alive mask
   /// (fault casualties only — user-crashed nodes are never revived by it).
   NetworkDelta sync_fault_state();
-  /// Updates the alive mask + dirty sets for an already-validated diff.
+  /// Flips an already-validated diff into the alive mask, marking its
+  /// reach dirty.
   void apply_alive_diff(const std::vector<net::NodeId>& crashed,
                         const std::vector<net::NodeId>& revived);
+  /// Marks the frames within two hops and the ball tests within three hops
+  /// of `seeds` for rebuild (those that exist), and bumps the alive epoch.
+  void mark_dirty(const std::vector<net::NodeId>& seeds);
 
   const net::Network* network_;
   /// Non-null iff the session was constructed with a mutable network;
@@ -178,8 +242,8 @@ class DetectionSession {
   net::Network* mutable_network_ = nullptr;
   std::vector<char> alive_;
   std::size_t num_alive_;
-  /// Bumped by every effective `apply`; artifacts remember the epoch they
-  /// were computed in.
+  /// Bumped by every `mark_dirty`, i.e. every change to the alive set or
+  /// the adjacency; artifacts remember the epoch they were computed in.
   std::uint64_t alive_epoch_ = 0;
   /// Bumped by every move-containing `apply`: adjacency identity for the
   /// flood-stage keys (flags alone cannot see an edge change).
@@ -195,30 +259,13 @@ class DetectionSession {
   /// user delta). Only these are revived when the schedule recedes.
   std::vector<char> fault_dead_;
 
-  // --- Measure artifact. `localizer_` holds a pointer to `model_`; both
-  // live in optional slots so re-emplacement reuses the session object.
-  std::optional<net::NoisyDistanceModel> model_;
-  std::optional<localization::Localizer> localizer_;
-  std::uint64_t measure_fp_ = 0;
-  bool measure_valid_ = false;
-  /// Set by move deltas: the localizer's per-edge measurement cache mirrors
-  /// the CSR layout, so it must be re-materialized against the mutated
-  /// adjacency. The refresh keeps `measure_version_` — the noise law is
-  /// unchanged and unmoved pairs draw bit-identical measurements, so frames
-  /// outside the dirty set stay valid.
-  bool measure_stale_ = false;
-  /// Distinguishes successive measure artifacts in downstream keys.
-  std::uint64_t measure_version_ = 0;
-
   // --- Localize artifact.
   std::vector<localization::LocalFrame> frames_;
   /// Work accounting of the build that produced `frames_` (cache hits
   /// republish it; true-coordinates runs leave it zeroed).
   localization::FrameBuildStats loc_stats_;
-  std::uint64_t frames_key_ = 0;    ///< (measure_version, scope)
+  std::optional<FramesKey> frames_key_;
   std::uint64_t frames_epoch_ = 0;  ///< alive_epoch_ the frames reflect
-  std::uint64_t frames_version_ = 0;
-  bool frames_valid_ = false;
   /// Nodes whose frame must be re-embedded before next use (accumulated
   /// across `apply` calls, cleared by every Localize run).
   std::vector<char> frames_dirty_;
@@ -228,19 +275,11 @@ class DetectionSession {
   std::vector<bool> ubf_candidates_;  ///< published copy of ubf_flags_
   /// Obs-gated companion to ubf_flags_ (see core::vote_confidence): filled
   /// when `obs::enabled()` at compute time, cleared when the flags are
-  /// recomputed without it. Deliberately NOT part of any fingerprint —
-  /// it never influences flags, so cache identity ignores it.
+  /// recomputed without it. Deliberately NOT part of any key — it never
+  /// influences flags, so cache identity ignores it.
   std::vector<float> ubf_confidence_;
   std::size_t frame_fallbacks_ = 0;
-  /// Exact-hit key: core key + degenerate vote + frames_version (frame
-  /// path) or alive epoch (true coordinates).
-  std::uint64_t ubf_full_fp_ = 0;
-  /// Partial-run key: the coordinate path plus everything the per-node
-  /// decision reads except the degenerate vote (only degenerate nodes read
-  /// it; those join every partial run) and the frame contents or positions
-  /// (covered by dirty tracking).
-  std::uint64_t ubf_core_fp_ = 0;
-  bool ubf_valid_ = false;
+  std::optional<UbfKey> ubf_key_;
   /// Nodes whose flag must be recomputed: three hops around every change,
   /// i.e. dirty frames + one witness hop (a superset of the two-hop
   /// positions a true-coordinates test reads).
@@ -254,14 +293,12 @@ class DetectionSession {
   /// Cost of the flood, channel drops and duplicates included; cached
   /// with the artifact so a cache hit reports what a fresh run would.
   sim::RunStats iff_cost_;
-  std::uint64_t iff_fp_ = 0;
-  bool iff_valid_ = false;
+  std::optional<IffKey> iff_key_;
 
   // --- Group artifact.
   BoundaryGroups groups_;
   sim::RunStats group_cost_;
-  std::uint64_t group_fp_ = 0;
-  bool group_valid_ = false;
+  std::optional<GroupKey> group_key_;
 
   SessionStats stats_;
 };

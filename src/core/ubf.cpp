@@ -997,7 +997,6 @@ std::vector<bool> detect_all(
                   "one frame per node required");
   BALLFIT_REQUIRE(alive == nullptr || alive->size() == n,
                   "alive mask must be sized num_nodes");
-  const unsigned workers = threads == 0 ? default_threads() : threads;
   if (confidence != nullptr) confidence->assign(n, 0.0f);
 
   // vector<bool> is not safe for concurrent writes, hence the char staging
@@ -1005,7 +1004,7 @@ std::vector<bool> detect_all(
   std::vector<char> flags(n, 0);
   std::atomic<std::size_t> fallbacks{0};
   run_ball_tests(ubf, network, frames, flags, alive, /*run_mask=*/nullptr,
-                 workers, &fallbacks, confidence);
+                 threads, &fallbacks, confidence);
 
   if (frame_fallbacks != nullptr) {
     *frame_fallbacks = fallbacks.load(std::memory_order_relaxed);
@@ -1065,8 +1064,7 @@ void UnitBallFitting::update_flags(
                   "alive mask must be sized num_nodes");
   BALLFIT_REQUIRE(confidence == nullptr || confidence->size() == n,
                   "confidence must be pre-sized num_nodes");
-  const unsigned workers = threads == 0 ? default_threads() : threads;
-  run_ball_tests(*this, *network_, frames, flags, alive, run_mask, workers,
+  run_ball_tests(*this, *network_, frames, flags, alive, run_mask, threads,
                  /*fallbacks=*/nullptr, confidence);
 }
 

@@ -108,6 +108,8 @@ struct UbfConfig {
   ///     an ablation (`bench_ablation_scope`).
   enum class EmptinessScope { kOneHop, kTwoHop };
   EmptinessScope scope = EmptinessScope::kTwoHop;
+
+  bool operator==(const UbfConfig&) const = default;
 };
 
 /// Graded boundary-ness for observability (ROADMAP: "confidence-scored

@@ -537,7 +537,7 @@ void build_all_frames(const Localizer& localizer, FrameScope scope,
         const std::lock_guard<std::mutex> lock(totals_mutex);
         totals.merge(local);
       },
-      threads == 0 ? default_threads() : threads);
+      threads);
   if (stats != nullptr) *stats = totals;
   if (obs::enabled()) {
     auto& reg = obs::Registry::global();

@@ -126,6 +126,8 @@ inline constexpr double kMdsEigenTol = 1e-4;
 struct LocalizerConfig {
   /// Equivalence tier of the whole frame build.
   EquivalenceTier tier = EquivalenceTier::kBoundaryIdentical;
+
+  bool operator==(const LocalizerConfig&) const = default;
 };
 
 /// Work accounting of one frame build (a `build_all_frames` call or a

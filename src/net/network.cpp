@@ -35,8 +35,7 @@ Network::Network(std::vector<geom::Vec3> positions,
   num_truth_ = static_cast<std::size_t>(
       std::count(truth_boundary_.begin(), truth_boundary_.end(), true));
   const geom::SpatialGrid grid(positions_, radio_range_);
-  fill_rows(grid, nullptr,
-            build_threads == 0 ? default_threads() : build_threads);
+  fill_rows(grid, nullptr, build_threads);
 }
 
 void Network::fill_rows(const geom::SpatialGrid& grid,

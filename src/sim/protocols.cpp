@@ -209,7 +209,7 @@ std::vector<std::uint32_t> ttl_flood_count(const net::Network& net,
           std::atomic_ref<std::uint32_t>(counts[v]).fetch_add(
               1, std::memory_order_relaxed);
       },
-      threads == 0 ? default_threads() : threads);
+      threads);
 
   const RunStats total = pool(costs);
   channel.record(total, 1, origins.size());
@@ -232,7 +232,7 @@ std::vector<std::uint32_t> ttl_flood_count_oracle(const net::Network& net,
         bfs.run(net, origins[i], ttl, visible);
         counts[origins[i]] = static_cast<std::uint32_t>(bfs.visited().size());
       },
-      threads == 0 ? default_threads() : threads);
+      threads);
   return counts;
 }
 
@@ -391,7 +391,6 @@ std::vector<NodeId> khop_landmark_election(const net::Network& net,
 
   const std::uint32_t repeat = repeat_of(opts);
   const Channel channel(opts.faults, "landmark_election");
-  const unsigned workers = threads == 0 ? default_threads() : threads;
   // Per node, 1 + the last iteration in which a smaller bid reached it.
   std::vector<std::uint32_t> outbid(n, 0);
   RunStats total;
@@ -430,7 +429,7 @@ std::vector<NodeId> khop_landmark_election(const net::Network& net,
                   iteration + 1, std::memory_order_relaxed);
           }
         },
-        workers);
+        threads);
     const RunStats bids = pool(costs);
     winners.clear();
     for (const NodeId v : undecided) {
@@ -454,7 +453,7 @@ std::vector<NodeId> khop_landmark_election(const net::Network& net,
                 expected, Status::kCovered, std::memory_order_relaxed);
           }
         },
-        workers);
+        threads);
     const RunStats covers = pool(costs);
 
     total += bids;

@@ -1,5 +1,5 @@
 // Tests for src/common: RNG determinism and statistics, assertions,
-// string/table formatting, logging, parallel_for.
+// string/table formatting, parallel_for.
 
 #include <gtest/gtest.h>
 
@@ -16,7 +16,6 @@
 #include <vector>
 
 #include "common/assert.hpp"
-#include "common/log.hpp"
 #include "common/parallel.hpp"
 #include "common/rng.hpp"
 #include "common/strings.hpp"
@@ -270,6 +269,17 @@ TEST(Parallel, NoMoreWorkersThanChunks) {
   }
 }
 
+TEST(Parallel, ZeroThreadsMeansDefaultThreads) {
+  // threads = 0 resolves to default_threads() before the inline check, so
+  // callers pass a configured 0 straight through.
+  constexpr std::size_t kCount = 1000;
+  const unsigned threads = default_threads();
+  const std::size_t chunk = parallel_chunk_size(kCount, threads);
+  const std::size_t chunks = (kCount + chunk - 1) / chunk;
+  EXPECT_EQ(worker_ids(kCount, 0).size(),
+            std::min<std::size_t>(threads, chunks));
+}
+
 TEST(Parallel, ThrowInLateChunkRethrownOnJoiningThread) {
   // The throwing index sits in the last chunk, which some worker reaches
   // only by claiming it from the shared counter.
@@ -293,25 +303,6 @@ TEST(Parallel, SingleThreadExceptionPropagates) {
       parallel_for(
           10, [](std::size_t) { throw std::runtime_error("st"); }, 1),
       std::runtime_error);
-}
-
-TEST(Log, ConcurrentWritesAndLevelChangesAreSafe) {
-  // Exercises the write mutex and the atomic level under contention; the
-  // assertion is "no data race / no crash" (checked by the TSan CI job).
-  const LogLevel prev = Log::level();
-  std::vector<std::thread> writers;
-  for (int t = 0; t < 4; ++t) {
-    writers.emplace_back([t] {
-      for (int i = 0; i < 20; ++i) {
-        Log::set_level(i % 2 ? LogLevel::kDebug : LogLevel::kWarn);
-        Log::write(LogLevel::kDebug,
-                   "concurrent log test t" + std::to_string(t));
-        (void)Log::level();
-      }
-    });
-  }
-  for (auto& w : writers) w.join();
-  Log::set_level(prev);
 }
 
 }  // namespace

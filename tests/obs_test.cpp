@@ -610,9 +610,9 @@ TEST_F(ObsPipeline, PipelineRecordsStageSpansAndMetrics) {
   const RunSnapshot snap = snapshot();
   // Stage spans, nested under the pipeline root.
   for (const char* path :
-       {"pipeline", "pipeline/measurement", "pipeline/ubf",
-        "pipeline/ubf/mds_frames", "pipeline/ubf/ball_test", "pipeline/iff",
-        "pipeline/grouping"}) {
+       {"pipeline", "pipeline/ubf", "pipeline/ubf/mds_frames",
+        "pipeline/ubf/mds_frames/measurement", "pipeline/ubf/ball_test",
+        "pipeline/iff", "pipeline/grouping"}) {
     ASSERT_TRUE(snap.spans.count(path)) << "missing span " << path;
     EXPECT_GE(snap.spans.at(path).count, 1u) << path;
   }

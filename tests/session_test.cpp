@@ -1,6 +1,6 @@
 // DetectionSession contract tests: cached sweeps and incremental
 // re-detection must be bit-identical to fresh detect_boundaries runs, the
-// stage fingerprints must cover every config field a stage reads, and
+// stage keys must cover every config field a stage reads, and
 // results must be independent of the worker thread count.
 
 #include <gtest/gtest.h>
@@ -44,7 +44,7 @@ void expect_same_result(const PipelineResult& a, const PipelineResult& b,
 
 // (a) A config sweep through one session is bit-identical to a fresh
 // detect_boundaries call per config — and actually reuses the expensive
-// artifacts (one measure build, one frame build for the whole ε sweep).
+// artifact (one frame build for the whole ε sweep).
 TEST(SessionSweep, BitIdenticalToFreshRunsWithReuse) {
   const net::Network net = sphere_network(11);
   DetectionSession session(net);
@@ -72,10 +72,10 @@ TEST(SessionSweep, BitIdenticalToFreshRunsWithReuse) {
     expect_same_result(via_session, fresh, "sweep point vs fresh");
   }
 
-  // The sweep only varied UBF/IFF knobs: measure and frames must have been
-  // built exactly once.
-  EXPECT_EQ(session.stats().measure.full_runs, 1u);
+  // The sweep only varied UBF/IFF knobs: frames must have been built
+  // exactly once and reused by every later point.
   EXPECT_EQ(session.stats().localize.full_runs, 1u);
+  EXPECT_EQ(session.stats().localize.cache_hits, sweep.size() - 1);
   EXPECT_EQ(session.stats().ubf.full_runs, 3u);  // one per distinct ε
   EXPECT_EQ(session.stats().ubf.cache_hits, 2u);  // θ sweep reuses flags
 }
@@ -90,7 +90,7 @@ TEST(SessionSweep, RepeatedConfigHitsEveryCache) {
   const PipelineResult first = session.run(cfg);
   const PipelineResult second = session.run(cfg);
   expect_same_result(first, second, "repeat config");
-  EXPECT_EQ(session.stats().measure.cache_hits, 1u);
+  EXPECT_EQ(session.stats().localize.full_runs, 1u);
   EXPECT_EQ(session.stats().localize.cache_hits, 1u);
   EXPECT_EQ(session.stats().ubf.cache_hits, 1u);
   EXPECT_EQ(session.stats().iff.cache_hits, 1u);
@@ -180,7 +180,7 @@ TEST(SessionDelta, OracleModeMatchesFromScratch) {
   expect_same_result(incremental, cold.run(cfg), "oracle incremental");
 }
 
-// (c) Fingerprint completeness: flipping any config field a stage reads
+// (c) Key completeness: flipping any config field a stage reads
 // must invalidate exactly that stage and downstream — observable as the
 // session result staying bit-identical to a fresh run of the new config,
 // even right after the session cached a near-identical one.
@@ -344,9 +344,9 @@ TEST(SessionDelta, MoveDeltaMatchesColdSession) {
 
 // --- Fault injection through the cached stage graph ------------------------
 
-// An active fault config flows through the same fingerprint-keyed stages:
+// An active fault config flows through the same input-keyed stages:
 // repeating the config is pure cache hits and returns the identical result
-// — faulted artifacts are pure functions of the fault-stream fingerprint,
+// — faulted artifacts are pure functions of the fault channel's fields,
 // not of RNG call order.
 TEST(SessionFaults, RepeatedFaultedRunHitsEveryCache) {
   const net::Network net = sphere_network(33, 80, 100);
@@ -602,7 +602,9 @@ TEST(SessionFaults, CasualtiesOnlyGrowAsTheClockAdvances) {
 
 // A bad fault config fails at the API boundary — out-of-range schedule
 // ids, and probabilities that are NaN or outside [0, 1], even on an
-// otherwise inert config — and leaves the session exactly as it was.
+// otherwise inert config — and leaves the session exactly as it was. So
+// does a bad measurement error, even when it comes with a fault config
+// other than the installed one.
 TEST(SessionFaults, InvalidConfigRejectedBeforeAnyStateChange) {
   const net::Network net = sphere_network(43, 80, 100);
   const PipelineConfig cfg = every_fault_config();
@@ -625,9 +627,22 @@ TEST(SessionFaults, InvalidConfigRejectedBeforeAnyStateChange) {
   const std::uint64_t ubf_runs = session.stats().ubf.full_runs +
                                  session.stats().ubf.partial_runs +
                                  session.stats().ubf.cache_hits;
-  for (std::size_t i = 0; i < bad.size(); ++i) {
+  std::vector<PipelineConfig> rejected;
+  for (const sim::FaultConfig& faults : bad) {
     PipelineConfig c = cfg;
-    c.faults = bad[i];
+    c.faults = faults;
+    rejected.push_back(c);
+  }
+  for (const double error : {-0.1, nan}) {
+    PipelineConfig c = cfg;
+    c.use_true_coordinates = false;
+    c.measurement_error = error;
+    c.faults->seed = 20;
+    c.faults->crash_fraction = 0.3;
+    rejected.push_back(c);
+  }
+  for (std::size_t i = 0; i < rejected.size(); ++i) {
+    const PipelineConfig& c = rejected[i];
     EXPECT_THROW((void)session.run(c), InvalidArgument) << "config " << i;
     EXPECT_EQ(alive_set(session), alive) << "config " << i;
     EXPECT_TRUE(session.has_fault_model()) << "config " << i;
@@ -681,8 +696,6 @@ TEST_F(SessionObs, StageCountersMirrorStatsInRegistry) {
     ASSERT_TRUE(counters.count(name)) << "missing counter " << name;
     EXPECT_EQ(counters.at(name), want) << name;
   };
-  expect_counter("session.measure.full_runs", stats.measure.full_runs);
-  expect_counter("session.measure.cache_hits", stats.measure.cache_hits);
   expect_counter("session.localize.full_runs", stats.localize.full_runs);
   expect_counter("session.localize.cache_hits", stats.localize.cache_hits);
   expect_counter("session.ubf.full_runs", stats.ubf.full_runs);
@@ -691,8 +704,12 @@ TEST_F(SessionObs, StageCountersMirrorStatsInRegistry) {
   expect_counter("session.iff.cache_hits", stats.iff.cache_hits);
   expect_counter("session.group.full_runs", stats.group.full_runs);
   expect_counter("session.group.cache_hits", stats.group.cache_hits);
-  EXPECT_EQ(stats.measure.full_runs, 1u);
-  EXPECT_EQ(stats.measure.cache_hits, 1u);
+  // Localize builds the measurement model and the localizer itself; the
+  // retired Measure stage reports nothing.
+  EXPECT_EQ(counters.count("session.measure.full_runs"), 0u);
+  EXPECT_EQ(stats.measure.full_runs + stats.measure.cache_hits, 0u);
+  EXPECT_EQ(stats.localize.full_runs, 1u);
+  EXPECT_EQ(stats.localize.cache_hits, 1u);
   EXPECT_EQ(stats.ubf.full_runs, 1u);
   EXPECT_EQ(stats.ubf.cache_hits, 1u);
 }
