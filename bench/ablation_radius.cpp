@@ -45,7 +45,7 @@ int main(int argc, char** argv) {
   for (double r : {1.0 + 1e-6, 1.2, 1.5, 1.8, 2.1}) {
     core::PipelineConfig cfg;
     cfg.use_true_coordinates = true;
-    cfg.ubf.radius_override = r;
+    cfg.ubf.epsilon = r / network.radio_range() - 1.0;
     // Bigger test balls mean bigger minimal fragments; keep IFF at its
     // default θ — selectivity comes from the radius alone here.
     points.push_back({format_double(r, 2), cfg});

@@ -22,10 +22,14 @@
 ///     per-phase wall split of the frame build (`phases_ms`: gather +
 ///     fill, completion, double-center, eigen init, refine).
 ///   - `pipeline.local_frames_mt` — the same default-tier build at 4
-///     threads, the one kernel that sees the `parallel_for` scheduler. Its
-///     record carries `threads` and its best rep's `util` =
-///     CPU / (wall · threads); its frames must equal the 1-thread build's
-///     bit for bit (in-run gate).
+///     threads, the one kernel that sees the `parallel_for` scheduler. Each
+///     rep follows a discarded 4-thread build that brings every core up
+///     after the serial kernels. Its record carries `threads` and its best
+///     rep's `util` = CPU / (wall · threads). Two in-run gates: its frames
+///     must equal the 1-thread build's bit for bit, and the best rep's
+///     `util` must reach 0.8, so a serialized rep cannot pass as a scaling
+///     result (skipped, with a notice, on a machine with fewer than 4
+///     hardware threads).
 ///   - `pipeline.local_frames_bitwise` — the same frame build pinned to
 ///     `EquivalenceTier::kBitwise` (every rounding-changing fast path
 ///     off): the reference kernel. Its reps alternate with the default
@@ -74,6 +78,7 @@
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -395,7 +400,8 @@ int main(int argc, char** argv) {
   // rep, so drift of the machine's speed during the run hits all alike
   // instead of skewing their ratio. The boundary counts come from untimed
   // full detection passes per tier; the in-run gates below (thread
-  // identity, tier speedup, tier drift) tie the kernels together.
+  // identity, thread utilisation, tier speedup, tier drift) tie the
+  // kernels together.
   {
     const model::Scenario scenario = model::fig1_network(frames_scale);
     const net::Network network =
@@ -452,7 +458,12 @@ int main(int argc, char** argv) {
                   rec.name.c_str(), rep, ms, checksum);
 
       // Kernel 2 at 4 threads: the same build, scheduled by parallel_for.
+      // A discarded build first, so that a rep following the serial
+      // kernels does not run on cores that are still being brought up.
       std::vector<localization::LocalFrame> mt_frames;
+      localization::build_all_frames(
+          localizer, localization::FrameScope::kTwoHop, mt_frames, mt.threads);
+      mt_frames.clear();
       const double cpu0 = process_cpu_ms();
       t0 = Clock::now();
       localization::build_all_frames(
@@ -491,11 +502,16 @@ int main(int argc, char** argv) {
     rec.mean_ms /= frames_reps;
     ref.mean_ms /= frames_reps;
     mt.mean_ms /= frames_reps;
-    const std::vector<bool> boundary = ubf.detect(localizer, /*threads=*/1);
+    const auto detect = [&](const localization::Localizer& tier) {
+      std::vector<localization::LocalFrame> frames;
+      localization::build_all_frames(tier, localization::FrameScope::kTwoHop,
+                                     frames, /*threads=*/1);
+      return ubf.detect_on_frames(frames, /*threads=*/1);
+    };
+    const std::vector<bool> boundary = detect(localizer);
     for (const bool b : boundary) rec.boundary_nodes += b;
     mt.boundary_nodes = rec.boundary_nodes;  // the frames are identical
-    const std::vector<bool> bitwise_boundary =
-        ubf.detect(bitwise, /*threads=*/1);
+    const std::vector<bool> bitwise_boundary = detect(bitwise);
     for (const bool b : bitwise_boundary) ref.boundary_nodes += b;
     for (const KernelRecord* r : {&rec, &ref, &mt})
       std::printf("%s: best %.2f ms, mean %.2f ms over %d reps "
@@ -524,7 +540,23 @@ int main(int argc, char** argv) {
       return 1;
     }
 
-    // In-run gate 1 — tier speedup: the point of the optimized default
+    // In-run gate 1 — thread utilisation: the best 4-thread rep must keep
+    // its workers busy. A rep that ran serialized (util near 0.25) says
+    // nothing about scaling, so it fails instead of passing as a result.
+    if (std::thread::hardware_concurrency() < mt.threads) {
+      std::printf("%s: %u hardware threads, fewer than %u — utilisation "
+                  "gate skipped\n",
+                  mt.name.c_str(), std::thread::hardware_concurrency(),
+                  mt.threads);
+    } else if (mt.util < 0.8) {
+      std::fprintf(stderr,
+                   "SERIALIZED: %s best rep ran at util %.2f (gate: >= "
+                   "0.8)\n",
+                   mt.name.c_str(), mt.util);
+      return 1;
+    }
+
+    // In-run gate 2 — tier speedup: the point of the optimized default
     // tier is throughput; it must beat the bitwise kernel measured in the
     // same process by ≥ 2x (the vs-pre-PR speedup is larger, since the
     // bitwise kernel itself carries the bit-identical optimizations — see
@@ -540,7 +572,7 @@ int main(int argc, char** argv) {
                    tier_speedup);
       return 1;
     }
-    // In-run gate 2 — tier drift tripwire: the default tier may round
+    // In-run gate 3 — tier drift tripwire: the default tier may round
     // differently, but its boundary must agree with the bitwise answer on
     // ≥ 95% of nodes flagged by either tier.
     std::size_t flips = 0, either = 0;

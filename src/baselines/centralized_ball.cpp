@@ -14,9 +14,7 @@ using net::NodeId;
 std::vector<bool> centralized_ball_detect(const net::Network& network,
                                           const core::UbfConfig& config) {
   const std::size_t n = network.num_nodes();
-  const double r = config.radius_override > 0.0
-                       ? config.radius_override
-                       : (1.0 + config.epsilon) * network.radio_range();
+  const double r = (1.0 + config.epsilon) * network.radio_range();
   const double inside_limit = r - core::kInsideTolerance;
   const double inside_limit_sq = inside_limit * inside_limit;
 

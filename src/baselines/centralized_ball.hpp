@@ -16,8 +16,8 @@
 namespace ballfit::baselines {
 
 /// Runs the global empty-unit-ball test for every node. `config` reuses the
-/// UBF radius knobs (epsilon / radius_override) and its strict-inside
-/// slack `core::kInsideTolerance`.
+/// UBF radius r = (1+ε)·radio_range and its strict-inside slack
+/// `core::kInsideTolerance`.
 std::vector<bool> centralized_ball_detect(const net::Network& network,
                                           const core::UbfConfig& config = {});
 

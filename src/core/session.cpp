@@ -259,17 +259,12 @@ void DetectionSession::run_ubf_stages(const PipelineConfig& config,
     }
   }
 
-  // Nodes that vote the degenerate default instead of testing: no usable
-  // frame, or fewer than kMinBallTestMembers alive members on true
-  // coordinates.
+  // Nodes that vote the degenerate default instead of testing.
+  const std::vector<localization::LocalFrame>* frames =
+      true_coords ? nullptr : &frames_;
   const auto degenerate = [&](std::size_t i) {
-    if (!true_coords) return !frames_[i].ok;
-    std::size_t members = 1;
-    for (const net::NodeId v :
-         network_->neighbors(static_cast<net::NodeId>(i))) {
-      members += alive_[v] != 0 ? 1 : 0;
-    }
-    return members < kMinBallTestMembers;
+    return degenerate_view(*network_, static_cast<net::NodeId>(i), frames,
+                           &alive_);
   };
   // Fallback count is a pure function of (inputs, alive): the nodes that
   // would vote the degenerate default. Recounted here so cache hits report
@@ -289,8 +284,6 @@ void DetectionSession::run_ubf_stages(const PipelineConfig& config,
     note_stage("ubf", "cache_hits");
   } else {
     const UnitBallFitting ubf(*network_, ubf_config);
-    const std::vector<localization::LocalFrame>* frames =
-        true_coords ? nullptr : &frames_;
     const bool partial = ubf_key_ && ubf_key_->core == key.core &&
                          ubf_flags_.size() == n;
     // Obs-gated confidence companion. A partial run can only update the
@@ -442,6 +435,16 @@ PipelineResult DetectionSession::run(const PipelineConfig& config) {
     model.emplace(*network_, config.measurement_error, config.noise_seed);
   }
 
+  // Nodes know their ranging error specification; the UBF emptiness slack
+  // scales with it unless the caller already set a hint explicitly. The
+  // derived config is checked here, before the fault state below changes.
+  UbfConfig ubf_config = config.ubf;
+  if (ubf_config.measurement_error_hint == 0.0 &&
+      !config.use_true_coordinates) {
+    ubf_config.measurement_error_hint = config.measurement_error;
+  }
+  validate(ubf_config);
+
   // Fold the crash schedule into the alive mask before any stage runs:
   // crashes act through the same masked kernels as user deltas, so faults
   // and `apply` history compose in one engine. An inert (all-zero) config
@@ -456,13 +459,6 @@ PipelineResult DetectionSession::run(const PipelineConfig& config) {
     release_faults();
   }
 
-  // Nodes know their ranging error specification; the UBF emptiness slack
-  // scales with it unless the caller already set a hint explicitly.
-  UbfConfig ubf_config = config.ubf;
-  if (ubf_config.measurement_error_hint == 0.0 &&
-      !config.use_true_coordinates) {
-    ubf_config.measurement_error_hint = config.measurement_error;
-  }
   // A crashed or fault-injected topology gets a conservative degenerate
   // vote: a crash-starved neighborhood must not promote itself to
   // "boundary" by starvation alone.

@@ -32,33 +32,45 @@ double certificate_margin(double radius, const Vec3& self) {
   return 1e-2 * radius + 1e-12 * magnitude;
 }
 
-UnitBallFitting::UnitBallFitting(const net::Network& network, UbfConfig config)
-    : network_(&network), config_(config) {
-  BALLFIT_REQUIRE(std::isfinite(config_.epsilon) && config_.epsilon >= 0.0,
+void validate(const UbfConfig& config) {
+  // A negative epsilon would shrink the ball below the radio range, where
+  // every node is a boundary node (Definition 4 requires r >= 1), and a
+  // non-finite one would reach the certificate and the emptiness scan.
+  BALLFIT_REQUIRE(std::isfinite(config.epsilon) && config.epsilon >= 0.0,
                   "epsilon must be finite and non-negative");
-  BALLFIT_REQUIRE(std::isfinite(config_.radius_override),
-                  "radius_override must be finite");
   // A non-negative hint keeps the stress gate open at zero uncertainty,
   // which the true-coordinates path relies on.
-  BALLFIT_REQUIRE(std::isfinite(config_.measurement_error_hint) &&
-                      config_.measurement_error_hint >= 0.0,
+  BALLFIT_REQUIRE(std::isfinite(config.measurement_error_hint) &&
+                      config.measurement_error_hint >= 0.0,
                   "measurement_error_hint must be finite and non-negative");
   // A negative factor would widen the strict-inside limit past r, and a
   // non-finite one would apply the cap even at zero uncertainty.
-  BALLFIT_REQUIRE(std::isfinite(config_.noise_margin_factor) &&
-                      config_.noise_margin_factor >= 0.0,
+  BALLFIT_REQUIRE(std::isfinite(config.noise_margin_factor) &&
+                      config.noise_margin_factor >= 0.0,
                   "noise_margin_factor must be finite and non-negative");
   // At 0 every node would meet the threshold, yet the test stops at its
   // first empty ball: the flag would depend on whether the vote margin
   // (confidence) is counted.
-  BALLFIT_REQUIRE(config_.min_empty_balls >= 1,
+  BALLFIT_REQUIRE(config.min_empty_balls >= 1,
                   "min_empty_balls must be at least 1");
-  radius_ = config_.radius_override > 0.0
-                ? config_.radius_override
-                : (1.0 + config_.epsilon) * network.radio_range();
-  BALLFIT_REQUIRE(radius_ >= network.radio_range(),
-                  "ball radius below the radio range would mark every node "
-                  "a boundary node (Definition 4 requires r >= 1)");
+}
+
+bool degenerate_view(const net::Network& network, NodeId i,
+                     const std::vector<localization::LocalFrame>* frames,
+                     const std::vector<char>* alive) {
+  if (frames != nullptr) return !(*frames)[i].ok;
+  std::size_t members = 1;
+  for (const NodeId v : network.neighbors(i)) {
+    if (alive == nullptr || (*alive)[v] != 0) ++members;
+  }
+  return members < kMinBallTestMembers;
+}
+
+UnitBallFitting::UnitBallFitting(const net::Network& network, UbfConfig config)
+    : network_(&network),
+      config_(config),
+      radius_((1.0 + config.epsilon) * network.radio_range()) {
+  validate(config_);
 }
 
 bool UnitBallFitting::frame_reliable(double stress_rms) const {
@@ -213,10 +225,10 @@ unsigned octant_of(const Vec3& v) {
          (v.z >= 0.0 ? 4u : 0u);
 }
 
-/// The interior certificate (see `BallSweep`): is every point of S(self, r)
-/// covered by the members (those below the witness count at the one-hop
-/// limit, the rest at the two-hop limit), so that no candidate ball can be
-/// empty? The sphere is searched depth-first over the cells of
+/// The interior certificate (see `test_view`): is every point of
+/// S(self, r) covered by the members (those below the witness count at the
+/// one-hop limit, the rest at the two-hop limit), so that no candidate ball
+/// can be empty? The sphere is searched depth-first over the cells of
 /// `cover_table`: a cell some member covers is settled, an uncovered cell
 /// is split 1:4, and an uncovered leaf fails the search. Which members it
 /// tries, and in what order, only decides how soon it finds a cover;
@@ -224,8 +236,8 @@ unsigned octant_of(const Vec3& v) {
 /// checks it performs to `checks`.
 class CoverSearch {
  public:
-  /// A fresh search with the members of `coords` (all but `self_index`);
-  /// true when they cover the sphere.
+  /// A fresh search with the one-hop members of `coords` (those below the
+  /// witness count, all but `self_index`); true when they cover the sphere.
   bool start(const std::vector<Vec3>& coords, std::size_t self_index,
              std::size_t witness_count, double r,
              const UnitBallFitting::InsideLimits& limits,
@@ -250,7 +262,7 @@ class CoverSearch {
     band(reach_one_, lo_one_, hi_one_);
     band(reach_two_, lo_two_, hi_two_);
     for (std::vector<CoverMember>& o : octants_) o.clear();
-    const Vec3 mass = add_members(coords, 0);
+    const Vec3 mass = add_members(coords, 0, witness_count);
 
     // An uncovered region, if any, most likely faces away from the
     // members' mass: those roots go on the stack last, so they pop first.
@@ -269,9 +281,10 @@ class CoverSearch {
     return search(checks);
   }
 
-  /// Continues the last `start`, which must have failed, after `coords`
-  /// grew by the members from `first_new` on (all beyond the witness
-  /// count). Returns exactly what `start` on the grown `coords` would.
+  /// Continues the last `start`, which must have failed, with the members
+  /// of `coords` from the witness count on (the emptiness-only members,
+  /// which `coords` may have gained since). Returns exactly what a search
+  /// over every member of `coords` would.
   ///
   /// The failed search left the leaf it failed on, that leaf's ancestors
   /// (split, none covered by an old member) and, on the stack, the untried
@@ -283,12 +296,11 @@ class CoverSearch {
   /// ancestor's untried children with it. Failing that, the new members
   /// must cover the failed leaf itself. The untried cells then run against
   /// all members.
-  bool resume(const std::vector<Vec3>& coords, std::size_t first_new,
-              std::size_t& checks) {
+  bool resume(const std::vector<Vec3>& coords, std::size_t& checks) {
     BALLFIT_ASSERT(failed_.level == kCoverLeaf);
     std::array<std::size_t, 8> old;
     for (unsigned o = 0; o < 8; ++o) old[o] = octants_[o].size();
-    add_members(coords, first_new);
+    add_members(coords, witness_count_, coords.size());
     const Pending leaf = failed_;
     failed_ = {};
     bool settled = false;
@@ -336,11 +348,12 @@ class CoverSearch {
     return t > 0.0 && cell.point.distance_sq_to(m.rel) < t * t;
   }
 
-  /// Files the members `coords[from..]` that can cover some cell by
+  /// Files the members `coords[from, to)` that can cover some cell by
   /// octant; returns the sum of their offsets from self.
-  Vec3 add_members(const std::vector<Vec3>& coords, std::size_t from) {
+  Vec3 add_members(const std::vector<Vec3>& coords, std::size_t from,
+                   std::size_t to) {
     Vec3 mass;
-    for (std::size_t u = from; u < coords.size(); ++u) {
+    for (std::size_t u = from; u < to; ++u) {
       if (u == self_index_) continue;
       const bool one = u < witness_count_;
       const Vec3 rel = coords[u] - self_;
@@ -411,16 +424,17 @@ class CoverSearch {
 
 /// Per-thread scratch arena, reused across every node a worker processes.
 /// Holds the sorted candidate cache, the per-slot emptiness thresholds
-/// (structure-of-arrays buffers), the certificate's search, and the
-/// gather buffers of the true-coordinates view. Steady state performs no
-/// allocations; contents never influence results (everything is rebuilt
-/// per node, and a resumed certificate decides what a fresh one would),
-/// so detection output is independent of how nodes are distributed over
-/// threads.
+/// (structure-of-arrays buffers), the certificate's search, the collected
+/// pairs of the frame driver, and the gather buffers of the
+/// true-coordinates view. Steady state performs no allocations; contents
+/// never influence results (everything is rebuilt per node, and a resumed
+/// certificate decides what a fresh one would), so detection output is
+/// independent of how nodes are distributed over threads.
 struct UbfScratch {
   geom::CandidateCache cache;
   std::vector<double> lim_sq;  // per-slot threshold; < 0 disables
   CoverSearch cover;           // the interior certificate
+  std::vector<std::pair<std::size_t, std::size_t>> pairs;  // frame driver
   std::vector<Vec3> gather;  // true-coordinates view: member coordinates
   EpochSlotMap seen;         // true-coordinates view: membership dedup
 };
@@ -430,67 +444,11 @@ UbfScratch& local_scratch() {
   return scratch;
 }
 
-/// The optimized Algorithm 1 pair sweep. Enumerates empty candidate balls
-/// in exactly the order the naive double loop finds them; every shortcut
-/// below is provably outcome-neutral, so classification stays bit-identical
-/// to the naive kernel (tests/ubf_oracle_test.cpp):
-///
-///   - **Interior certificate** (before the cache is even built): every
-///     candidate center lies on the sphere S(self, r), up to solver
-///     rounding. When every point of that sphere is strictly inside some
-///     member's blocking ball, shrunk by a margin δ, no candidate ball can
-///     be empty, so the sweep's outcome (zero empty balls, no callback) is
-///     known and the sweep is skipped. The sphere is tiled by the cells of
-///     `cover_table`; a cell with center direction e and chord h is covered
-///     by member u when |self + r·e − u| < √lim_u − r·h − δ, and an
-///     uncovered cell is split 1:4 down to the leaf level, where it fails
-///     the certificate. Soundness: a center c at distance ρ from self, in
-///     a direction d inside a cell that u covers, has |c − u| <= |ρ − r| +
-///     r·|d − e| + |self + r·e − u| < √lim_u − (δ − |ρ − r|), so u blocks
-///     c whenever δ exceeds |ρ − r| plus the rounding of d² in the
-///     emptiness scan (a few ulps, relative). The choice of δ
-///     (`certificate_margin`) is 1e-2·r + 1e-12·(largest |coordinate| of
-///     self). `solve_trisphere` keeps ρ within ~1e-14·r of r on
-///     well-shaped triples, but near its collinearity gate (two witnesses
-///     ~1e-11·r apart) its centers drift by up to ~2.5e-4·r, so 1% of r
-///     leaves a factor of 20 over the worst drift at δ/2
-///     (tests/ubf_test.cpp checks the δ/2 bound on such triples). The
-///     second term covers the absolute rounding of a center far from the
-///     origin (~4e-16 of the coordinates). No masking is needed: the
-///     witnesses j and k of a ball sit at distance r from its center, to
-///     the same precision, while a covering member is closer than
-///     √lim − δ/2 <= r − δ/2, so it is never one of the pair's own
-///     witnesses. Which members are tried,
-///     and in what order (the last covering member first, then the cell's
-///     own octant outward), decides only how soon a cover is found.
-///   - **One-hop-first certificate** (true-coordinates driver, kTwoHop,
-///     before the two-hop gather): the certificate runs on the one-hop
-///     members alone, and a cover settles the node with zero empty balls.
-///     Soundness: one-hop members carry the same limit in both views, and
-///     a cell covered by a member of a subset is covered by that member in
-///     the full set, so the full view certifies too. Only when the subset
-///     fails does the driver gather the two-hop members, and then it
-///     resumes the failed search with them (`CoverSearch::resume`) rather
-///     than starting over: the cells the one-hop members settled stay
-///     settled, and the resumed search decides exactly what a fresh one on
-///     the full view would. `cover_checks` counts both parts; the sweep
-///     that follows a failed certificate does not try it again.
-///   - **Pair pruning**: a sphere of radius r through two points farther
-///     apart than 2r does not exist (circumradius > r), so such pairs are
-///     skipped before the Eq. 1 solve. The 1e-9 relative slack keeps the
-///     prune strictly conservative against rounding: only pairs whose
-///     solve provably returns zero centers are dropped.
-///   - **Nearest-first scans with a distance cutoff**: members are walked
-///     in ascending distance-to-self order; since |u−c| >= |u−self| −
-///     |self−c|, once a member is beyond |self−c| + limit (+slack) no later
-///     member can be strictly inside, and the scan stops.
-///   - **Blocker memoization**: consecutive candidate balls overlap
-///     heavily, so the member that blocked the previous ball is re-tested
-///     first. Checking any one member first cannot change the emptiness
-///     conjunction.
-///   - **Witness masking**: the pair's own witnesses are excluded from the
-///     scan by setting their slot threshold to −1 (no distance is below
-///     it) instead of branching on indices in the inner loop.
+/// The Algorithm 1 pair sweep of `test_view`, run once the interior
+/// certificate has failed. Enumerates empty candidate balls in exactly the
+/// order the naive double loop finds them; its shortcuts (pair pruning,
+/// nearest-first scans with a cutoff, blocker memoization, witness
+/// masking) are described, with their soundness, at `test_view`.
 class BallSweep {
  public:
   /// What the `on_empty(j, k)` callback tells the sweep to do next.
@@ -500,22 +458,15 @@ class BallSweep {
     kStop,      // abort the whole sweep
   };
 
-  /// `certify` = false when the caller already ran the certificate on
-  /// this view and it failed.
   BallSweep(const std::vector<Vec3>& coords, std::size_t self_index,
             std::size_t witness_count, double radius,
-            UnitBallFitting::InsideLimits limits, UbfScratch& scratch,
-            bool certify = true)
+            UnitBallFitting::InsideLimits limits, UbfScratch& scratch)
       : coords_(coords),
         self_(coords[self_index]),
         self_index_(self_index),
         witness_count_(witness_count),
         radius_(radius),
         scratch_(scratch) {
-    certified_ = certify && scratch.cover.start(coords, self_index,
-                                                witness_count, radius, limits,
-                                                cover_checks_);
-    if (certified_) return;
     scratch.cache.rebuild(coords, self_index);
     const std::size_t n = scratch.cache.size();
     scratch.lim_sq.resize(n);
@@ -535,11 +486,6 @@ class BallSweep {
   /// `on_empty(j, k)` for every empty candidate ball, in naive order.
   template <typename Fn>
   void run(UbfNodeDiagnostics& diag, Fn&& on_empty) {
-    diag.cover_checks += cover_checks_;
-    if (certified_) {
-      diag.certified = true;
-      return;
-    }
     const geom::CandidateCache& cache = scratch_.cache;
     std::vector<double>& lim = scratch_.lim_sq;
     const double* dist_sq = cache.dist_sq();
@@ -629,21 +575,150 @@ class BallSweep {
   double pair_prune_sq_ = 0.0;
   double cutoff_slack_ = 0.0;
   std::uint32_t last_blocker_ = kNoSlot;
-  bool certified_ = false;
-  std::size_t cover_checks_ = 0;
 };
 
-/// Runs `sweep` until it has found `cap` empty balls or tried every pair,
-/// and returns how many it found. Every empty ball counts, several per
-/// pair included. With `cap` the vote threshold this is `test_node`'s
-/// walk; a larger cap counts the margin past it (`count_empty_balls`).
-std::size_t count_up_to(BallSweep& sweep, std::size_t cap,
-                        UbfNodeDiagnostics& diag) {
-  sweep.run(diag, [&](std::size_t, std::size_t) {
-    return diag.empty_balls >= cap ? BallSweep::Step::kStop
-                                   : BallSweep::Step::kContinue;
-  });
+/// What one node's ball test reads: `coords[self_index]` is the node
+/// itself, entries below `witness_count` are its one-hop members
+/// (candidate-ball witnesses), entries beyond are emptiness-only members
+/// (two-hop view), all in one (arbitrary) frame. `uncertainty` is the
+/// per-coordinate error estimate (absolute units; negative derives it from
+/// `measurement_error_hint`).
+struct NodeView {
+  const std::vector<Vec3>* coords = nullptr;
+  std::size_t self_index = 0;
+  std::size_t witness_count = 0;
+  double uncertainty = 0.0;
+};
+
+/// The one per-node kernel behind every entry point: Algorithm 1 on one
+/// view. It certifies on the one-hop members and, only if they fail,
+/// resumes with the remaining members; `add_members()` is called first and
+/// may append them to the view on demand (the true-coordinates driver's
+/// two-hop gather), while views that already hold them pass a no-op. An
+/// uncertified view runs the pair sweep, which calls `on_empty(j, k)` for
+/// every empty candidate ball, in naive order, and stops as it says (the
+/// caller's stop rule: count to a cap, or collect pairs). Every shortcut
+/// is provably outcome-neutral, so classification stays bit-identical to
+/// the naive kernel (tests/ubf_oracle_test.cpp):
+///
+///   - **Interior certificate** (before the cache is even built): every
+///     candidate center lies on the sphere S(self, r), up to solver
+///     rounding. When every point of that sphere is strictly inside some
+///     member's blocking ball, shrunk by a margin δ, no candidate ball can
+///     be empty, so the sweep's outcome (zero empty balls, no callback) is
+///     known and the sweep is skipped. The sphere is tiled by the cells of
+///     `cover_table`; a cell with center direction e and chord h is covered
+///     by member u when |self + r·e − u| < √lim_u − r·h − δ, and an
+///     uncovered cell is split 1:4 down to the leaf level, where it fails
+///     the certificate. Soundness: a center c at distance ρ from self, in
+///     a direction d inside a cell that u covers, has |c − u| <= |ρ − r| +
+///     r·|d − e| + |self + r·e − u| < √lim_u − (δ − |ρ − r|), so u blocks
+///     c whenever δ exceeds |ρ − r| plus the rounding of d² in the
+///     emptiness scan (a few ulps, relative). The choice of δ
+///     (`certificate_margin`) is 1e-2·r + 1e-12·(largest |coordinate| of
+///     self). `solve_trisphere` keeps ρ within ~1e-14·r of r on
+///     well-shaped triples, but near its collinearity gate (two witnesses
+///     ~1e-11·r apart) its centers drift by up to ~2.5e-4·r, so 1% of r
+///     leaves a factor of 20 over the worst drift at δ/2
+///     (tests/ubf_test.cpp checks the δ/2 bound on such triples). The
+///     second term covers the absolute rounding of a center far from the
+///     origin (~4e-16 of the coordinates). No masking is needed: the
+///     witnesses j and k of a ball sit at distance r from its center, to
+///     the same precision, while a covering member is closer than
+///     √lim − δ/2 <= r − δ/2, so it is never one of the pair's own
+///     witnesses. Which members are tried,
+///     and in what order (the last covering member first, then the cell's
+///     own octant outward), decides only how soon a cover is found.
+///   - **One-hop-first certificate** (every view, both coordinate paths
+///     and both scopes): the search starts on the one-hop members alone,
+///     and a cover settles the node with zero empty balls. Soundness:
+///     one-hop members carry the same limit in the one-hop subset and in
+///     the full view, and a cell covered by a member of a subset is covered
+///     by that member in the full set, so the full view certifies too.
+///     Only when the subset fails does the kernel take the emptiness-only
+///     members (gathering them first on true coordinates), and then it
+///     resumes the failed search with them (`CoverSearch::resume`) rather
+///     than starting over: the cells the one-hop members settled stay
+///     settled, and the resumed search decides exactly what a fresh one on
+///     the full view would. The order moves only `cover_checks`, which
+///     counts both parts; the sweep that follows a failed certificate does
+///     not try it again.
+///   - **Pair pruning**: a sphere of radius r through two points farther
+///     apart than 2r does not exist (circumradius > r), so such pairs are
+///     skipped before the Eq. 1 solve. The 1e-9 relative slack keeps the
+///     prune strictly conservative against rounding: only pairs whose
+///     solve provably returns zero centers are dropped.
+///   - **Nearest-first scans with a distance cutoff**: members are walked
+///     in ascending distance-to-self order; since |u−c| >= |u−self| −
+///     |self−c|, once a member is beyond |self−c| + limit (+slack) no later
+///     member can be strictly inside, and the scan stops.
+///   - **Blocker memoization**: consecutive candidate balls overlap
+///     heavily, so the member that blocked the previous ball is re-tested
+///     first. Checking any one member first cannot change the emptiness
+///     conjunction.
+///   - **Witness masking**: the pair's own witnesses are excluded from the
+///     scan by setting their slot threshold to −1 (no distance is below
+///     it) instead of branching on indices in the inner loop.
+template <typename AddMembers, typename OnEmpty>
+void test_view(const UnitBallFitting& ubf, const NodeView& view,
+               UbfScratch& scratch, UbfNodeDiagnostics& diag,
+               AddMembers&& add_members, OnEmpty&& on_empty) {
+  const std::vector<Vec3>& coords = *view.coords;
+  const UnitBallFitting::InsideLimits limits =
+      ubf.inside_limits(view.uncertainty);
+  CoverSearch& cover = scratch.cover;
+  diag.certified = cover.start(coords, view.self_index, view.witness_count,
+                               ubf.ball_radius(), limits, diag.cover_checks);
+  if (!diag.certified) {
+    add_members();
+    diag.certified = coords.size() > view.witness_count &&
+                     cover.resume(coords, diag.cover_checks);
+  }
+  if (diag.certified) return;
+  BallSweep sweep(coords, view.self_index, view.witness_count,
+                  ubf.ball_radius(), limits, scratch);
+  sweep.run(diag, on_empty);
+}
+
+/// Stop rule "count to a cap": every empty ball counts, several per pair
+/// included, until `cap` are found or the pairs run out; returns the
+/// count. With `cap` the vote threshold this is `test_node`'s walk; a
+/// larger cap counts the margin past it.
+template <typename AddMembers>
+std::size_t count_up_to(const UnitBallFitting& ubf, const NodeView& view,
+                        std::size_t cap, UbfScratch& scratch,
+                        UbfNodeDiagnostics& diag, AddMembers&& add_members) {
+  test_view(ubf, view, scratch, diag, add_members,
+            [&](std::size_t, std::size_t) {
+              return diag.empty_balls >= cap ? BallSweep::Step::kStop
+                                             : BallSweep::Step::kContinue;
+            });
   return diag.empty_balls;
+}
+
+/// Stop rule "collect pairs": the witness pairs with an empty ball, one
+/// entry per pair, in enumeration order, until `cap` are collected; `out`
+/// is cleared first.
+void collect_up_to(const UnitBallFitting& ubf, const NodeView& view,
+                   std::size_t cap, UbfScratch& scratch,
+                   UbfNodeDiagnostics& diag,
+                   std::vector<std::pair<std::size_t, std::size_t>>& out) {
+  out.clear();
+  test_view(ubf, view, scratch, diag, [] {},
+            [&](std::size_t j, std::size_t k) {
+              out.push_back({j, k});
+              return out.size() >= cap ? BallSweep::Step::kStop
+                                       : BallSweep::Step::kNextPair;
+            });
+}
+
+/// The public kernels' view of their arguments.
+NodeView checked_view(const std::vector<Vec3>& coords, std::size_t self_index,
+                      std::size_t witness_count, double coord_uncertainty) {
+  BALLFIT_REQUIRE(self_index < coords.size(), "self index out of range");
+  BALLFIT_REQUIRE(witness_count <= coords.size(),
+                  "witness count exceeds member count");
+  return {&coords, self_index, witness_count, coord_uncertainty};
 }
 
 }  // namespace
@@ -653,21 +728,9 @@ bool UnitBallFitting::test_node(const std::vector<Vec3>& coords,
                                 std::size_t witness_count,
                                 UbfNodeDiagnostics* diag,
                                 double coord_uncertainty) const {
-  BALLFIT_REQUIRE(self_index < coords.size(), "self index out of range");
-  BALLFIT_REQUIRE(witness_count <= coords.size(),
-                  "witness count exceeds member count");
-  const InsideLimits limits = inside_limits(coord_uncertainty);
-
-  UbfNodeDiagnostics local;
-  // Algorithm 1, lines 4–9: every unordered pair {j,k} of one-hop members
-  // spawns up to two candidate balls; each ball is checked for emptiness
-  // against the full member set (one- or two-hop view per config).
-  BallSweep sweep(coords, self_index, witness_count, radius_, limits,
-                  local_scratch());
-  local.found_empty_ball = count_up_to(sweep, config_.min_empty_balls,
-                                       local) >= config_.min_empty_balls;
-  if (diag != nullptr) *diag = local;
-  return local.found_empty_ball;
+  return count_empty_balls(coords, self_index, witness_count,
+                           config_.min_empty_balls, coord_uncertainty,
+                           diag) >= config_.min_empty_balls;
 }
 
 std::vector<std::pair<std::size_t, std::size_t>>
@@ -677,22 +740,12 @@ UnitBallFitting::collect_empty_balls(const std::vector<Vec3>& coords,
                                      std::size_t max_balls,
                                      double coord_uncertainty,
                                      UbfNodeDiagnostics* diag) const {
-  BALLFIT_REQUIRE(self_index < coords.size(), "self index out of range");
-  BALLFIT_REQUIRE(witness_count <= coords.size(),
-                  "witness count exceeds member count");
+  const NodeView view =
+      checked_view(coords, self_index, witness_count, coord_uncertainty);
   UbfNodeDiagnostics local;
   std::vector<std::pair<std::size_t, std::size_t>> out;
   if (max_balls > 0) {
-    const InsideLimits limits = inside_limits(coord_uncertainty);
-    BallSweep sweep(coords, self_index, witness_count, radius_, limits,
-                    local_scratch());
-    sweep.run(local, [&](std::size_t j, std::size_t k) {
-      out.push_back({j, k});
-      // One empty side per witness pair is enough; stop outright at the
-      // collection cap.
-      return out.size() >= max_balls ? BallSweep::Step::kStop
-                                     : BallSweep::Step::kNextPair;
-    });
+    collect_up_to(*this, view, max_balls, local_scratch(), local, out);
   }
   local.found_empty_ball = !out.empty();
   if (diag != nullptr) *diag = local;
@@ -705,16 +758,10 @@ std::size_t UnitBallFitting::count_empty_balls(const std::vector<Vec3>& coords,
                                                std::size_t cap,
                                                double coord_uncertainty,
                                                UbfNodeDiagnostics* diag) const {
-  BALLFIT_REQUIRE(self_index < coords.size(), "self index out of range");
-  BALLFIT_REQUIRE(witness_count <= coords.size(),
-                  "witness count exceeds member count");
+  const NodeView view =
+      checked_view(coords, self_index, witness_count, coord_uncertainty);
   UbfNodeDiagnostics local;
-  if (cap > 0) {
-    const InsideLimits limits = inside_limits(coord_uncertainty);
-    BallSweep sweep(coords, self_index, witness_count, radius_, limits,
-                    local_scratch());
-    count_up_to(sweep, cap, local);
-  }
+  if (cap > 0) count_up_to(*this, view, cap, local_scratch(), local, [] {});
   local.found_empty_ball = local.empty_balls >= config_.min_empty_balls;
   if (diag != nullptr) *diag = local;
   return local.empty_balls;
@@ -756,29 +803,18 @@ bool UnitBallFitting::witness_confirms(const localization::LocalFrame& frame,
 
 namespace {
 
-/// What one node's ball test reads: `coords[0]` is the node itself, entries
-/// below `witness_count` are its one-hop members (candidate-ball
-/// witnesses), entries beyond are emptiness-only members (two-hop view).
-/// `uncertainty` is the per-coordinate error estimate (absolute units) and
-/// `degenerate` marks a neighborhood too small to test.
-struct NodeView {
-  const std::vector<Vec3>* coords = nullptr;
-  std::size_t witness_count = 0;
-  double uncertainty = 0.0;
-  bool degenerate = false;
-};
-
-/// Frame path: the node's own local frame, uncertainty from its residual
-/// stress.
+/// Frame path: the node's own local frame (the node first), uncertainty
+/// from its residual stress.
 NodeView frame_view(const localization::LocalFrame& frame, NodeId i) {
-  BALLFIT_ASSERT(!frame.ok || frame.members[0] == i);
-  return {&frame.coords, frame.one_hop_count, frame.stress_rms, !frame.ok};
+  BALLFIT_ASSERT(frame.members[0] == i);
+  return {&frame.coords, 0, frame.one_hop_count, frame.stress_rms};
 }
 
 /// True-coordinates path: the alive one-hop positions gathered into the
 /// worker's scratch arena (`gather`, whose capacity is reused across
 /// nodes), uncertainty 0. Under kTwoHop, `add_two_hop` extends the same
-/// view when the one-hop members alone cannot certify the node.
+/// view when the one-hop members alone cannot certify the node (see
+/// `test_view`).
 NodeView true_view(const net::Network& network, NodeId i,
                    const std::vector<char>* alive, UbfScratch& scratch) {
   std::vector<Vec3>& coords = scratch.gather;
@@ -789,8 +825,7 @@ NodeView true_view(const net::Network& network, NodeId i,
       coords.push_back(network.position(v));
     }
   }
-  const std::size_t witness_count = coords.size();
-  return {&coords, witness_count, 0.0, witness_count < kMinBallTestMembers};
+  return {&coords, 0, coords.size(), 0.0};
 }
 
 /// Appends the alive two-hop members of i (neighbors of alive neighbors,
@@ -841,7 +876,6 @@ void run_ball_tests(const UnitBallFitting& ubf, const net::Network& network,
   const UbfConfig& config = ubf.config();
   const std::size_t n = network.num_nodes();
   const bool two_hop = config.scope == UbfConfig::EmptinessScope::kTwoHop;
-  const bool cross_verify = frames != nullptr;
   const bool want_conf = confidence != nullptr;
   // Candidate-ball budget per node, also the vote cap past the decision
   // threshold (bounded extra work, enough margin to separate "barely
@@ -898,11 +932,7 @@ void run_ball_tests(const UnitBallFitting& ubf, const net::Network& network,
           return;
         }
         const NodeId self = static_cast<NodeId>(i);
-        UbfScratch& scratch = local_scratch();
-        const NodeView view = frames != nullptr
-                                  ? frame_view((*frames)[i], self)
-                                  : true_view(network, self, alive, scratch);
-        if (view.degenerate) {
+        if (degenerate_view(network, self, frames, alive)) {
           flags[i] = config.degenerate_is_boundary ? 1 : 0;
           // A degenerate fallback is a claim with no ball evidence: pin it
           // to the decision threshold when it votes boundary.
@@ -912,6 +942,10 @@ void run_ball_tests(const UnitBallFitting& ubf, const net::Network& network,
           }
           return;
         }
+        UbfScratch& scratch = local_scratch();
+        const NodeView view = frames != nullptr
+                                  ? frame_view((*frames)[i], self)
+                                  : true_view(network, self, alive, scratch);
         if (h_neighbors != nullptr) {
           h_neighbors->observe(static_cast<double>(view.witness_count - 1));
         }
@@ -920,56 +954,35 @@ void run_ball_tests(const UnitBallFitting& ubf, const net::Network& network,
           set_conf(0.0);
           return;
         }
-        const std::vector<Vec3>& coords = *view.coords;
         UbfNodeDiagnostics diag;
-        if (!cross_verify) {
-          // The certificate first, and under kTwoHop on the one-hop
-          // members alone (see BallSweep): a cover settles the node as
-          // zero empty balls before the two-hop gather, and a failure is
-          // resumed with the two-hop members.
-          const UnitBallFitting::InsideLimits limits =
-              ubf.inside_limits(view.uncertainty);
-          std::size_t checks = 0;
-          bool settled = scratch.cover.start(coords, 0, view.witness_count,
-                                             ubf.ball_radius(), limits, checks);
-          if (two_hop && !settled) {
-            const std::size_t first_two_hop = coords.size();
-            add_two_hop(network, self, alive, scratch);
-            settled = scratch.cover.resume(coords, first_two_hop, checks);
-          }
-          std::size_t votes = 0;
-          if (settled) {
-            diag.certified = true;
-          } else {
-            BallSweep sweep(coords, 0, view.witness_count, ubf.ball_radius(),
-                            limits, scratch, /*certify=*/false);
-            votes = count_up_to(sweep,
-                                want_conf ? pool : config.min_empty_balls,
-                                diag);
-          }
-          flags[i] = votes >= config.min_empty_balls ? 1 : 0;
-          set_conf(vote_confidence(votes, config.min_empty_balls));
-          diag.cover_checks += checks;
+        std::size_t votes = 0;
+        if (frames == nullptr) {
+          votes = count_up_to(ubf, view,
+                              want_conf ? pool : config.min_empty_balls,
+                              scratch, diag, [&] {
+                                if (two_hop) {
+                                  add_two_hop(network, self, alive, scratch);
+                                }
+                              });
         } else {
+          // Cross-verification: each candidate ball's witnesses confirm it
+          // in their own frames.
           const std::vector<NodeId>& members = (*frames)[i].members;
-          const auto balls =
-              ubf.collect_empty_balls(coords, 0, view.witness_count, pool,
-                                      view.uncertainty, &diag);
-          std::size_t verified = 0;
-          for (const auto& [j, k] : balls) {
+          collect_up_to(ubf, view, pool, scratch, diag, scratch.pairs);
+          for (const auto& [j, k] : scratch.pairs) {
             const NodeId jn = members[j];
             const NodeId kn = members[k];
             if (ubf.witness_confirms((*frames)[jn], jn, self, kn) &&
                 ubf.witness_confirms((*frames)[kn], kn, self, jn)) {
-              ++verified;
+              ++votes;
               // The verdict is sealed at the threshold; only keep
               // verifying past it when the margin is wanted.
-              if (!want_conf && verified >= config.min_empty_balls) break;
+              if (!want_conf && votes >= config.min_empty_balls) break;
             }
           }
-          flags[i] = verified >= config.min_empty_balls ? 1 : 0;
-          set_conf(vote_confidence(verified, config.min_empty_balls));
         }
+        flags[i] = votes >= config.min_empty_balls ? 1 : 0;
+        set_conf(vote_confidence(votes, config.min_empty_balls));
         if (h_balls != nullptr) {
           h_balls->observe(static_cast<double>(diag.balls_tested));
         }
@@ -1015,27 +1028,6 @@ std::vector<bool> detect_all(
 }
 
 }  // namespace
-
-std::vector<bool> UnitBallFitting::detect(
-    const localization::Localizer& localizer, unsigned threads,
-    std::size_t* frame_fallbacks) const {
-  BALLFIT_REQUIRE(&localizer.network() == network_,
-                  "localizer must wrap the same network");
-  const bool two_hop = config_.scope == UbfConfig::EmptinessScope::kTwoHop;
-
-  // Round 1: every node builds its local frame (the expensive stage).
-  std::vector<localization::LocalFrame> frames;
-  {
-    BALLFIT_SPAN("mds_frames");
-    localization::build_all_frames(localizer,
-                                   two_hop ? localization::FrameScope::kTwoHop
-                                           : localization::FrameScope::kOneHop,
-                                   frames, threads);
-  }
-
-  // Round 2: per-node test + witness cross-verification.
-  return detect_on_frames(frames, threads, frame_fallbacks);
-}
 
 std::vector<bool> UnitBallFitting::detect_on_frames(
     const std::vector<localization::LocalFrame>& frames, unsigned threads,

@@ -68,9 +68,6 @@ struct UbfConfig {
   /// Larger values restrict detection to larger holes (Sec. II-A3, last
   /// paragraph); ε→0 detects holes of any size.
   double epsilon = 1e-6;
-  /// When > 0, overrides the ball radius outright (in absolute units);
-  /// used by the hole-size-selectivity ablation.
-  double radius_override = 0.0;
   /// The emptiness test widens its slack by `noise_margin_factor ×
   /// coordinate-uncertainty` (capped at `kNoiseMarginCap`) so that
   /// coordinate jitter of the expected magnitude cannot spuriously block a
@@ -145,6 +142,22 @@ double vote_confidence(std::size_t votes, std::size_t threshold);
 /// spheres around all three points; tests/ubf_test.cpp checks that bound.
 double certificate_margin(double radius, const geom::Vec3& self);
 
+/// Throws `InvalidArgument` unless `epsilon`, `measurement_error_hint`
+/// and `noise_margin_factor` are finite and non-negative and
+/// `min_empty_balls` is at least 1. The `UnitBallFitting` constructor runs
+/// it; `DetectionSession::run` runs it before it changes any state.
+void validate(const UbfConfig& config);
+
+/// The degenerate-view rule: node i votes
+/// `UbfConfig::degenerate_is_boundary` instead of running the ball test
+/// when its view is too small to test. On the frame path (`frames` given,
+/// one per node) that is a frame that is not `ok`; on true coordinates it
+/// is fewer than `kMinBallTestMembers` alive members, i itself included.
+/// `alive` null means every node is alive.
+bool degenerate_view(const net::Network& network, net::NodeId i,
+                     const std::vector<localization::LocalFrame>* frames,
+                     const std::vector<char>* alive);
+
 /// Per-node work counters (Theorem 1's Θ(ρ³) in the wild).
 struct UbfNodeDiagnostics {
   /// Candidate balls whose emptiness was evaluated (count, default 0).
@@ -168,18 +181,15 @@ struct UbfNodeDiagnostics {
   /// 2r prune never reach the solver.
   std::size_t trisphere_solves = 0;
   /// Member-against-cell distance checks the interior certificate
-  /// performed, whether or not it succeeded (count). On the
-  /// true-coordinates path this is the one-hop-first attempt plus, when
-  /// it fails, its resumption with the two-hop members (see ubf.cpp).
+  /// performed, whether or not it succeeded (count): the attempt on the
+  /// one-hop members plus, when it fails on a view with two-hop members,
+  /// its resumption with them (see ubf.cpp).
   std::size_t cover_checks = 0;
 };
 
 class UnitBallFitting {
  public:
-  /// Throws `InvalidArgument` unless `epsilon`, `radius_override`,
-  /// `measurement_error_hint` and `noise_margin_factor` are finite, all but
-  /// the override are non-negative, the ball radius is at least the radio
-  /// range, and `min_empty_balls` is at least 1.
+  /// Throws `InvalidArgument` when `validate(config)` does.
   explicit UnitBallFitting(const net::Network& network, UbfConfig config = {});
 
   /// The effective test radius r.
@@ -189,43 +199,36 @@ class UnitBallFitting {
   /// gate for the configured error hint (see `kStressGateFactor`).
   bool frame_reliable(double stress_rms) const;
 
-  /// Localized detection: each node embeds its neighborhood with
-  /// `localizer` (two-hop MDS-MAP patches by default, one-hop frames when
-  /// the scope is kOneHop), runs the test in its own local frame, and has
-  /// its witnesses confirm each empty ball (cross-verification, one extra
-  /// query round): the two witnesses j, k that define a ball re-run the
-  /// emptiness check for it in their own frames and veto it if they see a
-  /// member inside. A fold-over localization artifact in i's frame must be
-  /// mirrored in both witnesses' independent frames to survive, which
-  /// removes nearly all deep interior false positives — the ones that
-  /// bridge boundary groups. Up to `kVerifyPool` candidate balls are
-  /// collected per node.
+  /// Localized detection on prebuilt frames, one per node, as produced by
+  /// `localization::build_all_frames` (two-hop MDS-MAP patches under the
+  /// default scope, one-hop frames under kOneHop). Each node runs the test
+  /// in its own local frame and has its witnesses confirm each empty ball
+  /// (cross-verification, one extra query round): the two witnesses j, k
+  /// that define a ball re-run the emptiness check for it in their own
+  /// frames and veto it if they see a member inside. A fold-over
+  /// localization artifact in i's frame must be mirrored in both
+  /// witnesses' independent frames to survive, which removes nearly all
+  /// deep interior false positives — the ones that bridge boundary
+  /// groups. Up to `kVerifyPool` candidate balls are collected per node.
   /// `threads` parallelizes the per-node work (0 = hardware concurrency).
-  /// `frame_fallbacks`, when non-null, receives the number of nodes whose
-  /// neighborhood was too small/degenerate to embed — the nodes that voted
-  /// `degenerate_is_boundary` instead of running the test.
-  std::vector<bool> detect(const localization::Localizer& localizer,
-                           unsigned threads = 0,
-                           std::size_t* frame_fallbacks = nullptr) const;
-
-  /// The ball-test round of `detect` on prebuilt frames (one per node, as
-  /// produced by `localization::build_all_frames` with the scope from
-  /// `config()`). `detect` is exactly frame build + this call, bit for
-  /// bit; `DetectionSession` reuses frames across runs via `update_flags`.
-  /// `confidence`, when non-null, is resized to num_nodes and filled with
-  /// the per-node score described at `vote_confidence` (requests the
-  /// extra vote counting; flags are unaffected).
+  /// `frame_fallbacks`, when non-null, receives the number of nodes that
+  /// voted `degenerate_is_boundary` instead of running the test (see
+  /// `degenerate_view`). `confidence`, when non-null, is resized to
+  /// num_nodes and filled with the per-node score described at
+  /// `vote_confidence` (requests the extra vote counting; flags are
+  /// unaffected). `DetectionSession` reuses frames across runs via
+  /// `update_flags`.
   std::vector<bool> detect_on_frames(
       const std::vector<localization::LocalFrame>& frames,
       unsigned threads = 0, std::size_t* frame_fallbacks = nullptr,
       std::vector<float>* confidence = nullptr) const;
 
   /// Oracle detection using true coordinates (the 0%-error reference; UBF
-  /// is invariant to the rigid-motion gauge, so this equals `detect` with a
-  /// noiseless measurement model). Each node tests the alive positions of
+  /// is invariant to the rigid-motion gauge, so this equals
+  /// `detect_on_frames` on frames from a noiseless measurement model). Each node tests the alive positions of
   /// its one-hop (and, under kTwoHop, two-hop) neighborhood at coordinate
   /// uncertainty 0, without cross-verification. `frame_fallbacks` counts
-  /// nodes with too few neighbors to test, as in `detect`. `alive`, when
+  /// nodes with too few neighbors to test, as in `detect_on_frames`. `alive`, when
   /// non-null, masks crashed nodes out of every neighborhood (dead nodes
   /// test nothing and are never counted as fallbacks). `confidence` and
   /// `threads` work as in `detect_on_frames`.
@@ -244,7 +247,7 @@ class UnitBallFitting {
   /// of its inputs — its frame and its one-hop witnesses' frames, or the
   /// alive positions within two hops — so running this over a dirty set
   /// that covers every node whose inputs changed reproduces the full run
-  /// bit-identically. Thread-count independent like `detect`.
+  /// bit-identically. Thread-count independent like the detectors.
   /// `confidence`, when non-null, must be pre-sized to num_nodes; entries
   /// are rewritten under the same mask discipline as `flags`.
   void update_flags(

@@ -255,8 +255,8 @@ class Localizer {
 enum class FrameScope { kOneHop, kTwoHop };
 
 /// Builds (or partially rebuilds) every node's frame into `frames` — the
-/// Localize stage artifact of `core::DetectionSession`, also the round-1
-/// loop of `UnitBallFitting::detect`. One `parallel_for` over the per-node
+/// Localize stage artifact of `core::DetectionSession`, also the input of
+/// `UnitBallFitting::detect_on_frames`. One `parallel_for` over the per-node
 /// builders (`local_frame` for kOneHop, `mdsmap_frame` for kTwoHop).
 ///
 ///   - `alive` (optional): crashed-node mask forwarded to the per-node

@@ -373,9 +373,14 @@ TEST(LocalizationEquivalence, DetectionInvariantAcrossThreadCounts) {
   core::UbfConfig config;
   config.measurement_error_hint = 0.2;
   const core::UnitBallFitting ubf(net, config);
-  const std::vector<bool> t1 = ubf.detect(localizer, 1);
-  const std::vector<bool> t2 = ubf.detect(localizer, 2);
-  const std::vector<bool> t8 = ubf.detect(localizer, 8);
+  const auto detect = [&](unsigned threads) {
+    std::vector<LocalFrame> frames;
+    build_all_frames(localizer, FrameScope::kTwoHop, frames, threads);
+    return ubf.detect_on_frames(frames, threads);
+  };
+  const std::vector<bool> t1 = detect(1);
+  const std::vector<bool> t2 = detect(2);
+  const std::vector<bool> t8 = detect(8);
   EXPECT_EQ(t1, t2);
   EXPECT_EQ(t1, t8);
 }

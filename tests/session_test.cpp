@@ -202,8 +202,6 @@ TEST(SessionFingerprint, EveryConfigFieldInvalidates) {
       [](PipelineConfig& c) { c.use_true_coordinates = true; });
   add("group_off", [](PipelineConfig& c) { c.group = false; });
   add("ubf.epsilon", [](PipelineConfig& c) { c.ubf.epsilon = 0.15; });
-  add("ubf.radius_override",
-      [](PipelineConfig& c) { c.ubf.radius_override = 1.2; });
   add("ubf.measurement_error_hint",
       [](PipelineConfig& c) { c.ubf.measurement_error_hint = 0.5; });
   add("ubf.noise_margin_factor",
@@ -640,6 +638,24 @@ TEST(SessionFaults, InvalidConfigRejectedBeforeAnyStateChange) {
     c.faults->seed = 20;
     c.faults->crash_fraction = 0.3;
     rejected.push_back(c);
+  }
+  // A bad UBF config, on either coordinate path, is rejected before the
+  // new fault config is installed (and before any frame is built).
+  const std::vector<void (*)(UbfConfig&)> bad_ubf = {
+      [](UbfConfig& u) { u.epsilon = -1.0; },
+      [](UbfConfig& u) { u.noise_margin_factor = std::nan(""); },
+      [](UbfConfig& u) { u.min_empty_balls = 0; },
+  };
+  for (const auto tweak : bad_ubf) {
+    for (const bool true_coords : {true, false}) {
+      PipelineConfig c = cfg;
+      c.use_true_coordinates = true_coords;
+      c.measurement_error = 0.1;
+      tweak(c.ubf);
+      c.faults->seed = 20;
+      c.faults->crash_fraction = 0.3;
+      rejected.push_back(c);
+    }
   }
   for (std::size_t i = 0; i < rejected.size(); ++i) {
     const PipelineConfig& c = rejected[i];

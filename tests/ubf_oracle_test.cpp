@@ -13,12 +13,15 @@
 //      compared on seeded networks (sphere, a translated sphere,
 //      cube-with-hole, torus, three random boxes) under both emptiness
 //      scopes.
-//   2. The interior certificate against naive enumeration of every pair:
-//      on seeded random member clouds (dense, sparse, half-space,
-//      coplanar, duplicated, translated, with noise margins) and on every
-//      node of noisy local frames, a certified node has no empty ball, and
-//      the kernel's counts equal the naive ones. A cloud whose one-hop
-//      members alone certify also certifies in full.
+//   2. The interior certificate against a literal full-view certificate
+//      (every member tried on every icosahedral cell, no shortcut) and
+//      against naive enumeration of every pair: on seeded random member
+//      clouds (dense, sparse, half-space, coplanar, duplicated, translated,
+//      with noise margins) and on every node of noisy local frames, the
+//      kernels and both drivers certify exactly the nodes the literal
+//      certificate does, a certified node has no empty ball, and the
+//      kernel's counts equal the naive ones. A cloud whose one-hop members
+//      alone certify also certifies in full.
 //   3. Thread-count and id-order independence — the scratch arena is
 //      per-thread state and the driver visits nodes in spatial order, so
 //      results must not change with the worker count (1, 2, 4, 8) or with
@@ -111,6 +114,72 @@ std::vector<std::pair<std::size_t, std::size_t>> naive_empty_pairs(
   return out;
 }
 
+// Literal interior certificate on a full view (`coords[0]` the node,
+// witnesses below `witness_count`): the kernel's icosahedral cells (the 20
+// faces split 1:4 at their normalized edge midpoints, levels 1 to 3, chords
+// padded by 1e-9), and every member tried on every cell at its own limit
+// minus `certificate_margin`. No band filter, octants, memo or resume. A
+// cell no member covers is split; an uncovered level-3 cell fails. The
+// arithmetic of the per-cell test is the kernel's, so both sides compare
+// the same floating-point values.
+bool literal_certified(const std::vector<geom::Vec3>& coords,
+                       std::size_t witness_count, double r,
+                       core::UnitBallFitting::InsideLimits limits) {
+  const geom::Vec3& self = coords[0];
+  const double delta = core::certificate_margin(r, self);
+  const double reach_one = std::sqrt(limits.one_hop_sq) - delta;
+  const double reach_two = std::sqrt(limits.two_hop_sq) - delta;
+  const auto covered = [&](const geom::Vec3& a, const geom::Vec3& b,
+                           const geom::Vec3& c) {
+    const geom::Vec3 e = (a + b + c).normalized();
+    const double chord =
+        std::max({a.distance_to(e), b.distance_to(e), c.distance_to(e)}) +
+        1e-9;
+    const geom::Vec3 point = e * r;
+    const double spread = r * chord;
+    for (std::size_t u = 1; u < coords.size(); ++u) {
+      const double t = (u < witness_count ? reach_one : reach_two) - spread;
+      if (t > 0.0 && point.distance_sq_to(coords[u] - self) < t * t) {
+        return true;
+      }
+    }
+    return false;
+  };
+  const auto cell = [&](const auto& me, int level, const geom::Vec3& a,
+                        const geom::Vec3& b, const geom::Vec3& c) -> bool {
+    if (level >= 1 && covered(a, b, c)) return true;
+    if (level == 3) return false;
+    const geom::Vec3 ab = (a + b).normalized();
+    const geom::Vec3 bc = (b + c).normalized();
+    const geom::Vec3 ca = (c + a).normalized();
+    return me(me, level + 1, a, ab, ca) && me(me, level + 1, ab, b, bc) &&
+           me(me, level + 1, ca, bc, c) && me(me, level + 1, ab, bc, ca);
+  };
+  const double phi = (1.0 + std::sqrt(5.0)) / 2.0;
+  std::vector<geom::Vec3> v;
+  for (const double a : {-1.0, 1.0}) {
+    for (const double b : {-phi, phi}) {
+      v.push_back(geom::Vec3{0.0, a, b}.normalized());
+      v.push_back(geom::Vec3{a, b, 0.0}.normalized());
+      v.push_back(geom::Vec3{b, 0.0, a}.normalized());
+    }
+  }
+  const auto adjacent = [&](std::size_t i, std::size_t j) {
+    return v[i].distance_sq_to(v[j]) < 2.0;
+  };
+  for (std::size_t i = 0; i < v.size(); ++i) {
+    for (std::size_t j = i + 1; j < v.size(); ++j) {
+      for (std::size_t k = j + 1; k < v.size(); ++k) {
+        if (adjacent(i, j) && adjacent(j, k) && adjacent(i, k) &&
+            !cell(cell, 0, v[i], v[j], v[k])) {
+          return false;
+        }
+      }
+    }
+  }
+  return true;
+}
+
 // Literal Algorithm 1 over true coordinates, mirroring the membership rules
 // of `detect_with_true_coordinates`: self + one-hop neighbors as witnesses,
 // plus (under kTwoHop) the deduplicated two-hop closure as emptiness-only
@@ -119,14 +188,15 @@ std::vector<std::pair<std::size_t, std::size_t>> naive_empty_pairs(
 // enumeration order, so the run also yields the per-node confidence and
 // the degenerate-fallback count.
 //
-// Alongside, each node's member set goes through the kernel's
-// `count_empty_balls`: a node the interior certificate settles must have no
-// empty ball at all, and `certified` counts such nodes.
+// Alongside, each node's full view goes through `literal_certified`: a
+// node it settles must have no empty ball at all, the kernel's
+// `count_empty_balls` must certify exactly the same nodes, and `certified`
+// marks them.
 struct NaiveResult {
   std::vector<bool> flags;
   std::vector<float> confidence;
   std::size_t fallbacks = 0;
-  std::size_t certified = 0;
+  std::vector<bool> certified;
 };
 
 NaiveResult naive_run(const net::Network& network,
@@ -139,6 +209,7 @@ NaiveResult naive_run(const net::Network& network,
   NaiveResult out;
   out.flags.assign(n, false);
   out.confidence.assign(n, 0.0f);
+  out.certified.assign(n, false);
   for (net::NodeId i = 0; i < n; ++i) {
     std::vector<geom::Vec3> coords;
     coords.push_back(network.position(i));
@@ -164,10 +235,13 @@ NaiveResult naive_run(const net::Network& network,
     const std::size_t empty =
         naive_empty_balls(coords, witness_count, ubf.ball_radius(),
                           ubf.inside_limits(0.0), cap);
+    out.certified[i] = literal_certified(coords, witness_count,
+                                         ubf.ball_radius(),
+                                         ubf.inside_limits(0.0));
     core::UbfNodeDiagnostics diag;
     (void)ubf.count_empty_balls(coords, 0, witness_count, cap, 0.0, &diag);
-    if (diag.certified) {
-      ++out.certified;
+    EXPECT_EQ(diag.certified, out.certified[i]) << "node " << i;
+    if (out.certified[i]) {
       EXPECT_EQ(naive_empty_balls(coords, witness_count, ubf.ball_radius(),
                                   ubf.inside_limits(0.0),
                                   std::numeric_limits<std::size_t>::max()),
@@ -217,6 +291,31 @@ net::Network shuffled(const net::Network& network, std::uint64_t seed) {
                       network.radio_range());
 }
 
+/// Which nodes a driver certifies, node by node: one masked run per node
+/// (`update_flags` with a one-node run mask, one thread) on the frame path
+/// when `frames` is given, else on true coordinates, reading the
+/// `ubf.nodes_certified` counter around each.
+std::vector<bool> driver_certified(
+    const core::UnitBallFitting& ubf, std::size_t n,
+    const std::vector<localization::LocalFrame>* frames) {
+  obs::set_enabled(true);
+  obs::Counter& counter =
+      obs::Registry::global().counter("ubf.nodes_certified");
+  std::vector<bool> out(n, false);
+  std::vector<char> flags(n, 0);
+  std::vector<char> mask(n, 0);
+  for (std::size_t i = 0; i < n; ++i) {
+    const std::uint64_t before = counter.value();
+    mask[i] = 1;
+    ubf.update_flags(frames, flags, /*alive=*/nullptr, &mask, 1);
+    mask[i] = 0;
+    out[i] = counter.value() != before;
+  }
+  obs::set_enabled(false);
+  obs::Registry::global().reset();
+  return out;
+}
+
 /// The ubf.* work counters of one true-coordinates run.
 std::map<std::string, std::uint64_t> ubf_counters(
     const core::UnitBallFitting& ubf, unsigned threads) {
@@ -237,9 +336,10 @@ std::map<std::string, std::uint64_t> ubf_counters(
 // network and on an id-shuffled copy, and under the default two-hop scope
 // the interior certificate settles some nodes (so the comparison covers
 // it). On the network itself the ubf.* work counters are equal at 1 and 4
-// threads, and the driver certifies exactly the nodes whose full two-hop
-// view certifies: the one-hop-first certificate settles no node the full
-// certificate would not, and misses none.
+// threads, and the driver certifies exactly the nodes whose full view the
+// literal certificate certifies, node for node: the one-hop-first
+// certificate settles no node the full certificate would not, and misses
+// none.
 void expect_bit_identical(const net::Network& network) {
   const net::Network permuted = shuffled(network, 77);
   for (const auto scope : {core::UbfConfig::EmptinessScope::kTwoHop,
@@ -269,20 +369,22 @@ void expect_bit_identical(const net::Network& network) {
         }
         EXPECT_EQ(fallbacks, reference.fallbacks) << what;
       }
+      const auto certified = static_cast<std::uint64_t>(std::count(
+          reference.certified.begin(), reference.certified.end(), true));
       if (two_hop) {
-        EXPECT_GT(reference.certified, 0u);
+        EXPECT_GT(certified, 0u);
       }
       if (net != &network) continue;
+      EXPECT_EQ(driver_certified(ubf, net->num_nodes(), nullptr),
+                reference.certified);
       obs::set_enabled(true);
       const auto serial = ubf_counters(ubf, 1);
       const auto parallel = ubf_counters(ubf, 4);
       obs::set_enabled(false);
       obs::Registry::global().reset();
       EXPECT_EQ(serial, parallel);
-      if (two_hop) {
-        ASSERT_TRUE(serial.count("ubf.nodes_certified"));
-        EXPECT_EQ(serial.at("ubf.nodes_certified"), reference.certified);
-      }
+      const auto it = serial.find("ubf.nodes_certified");
+      EXPECT_EQ(it == serial.end() ? 0u : it->second, certified);
     }
   }
 }
@@ -430,11 +532,12 @@ Cloud random_cloud(Rng& rng, CloudKind kind) {
   return cloud;
 }
 
-// The certificate's soundness, on seeded random member clouds: whenever it
-// settles a node, naive enumeration of every one-hop pair finds no empty
-// ball, under zero and noisy inside-limits, and sampled points of the
-// sphere are covered as claimed. The kernel's count and collected pairs
-// also equal the naive ones on every cloud.
+// The certificate's soundness, on seeded random member clouds: the public
+// kernels certify exactly the clouds the literal certificate does, and
+// whenever they settle one, naive enumeration of every one-hop pair finds
+// no empty ball, under zero and noisy inside-limits, and sampled points of
+// the sphere are covered as claimed. The kernel's count and collected
+// pairs also equal the naive ones on every cloud.
 TEST(UbfOracle, CertifiedCloudsHaveNoEmptyBall) {
   const net::Network unit_range({{0, 0, 0}}, {false}, 1.0);
   core::UbfConfig cfg;
@@ -463,6 +566,8 @@ TEST(UbfOracle, CertifiedCloudsHaveNoEmptyBall) {
     SCOPED_TRACE(::testing::Message() << "trial " << trial << " kind "
                                       << static_cast<int>(kind));
     EXPECT_EQ(counted, naive);
+    EXPECT_EQ(diag.certified,
+              literal_certified(cloud.coords, cloud.witness_count, r, limits));
     if (diag.certified) {
       ++certified[static_cast<int>(kind)];
       EXPECT_EQ(naive, 0u);
@@ -472,10 +577,16 @@ TEST(UbfOracle, CertifiedCloudsHaveNoEmptyBall) {
                                        limits, rng, 1000),
                 1000);
     }
+    core::UbfNodeDiagnostics collect_diag;
     EXPECT_EQ(ubf.collect_empty_balls(cloud.coords, 0, cloud.witness_count,
-                                      6, uncertainty),
+                                      6, uncertainty, &collect_diag),
               naive_empty_pairs(cloud.coords, cloud.witness_count, r, limits,
                                 6));
+    EXPECT_EQ(collect_diag.certified, diag.certified);
+    core::UbfNodeDiagnostics test_diag;
+    (void)ubf.test_node(cloud.coords, 0, cloud.witness_count, &test_diag,
+                        uncertainty);
+    EXPECT_EQ(test_diag.certified, diag.certified);
     // A cover by a subset of the members is a cover by all of them: when
     // the one-hop members alone certify, the full cloud certifies too
     // (the true-coordinates driver settles such nodes before gathering
@@ -502,55 +613,98 @@ TEST(UbfOracle, CertifiedCloudsHaveNoEmptyBall) {
   EXPECT_EQ(certified[static_cast<int>(CloudKind::kCoplanar)], 0u);
 }
 
-// The frame path, node by node: on noisy two-hop frames from
-// `build_all_frames`, each node's kernel count and collected pairs equal
-// naive enumeration in its own frame at its own residual, and a certified
-// node has no empty ball and a covered sphere.
+// The frame path, node by node: on noisy frames from `build_all_frames`
+// (three networks, e = 0, 0.2 and 0.4, both scopes), each node's kernel
+// count and collected pairs equal naive enumeration in its own frame at
+// its own residual, the kernels and the driver certify exactly the nodes
+// the literal certificate does, and a certified node has no empty ball
+// and a covered sphere. The driver's certified count is also equal at 1
+// and 4 threads.
 TEST(UbfOracle, FramePathMatchesNaivePerNode) {
   const model::SphereShape shape({0, 0, 0}, 2.2);
-  const net::Network network = build_test_network(shape, 16);
-  const net::NoisyDistanceModel model(network, 0.1, 9);
-  const localization::Localizer localizer(network, model);
-  std::vector<localization::LocalFrame> frames;
-  localization::build_all_frames(localizer,
-                                 localization::FrameScope::kTwoHop, frames);
-  core::UbfConfig cfg;
-  cfg.measurement_error_hint = 0.1;
-  const core::UnitBallFitting ubf(network, cfg);
-  const double r = ubf.ball_radius();
   constexpr std::size_t kAll = std::numeric_limits<std::size_t>::max();
   Rng rng(31);
-  std::size_t tested = 0;
-  std::size_t certified = 0;
-  for (net::NodeId i = 0; i < network.num_nodes(); ++i) {
-    const localization::LocalFrame& frame = frames[i];
-    if (!frame.ok) continue;
-    ++tested;
-    const core::UnitBallFitting::InsideLimits limits =
-        ubf.inside_limits(frame.stress_rms);
-    const std::size_t naive = naive_empty_balls(
-        frame.coords, frame.one_hop_count, r, limits, kAll);
-    core::UbfNodeDiagnostics diag;
-    EXPECT_EQ(ubf.count_empty_balls(frame.coords, 0, frame.one_hop_count,
-                                    kAll, frame.stress_rms, &diag),
-              naive)
-        << "node " << i;
-    if (diag.certified) {
-      ++certified;
-      EXPECT_EQ(naive, 0u) << "certified node " << i;
-      EXPECT_EQ(first_uncovered_sample(frame.coords, frame.one_hop_count, r,
-                                       limits, rng, 200),
-                200)
-          << "certified node " << i;
+  std::size_t certified_two_hop = 0;
+  for (const std::uint64_t seed : {16u, 17u, 18u}) {
+    const net::Network network = build_test_network(shape, seed);
+    const std::size_t n = network.num_nodes();
+    for (const double error : {0.0, 0.2, 0.4}) {
+      const net::NoisyDistanceModel model(network, error, 9);
+      const localization::Localizer localizer(network, model);
+      for (const auto scope : {core::UbfConfig::EmptinessScope::kTwoHop,
+                               core::UbfConfig::EmptinessScope::kOneHop}) {
+        const bool two_hop =
+            scope == core::UbfConfig::EmptinessScope::kTwoHop;
+        SCOPED_TRACE(::testing::Message()
+                     << "seed " << seed << " e " << error
+                     << (two_hop ? " two-hop" : " one-hop"));
+        std::vector<localization::LocalFrame> frames;
+        localization::build_all_frames(
+            localizer,
+            two_hop ? localization::FrameScope::kTwoHop
+                    : localization::FrameScope::kOneHop,
+            frames, 4);
+        core::UbfConfig cfg;
+        cfg.measurement_error_hint = error;
+        cfg.scope = scope;
+        const core::UnitBallFitting ubf(network, cfg);
+        const double r = ubf.ball_radius();
+        // What the driver certifies: the literal certificate on the nodes
+        // it tests (usable frame, reliable residual).
+        std::vector<bool> reference(n, false);
+        for (net::NodeId i = 0; i < n; ++i) {
+          const localization::LocalFrame& frame = frames[i];
+          if (!frame.ok) continue;
+          const core::UnitBallFitting::InsideLimits limits =
+              ubf.inside_limits(frame.stress_rms);
+          const bool literal = literal_certified(
+              frame.coords, frame.one_hop_count, r, limits);
+          reference[i] = literal && ubf.frame_reliable(frame.stress_rms);
+          const std::size_t naive = naive_empty_balls(
+              frame.coords, frame.one_hop_count, r, limits, kAll);
+          core::UbfNodeDiagnostics diag;
+          EXPECT_EQ(ubf.count_empty_balls(frame.coords, 0,
+                                          frame.one_hop_count, kAll,
+                                          frame.stress_rms, &diag),
+                    naive)
+              << "node " << i;
+          EXPECT_EQ(diag.certified, literal) << "node " << i;
+          if (diag.certified) {
+            EXPECT_EQ(naive, 0u) << "certified node " << i;
+            EXPECT_EQ(first_uncovered_sample(frame.coords, frame.one_hop_count,
+                                             r, limits, rng, 200),
+                      200)
+                << "certified node " << i;
+          }
+          core::UbfNodeDiagnostics collect_diag;
+          EXPECT_EQ(ubf.collect_empty_balls(frame.coords, 0,
+                                            frame.one_hop_count,
+                                            core::kVerifyPool,
+                                            frame.stress_rms, &collect_diag),
+                    naive_empty_pairs(frame.coords, frame.one_hop_count, r,
+                                      limits, core::kVerifyPool))
+              << "node " << i;
+          EXPECT_EQ(collect_diag.certified, literal) << "node " << i;
+        }
+        const auto certified = static_cast<std::uint64_t>(
+            std::count(reference.begin(), reference.end(), true));
+        if (two_hop) certified_two_hop += certified;
+        EXPECT_EQ(driver_certified(ubf, n, &frames), reference);
+        for (const unsigned threads : {1u, 4u}) {
+          obs::set_enabled(true);
+          obs::Registry::global().reset();
+          (void)ubf.detect_on_frames(frames, threads);
+          EXPECT_EQ(
+              obs::Registry::global().counter("ubf.nodes_certified").value(),
+              certified)
+              << threads << " threads";
+          obs::set_enabled(false);
+          obs::Registry::global().reset();
+        }
+      }
     }
-    EXPECT_EQ(ubf.collect_empty_balls(frame.coords, 0, frame.one_hop_count,
-                                      core::kVerifyPool, frame.stress_rms),
-              naive_empty_pairs(frame.coords, frame.one_hop_count, r, limits,
-                                core::kVerifyPool))
-        << "node " << i;
   }
-  EXPECT_GT(tested, 0u);
-  EXPECT_GT(certified, 0u);
+  EXPECT_GT(certified_two_hop, 0u);
 }
 
 // The scratch arena is thread-local state; distribution of nodes over
@@ -562,9 +716,15 @@ TEST(UbfOracle, DetectIsDeterministicAcrossThreadCounts) {
   const localization::Localizer localizer(network, model);
   const core::UnitBallFitting ubf(network);
 
-  const std::vector<bool> t1 = ubf.detect(localizer, 1);
-  const std::vector<bool> t2 = ubf.detect(localizer, 2);
-  const std::vector<bool> t8 = ubf.detect(localizer, 8);
+  const auto detect = [&](unsigned threads) {
+    std::vector<localization::LocalFrame> frames;
+    localization::build_all_frames(
+        localizer, localization::FrameScope::kTwoHop, frames, threads);
+    return ubf.detect_on_frames(frames, threads);
+  };
+  const std::vector<bool> t1 = detect(1);
+  const std::vector<bool> t2 = detect(2);
+  const std::vector<bool> t8 = detect(8);
   EXPECT_EQ(t1, t2);
   EXPECT_EQ(t1, t8);
 

@@ -238,7 +238,7 @@ TEST(UbfDetect, LargerRadiusIgnoresSmallHoles) {
 
   UbfConfig small_cfg;  // r ≈ 1 — sees the hole
   UbfConfig big_cfg;
-  big_cfg.radius_override = 2.0;  // r = 2 > hole radius 1.3 — cannot fit
+  big_cfg.epsilon = 1.0;  // r = 2 > hole radius 1.3 — cannot fit
 
   const auto small_flags =
       UnitBallFitting(net, small_cfg).detect_with_true_coordinates();
@@ -276,7 +276,10 @@ TEST(UbfDetect, LocalizedMatchesOracleAtZeroError) {
 
   const net::NoisyDistanceModel model(net, 0.0, 7);
   const localization::Localizer loc(net, model);
-  const auto localized = ubf.detect(loc);
+  std::vector<localization::LocalFrame> frames;
+  localization::build_all_frames(loc, localization::FrameScope::kTwoHop,
+                                 frames);
+  const auto localized = ubf.detect_on_frames(frames);
 
   // MDS at zero error reproduces the geometry up to rigid motion, and the
   // test is gauge-invariant, so the answers agree except for numerically
@@ -302,23 +305,18 @@ TEST(UbfConfigChecks, BadRadiusRejected) {
     return false;
   };
   // Below the radio range.
-  EXPECT_TRUE(rejects([](UbfConfig& c) { c.radius_override = 0.5; }));
   EXPECT_TRUE(rejects([](UbfConfig& c) { c.epsilon = -0.1; }));
   // Non-finite radii would reach the certificate and the emptiness scan.
   for (const double bad : {inf, -inf, nan}) {
     EXPECT_TRUE(rejects([&](UbfConfig& c) { c.epsilon = bad; }));
-    EXPECT_TRUE(rejects([&](UbfConfig& c) { c.radius_override = bad; }));
   }
   for (const double bad : {-0.1, inf, nan}) {
     EXPECT_TRUE(
         rejects([&](UbfConfig& c) { c.measurement_error_hint = bad; }));
     EXPECT_TRUE(rejects([&](UbfConfig& c) { c.noise_margin_factor = bad; }));
   }
-  // The edges of the valid ranges are accepted; a non-positive override
-  // means "no override".
+  // The edges of the valid ranges are accepted.
   EXPECT_FALSE(rejects([](UbfConfig& c) { c.epsilon = 0.0; }));
-  EXPECT_FALSE(rejects([](UbfConfig& c) { c.radius_override = 1.0; }));
-  EXPECT_FALSE(rejects([](UbfConfig& c) { c.radius_override = -1.0; }));
   EXPECT_FALSE(rejects([](UbfConfig& c) { c.measurement_error_hint = 0.0; }));
   EXPECT_FALSE(rejects([](UbfConfig& c) { c.noise_margin_factor = 0.0; }));
 }
